@@ -1,14 +1,17 @@
-"""Exact arithmetic helpers: Gaussian rationals and small dense matrices.
+"""Exact arithmetic helpers: Gaussian rationals, small dense matrices and
+Gaussian elimination.
 
-Everything in the pointwise algebra modules (g2lin, hk, spin) runs over
-Fraction or QQi entries, so "equals zero" always means exactly zero.
+Everything in the pointwise algebra modules (excalc, g2lin, hk, spin) runs
+over Fraction or QQi entries, so "equals zero" always means exactly zero.
 Matrices are plain tuples of tuples; the sizes involved are 2x2 .. 8x8 and
-clarity beats speed here.
+clarity beats speed here.  The one elimination routine, _row_echelon, serves
+det, inverse and kernel_basis on either entry type.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -89,18 +92,11 @@ class QQi:
         return float(self.re) + 1j * float(self.im)
 
 
-I_UNIT = QQi(0, 1)
-
 Matrix = tuple  # tuple of tuples, entries QQi or Fraction
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
     return tuple(tuple(QQi.of(e) for e in row) for row in rows)
-
-
-def fmat(rows: Iterable[Iterable]) -> Matrix:
-    """Matrix with plain Fraction entries (real exact matrices)."""
-    return tuple(tuple(Fraction(e) for e in row) for row in rows)
 
 
 def zeros(n: int, m: int | None = None, field=QQi) -> Matrix:
@@ -145,10 +141,6 @@ def mtrace(a: Matrix):
     return sum((a[i][i] for i in range(1, len(a))), a[0][0])
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
 def dagger(a: Matrix) -> Matrix:
     return tuple(tuple(a[j][i].conj() for j in range(len(a))) for i in range(len(a[0])))
 
@@ -171,31 +163,77 @@ def mat_apply(a: Matrix, v: Sequence) -> tuple:
                  for i in range(len(a)))
 
 
+def _row_echelon(rows: list[list], n_cols: int, stop_at_free: bool = False):
+    """Forward Gaussian elimination, in place, over the first n_cols columns.
+
+    Returns (pivots, swaps): the pivot column of each leading row and the
+    number of row swaps made.  With stop_at_free the elimination ends at the
+    first column without a pivot, which is all det and inverse need to know.
+    """
+    pivots: list[int] = []
+    swaps = 0
+    for c in range(n_cols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            if stop_at_free:
+                break
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            swaps += 1
+        top = rows[r]
+        for i in range(r + 1, len(rows)):
+            if rows[i][c]:
+                f = rows[i][c] / top[c]
+                rows[i][c:] = [x - f * y for x, y in zip(rows[i][c:], top[c:])]
+        pivots.append(c)
+    return pivots, swaps
+
+
+def _back_substitute(rows: list[list], pivots: list[int]) -> None:
+    """Turn a row-echelon form into the reduced one, in place."""
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        p = rows[r][c]
+        rows[r] = [x / p for x in rows[r]]
+        for i in range(r):
+            f = rows[i][c]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+
+
+def det(a: Sequence[Sequence]):
+    """Exact determinant of a square matrix."""
+    rows = [list(r) for r in a]
+    pivots, swaps = _row_echelon(rows, len(rows), stop_at_free=True)
+    if len(pivots) < len(rows):
+        return rows[0][0] * 0
+    out = prod(row[i] for i, row in enumerate(rows))
+    return -out if swaps % 2 else out
+
+
+def inverse(a: Sequence[Sequence]) -> Matrix:
+    """Exact inverse of a square matrix; ValueError if it is singular."""
+    n = len(a)
+    rows = [list(r) + list(e) for r, e in zip(a, eye(n, field=type(a[0][0])))]
+    pivots, _ = _row_echelon(rows, n, stop_at_free=True)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    _back_substitute(rows, pivots)
+    return tuple(tuple(r[n:]) for r in rows)
+
+
 def kernel_basis(a: Matrix) -> list[tuple]:
     """Exact kernel basis of a QQi matrix via Gaussian elimination."""
     rows = [list(r) for r in mat(a)]
-    n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if bool(rows[i][c])), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and bool(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    free = [c for c in range(n_cols) if c not in pivots]
+    pivots, _ = _row_echelon(rows, n_cols)
+    _back_substitute(rows, pivots)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n_cols) if c not in pivots):
         v = [QQi(0)] * n_cols
         v[fc] = QQi(1)
         for ri, pc in enumerate(pivots):

@@ -4,17 +4,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
+from .. import hk
 from .forms import BigradedForm, HorizontalDistribution, split_d, wedge
+from .poly import VERTICAL
 
 
 def standard_triple() -> list[BigradedForm]:
-    """The standard self-dual triple on the fibre."""
-    return [
-        BigradedForm(2, {((), (3, 4)): 1, ((), (5, 6)): 1}),
-        BigradedForm(2, {((), (3, 5)): 1, ((), (4, 6)): -1}),
-        BigradedForm(2, {((), (3, 6)): 1, ((), (4, 5)): 1}),
-    ]
+    """The standard self-dual triple on the fibre: hk.STANDARD_TRIPLE as (0,2)-forms."""
+    return [BigradedForm(2, {((), (VERTICAL[a], VERTICAL[b])): w[a][b]
+                             for a, b in combinations(range(4), 2)})
+            for w in hk.STANDARD_TRIPLE]
 
 
 def standard_lambda() -> BigradedForm:

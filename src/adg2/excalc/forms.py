@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from ..exact import det
 from .poly import HORIZONTAL, NVARS, VERTICAL, Poly, Scalar
 
 Key = tuple  # (I, J)
@@ -85,14 +86,16 @@ class BigradedForm:
                 out._accumulate(I, J, c)
         return out
 
+    def _add_form(self, other: "BigradedForm"):
+        for (I, J), c in other.terms.items():
+            self._accumulate(I, J, c)
+
     def __add__(self, other: "BigradedForm") -> "BigradedForm":
         if self.degree != other.degree:
             raise ValueError("degree mismatch in addition")
         out = BigradedForm(self.degree)
-        for (I, J), c in self.terms.items():
-            out._accumulate(I, J, c)
-        for (I, J), c in other.terms.items():
-            out._accumulate(I, J, c)
+        out._add_form(self)
+        out._add_form(other)
         return out
 
     def __neg__(self):
@@ -213,9 +216,7 @@ def exterior_d(a: BigradedForm) -> BigradedForm:
             if dp.is_zero():
                 continue
             dv = BigradedForm.covector(v, dp)
-            piece = wedge(dv, BigradedForm.monomial(I, J))
-            for key, c in piece.terms.items():
-                out._accumulate(key[0], key[1], c)
+            out._add_form(wedge(dv, BigradedForm.monomial(I, J)))
     return out
 
 
@@ -237,15 +238,11 @@ def split_d(a: BigradedForm, H: HorizontalDistribution):
         for b in VERTICAL:
             dp = p.diff(b)
             if not dp.is_zero():
-                piece = wedge(BigradedForm.monomial((), (b,), dp), base)
-                for key, c in piece.terms.items():
-                    df._accumulate(key[0], key[1], c)
+                df._add_form(wedge(BigradedForm.monomial((), (b,), dp), base))
         for i in HORIZONTAL:
             dp = H.lift_derivative(p, i)
             if not dp.is_zero():
-                piece = wedge(BigradedForm.monomial((i,), (), dp), base)
-                for key, c in piece.terms.items():
-                    dh._accumulate(key[0], key[1], c)
+                dh._add_form(wedge(BigradedForm.monomial((i,), (), dp), base))
         # derivatives of the coframe: d(e^a) has a (1,1) part (-> d_H) and a
         # (2,0) curvature part (-> F_H); dt_i is closed.
         if H.is_flat():
@@ -260,41 +257,27 @@ def split_d(a: BigradedForm, H: HorizontalDistribution):
                     if h.is_zero():
                         continue
                     repl = BigradedForm.monomial((i,), (b,), h * sign * p)
-                    piece = wedge(repl, rest)
-                    for key, c in piece.terms.items():
-                        dh._accumulate(key[0], key[1], c)
+                    dh._add_form(wedge(repl, rest))
             # (2,0) curvature part: e^a -> -K^a
             k = curv.get(e_a)
             if k is not None and not k.is_zero():
-                piece = wedge(k.scale(-sign * p), rest)
-                for key, c in piece.terms.items():
-                    fh._accumulate(key[0], key[1], c)
+                fh._add_form(wedge(k.scale(-sign * p), rest))
     return df, dh, fh
 
 
 def to_coordinate_frame(a: BigradedForm, H: HorizontalDistribution) -> BigradedForm:
     """Rewrite an adapted-coframe form in the coordinate coframe (e^a = dx_a - H_i^a dt_i)."""
-    if H.is_flat():
-        return a
-    out = BigradedForm(a.degree)
-    for (I, J), p in a.terms.items():
-        factors = [BigradedForm.covector(i) for i in I]
-        for e_a in J:
-            f = BigradedForm.monomial((), (e_a,))
-            for i in HORIZONTAL:
-                h = H.lift_coeff(i, e_a)
-                if not h.is_zero():
-                    f = f - BigradedForm.monomial((i,), (), h)
-            factors.append(f)
-        piece = BigradedForm.function(p)
-        for f in factors:
-            piece = wedge(piece, f)
-        out = out + piece
-    return out
+    return _substitute_coframe(a, H, -1)
 
 
 def from_coordinate_frame(a: BigradedForm, H: HorizontalDistribution) -> BigradedForm:
     """Inverse of to_coordinate_frame (dx_a = e^a + H_i^a dt_i)."""
+    return _substitute_coframe(a, H, 1)
+
+
+def _substitute_coframe(a: BigradedForm, H: HorizontalDistribution,
+                        sign: int) -> BigradedForm:
+    """Replace each fibre covector by itself plus sign * sum_i H_i^a dt_i."""
     if H.is_flat():
         return a
     out = BigradedForm(a.degree)
@@ -305,7 +288,7 @@ def from_coordinate_frame(a: BigradedForm, H: HorizontalDistribution) -> Bigrade
             for i in HORIZONTAL:
                 h = H.lift_coeff(i, e_a)
                 if not h.is_zero():
-                    f = f + BigradedForm.monomial((i,), (), h)
+                    f = f + BigradedForm.monomial((i,), (), h if sign > 0 else -h)
             factors.append(f)
         piece = BigradedForm.function(p)
         for f in factors:
@@ -330,27 +313,6 @@ def eval_on_vectors(a: BigradedForm, vectors: Sequence[Sequence[Scalar]],
         c = p.eval(pt)
         if c == 0:
             continue
-        total += c * _det([[Fraction(v[i]) for v in vectors] for i in idx])
+        total += c * det([[Fraction(v[i]) for v in vectors] for i in idx])
     return total
 
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    rows = [row[:] for row in rows]
-    sign = 1
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        det *= rows[c][c]
-        for r in range(c + 1, n):
-            f = rows[r][c] / rows[c][c]
-            if f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return det * sign

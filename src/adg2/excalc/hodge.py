@@ -22,11 +22,6 @@ def _complement(sub: tuple, full: tuple) -> tuple:
     return tuple(i for i in full if i not in sub)
 
 
-def _perm_sign(first: tuple, second: tuple) -> int:
-    # sign with which first + second sorts to the full increasing tuple
-    return _merge_sign(first, second)
-
-
 def star4(a: BigradedForm) -> BigradedForm:
     """Fibre Hodge star; input must be purely vertical."""
     out = BigradedForm(4 - (a.degree - 0))
@@ -34,7 +29,7 @@ def star4(a: BigradedForm) -> BigradedForm:
         if I:
             raise ValueError("star4 requires a purely vertical form")
         Jc = _complement(J, _V_SET)
-        sign = _perm_sign(J, Jc)  # dx_J ^ dx_Jc = sign * vol4
+        sign = _merge_sign(J, Jc)  # dx_J ^ dx_Jc = sign * vol4
         out._accumulate((), Jc, -p if sign < 0 else p)
     return out
 
@@ -46,7 +41,7 @@ def star3(a: BigradedForm) -> BigradedForm:
         if J:
             raise ValueError("star3 requires a purely horizontal form")
         Ic = _complement(I, _H_SET)
-        sign = -_perm_sign(I, Ic)  # dt_I ^ (sign dt_Ic) = vol3 = -dt123
+        sign = -_merge_sign(I, Ic)  # dt_I ^ (sign dt_Ic) = vol3 = -dt123
         out._accumulate(Ic, (), -p if sign < 0 else p)
     return out
 
@@ -62,13 +57,8 @@ def star7(a: BigradedForm, eps: Fraction | int = 1) -> BigradedForm:
     if eps <= 0:
         raise ValueError("star7 needs eps > 0; use star7_limit for the formal limit")
     out = BigradedForm(7 - a.degree)
-    for (I, J), p in a.terms.items():
-        Ic = _complement(I, _H_SET)
-        Jc = _complement(J, _V_SET)
-        sign = _star7_sign(I, J, Ic, Jc)
-        coeff = eps ** (2 - len(J))
-        q = p * coeff
-        out._accumulate(Ic, Jc, -q if sign < 0 else q)
+    for k, piece in star7_limit(a).items():
+        out._add_form(piece.scale(eps ** k))
     return out
 
 
@@ -88,7 +78,7 @@ def star7_limit(a: BigradedForm) -> dict[int, BigradedForm]:
 def _star7_sign(I, J, Ic, Jc) -> int:
     # sign s with dt_I e_J ^ dt_Ic e_Jc = s * dt123 ^ vol4; then flip for
     # vol7 = -dt123 vol4.
-    s = _perm_sign(I, Ic) * _perm_sign(J, Jc)
+    s = _merge_sign(I, Ic) * _merge_sign(J, Jc)
     if len(J) % 2 and len(Ic) % 2:
         s = -s
     return -s

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import I_VEC, W_SD, LatticeConnection, diff, residual_scalars
+from .gauge import (I_VEC, W_SD, LatticeConnection, diff, residual_scalars,
+                    trapezoid_weights)
 
 TWO_PI = 2.0 * np.pi
 
@@ -55,15 +56,7 @@ class FueterSectionGrid:
         return v
 
     def base_weights(self) -> np.ndarray:
-        w = np.ones(self.dims)
-        if not self.base_periodic:
-            for ax in range(3):
-                sl = [slice(None)] * 3
-                for end in (0, -1):
-                    sl[ax] = end
-                    w[tuple(sl)] *= 0.5
-                sl[ax] = slice(None)
-        return w * float(np.prod(self.spacing))
+        return trapezoid_weights(self.dims, self.spacing, self.base_periodic)
 
 
 def section_derivatives(s: FueterSectionGrid) -> np.ndarray:

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from . import hk
 from .excalc import (
     BigradedForm,
+    FibrationData,
     eval_on_vectors,
     standard_lambda,
     standard_mu,
@@ -68,17 +70,15 @@ class G2Model:
         return standard_mu()
 
     def phi(self) -> BigradedForm:
-        out = self.lam
-        for i, w in enumerate(self.omega):
-            out = out + wedge(w, BigradedForm.monomial((i,), ())).scale(self.eps)
-        return out
+        """lambda + eps * sum_i omega_i dt_i."""
+        total = FibrationData(self.omega, self.lam, self.mu).omega_total()
+        return self.lam + total.scale(self.eps)
 
     def star_phi(self) -> BigradedForm:
-        out = wedge(self.omega[0], self.omega[0]).scale(self.eps ** 2 / 2)
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            dtjk = BigradedForm.monomial(tuple(sorted((j, k))), (), 1 if j < k else -1)
-            out = out - wedge(self.omega[i], dtjk).scale(self.eps)
-        return out
+        """eps * Theta + (eps^2/2) omega_1 ^ omega_1."""
+        theta = FibrationData(self.omega, self.lam, self.mu).theta()
+        return (theta.scale(self.eps)
+                + wedge(self.omega[0], self.omega[0]).scale(self.eps ** 2 / 2))
 
     def metric(self) -> tuple:
         """g_eps as a diagonal 7x7 rational matrix."""
@@ -133,26 +133,18 @@ def _chi_limit(x: Vector7, y: Vector7, z: Vector7, m: G2Model) -> Vector7:
 
 
 def complex_structures(m: G2Model) -> tuple[list, list]:
-    """The three fibre complex structures.
+    """The three fibre complex structures of the model's triple.
 
     Returns (on_vectors, on_oneforms): each a list of three 4x4 Fraction
     matrices acting on the fibre components x1..x4.  The action on vectors
-    comes from omega_i(X, Y) = g(I_i X, Y) with the unscaled fibre metric;
-    on 1-forms it is minus precomposition, I_i a = -a o I_i.
+    is hk.complex_structure_matrices of m.omega, from omega_i(X, Y) =
+    g(I_i X, Y) with the metric of the triple (the unscaled fibre metric for
+    the standard triple); on 1-forms it is minus precomposition,
+    I_i a = -a o I_i, the matrix -I_i^T.
     """
-    on_vec = []
-    on_form = []
-    for w in m.omega:
-        W = [[Fraction(0)] * 4 for _ in range(4)]
-        for (I, J), p in w.terms.items():
-            c = p.constant_value()
-            a, b = J[0] - 3, J[1] - 3
-            W[a][b] = c
-            W[b][a] = -c
-        # (I_i)_{ab} = coeff of e_a in I_i e_b = omega_i(e_b, e_a) = -W[a][b]
-        ivec = tuple(tuple(-W[a][b] for b in range(4)) for a in range(4))
-        # on covector components: (I a)_b = -sum_c a_c (I)_{cb}, i.e. -I^T
-        iform = tuple(tuple(-ivec[b][a] for b in range(4)) for a in range(4))
-        on_vec.append(ivec)
-        on_form.append(iform)
+    omega = [hk.form2({(J[0] - 3, J[1] - 3): p.constant_value()
+                       for (_, J), p in w.terms.items()}) for w in m.omega]
+    on_vec = list(hk.complex_structure_matrices(hk.triple(omega)))
+    on_form = [tuple(tuple(-iv[b][a] for b in range(4)) for a in range(4))
+               for iv in on_vec]
     return on_vec, on_form

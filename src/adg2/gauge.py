@@ -21,29 +21,18 @@ associative-side comparison in the fueter module would fail by a sign.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# standard fibre triple and anti-self-dual basis as float matrices
-W_SD = np.zeros((3, 4, 4))
-W_SD[0, 0, 1] = W_SD[0, 2, 3] = 1.0
-W_SD[1, 0, 2] = 1.0
-W_SD[1, 1, 3] = -1.0
-W_SD[2, 0, 3] = W_SD[2, 1, 2] = 1.0
-W_SD -= W_SD.swapaxes(1, 2)
+from . import hk
 
-W_ASD = np.zeros((3, 4, 4))
-W_ASD[0, 0, 1], W_ASD[0, 2, 3] = 1.0, -1.0
-W_ASD[1, 0, 2], W_ASD[1, 1, 3] = 1.0, 1.0
-W_ASD[2, 0, 3], W_ASD[2, 1, 2] = 1.0, -1.0
-W_ASD -= W_ASD.swapaxes(1, 2)
-
-# I_i on fibre components (both on vectors and on 1-form coefficients)
-I_VEC = -W_SD
+# the standard fibre triple and its complex structures, from hk, as float
+# matrices; I_i acts alike on vectors and on 1-form coefficients
+W_SD = np.array(hk.STANDARD_TRIPLE, dtype=float)
+I_VEC = np.array(hk.complex_structure_matrices(hk.HKTriple.standard()), dtype=float)
 
 # wedge pairing of fibre 2-forms in the (a<b) component order
 PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -62,6 +51,20 @@ def thread_count() -> int:
         return max(1, int(env))
     except ValueError:
         return 1
+
+
+def _unit_spacing(n: int, periodic: bool) -> float:
+    """Spacing of n nodes on the unit interval, or on the unit circle when periodic."""
+    return 1.0 / n if periodic else 1.0 / (n - 1)
+
+
+def trapezoid_weights(dims, spacing, periodic: bool) -> np.ndarray:
+    """Node quadrature weights: trapezoid on a box, uniform on a torus."""
+    w = np.ones(dims)
+    if not periodic:
+        for ax in range(len(dims)):
+            np.moveaxis(w, ax, 0)[[0, -1]] *= 0.5
+    return w * float(np.prod(spacing))
 
 
 @dataclass
@@ -85,8 +88,8 @@ class LatticeGrid:
 
     @staticmethod
     def unit(nb: int, nf: int, base_periodic=False, fibre_periodic=True) -> "LatticeGrid":
-        hb = 1.0 / nb if base_periodic else 1.0 / (nb - 1)
-        hf = 1.0 / nf if fibre_periodic else 1.0 / (nf - 1)
+        hb = _unit_spacing(nb, base_periodic)
+        hf = _unit_spacing(nf, fibre_periodic)
         return LatticeGrid((nb,) * 3, (nf,) * 4, (hb,) * 3, (hf,) * 4,
                            base_periodic, fibre_periodic)
 
@@ -115,26 +118,10 @@ class LatticeGrid:
 
     def base_weights(self) -> np.ndarray:
         """Quadrature weights over base nodes (trapezoid on a box)."""
-        w = np.ones(self.dims_base)
-        if not self.base_periodic:
-            for ax in range(3):
-                sl = [slice(None)] * 3
-                for end in (0, -1):
-                    sl[ax] = end
-                    w[tuple(sl)] *= 0.5
-                sl[ax] = slice(None)
-        return w * float(np.prod(self.spacing_base))
+        return trapezoid_weights(self.dims_base, self.spacing_base, self.base_periodic)
 
     def fibre_weights(self) -> np.ndarray:
-        w = np.ones(self.dims_fibre)
-        if not self.fibre_periodic:
-            for ax in range(4):
-                sl = [slice(None)] * 4
-                for end in (0, -1):
-                    sl[ax] = end
-                    w[tuple(sl)] *= 0.5
-                sl[ax] = slice(None)
-        return w * float(np.prod(self.spacing_fibre))
+        return trapezoid_weights(self.dims_fibre, self.spacing_fibre, self.fibre_periodic)
 
     def node_weights(self) -> np.ndarray:
         return (self.base_weights().reshape(self.dims_base + (1, 1, 1, 1))
@@ -391,12 +378,16 @@ def field_from_json(doc: dict) -> LatticeConnection:
         rank = int(doc["rank"])
         spacing = doc.get("spacing", {})
         periodic = doc.get("periodic", {})
+        base_periodic = bool(periodic.get("base", False))
+        fibre_periodic = bool(periodic.get("fibre", True))
         grid = LatticeGrid(
             tuple(dims["base"]), tuple(dims["fibre"]),
-            tuple(spacing.get("base", [1.0 / max(1, n - 1) for n in dims["base"]])),
-            tuple(spacing.get("fibre", [1.0 / n for n in dims["fibre"]])),
-            bool(periodic.get("base", False)), bool(periodic.get("fibre", True)))
-    except (KeyError, TypeError) as exc:
+            tuple(spacing.get("base", [_unit_spacing(n, base_periodic)
+                                        for n in dims["base"]])),
+            tuple(spacing.get("fibre", [_unit_spacing(n, fibre_periodic)
+                                         for n in dims["fibre"]])),
+            base_periodic, fibre_periodic)
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed field document: {exc}") from exc
     flat = np.asarray(doc["values"], dtype=float)
     want = 7 * int(np.prod(grid.shape)) * rank * rank * 2

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .exact import QQi, inverse, madd, mscale, zeros
+
 Mat4 = tuple  # 4x4 tuple of tuples of Fraction
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -148,14 +150,9 @@ def metric_from_triple(omega: Sequence[Mat4]) -> tuple[Mat4, Fraction]:
     cyc = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     gs = []
     for (i, j, k) in cyc:
-        g = [[Fraction(0)] * 4 for _ in range(4)]
-        for a in range(4):
-            ya = [Fraction(1 if c == a else 0) for c in range(4)]
-            ia = contract(ya, omega[i])
-            for b in range(4):
-                zb = [Fraction(1 if c == b else 0) for c in range(4)]
-                g[a][b] = wedge112(ia, contract(zb, omega[j]), omega[k]) / mu
-        gs.append(tuple(tuple(r) for r in g))
+        # contraction with a basis vector is row extraction
+        gs.append(tuple(tuple(wedge112(omega[i][a], omega[j][b], omega[k]) / mu
+                              for b in range(4)) for a in range(4)))
     if not (gs[0] == gs[1] == gs[2]):
         raise TripleRelationError(("cyclic",), gs)
     g = gs[0]
@@ -216,7 +213,7 @@ def metric_variation(t: HKTriple, v: TripleVariation) -> MetricVariation:
 
 def complex_structure_matrices(t: HKTriple) -> tuple[Mat4, Mat4, Mat4]:
     """I_i on fibre vectors, from omega_i(X,Y) = g(I_i X, Y)."""
-    ginv = _inv4(t.g)
+    ginv = _metric_inverse(t.g)
     out = []
     for w in t.omega:
         # (I e_b)_a = sum_c ginv[a][c] * w[b][c] ... w(e_b, e_c) = g(I e_b, e_c)
@@ -234,7 +231,7 @@ def recover_form_variation(t: HKTriple, g_dot: Mat4,
     frame optionally supplies a g-orthonormal basis (default: coordinate
     frame, valid for the standard triple).
     """
-    ginv = _inv4(t.g)
+    ginv = _metric_inverse(t.g)
     tr = sum(ginv[a][b] * g_dot[b][a] for a in range(4) for b in range(4))
     if tr != 0:
         raise ValueError(f"g_dot must be traceless; got trace {tr}")
@@ -271,8 +268,6 @@ def clifford_of_variation(t: HKTriple, g_dot: Mat4, k: int, spinor_model=None):
 
     model: SpinorModel = spinor_model or build_spinor_model()
     ivec = complex_structure_matrices(t)
-    from .exact import QQi, madd, mscale, zeros
-
     out = zeros(2)
     for i in range(4):
         ike = tuple(ivec[k][a][i] for a in range(4))
@@ -284,19 +279,8 @@ def clifford_of_variation(t: HKTriple, g_dot: Mat4, k: int, spinor_model=None):
     return out
 
 
-def _inv4(m: Mat4) -> Mat4:
-    n = 4
-    a = [list(map(Fraction, row)) + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular metric")
-        a[c], a[piv] = a[piv], a[c]
-        d = a[c][c]
-        a[c] = [x / d for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return tuple(tuple(row[n:]) for row in a)
+def _metric_inverse(g: Mat4) -> Mat4:
+    try:
+        return inverse(g)
+    except ValueError:
+        raise ValueError("singular metric") from None

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Sequence
 
 from . import hk
@@ -52,11 +52,6 @@ SIGMA = (
 Q_UNITS = (eye(2),) + tuple(mscale(-I_, s) for s in SIGMA)
 
 EPSILON2 = ((QQi(0), QQi(1)), (QQi(-1), QQi(0)))  # complex volume form on C^2
-
-
-def _conj_linear_j(v: Sequence[QQi]) -> tuple:
-    """Quaternionic structure on C^2: j(z1, z2) = (-conj z2, conj z1)."""
-    return (-v[1].conj(), v[0].conj())
 
 
 class ConventionError(AssertionError):
@@ -119,20 +114,19 @@ class SpinorModel:
 
     def c_form2_minus(self, w: hk.Mat4):
         """Clifford action of a fibre 2-form on S-."""
-        out = zeros(2)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if w[a][b]:
-                    out = madd(out, mscale(QQi(w[a][b]), self.cc_minus[a][b]))
-        return out
+        return _form2_action(w, self.cc_minus)
 
     def c_form2_plus(self, w: hk.Mat4):
-        out = zeros(2)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if w[a][b]:
-                    out = madd(out, mscale(QQi(w[a][b]), self.cc_plus[a][b]))
-        return out
+        return _form2_action(w, self.cc_plus)
+
+
+def _form2_action(w: hk.Mat4, cc):
+    """sum_{a<b} w_ab (c_a c_b), through one chirality's table cc of products."""
+    out = zeros(2)
+    for a, b in combinations(range(4), 2):
+        if w[a][b]:
+            out = madd(out, mscale(QQi(w[a][b]), cc[a][b]))
+    return out
 
 
 def _place(m, r0, c0, block):
@@ -159,15 +153,9 @@ def build_spinor_model(corrupt: str | None = None) -> SpinorModel:
     ccc = tuple(tuple(tuple(mmul(mp[l], cc_minus[i][j]) for j in range(4))
                       for i in range(4)) for l in range(4))
 
-    i_sp = []
-    for w in hk.STANDARD_TRIPLE:
-        m = zeros(2)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if w[a][b]:
-                    m = madd(m, mscale(QQi(Fraction(w[a][b], 2)), cc_plus[a][b]))
-        i_sp.append(m)
-    model = SpinorModel(mp, pm, cb, tuple(i_sp), cc_plus, cc_minus, ccc)
+    half = QQi(Fraction(1, 2))
+    i_sp = tuple(mscale(half, _form2_action(w, cc_plus)) for w in hk.STANDARD_TRIPLE)
+    model = SpinorModel(mp, pm, cb, i_sp, cc_plus, cc_minus, ccc)
 
     if corrupt is None:
         _verify_conventions(model)
@@ -321,27 +309,17 @@ class AdiabaticJet:
 
     def flags(self) -> dict:
         std = hk.HKTriple.standard()
-
-        def sd_free(m):
-            a, b, _ = hk.decompose_variation(std, hk.TripleVariation.of(*m))
-            return b == 0 and all(x == 0 for row in a for x in row)
-
         sym = all(self.v[k][m] == self.v[m][k] for k in range(3) for m in range(3))
         sym = sym and all(self.w[k][m][i] == self.w[m][k][i]
                           for k in range(3) for m in range(3) for i in range(4))
         trace_zero = hk.is_zero2(_sum2(self.v[k][k] for k in range(3))) and all(
             hk.is_zero2(_sum2(self.w[k][k][i] for k in range(3))) for i in range(4))
-        b_zero = True
-        asd = True
-        for k in range(3):
-            _, b, rem = hk.decompose_variation(std, hk.TripleVariation.of(*self.v[k]))
-            b_zero = b_zero and b == 0
-            asd = asd and sd_free(self.v[k])
-            for i in range(4):
-                tri = tuple(self.w[k][m][i] for m in range(3))
-                _, bi, _ = hk.decompose_variation(std, hk.TripleVariation.of(*tri))
-                b_zero = b_zero and bi == 0
-                asd = asd and sd_free(tri)
+        # the self-dual parts (a, b) of every zeroth-order and derivative slot
+        triples = list(self.v) + [tuple(self.w[k][m][i] for m in range(3))
+                                  for k in range(3) for i in range(4)]
+        sd = [hk.decompose_variation(std, hk.TripleVariation.of(*t))[:2] for t in triples]
+        b_zero = all(b == 0 for _, b in sd)
+        asd = b_zero and all(x == 0 for a, _ in sd for row in a for x in row)
         return {"d_H_omega_sym": sym, "d_H_mu": b_zero,
                 "d_H_Theta": trace_zero, "asd": asd}
 

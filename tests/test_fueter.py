@@ -4,6 +4,8 @@ import pytest
 from adg2 import fueter as fu
 from adg2 import gauge as ga
 from adg2 import hk
+from adg2.excalc import standard_triple
+from adg2.g2lin import G2Model, complex_structures
 
 
 def theta_connection(grid, theta_fn, extra=None):
@@ -19,6 +21,10 @@ def theta_connection(grid, theta_fn, extra=None):
 
 
 class TestComplexStructureTables:
+    """Every consumer of the fibre triple agrees with its one definition in hk."""
+
+    ivec = hk.complex_structure_matrices(hk.HKTriple.standard())
+
     def test_matches_exact_triple(self):
         for i in range(3):
             for a in range(4):
@@ -27,6 +33,30 @@ class TestComplexStructureTables:
         assert np.allclose(ga.I_VEC[0] @ ga.I_VEC[1], ga.I_VEC[2])
         for i in range(3):
             assert np.allclose(ga.I_VEC[i] @ ga.I_VEC[i], -np.eye(4))
+
+    def test_gauge_complex_structures_match_hk(self):
+        want = np.array([[[float(x) for x in row] for row in m] for m in self.ivec])
+        assert ga.I_VEC.shape == (3, 4, 4)
+        assert np.array_equal(ga.I_VEC, want)
+
+    def test_g2lin_complex_structures_match_hk(self):
+        on_vec, on_form = complex_structures(G2Model())
+        assert tuple(on_vec) == self.ivec
+        for i in range(3):
+            # on 1-form coefficients I_i acts as -I_i^T
+            assert on_form[i] == tuple(tuple(-self.ivec[i][b][a] for b in range(4))
+                                       for a in range(4))
+
+    def test_excalc_triple_matches_hk(self):
+        forms = standard_triple()
+        assert len(forms) == 3
+        for w, mat in zip(forms, hk.STANDARD_TRIPLE):
+            assert w.bigrades() == {(0, 2)}
+            for a in range(4):
+                for b in range(a + 1, 4):
+                    got = w.terms.get(((), (3 + a, 3 + b)))
+                    want = mat[a][b]
+                    assert (got.constant_value() if got is not None else 0) == want
 
 
 class TestFueterResidual:

@@ -436,3 +436,12 @@ class TestFieldIO:
         with pytest.raises(ValueError):
             ga.field_from_json({"dims": {"base": [3, 3, 3], "fibre": [3, 3, 3, 3]},
                                 "rank": 1, "values": [0.0]})
+
+    def test_missing_spacing_follows_the_unit_grid(self):
+        # periodic base, box fibre: the opposite of the default flags
+        grid = ga.LatticeGrid.unit(4, 5, base_periodic=True, fibre_periodic=False)
+        doc = ga.field_to_json(ga.LatticeConnection.zero(grid))
+        del doc["spacing"]
+        b = ga.field_from_json(doc)
+        assert b.grid.spacing_base == grid.spacing_base == (0.25,) * 3
+        assert b.grid.spacing_fibre == grid.spacing_fibre == (0.25,) * 4
