@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import (I_VEC, W_SD, LatticeConnection, diff, residual_scalars,
-                    trapezoid_weights)
+from .gauge import (I_VEC, W_SD, LatticeConnection, fibre_curvatures,
+                    fibre_defect, residual_scalars, trapezoid_weights)
 
 TWO_PI = 2.0 * np.pi
 
@@ -143,15 +143,11 @@ def holonomy_section(a: LatticeConnection, curvature_tol: float = 1e-6
     """
     if a.rank != 1:
         raise ValueError("holonomy sections need a rank-1 connection")
-    from .gauge import instanton_residual
-
-    rho_fibre, _ = instanton_residual(a)
-    worst = float(np.abs(residual_scalars(rho_fibre, 1)).max())
+    f_vert = fibre_curvatures(a)
+    worst = float(np.abs(residual_scalars(fibre_defect(f_vert), 1)).max())
     # the self-dual pairing sees only half the components; check them all
-    for p in range(4):
-        for q in range(p + 1, 4):
-            f = a.curvature(3 + p, 3 + q)
-            worst = max(worst, float(np.abs(f).max()))
+    for f in f_vert:
+        worst = max(worst, float(np.abs(f).max()))
     if worst > curvature_tol:
         raise ValueError(
             f"connection is not fibrewise flat (defect {worst:.3e} exceeds "

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adg2 import fueter as fu
 from adg2 import gauge as ga
 from adg2.excalc import (
     BigradedForm,
@@ -28,6 +29,65 @@ def box_grid(nb=5, nf=6, **kw):
     return ga.LatticeGrid.unit(nb, nf, **kw)
 
 
+def random_anti_hermitian(rng, shape, scale=0.3):
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return scale * (m - np.conj(m.swapaxes(-1, -2)))
+
+
+def batched_curvature(a, mu, nu):
+    """F_mu_nu with the commutator as a batched matmul."""
+    am, an = a.components[mu], a.components[nu]
+    return a.deriv(nu, mu) - a.deriv(mu, nu) + am @ an - an @ am
+
+
+def cs_reference(path):
+    """cs_instanton segment by segment, as Tr(F @ delta) of each end's curvatures."""
+    total = 0.0
+    for k in range(len(path.fields) - 1):
+        delta = path.fields[k + 1].components - path.fields[k].components
+        for a in path.fields[k:k + 2]:
+            w = a.grid.node_weights()
+            for l in range(3):
+                t6 = []
+                for (p, q) in ga.PAIR_ORDER:
+                    t6.append(
+                        np.trace(batched_curvature(a, l, 3 + p) @ delta[3 + q],
+                                 axis1=-2, axis2=-1)
+                        - np.trace(batched_curvature(a, l, 3 + q) @ delta[3 + p],
+                                   axis1=-2, axis2=-1)
+                        + np.trace(batched_curvature(a, 3 + p, 3 + q) @ delta[l],
+                                   axis1=-2, axis2=-1))
+                total += 0.5 * float(np.sum((w * ga.wedge2_form(t6, ga.W_SD[l])).real))
+    return -total / (4 * np.pi ** 2)
+
+
+def random_rank2_path(n_times=4, seed=11):
+    """A non-commuting rank-2 anti-Hermitian path on a box base."""
+    rng = np.random.default_rng(seed)
+    grid = ga.LatticeGrid.unit(3, 3, fibre_periodic=True)
+    shape = (7,) + grid.shape + (2, 2)
+    start, velocity = random_anti_hermitian(rng, shape), random_anti_hermitian(rng, shape)
+    times = np.linspace(0, 1, n_times)
+    fields = [ga.LatticeConnection(grid, start + tau * velocity
+                                   + tau ** 2 * random_anti_hermitian(rng, shape, 0.1))
+              for tau in times]
+    return ga.ConnectionPath(list(times), fields)
+
+
+@pytest.fixture
+def curvature_calls(monkeypatch):
+    """Counts LatticeConnection.curvature calls."""
+    calls = []
+    original = ga.LatticeConnection.curvature
+
+    def counted(self, mu, nu):
+        calls.append((mu, nu))
+        return original(self, mu, nu)
+
+    monkeypatch.setattr(ga.LatticeConnection, "curvature", counted)
+    return calls
+
+
 class TestCurvature:
     def test_zero_connection(self):
         a = ga.LatticeConnection.zero(box_grid(), rank=1)
@@ -51,6 +111,14 @@ class TestCurvature:
         rf, rh = ga.instanton_residual(a)
         assert np.abs(rf).max() < 1e-10
         assert np.abs(rh).max() < 1e-10
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_matmul_matches_batched_matmul(self, r):
+        rng = np.random.default_rng(r)
+        a, b = (rng.normal(size=(3, 5, r, r)) + 1j * rng.normal(size=(3, 5, r, r))
+                for _ in range(2))
+        assert np.abs(ga._matmul(a, b) - a @ b).max() < 1e-13
+        assert np.abs(ga._matmul(a, b, commutator=True) - (a @ b - b @ a)).max() < 1e-13
 
     def test_anti_hermitian_check(self):
         grid = box_grid()
@@ -314,6 +382,25 @@ class TestChernSimons:
         got = ga.cs_instanton(path)
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
+    def test_rank2_path_matches_batched_reference(self):
+        path = random_rank2_path()
+        want = cs_reference(path)
+        assert abs(ga.cs_instanton(path, workers=1) - want) <= 1e-12 * abs(want)
+
+    def test_thread_pool_gives_the_same_value(self):
+        path = random_rank2_path()
+        assert ga.cs_instanton(path, workers=2) == ga.cs_instanton(path, workers=1)
+
+    def test_each_snapshot_curvature_computed_once(self, curvature_calls):
+        path = random_rank2_path(n_times=4)
+        ga.cs_instanton(path, workers=1)
+        assert len(curvature_calls) == 18 * 4
+
+    def test_holonomy_section_computes_vertical_curvatures_once(self, curvature_calls):
+        grid = ga.LatticeGrid.unit(3, 4, fibre_periodic=True)
+        fu.holonomy_section(ga.LatticeConnection.zero(grid))
+        assert len(curvature_calls) == 6
+
     def test_reparametrization_invariance(self):
         grid = ga.LatticeGrid.unit(4, 4, fibre_periodic=True)
         rng = np.random.default_rng(3)
@@ -433,9 +520,21 @@ class TestFieldIO:
         assert b.grid.dims_base == grid.dims_base
 
     def test_bad_doc(self):
+        dims = {"base": [3, 3, 3], "fibre": [3, 3, 3, 3]}
         with pytest.raises(ValueError):
-            ga.field_from_json({"dims": {"base": [3, 3, 3], "fibre": [3, 3, 3, 3]},
-                                "rank": 1, "values": [0.0]})
+            ga.field_from_json({"dims": dims, "rank": 1, "values": [0.0]})
+        with pytest.raises(ValueError, match="malformed field document"):
+            ga.field_from_json({"dims": dims, "rank": 1})
+
+    def test_spacing_count_checked(self):
+        with pytest.raises(ValueError, match="spacings"):
+            ga.LatticeGrid((3, 3, 3), (3, 3, 3, 3), (0.5, 0.5), (0.5,) * 4)
+        with pytest.raises(ValueError, match="spacings"):
+            ga.LatticeGrid((3, 3, 3), (3, 3, 3, 3), (0.5,) * 3, (0.5,) * 5)
+        doc = ga.field_to_json(ga.LatticeConnection.zero(ga.LatticeGrid.unit(3, 3)))
+        doc["spacing"]["base"] = [0.5, 0.5]
+        with pytest.raises(ValueError, match="spacings"):
+            ga.field_from_json(doc)
 
     def test_missing_spacing_follows_the_unit_grid(self):
         # periodic base, box fibre: the opposite of the default flags
