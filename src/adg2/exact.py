@@ -4,8 +4,12 @@ Gaussian elimination.
 Everything in the pointwise algebra modules (excalc, g2lin, hk, spin) runs
 over Fraction or QQi entries, so "equals zero" always means exactly zero.
 Matrices are plain tuples of tuples; the sizes involved are 2x2 .. 8x8 and
-clarity beats speed here.  The one elimination routine, _row_echelon, serves
-det, inverse and kernel_basis on either entry type.
+clarity beats speed here.  Where speed matters, the hot linear maps are not
+sped up here but cached where they are defined, built lazily from their one
+defining formula: HKTriple._variation_map (hk.metric_variation) and
+SpinorModel._curvature_tensor (spin.curvature_operators).  The one
+elimination routine, _row_echelon, serves det, inverse and kernel_basis on
+either entry type.
 """
 
 from __future__ import annotations

@@ -5,12 +5,18 @@ the volume 4-form is a rational multiple of vol4 = dx1 dx2 dx3 dx4.  The
 triple determines the metric through g(Y,Z) mu = i_Y w1 ^ i_Z w2 ^ w3, and
 variations of the triple decompose into rotation/conformal coefficients
 plus anti-self-dual remainders, which carry the whole metric variation.
+
+metric_variation is linear in the form variation.  Its defining formula,
+_metric_variation_formula, is evaluated once per triple on the 48 unit
+variations, lazily on first use; the sparse exact map it yields is cached on
+the HKTriple object and every call applies that map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from typing import Sequence
 
 from .exact import QQi, inverse, madd, mscale, zeros
@@ -110,9 +116,27 @@ class HKTriple:
     mu: Fraction
 
     @staticmethod
+    @cache
     def standard() -> "HKTriple":
+        """The flat triple, built once per process."""
         g, mu = metric_from_triple(STANDARD_TRIPLE)
         return HKTriple(STANDARD_TRIPLE, g, mu)
+
+    @cached_property
+    def _variation_map(self) -> tuple:
+        """metric_variation at this triple as 17 sparse rows, one per entry of
+        g_dot (row-major) and one for mu_dot; row s holds the nonzero (n, c)
+        with c the coefficient of entry n of the flattened (w1dot, w2dot,
+        w3dot).  Column n is the formula applied to the n-th unit variation."""
+        cols = []
+        for n in range(48):
+            unit = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(3)]
+            unit[n // 16][n // 4 % 4][n % 4] = Fraction(1)
+            mv = _metric_variation_formula(
+                self, TripleVariation(tuple(tuple(map(tuple, w)) for w in unit)))
+            cols.append([x for row in mv.g_dot for x in row] + [mv.mu_dot])
+        return tuple(tuple((n, col[s]) for n, col in enumerate(cols) if col[s])
+                     for s in range(17))
 
 
 @dataclass(frozen=True)
@@ -195,7 +219,18 @@ def conformal_coefficient(t: HKTriple, v: TripleVariation) -> Fraction:
 
 
 def metric_variation(t: HKTriple, v: TripleVariation) -> MetricVariation:
-    """Solve the variation of the defining product for g_dot, given mu_dot = 2 b mu."""
+    """Solve the variation of the defining product for g_dot, given mu_dot = 2 b mu.
+
+    Applies the triple's cached exact map (HKTriple._variation_map); the
+    values equal _metric_variation_formula on every input, antisymmetric or not.
+    """
+    x = [e for w in v.omega_dot for row in w for e in row]
+    out = [sum((c * x[n] for n, c in terms), Fraction(0)) for terms in t._variation_map]
+    return MetricVariation(tuple(tuple(out[4 * a:4 * a + 4]) for a in range(4)), out[16])
+
+
+def _metric_variation_formula(t: HKTriple, v: TripleVariation) -> MetricVariation:
+    """The defining formula behind metric_variation, linear in v.omega_dot."""
     mu_dot = 2 * conformal_coefficient(t, v) * t.mu
     w1, w2, w3 = t.omega
     w1d, w2d, w3d = v.omega_dot

@@ -36,12 +36,17 @@ SIG_PLUS = 3
 
 
 class PositivityError(ValueError):
-    def __init__(self, node, min_eig):
-        self.node = tuple(int(i) for i in node)
+    """The derivative Gram matrix is not positive definite.  `cell` (i, j, k)
+    and `gauss` (an index into _GAUSS_PTS) name the failing point with the
+    smallest eigenvalue, `min_eig`."""
+
+    def __init__(self, cell, gauss, min_eig):
+        self.cell = tuple(int(i) for i in cell)
+        self.gauss = int(gauss)
         self.min_eig = float(min_eig)
         super().__init__(
-            f"derivative Gram matrix not positive definite at node {self.node}"
-            f" (min eigenvalue {self.min_eig:.3e})")
+            f"derivative Gram matrix not positive definite in cell {self.cell}"
+            f" at Gauss point {self.gauss} (min eigenvalue {self.min_eig:.3e})")
 
 
 class SolveError(RuntimeError):
@@ -190,10 +195,11 @@ def _check_positive(g: np.ndarray):
     m3 = _det3(g)
     bad = (m1 <= 0) | (m2 <= 0) | (m3 <= 0)
     if np.any(bad):
-        # report with the actual minimal eigenvalue for the diagnostic
-        eig = np.linalg.eigvalsh(g[bad])
-        node = np.unravel_index(np.argmax(bad), bad.shape)
-        raise PositivityError(node, float(eig[..., 0].min()))
+        # name the failing point with the smallest eigenvalue
+        eig = np.linalg.eigvalsh(g[bad])[:, 0]
+        worst = int(np.argmin(eig))
+        *cell, gauss = np.argwhere(bad)[worst]
+        raise PositivityError(cell, gauss, eig[worst])
     return m3
 
 

@@ -11,6 +11,11 @@ Conventions, frozen here and proved by build_spinor_model():
     forms on S- only, the operators (1/2) c(omega_i) on S+ satisfy the
     quaternion relations, and c(vol4) = +1 on S-, -1 on S+.
 
+build_spinor_model() returns one verified model per process; the proof
+runs on the first call.  The curvature operators are linear in the metric
+slots of a jet: each model holds the contraction tensor of
+curvature_operators, built from its ccc table on first use.
+
 The total module S = S_X (x) S_B is ordered (u1,u2,v1,v2) (x) (b1,b2) with
 u = S- and v = S+; indices 0..3 are the S- (x) S_B block and 4..7 the
 S+ (x) S_B block.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from itertools import combinations, product
 from typing import Sequence
 
@@ -119,6 +125,21 @@ class SpinorModel:
     def c_form2_plus(self, w: hk.Mat4):
         return _form2_action(w, self.cc_plus)
 
+    @cached_property
+    def _curvature_tensor(self) -> tuple:
+        """Nonzero entries of (c_l c_j c_i - c_l c_i c_j) / 8, the coefficient
+        of the metric slot g1[k][i][l][j] in R~_k, as ((i, l, j), parts) with
+        parts the nonzero (s, x): s = 2 * (2 * row + col) + (0 re | 1 im)."""
+        out = []
+        for i, l, j in product(range(4), repeat=3):
+            t = msub(self.ccc[l][j][i], self.ccc[l][i][j])
+            parts = tuple((4 * r + 2 * c + p, x / 8)
+                          for r, c in product(range(2), repeat=2)
+                          for p, x in enumerate((t[r][c].re, t[r][c].im)) if x)
+            if parts:
+                out.append(((i, l, j), parts))
+        return tuple(out)
+
 
 def _form2_action(w: hk.Mat4, cc):
     """sum_{a<b} w_ab (c_a c_b), through one chirality's table cc of products."""
@@ -136,12 +157,27 @@ def _place(m, r0, c0, block):
 
 
 def build_spinor_model(corrupt: str | None = None) -> SpinorModel:
-    """Construct the concrete model and prove every frozen convention.
+    """The concrete model; with corrupt=None the one verified model of the
+    process, whose frozen conventions are proved on the first call.
 
     corrupt is a test hook: "i2_sign" flips one quaternion unit before the
     derived operators are formed, which downstream identity suites must
-    catch (the construction checks that cannot see the flip are skipped).
+    catch.  A corrupted model is built afresh on every call, never cached
+    and never verified (the construction checks would see the flip).
     """
+    if corrupt is None:
+        return _verified_model()
+    return _assemble(corrupt)
+
+
+@cache
+def _verified_model() -> SpinorModel:
+    model = _assemble(None)
+    _verify_conventions(model)
+    return model
+
+
+def _assemble(corrupt: str | None) -> SpinorModel:
     mp = tuple(Q_UNITS)
     pm = (mscale(QQi(-1), eye(2)),) + tuple(Q_UNITS[1:])
     cb = tuple(Q_UNITS[1:])
@@ -155,11 +191,7 @@ def build_spinor_model(corrupt: str | None = None) -> SpinorModel:
 
     half = QQi(Fraction(1, 2))
     i_sp = tuple(mscale(half, _form2_action(w, cc_plus)) for w in hk.STANDARD_TRIPLE)
-    model = SpinorModel(mp, pm, cb, i_sp, cc_plus, cc_minus, ccc)
-
-    if corrupt is None:
-        _verify_conventions(model)
-    return model
+    return SpinorModel(mp, pm, cb, i_sp, cc_plus, cc_minus, ccc)
 
 
 def _verify_conventions(model: SpinorModel):
@@ -423,26 +455,31 @@ def jet_metric_slots(jet: AdiabaticJet):
 def curvature_operators(jet: AdiabaticJet, model: SpinorModel):
     """The three maps S- -> S+ assembled from the mixed curvature of the
     limiting connection on a flat fibre background."""
-    _, g1 = jet_metric_slots(jet)
+    return _curvature_operators(jet_metric_slots(jet)[1], model)
+
+
+def _curvature_operators(g1, model: SpinorModel):
+    """R~_k = sum_{i,l,j} g1[k][i][l][j] (c_l c_j c_i - c_l c_i c_j) / 8."""
     out = []
     for k in range(3):
-        rk = [[QQi(0), QQi(0)], [QQi(0), QQi(0)]]
-        for l, i, j in product(range(4), repeat=3):
-            coeff = g1[k][i][l][j] - g1[k][j][l][i]
-            if not coeff:
-                continue
-            q = QQi(-coeff / 8)
-            term = model.ccc[l][i][j]
-            for r in range(2):
-                for c in range(2):
-                    rk[r][c] = rk[r][c] + q * term[r][c]
-        out.append(tuple(map(tuple, rk)))
+        acc = [Fraction(0)] * 8
+        for (i, l, j), parts in model._curvature_tensor:
+            g = g1[k][i][l][j]
+            if g:
+                for s, x in parts:
+                    acc[s] += g * x
+        out.append(((QQi(acc[0], acc[1]), QQi(acc[2], acc[3])),
+                    (QQi(acc[4], acc[5]), QQi(acc[6], acc[7]))))
     return tuple(out)
 
 
 def curvature_sum(jet: AdiabaticJet, model: SpinorModel):
     """sum_k I_k^{S+} R~_k, which vanishes exactly on constraint-compatible jets."""
-    rks = curvature_operators(jet, model)
+    return _curvature_sum(jet_metric_slots(jet)[1], model)
+
+
+def _curvature_sum(g1, model: SpinorModel):
+    rks = _curvature_operators(g1, model)
     out = zeros(2)
     for k in range(3):
         out = madd(out, mmul(model.i_sp[k], rks[k]))
@@ -456,8 +493,8 @@ def dirac_variation_symbol(jet: AdiabaticJet, model: SpinorModel):
     curvature sum) and first a list of four 2x2 coefficient matrices, one per
     fibre derivative direction.  All vanish exactly on compatible jets.
     """
-    g0, _ = jet_metric_slots(jet)
-    zeroth = mscale(QQi(-1), curvature_sum(jet, model))
+    g0, g1 = jet_metric_slots(jet)
+    zeroth = mscale(QQi(-1), _curvature_sum(g1, model))
     first = []
     for i in range(4):
         ci = zeros(2)

@@ -161,6 +161,72 @@ class TestMetricVariation:
                                  for a in range(4))
 
 
+def random_form(rng):
+    """A random 2-form with all six components, self-dual parts included."""
+    return hk.form2({(a, b): rand_frac(rng) for a in range(4) for b in range(a + 1, 4)})
+
+
+def pulled_back(omega, frame):
+    """The triple A^T w_i A for the rational frame A."""
+    return tuple(hk.form2([[sum(frame[c][a] * w[c][d] * frame[d][b]
+                                for c in range(4) for d in range(4))
+                            for b in range(4)] for a in range(4)])
+                 for w in omega)
+
+
+def reference_metric_variation(t, v):
+    """The defining formula written out: the variation of
+    i_a w1 ^ i_b w2 ^ w3 = g_ab mu, with mu_dot = 2 b mu."""
+    w1, w2, w3 = t.omega
+    w1d, w2d, w3d = v.omega_dot
+    mu_dot = sum(hk.wedge22(v.omega_dot[i], t.omega[i]) for i in range(3)) / 3
+    g_dot = tuple(tuple(
+        (hk.wedge112(w1d[a], w2[b], w3) + hk.wedge112(w1[a], w2d[b], w3)
+         + hk.wedge112(w1[a], w2[b], w3d) - t.g[a][b] * mu_dot) / t.mu
+        for b in range(4)) for a in range(4))
+    return hk.MetricVariation(g_dot, mu_dot)
+
+
+class TestCompiledMetricVariation:
+    FRAME = ((F(1), F(1, 2), F(0), F(0)), (F(0), F(1), F(0), F(-1)),
+             (F(2), F(0), F(1), F(0)), (F(0), F(0), F(1, 3), F(1)))
+
+    def triples(self):
+        other = hk.triple(pulled_back(hk.STANDARD_TRIPLE, self.FRAME))
+        assert other.g != hk.HKTriple.standard().g
+        return hk.HKTriple.standard(), other
+
+    def test_equals_the_formula_on_full_variations(self):
+        rng = random.Random(11)
+        for t in self.triples():
+            for _ in range(40):
+                v = hk.TripleVariation.of(*(random_form(rng) for _ in range(3)))
+                got = hk.metric_variation(t, v)
+                assert got == reference_metric_variation(t, v)
+                assert all(type(x) is F for row in got.g_dot for x in row)
+                assert type(got.mu_dot) is F
+
+    def test_equals_the_formula_on_unit_variations(self):
+        for t in self.triples():
+            for m in range(3):
+                for a, b in hk._PAIRS:
+                    forms = [hk.zero2()] * 3
+                    forms[m] = hk.form2({(a, b): 1})
+                    v = hk.TripleVariation.of(*forms)
+                    assert hk.metric_variation(t, v) == reference_metric_variation(t, v)
+
+    def test_map_is_built_lazily_once_per_triple(self):
+        assert hk.HKTriple.standard() is hk.HKTriple.standard()
+        t = hk.triple(pulled_back(hk.STANDARD_TRIPLE, self.FRAME))
+        assert "_variation_map" not in vars(t)
+        v = hk.TripleVariation.of(hk.zero2(), hk.zero2(), hk.ASD_BASIS[0])
+        hk.metric_variation(t, v)
+        built = vars(t)["_variation_map"]
+        hk.metric_variation(t, v)
+        assert t._variation_map is built
+        assert t._variation_map != hk.HKTriple.standard()._variation_map
+
+
 class TestRecoverFormVariation:
     def setup_method(self):
         self.t = hk.HKTriple.standard()
@@ -290,6 +356,19 @@ class TestCliffordOfVariation:
             for k in range(3):
                 got = hk.clifford_of_variation(self.t, mv.g_dot, k, self.model)
                 assert got == self.model.c_form2_minus(v.omega_dot[k])
+
+    def test_default_model_is_the_cached_one(self, monkeypatch):
+        from adg2 import spin
+
+        g_dot = hk.metric_variation(self.t, hk.TripleVariation.of(
+            hk.zero2(), hk.zero2(), hk.ASD_BASIS[0])).g_dot
+        want = hk.clifford_of_variation(self.t, g_dot, 2, self.model)
+        builds = []
+        monkeypatch.setattr(spin, "_assemble",
+                            lambda corrupt: builds.append(corrupt))
+        for _ in range(2):
+            assert hk.clifford_of_variation(self.t, g_dot, 2) == want
+        assert builds == []
 
     def test_action_on_positive_spinors_vanishes(self):
         rng = random.Random(7)

@@ -71,11 +71,18 @@ class TestArea:
             assert abs(mx.area(mx.dualize(s, psi)) - a0) < 1e-10 * abs(a0)
 
     def test_positivity_rejected_with_node(self):
+        # a timelike kick at the corner node (4, 4, 0) touches only cell
+        # (3, 3, 0); its worst Gauss point is the one nearest that node,
+        # offsets (1, 1, 0), index 4 * 1 + 2 * 1 + 0
         s = mx.affine_section((5, 5, 5), (0.25, 0.25, 0.25))
-        s.values[2, 2, 2] += 10.0  # wreck the Gram matrix nearby
+        s.values[4, 4, 0, mx.SIG_PLUS] += 2.0
+        eig = np.linalg.eigvalsh(mx._gram(s)[2])[..., 0]
+        assert {tuple(c) for c in np.argwhere(eig <= 0)[:, :3]} == {(3, 3, 0)}
         with pytest.raises(mx.PositivityError) as err:
             mx.area(s)
-        assert len(err.value.node) >= 3
+        assert err.value.cell == (3, 3, 0)
+        assert err.value.gauss == 6
+        assert err.value.min_eig == eig[3, 3, 0, 6] == eig.min()
 
     def test_constant_shift_changes_nothing(self):
         rng = np.random.default_rng(3)

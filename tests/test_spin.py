@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 import pytest
 
@@ -13,6 +15,39 @@ F = Fraction
 @pytest.fixture(scope="module")
 def model():
     return spin.build_spinor_model()
+
+
+@pytest.fixture(scope="module")
+def bad_model():
+    return spin.build_spinor_model(corrupt="i2_sign")
+
+
+def reference_curvature_operators(jet, model):
+    """The (l, i, j) loop the contraction tensor replaces."""
+    _, g1 = spin.jet_metric_slots(jet)
+    out = []
+    for k in range(3):
+        rk = [[QQi(0), QQi(0)], [QQi(0), QQi(0)]]
+        for l, i, j in product(range(4), repeat=3):
+            coeff = g1[k][i][l][j] - g1[k][j][l][i]
+            if not coeff:
+                continue
+            q = QQi(-coeff / 8)
+            term = model.ccc[l][i][j]
+            for r in range(2):
+                for c in range(2):
+                    rk[r][c] = rk[r][c] + q * term[r][c]
+        out.append(tuple(map(tuple, rk)))
+    return tuple(out)
+
+
+def sample_jets(seed, n):
+    """n compatible jets, each followed by one that violates a constraint."""
+    rng = random.Random(seed)
+    for t in range(n):
+        jet = spin.random_donaldson_jet(rng)
+        yield jet
+        yield spin.violate_jet(jet, ("d_H_omega", "d_H_mu", "d_H_Theta")[t % 3], rng)
 
 
 class TestBuild:
@@ -45,6 +80,50 @@ class TestBuild:
         bad = spin.build_spinor_model(corrupt="i2_sign")
         ok = (mmul(bad.i_sp[0], bad.i_sp[1]) == bad.i_sp[2])
         assert not ok
+
+
+class TestModelCache:
+    def test_verified_model_is_shared(self):
+        first = spin.build_spinor_model()
+        bad = spin.build_spinor_model(corrupt="i2_sign")
+        assert spin.build_spinor_model() is first
+        assert bad is not first and spin.build_spinor_model(corrupt="i2_sign") is not bad
+        assert first.mp == spin._assemble(None).mp and bad.mp != first.mp
+
+    def test_conventions_are_proved_once(self, monkeypatch):
+        proofs = []
+        original = spin._verify_conventions
+        monkeypatch.setattr(spin, "_verify_conventions",
+                            lambda m: proofs.append(m) or original(m))
+        # a cold cache, so that the first build below is a real one
+        monkeypatch.setattr(spin, "_verified_model",
+                            cache(spin._verified_model.__wrapped__))
+        models = [spin.build_spinor_model() for _ in range(3)]
+        spin.build_spinor_model(corrupt="i2_sign")
+        assert len(proofs) == 1 and all(m is proofs[0] for m in models)
+
+    def test_corrupted_model_keeps_its_own_tensor(self, model, bad_model):
+        assert bad_model._curvature_tensor != model._curvature_tensor
+        assert spin.build_spinor_model()._curvature_tensor is model._curvature_tensor
+        nonzero = sum(not is_zero_matrix(spin.curvature_sum(jet, bad_model))
+                      for jet in sample_jets(8, 10))
+        assert nonzero == 20
+
+
+class TestCompiledCurvature:
+    def test_operators_equal_the_loop(self, model, bad_model):
+        for m in (model, bad_model):
+            for jet in sample_jets(7, 12):
+                got = spin.curvature_operators(jet, m)
+                assert got == reference_curvature_operators(jet, m)
+                assert all(type(x.re) is F and type(x.im) is F
+                           for r in got for row in r for x in row)
+
+    def test_dirac_zeroth_part_is_minus_the_curvature_sum(self, model, bad_model):
+        for m in (model, bad_model):
+            for jet in sample_jets(9, 6):
+                z, _ = spin.dirac_variation_symbol(jet, m)
+                assert z == mscale(QQi(-1), spin.curvature_sum(jet, m))
 
 
 class TestOmegaDecomposition:
