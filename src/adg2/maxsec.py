@@ -84,8 +84,10 @@ class SectionGrid:
         if any(n < 3 for n in self.values.shape[:3]):
             raise ValueError("need at least three nodes per axis")
         self.spacing = tuple(float(h) for h in self.spacing)
-        if any(h <= 0 for h in self.spacing):
-            raise ValueError("spacings must be positive")
+        if len(self.spacing) != 3:
+            raise ValueError("need one spacing per axis (three)")
+        if not all(np.isfinite(h) and h > 0 for h in self.spacing):
+            raise ValueError("spacings must be finite and positive")
         self.pairing = check_pairing(self.pairing)
 
     @property
@@ -119,10 +121,6 @@ def _shape_gradient_table(spacing) -> np.ndarray:
     Shape (8 gauss, 8 corners, 3 axes); trilinear shape functions
     N_o(xi) = prod_d (xi_d if o_d else 1 - xi_d).
     """
-    key = tuple(spacing)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
     table = np.empty((8, 8, 3))
     for gi, xi in enumerate(_GAUSS_PTS):
         for ci, o in enumerate(_CORNERS):
@@ -134,8 +132,21 @@ def _shape_gradient_table(spacing) -> np.ndarray:
                     else:
                         val *= xi[d] if o[d] else 1.0 - xi[d]
                 table[gi, ci, ax] = val
-    _TABLE_CACHE[key] = table
     return table
+
+
+def _shape_tables(spacing):
+    """The shape-gradient table as two matrices, built once per spacing: t2
+    (24, 8) takes a cell's corner values to the derivatives at its Gauss
+    points (row 3 * gauss + axis), and t3 = t2.T (8, 24) takes
+    per-(gauss, axis) terms back to the corners."""
+    key = tuple(spacing)
+    cached = _TABLE_CACHE.get(key)
+    if cached is None:
+        table = _shape_gradient_table(key)
+        t2 = np.ascontiguousarray(table.transpose(0, 2, 1).reshape(24, 8))
+        cached = _TABLE_CACHE[key] = (t2, np.ascontiguousarray(t2.T))
+    return cached
 
 
 def _det3(g: np.ndarray) -> np.ndarray:
@@ -169,6 +180,15 @@ def _corner_stack(values: np.ndarray) -> np.ndarray:
     return np.stack([_corner_view(values, o) for o in _CORNERS], axis=-2)
 
 
+def _corner_scatter(cells: np.ndarray, shape) -> np.ndarray:
+    """Sum per-corner cell terms (cells..., 8 corners, 22) onto the nodes."""
+    out = np.zeros(shape)
+    for ci, o in enumerate(_CORNERS):
+        view = _corner_view(out, o)
+        view += cells[..., ci, :]
+    return out
+
+
 def node_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Nodewise derivative (central inside, one-sided at the ends); used only
     for per-node frames, not for the area functional."""
@@ -178,10 +198,9 @@ def node_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 def _gram(s: SectionGrid):
     """Derivatives of the interpolant at the Gauss points, their Q-pairings,
     and the Gram matrices; leading shape (cells..., 8 gauss)."""
-    table = _shape_gradient_table(s.spacing)
+    t2, _ = _shape_tables(s.spacing)
     corners = _corner_stack(s.values)
     # contract the corner index with one matmul: (24, 8c) @ (cells, 8c, 22)
-    t2 = np.ascontiguousarray(table.transpose(0, 2, 1).reshape(24, 8))
     dh = (t2 @ corners).reshape(corners.shape[:3] + (8, 3, DIM))
     qd = dh @ s.pairing
     g = dh @ qd.swapaxes(-1, -2)
@@ -203,17 +222,43 @@ def _check_positive(g: np.ndarray):
     return m3
 
 
-def min_gram_eigenvalue(s: SectionGrid) -> float:
-    _, _, g = _gram(s)
+def _min_eigenvalue(g: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(g)[..., 0].min())
+
+
+def min_gram_eigenvalue(s: SectionGrid) -> float:
+    return _min_eigenvalue(_gram(s)[2])
+
+
+def _area(s: SectionGrid, det: np.ndarray) -> float:
+    gp_weight = float(np.prod(s.spacing)) / 8.0
+    return float(np.sum(det ** (1.0 / 3.0)) * gp_weight)
 
 
 def area(s: SectionGrid) -> float:
     """Gauss quadrature of det^(1/3) of the derivative Gram matrices."""
-    _, _, g = _gram(s)
+    return _area(s, _check_positive(_gram(s)[2]))
+
+
+def _gradient_weight(s: SectionGrid, det: np.ndarray) -> np.ndarray:
+    """w = (2/3) (Gauss weight) det^(1/3): the gradient's term at a Gauss
+    point is w G^-1 dh Q."""
+    return (float(np.prod(s.spacing)) / 8.0) * det ** (1.0 / 3.0) * (2.0 / 3.0)
+
+
+def _grad_and_gram(s: SectionGrid):
+    """grad_area(s) and the Gram data (dh, qd, g, det) it was computed from,
+    for the callers that need both at one iterate."""
+    dh, qd, g = _gram(s)
     det = _check_positive(g)
-    gp_weight = float(np.prod(s.spacing)) / 8.0
-    return float(np.sum(det ** (1.0 / 3.0)) * gp_weight)
+    ginv = _inv3(g, det)
+    m = (_gradient_weight(s, det)[..., None, None] * ginv) @ qd
+    _, t3 = _shape_tables(s.spacing)
+    # contract gauss and axis with one matmul: (8c, 24) @ (cells, 24, 22)
+    cells = t3 @ m.reshape(m.shape[:3] + (24, DIM))
+    grad = _corner_scatter(cells, s.values.shape)
+    grad[~s.interior_mask()] = 0.0
+    return grad, (dh, qd, g, det)
 
 
 def grad_area(s: SectionGrid) -> np.ndarray:
@@ -222,23 +267,7 @@ def grad_area(s: SectionGrid) -> np.ndarray:
     Returns an array shaped like values with zeros at boundary nodes (their
     values are Dirichlet data).
     """
-    dh, qd, g = _gram(s)
-    det = _check_positive(g)
-    det13 = det ** (1.0 / 3.0)
-    ginv = _inv3(g, det)
-    w = (float(np.prod(s.spacing)) / 8.0) * det13 * (2.0 / 3.0)
-    m = (w[..., None, None] * ginv) @ qd
-    table = _shape_gradient_table(s.spacing)
-    # contract gauss and axis with one matmul: (8c, 24) @ (cells, 24, 22)
-    t3 = np.ascontiguousarray(table.transpose(1, 0, 2).reshape(8, 24))
-    cells = t3 @ m.reshape(m.shape[:3] + (24, DIM))
-    grad = np.zeros_like(s.values)
-    n1, n2, n3 = s.values.shape[:3]
-    for ci, (o1, o2, o3) in enumerate(_CORNERS):
-        grad[o1:n1 - 1 + o1, o2:n2 - 1 + o2, o3:n3 - 1 + o3] += cells[..., ci, :]
-    mask = s.interior_mask()
-    grad[~mask] = 0.0
-    return grad
+    return _grad_and_gram(s)[0]
 
 
 def q_dual(s: SectionGrid, covector_field: np.ndarray) -> np.ndarray:
@@ -357,6 +386,11 @@ class SolveResult:
     residual: float
     history: list  # rows (iter, area, grad_inf_norm, min_eig_G)
     message: str = ""
+    # work counters of the whole solve
+    krylov_iters: int = 0  # MINRES iterations, over all Newton steps
+    hvps: int = 0  # Hessian-vector products
+    line_search_rejections: int = 0  # trials rejected by the residual bar
+    positivity_failures: int = 0  # trials that lost positivity
 
 
 def solve_dirichlet(init: SectionGrid, tol: float = 1e-8, max_iter: int = 500,
@@ -368,9 +402,14 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8, max_iter: int = 500,
     and held fixed.  The base iteration is damped gradient ascent with a
     spectral step estimate, halving the step whenever positivity fails or
     the residual grows past the recent worst; with newton=True each step
-    instead solves the Newton system approximately by conjugate gradients on
-    exact-gradient differences, which cuts the iteration count by orders of
+    instead solves the Newton system approximately by MINRES with exact
+    Hessian-vector products and the split preconditioner
+    (_split_preconditioner), which cuts the iteration count by orders of
     magnitude near the solution.
+
+    Each history row is (iteration, area, residual, smallest Gram
+    eigenvalue); the residual is residual_norm of the iterate, which
+    history_to_csv writes under the column name grad_inf_norm.
     """
     s = init.copy()
     if boundary is not None:
@@ -378,11 +417,13 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8, max_iter: int = 500,
         s.values[~mask] = np.asarray(boundary, dtype=float)[~mask]
     mask = s.interior_mask()
 
-    g = grad_area(s)
+    counts = dict(krylov_iters=0, hvps=0, line_search_rejections=0,
+                  positivity_failures=0)
+    g, gram = _grad_and_gram(s)
     res = residual_norm(s, g)
-    history = [(0, area(s), res, min_gram_eigenvalue(s))]
+    history = [_history_row(0, s, gram, res)]
     if res <= tol:
-        return SolveResult(s, True, 0, res, history)
+        return SolveResult(s, True, 0, res, history, **counts)
 
     step = 1.0
     prev_vals = None
@@ -390,7 +431,7 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8, max_iter: int = 500,
     recent = [res]
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        delta = _newton_direction(s, g, mask) if newton else None
+        delta = _newton_direction(s, g, gram, mask, counts) if newton else None
         if delta is None:
             if prev_vals is not None:
                 dv = (s.values - prev_vals)[mask]
@@ -409,9 +450,10 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8, max_iter: int = 500,
             trial = s.copy()
             trial.values[mask] += shrink * delta[mask]
             try:
-                g_trial = grad_area(trial)
+                g_trial, gram_trial = _grad_and_gram(trial)
                 res_trial = residual_norm(trial, g_trial)
             except PositivityError:
+                counts["positivity_failures"] += 1
                 shrink *= 0.5
                 if shrink < 1e-10:
                     raise SolveError(
@@ -419,61 +461,67 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8, max_iter: int = 500,
                         f"residual {res:.3e})")
                 continue
             if res_trial < bar or shrink < 1e-6:
-                s, g, res = trial, g_trial, res_trial
+                s, g, gram, res = trial, g_trial, gram_trial, res_trial
                 accepted = True
                 break
+            counts["line_search_rejections"] += 1
             shrink *= 0.5
         if not accepted:
             raise SolveError(
                 f"no acceptable step at iteration {n_iter} (residual {res:.3e})")
         recent.append(res)
-        history.append((n_iter, area(s), res, min_gram_eigenvalue(s)))
+        history.append(_history_row(n_iter, s, gram, res))
         if res <= tol:
-            return SolveResult(s, True, n_iter, res, history)
+            return SolveResult(s, True, n_iter, res, history, **counts)
     return SolveResult(s, False, n_iter, res, history,
-                       message=f"max_iter reached with residual {res:.3e}")
+                       message=f"max_iter reached with residual {res:.3e}",
+                       **counts)
 
 
-def _hessian_cache(s: SectionGrid):
-    dh, qd, g = _gram(s)
-    det = _check_positive(g)
-    det13 = det ** (1.0 / 3.0)
+def _history_row(n_iter: int, s: SectionGrid, gram, res: float) -> tuple:
+    _, _, g, det = gram
+    return (n_iter, _area(s, det), res, _min_eigenvalue(g))
+
+
+def _hessian_cache(s: SectionGrid, gram):
+    """Per-Gauss-point data of the Hessian at s, from its Gram data
+    (dh, qd, g, det): dh, (G^-1 qd)^T, G^-1, the gradient weight w and
+    A = w G^-1."""
+    dh, qd, g, det = gram
     ginv = _inv3(g, det)
-    c = (float(np.prod(s.spacing)) / 8.0) * (2.0 / 3.0)
-    w13 = c * det13[..., None, None]
-    return dh, qd, ginv, ginv @ qd, w13
+    w = _gradient_weight(s, det)[..., None, None]
+    gq_t = np.ascontiguousarray((ginv @ qd).swapaxes(-1, -2))
+    return dh, gq_t, ginv, w, w * ginv
 
 
 def _hessian_apply(s: SectionGrid, cache, delta: np.ndarray) -> np.ndarray:
     """Exact directional derivative of -grad_area along delta (so the
-    returned operator is positive definite near a discrete maximum)."""
-    dh, qd, ginv, gq, w13 = cache
-    table = _shape_gradient_table(s.spacing)
-    t2 = np.ascontiguousarray(table.transpose(0, 2, 1).reshape(24, 8))
+    returned operator is positive definite near a discrete maximum).
+
+    The gradient's Gauss-point term A dh Q varies along dd (the derivatives
+    of delta) by (A dd + E dh) Q.  With dG = dd Q dh^T + dh Q dd^T,
+    E = (tr(G^-1 dG) / 3) A - A dG G^-1, and K = dd Q dh^T G^-1 and
+    L = G^-1 K give tr(G^-1 dG) = 2 tr K and A dG G^-1 = w (L + L^T).  Q
+    commutes with the sum onto the nodes, so it is applied once per node."""
+    dh, gq_t, ginv, w, a = cache
+    t2, t3 = _shape_tables(s.spacing)
     corners = _corner_stack(delta)
     dd = (t2 @ corners).reshape(corners.shape[:3] + (8, 3, DIM))
-    qdelta = (dd.reshape(-1, DIM) @ s.pairing).reshape(dd.shape)
-    half = dd @ qd.swapaxes(-1, -2)
-    dgram = half + half.swapaxes(-1, -2)
-    tr = np.einsum("...ab,...ba->...", ginv, dgram)
-    inner = qdelta - dgram @ gq
-    dm = w13 * ((tr / 3.0)[..., None, None] * gq + ginv @ inner)
-    t3 = np.ascontiguousarray(table.transpose(1, 0, 2).reshape(8, 24))
-    cells = t3 @ dm.reshape(dm.shape[:3] + (24, DIM))
+    k = dd @ gq_t
+    lmat = ginv @ k
+    tr = k[..., 0, 0] + k[..., 1, 1] + k[..., 2, 2]
+    e = (2.0 / 3.0) * tr[..., None, None] * a - w * (lmat + lmat.swapaxes(-1, -2))
+    dm = a @ dd
+    dm += e @ dh
+    cells = _corner_scatter(t3 @ dm.reshape(dm.shape[:3] + (24, DIM)), delta.shape)
     out = np.zeros_like(delta)
-    n1, n2, n3 = delta.shape[:3]
-    for ci, (o1, o2, o3) in enumerate(_CORNERS):
-        out[o1:n1 - 1 + o1, o2:n2 - 1 + o2, o3:n3 - 1 + o3] += cells[..., ci, :]
-    out[0], out[-1] = 0.0, 0.0
-    out[:, 0], out[:, -1] = 0.0, 0.0
-    out[:, :, 0], out[:, :, -1] = 0.0, 0.0
-    return -out
+    out[1:-1, 1:-1, 1:-1] = cells[1:-1, 1:-1, 1:-1] @ -s.pairing
+    return out
 
 
-def _section_frame_basis(s: SectionGrid):
-    """Columns [A | N]: the (Q-orthonormalized) mean derivative 3-frame of
-    the section and a Q-orthonormal basis of its Q-complement."""
-    dh, _, _ = _gram(s)
+def _section_frame_basis(s: SectionGrid, dh: np.ndarray):
+    """Columns [A | N]: the (Q-orthonormalized) mean of the section's
+    derivative 3-frames dh and a Q-orthonormal basis of its Q-complement."""
     a = dh.mean(axis=(0, 1, 2, 3)).T  # (22, 3)
     ga = a.T @ s.pairing @ a
     a = a @ np.linalg.inv(np.linalg.cholesky(ga).T)
@@ -486,13 +534,14 @@ def _section_frame_basis(s: SectionGrid):
     return a, n
 
 
-def _split_preconditioner(s: SectionGrid):
+def _split_preconditioner(s: SectionGrid, dh: np.ndarray):
     """Positive definite approximation of |Hessian|^-1.
 
     In the frame/complement coordinates the leading Hessian blocks at a
     near-affine section are (2/9) times the axis-m 1-d Laplacian on the m-th
     frame coefficient and (2/3) times the full Laplacian on the complement;
-    both are inverted spectrally with sine transforms on the interior.
+    both are inverted spectrally with sine transforms on the interior.  dh
+    holds the section's derivatives at the Gauss points (_gram).
     """
     from scipy import fft as sfft
 
@@ -503,7 +552,7 @@ def _split_preconditioner(s: SectionGrid):
         lam_ax.append((4.0 / h ** 2) * np.sin(np.pi * k / (2.0 * (n - 1))) ** 2)
     lam_full = (lam_ax[0][:, None, None] + lam_ax[1][None, :, None]
                 + lam_ax[2][None, None, :])
-    a, nbasis = _section_frame_basis(s)
+    a, nbasis = _section_frame_basis(s, dh)
     t = np.concatenate([a, nbasis], axis=1)  # (22, 22)
 
     def apply(r: np.ndarray) -> np.ndarray:
@@ -522,42 +571,43 @@ def _split_preconditioner(s: SectionGrid):
     return apply
 
 
-def _newton_direction(s: SectionGrid, g: np.ndarray, mask: np.ndarray,
-                      max_kry: int = 60):
+def _newton_direction(s: SectionGrid, g: np.ndarray, gram, mask: np.ndarray,
+                      counts: dict, max_kry: int = 60):
     """Approximately solve H delta = g with H = -Hessian (exact analytic
-    Hessian-vector products).  The Hessian is indefinite in general (the
-    critical sections are saddles of the discrete area in the tangential
-    compression modes), so the Krylov solver is MINRES with the positive
-    definite split preconditioner."""
+    Hessian-vector products) at s with Gram data gram.  The Hessian is
+    indefinite in general (the critical sections are saddles of the discrete
+    area in the tangential compression modes), so the Krylov solver is
+    MINRES with the positive definite split preconditioner.  Adds the
+    MINRES iterations and Hessian-vector products to counts."""
     from scipy.sparse import linalg as sla
 
     gnorm = float(np.abs(g[mask]).max())
     if gnorm == 0.0:
         return None
-    cache = _hessian_cache(s)
-    precond = _split_preconditioner(s)
+    cache = _hessian_cache(s, gram)
+    precond = _split_preconditioner(s, gram[0])
     shape = g.shape
 
     def matvec(x):
+        counts["hvps"] += 1
         vec = np.zeros(shape)
         vec[mask] = x.reshape(shape)[mask]
-        out = _hessian_apply(s, cache, vec)
-        out[~mask] = 0.0
-        return out.ravel()
+        return _hessian_apply(s, cache, vec).ravel()
 
     def psolve(x):
         out = precond(x.reshape(shape))
         out[~mask] = 0.0
         return out.ravel()
 
+    def count_iteration(_):
+        counts["krylov_iters"] += 1
+
     ndof = int(np.prod(shape))
-    a_op = sla.LinearOperator((ndof, ndof), matvec=matvec)
-    m_op = sla.LinearOperator((ndof, ndof), matvec=psolve)
+    a_op = sla.LinearOperator((ndof, ndof), matvec=matvec, dtype=float)
+    m_op = sla.LinearOperator((ndof, ndof), matvec=psolve, dtype=float)
     b = np.where(mask[..., None], g, 0.0).ravel()
-    try:
-        x, _ = sla.minres(a_op, b, M=m_op, rtol=2e-2, maxiter=max_kry)
-    except TypeError:  # older scipy spells the tolerance "tol"
-        x, _ = sla.minres(a_op, b, M=m_op, tol=2e-2, maxiter=max_kry)
+    x, _ = sla.minres(a_op, b, M=m_op, rtol=2e-2, maxiter=max_kry,
+                      callback=count_iteration)
     x = x.reshape(shape)
     x[~mask] = 0.0
     if not np.isfinite(x).all() or float(np.abs(x[mask]).max()) == 0.0:

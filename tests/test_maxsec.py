@@ -16,6 +16,62 @@ def perturbed_affine(rng, dims=(7, 7, 7), spacing=None, amp=2e-3):
     return s
 
 
+def graphical_section(dims=(7, 7, 7)):
+    """h(t) = (t, u(t)) with a small smooth graph u in a negative direction."""
+    spacing = tuple(1.0 / (n - 1) for n in dims)
+    s = mx.affine_section(dims, spacing)
+    axes = [np.arange(n) * h for n, h in zip(dims, spacing)]
+    tt = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    u = 0.05 * np.sin(np.pi * tt[..., 0]) * np.cos(np.pi * tt[..., 1]) * tt[..., 2]
+    s.values[..., 3] += u
+    return s
+
+
+def interior_direction(rng, s):
+    d = rng.normal(size=s.values.shape)
+    d[~s.interior_mask()] = 0.0
+    return d
+
+
+def hessian_apply(s, delta):
+    return mx._hessian_apply(s, mx._hessian_cache(s, mx._grad_and_gram(s)[1]), delta)
+
+
+def reference_hessian_apply(s, delta):
+    """-d(grad_area) along delta as first written: Q applied at every Gauss
+    point, the shape-gradient table contracted by einsum."""
+    dh, qd, g = mx._gram(s)
+    det = mx._det3(g)
+    ginv = mx._inv3(g, det)
+    w13 = (np.prod(s.spacing) / 8.0) * (2.0 / 3.0) * det ** (1.0 / 3.0)
+    gq = ginv @ qd
+    table = mx._shape_gradient_table(s.spacing)
+    dd = np.einsum("gca,...cv->...gav", table, mx._corner_stack(delta))
+    qdelta = dd @ s.pairing
+    half = dd @ qd.swapaxes(-1, -2)
+    dgram = half + half.swapaxes(-1, -2)
+    tr = np.einsum("...ab,...ba->...", ginv, dgram)
+    inner = qdelta - dgram @ gq
+    dm = w13[..., None, None] * ((tr / 3.0)[..., None, None] * gq + ginv @ inner)
+    cells = np.einsum("gca,...gav->...cv", table, dm)
+    out = np.zeros_like(delta)
+    n1, n2, n3 = delta.shape[:3]
+    for ci, (o1, o2, o3) in enumerate(mx._CORNERS):
+        out[o1:n1 - 1 + o1, o2:n2 - 1 + o2, o3:n3 - 1 + o3] += cells[..., ci, :]
+    out[~s.interior_mask()] = 0.0
+    return -out
+
+
+class TestSectionGrid:
+    @pytest.mark.parametrize("spacing", [
+        (0.25, 0.25), (0.25, 0.25, 0.25, 0.25), (0.25, 0.25, float("nan")),
+        (0.25, float("inf"), 0.25), (0.25, 0.0, 0.25), (-0.25, 0.25, 0.25)])
+    def test_bad_spacing_rejected(self, spacing):
+        values = mx.affine_section((5, 5, 5), (0.25,) * 3).values
+        with pytest.raises(ValueError):
+            mx.SectionGrid(values, spacing)
+
+
 class TestDiscretization:
     def test_gauss_derivatives_exact_on_affine(self):
         spacing = (0.3, 0.11, 0.7)
@@ -137,6 +193,48 @@ class TestGradArea:
             assert abs(r1 - r0) <= 1e-10 * max(1.0, r0)
 
 
+class TestHessian:
+    @pytest.mark.parametrize("make", [
+        lambda: perturbed_affine(np.random.default_rng(20), dims=(5, 5, 5), amp=2e-2),
+        graphical_section], ids=["perturbed5", "graphical7"])
+    def test_matches_central_differences_of_grad(self, make):
+        s = make()
+        rng = np.random.default_rng(21)
+        step = 1e-5
+        for _ in range(3):
+            d = interior_direction(rng, s)
+            sp = mx.SectionGrid(s.values + step * d, s.spacing, s.pairing)
+            sm = mx.SectionGrid(s.values - step * d, s.spacing, s.pairing)
+            fd = -(mx.grad_area(sp) - mx.grad_area(sm)) / (2 * step)
+            hv = hessian_apply(s, d)
+            assert np.abs(hv - fd).max() <= 1e-6 * np.abs(hv).max()
+
+    def test_symmetric(self):
+        s = graphical_section()
+        rng = np.random.default_rng(22)
+        cache = mx._hessian_cache(s, mx._grad_and_gram(s)[1])
+        for _ in range(3):
+            u, v = interior_direction(rng, s), interior_direction(rng, s)
+            uhv = float(np.sum(u * mx._hessian_apply(s, cache, v)))
+            vhu = float(np.sum(v * mx._hessian_apply(s, cache, u)))
+            assert abs(uhv - vhu) <= 1e-12 * abs(uhv)
+
+    def test_equals_reference_under_a_general_pairing(self):
+        # the section S^-1 h under the pairing S^T Q S has the Gram matrices
+        # of h under Q, for a random (non-orthogonal) S
+        rng = np.random.default_rng(23)
+        base = perturbed_affine(rng, dims=(5, 5, 5), amp=2e-2)
+        sm = np.eye(mx.DIM) + 0.3 * rng.normal(size=(mx.DIM, mx.DIM))
+        q = sm.T @ base.pairing @ sm
+        q = 0.5 * (q + q.T)
+        for s in (base, mx.SectionGrid(base.values @ np.linalg.inv(sm).T,
+                                       base.spacing, q)):
+            d = interior_direction(rng, s)
+            want = reference_hessian_apply(s, d)
+            got = hessian_apply(s, d)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestBaseMetric:
     def test_orthonormal_affine(self):
         s = mx.affine_section((5, 5, 5), (0.25, 0.25, 0.25))
@@ -201,14 +299,7 @@ class TestSolver:
         assert np.abs(out.grid.values - want.values).max() <= 1e-6
 
     def test_graphical_boundary_converges(self):
-        # h(t) = (t, u(t)) with a small smooth graph u in the negative directions
-        dims = (7, 7, 7)
-        spacing = tuple(1.0 / (n - 1) for n in dims)
-        s = mx.affine_section(dims, spacing)
-        axes = [np.arange(n) * h for n, h in zip(dims, spacing)]
-        tt = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        u = 0.05 * np.sin(np.pi * tt[..., 0]) * np.cos(np.pi * tt[..., 1]) * tt[..., 2]
-        s.values[..., 3] += u
+        s = graphical_section()
         out = mx.solve_dirichlet(s, tol=1e-8, max_iter=500)
         assert out.converged
         assert mx.residual_norm(out.grid) <= 1e-8
@@ -222,6 +313,36 @@ class TestSolver:
         out = mx.solve_dirichlet(s, tol=1e-14, max_iter=2)
         assert not out.converged
         assert out.message
+
+    def test_work_counted_once(self, monkeypatch):
+        # one Gram evaluation per gradient (the start and every line-search
+        # trial), and one Hessian-vector product per MINRES iteration
+        calls = {"gram": 0, "hvp": 0}
+        gram, hvp = mx._gram, mx._hessian_apply
+
+        def counted_gram(s):
+            calls["gram"] += 1
+            return gram(s)
+
+        def counted_hvp(s, cache, delta):
+            calls["hvp"] += 1
+            return hvp(s, cache, delta)
+
+        monkeypatch.setattr(mx, "_gram", counted_gram)
+        monkeypatch.setattr(mx, "_hessian_apply", counted_hvp)
+        rng = np.random.default_rng(14)
+        s = perturbed_affine(rng, dims=(9, 9, 9), amp=2e-3)
+        out = mx.solve_dirichlet(s, tol=1e-8, max_iter=500)
+        assert out.converged and out.iterations > 0
+        trials = out.iterations + out.line_search_rejections + out.positivity_failures
+        assert calls["gram"] == 1 + trials
+        assert calls["hvp"] == out.hvps == out.krylov_iters > 0
+        monkeypatch.undo()
+        # the history rows hold the values of the public functions
+        _, last_area, last_res, last_eig = out.history[-1]
+        assert last_area == mx.area(out.grid)
+        assert last_eig == mx.min_gram_eigenvalue(out.grid)
+        assert last_res == out.residual
 
     def test_history_columns(self):
         rng = np.random.default_rng(12)
@@ -246,6 +367,13 @@ class TestIO:
     def test_bad_doc_rejected(self):
         with pytest.raises(ValueError):
             mx.grid_from_json({"dims": [2, 2, 2]})
+
+    @pytest.mark.parametrize("spacing", [[0.25, 0.25], [0.25, 0.25, float("nan")]])
+    def test_bad_spacing_doc_rejected(self, spacing):
+        doc = mx.grid_to_json(mx.affine_section((5, 5, 5), (0.25,) * 3))
+        doc["spacing"] = spacing
+        with pytest.raises(ValueError):
+            mx.grid_from_json(doc)
 
     def test_history_csv(self, tmp_path):
         path = tmp_path / "r.csv"
