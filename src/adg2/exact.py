@@ -92,9 +92,6 @@ class QQi:
             return str(self.re)
         return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
 
-    def to_complex(self) -> complex:
-        return float(self.re) + 1j * float(self.im)
-
 
 Matrix = tuple  # tuple of tuples, entries QQi or Fraction
 

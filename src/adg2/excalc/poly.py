@@ -132,9 +132,6 @@ class Poly:
             total += v
         return total
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __eq__(self, other):
         return self.terms == Poly.of(other).terms
 

@@ -425,17 +425,3 @@ def field_from_json(doc: dict) -> LatticeConnection:
         raise ValueError(f"/values has {flat.size} entries, expected {want}")
     pairs = flat.reshape((7,) + grid.shape + (rank, rank, 2))
     return LatticeConnection(grid, pairs[..., 0] + 1j * pairs[..., 1])
-
-
-def path_to_json(path: ConnectionPath) -> dict:
-    return {"times": list(path.times),
-            "fields": [field_to_json(f) for f in path.fields]}
-
-
-def path_from_json(doc: dict) -> ConnectionPath:
-    if "times" not in doc or "fields" not in doc:
-        raise ValueError("path document needs /times and /fields")
-    fields = [field_from_json(f) for f in doc["fields"]]
-    if len({f.grid.shape for f in fields}) > 1:
-        raise ValueError("all path fields must share one grid")
-    return ConnectionPath(list(doc["times"]), fields)

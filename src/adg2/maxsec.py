@@ -24,6 +24,8 @@ duality statement for maximal sections.
 
 from __future__ import annotations
 
+import csv
+import functools
 import json
 import os
 import tempfile
@@ -112,9 +114,6 @@ _GAUSS_1D = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 _GAUSS_PTS = [(a, b, c) for a in _GAUSS_1D for b in _GAUSS_1D for c in _GAUSS_1D]
 
 
-_TABLE_CACHE: dict = {}
-
-
 def _shape_gradient_table(spacing) -> np.ndarray:
     """d(N_corner)/d(t_axis) at each Gauss point of the unit cell.
 
@@ -135,18 +134,15 @@ def _shape_gradient_table(spacing) -> np.ndarray:
     return table
 
 
-def _shape_tables(spacing):
+@functools.cache
+def _shape_tables(spacing: tuple):
     """The shape-gradient table as two matrices, built once per spacing: t2
     (24, 8) takes a cell's corner values to the derivatives at its Gauss
     points (row 3 * gauss + axis), and t3 = t2.T (8, 24) takes
     per-(gauss, axis) terms back to the corners."""
-    key = tuple(spacing)
-    cached = _TABLE_CACHE.get(key)
-    if cached is None:
-        table = _shape_gradient_table(key)
-        t2 = np.ascontiguousarray(table.transpose(0, 2, 1).reshape(24, 8))
-        cached = _TABLE_CACHE[key] = (t2, np.ascontiguousarray(t2.T))
-    return cached
+    table = _shape_gradient_table(spacing)
+    t2 = np.ascontiguousarray(table.transpose(0, 2, 1).reshape(24, 8))
+    return t2, np.ascontiguousarray(t2.T)
 
 
 def _det3(g: np.ndarray) -> np.ndarray:
@@ -334,18 +330,18 @@ class MuMap:
         return MuMap(np.eye(DIM))
 
     @staticmethod
-    def random(rng: np.random.Generator, n_boosts: int = 3,
-               rapidity: float = 0.4) -> "MuMap":
-        """Random isometry of the standard pairing: O(3) x O(19) plus boosts."""
+    def random(rng: np.random.Generator) -> "MuMap":
+        """Random isometry of the standard pairing: O(3) x O(19) followed by
+        three boosts of rapidity at most 0.4."""
         m = np.eye(DIM)
         o3, _ = np.linalg.qr(rng.normal(size=(SIG_PLUS, SIG_PLUS)))
         o19, _ = np.linalg.qr(rng.normal(size=(DIM - SIG_PLUS, DIM - SIG_PLUS)))
         m[:SIG_PLUS, :SIG_PLUS] = o3
         m[SIG_PLUS:, SIG_PLUS:] = o19
-        for _ in range(n_boosts):
+        for _ in range(3):
             p = rng.integers(0, SIG_PLUS)
             n = rng.integers(SIG_PLUS, DIM)
-            t = rng.uniform(-rapidity, rapidity)
+            t = rng.uniform(-0.4, 0.4)
             b = np.eye(DIM)
             b[p, p] = b[n, n] = np.cosh(t)
             b[p, n] = b[n, p] = np.sinh(t)
@@ -393,28 +389,24 @@ class SolveResult:
     positivity_failures: int = 0  # trials that lost positivity
 
 
-def solve_dirichlet(init: SectionGrid, tol: float = 1e-8, max_iter: int = 500,
-                    boundary: np.ndarray | None = None,
-                    newton: bool = True) -> SolveResult:
-    """Drive the interior nodes to a discrete critical point of the area.
+def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
+                    max_iter: int = 500) -> SolveResult:
+    """Drive the interior nodes to a discrete critical point of the area,
+    holding the boundary values of `init` fixed.
 
-    Boundary values are taken from `boundary` (defaults to the initial grid)
-    and held fixed.  The base iteration is damped gradient ascent with a
-    spectral step estimate, halving the step whenever positivity fails or
-    the residual grows past the recent worst; with newton=True each step
-    instead solves the Newton system approximately by MINRES with exact
+    Each step solves the Newton system approximately by MINRES with exact
     Hessian-vector products and the split preconditioner
-    (_split_preconditioner), which cuts the iteration count by orders of
-    magnitude near the solution.
+    (_newton_direction), then halves the step until the trial keeps
+    positivity and its residual falls below the worst of the last eight
+    accepted residuals.  SolveError names the iteration and the residual
+    when MINRES gives no usable direction, when positivity is lost at the
+    minimum step, or when no step is accepted.
 
     Each history row is (iteration, area, residual, smallest Gram
     eigenvalue); the residual is residual_norm of the iterate, which
     history_to_csv writes under the column name grad_inf_norm.
     """
     s = init.copy()
-    if boundary is not None:
-        mask = s.interior_mask()
-        s.values[~mask] = np.asarray(boundary, dtype=float)[~mask]
     mask = s.interior_mask()
 
     counts = dict(krylov_iters=0, hvps=0, line_search_rejections=0,
@@ -425,24 +417,13 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8, max_iter: int = 500,
     if res <= tol:
         return SolveResult(s, True, 0, res, history, **counts)
 
-    step = 1.0
-    prev_vals = None
-    prev_grad = None
     recent = [res]
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        delta = _newton_direction(s, g, gram, mask, counts) if newton else None
+        delta = _newton_direction(s, g, gram, mask, counts)
         if delta is None:
-            if prev_vals is not None:
-                dv = (s.values - prev_vals)[mask]
-                dg = (g - prev_grad)[mask]
-                denom = float(np.sum(dv * dg))
-                if denom < 0:
-                    step = float(np.sum(dv * dv) / -denom)
-                step = min(max(step, 1e-6), 1e3)
-            delta = step * g
-
-        prev_vals, prev_grad = s.values.copy(), g.copy()
+            raise SolveError(
+                f"no Newton direction at iteration {n_iter} (residual {res:.3e})")
         accepted = False
         shrink = 1.0
         bar = max(recent[-8:])
@@ -572,18 +553,16 @@ def _split_preconditioner(s: SectionGrid, dh: np.ndarray):
 
 
 def _newton_direction(s: SectionGrid, g: np.ndarray, gram, mask: np.ndarray,
-                      counts: dict, max_kry: int = 60):
+                      counts: dict):
     """Approximately solve H delta = g with H = -Hessian (exact analytic
     Hessian-vector products) at s with Gram data gram.  The Hessian is
     indefinite in general (the critical sections are saddles of the discrete
     area in the tangential compression modes), so the Krylov solver is
     MINRES with the positive definite split preconditioner.  Adds the
-    MINRES iterations and Hessian-vector products to counts."""
+    MINRES iterations and Hessian-vector products to counts.  Returns None
+    when MINRES gives a non-finite or all-zero direction."""
     from scipy.sparse import linalg as sla
 
-    gnorm = float(np.abs(g[mask]).max())
-    if gnorm == 0.0:
-        return None
     cache = _hessian_cache(s, gram)
     precond = _split_preconditioner(s, gram[0])
     shape = g.shape
@@ -606,7 +585,7 @@ def _newton_direction(s: SectionGrid, g: np.ndarray, gram, mask: np.ndarray,
     a_op = sla.LinearOperator((ndof, ndof), matvec=matvec, dtype=float)
     m_op = sla.LinearOperator((ndof, ndof), matvec=psolve, dtype=float)
     b = np.where(mask[..., None], g, 0.0).ravel()
-    x, _ = sla.minres(a_op, b, M=m_op, rtol=2e-2, maxiter=max_kry,
+    x, _ = sla.minres(a_op, b, M=m_op, rtol=2e-2, maxiter=60,
                       callback=count_iteration)
     x = x.reshape(shape)
     x[~mask] = 0.0
@@ -640,33 +619,31 @@ def grid_from_json(doc: dict) -> SectionGrid:
                        np.asarray(doc["Q"], dtype=float))
 
 
-def write_json_atomic(path: str, doc: dict):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+def _write_atomic(path: str, write) -> None:
+    """Call write(fh) on a temporary file beside path, then rename it over
+    path, so readers see the old file or the whole new one."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh)
+        with os.fdopen(fd, "w", newline="") as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path: str, doc: dict) -> None:
+    _write_atomic(path, lambda fh: json.dump(doc, fh))
 
 
 def history_to_csv(path: str, history) -> None:
-    import csv
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(["iter", "area", "grad_inf_norm", "min_eig_G"])
+        for row in history:
+            writer.writerow([row[0], f"{row[1]:.17g}", f"{row[2]:.17g}",
+                             f"{row[3]:.17g}"])
 
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "area", "grad_inf_norm", "min_eig_G"])
-            for row in history:
-                writer.writerow([row[0], f"{row[1]:.17g}", f"{row[2]:.17g}",
-                                 f"{row[3]:.17g}"])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, write)

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from adg2 import hk
+from adg2 import hk, verify
 from adg2.exact import QQi, mmul, mscale
-from adg2.spin import build_spinor_model
+from adg2.spin import build_spinor_model, random_donaldson_jet
 
 F = Fraction
 
@@ -283,31 +283,8 @@ class TestCyclicIdentities:
         self.ivec = hk.complex_structure_matrices(self.t)
 
     def _check_families(self, v):
-        mv = hk.metric_variation(self.t, v)
-        gd = mv.g_dot
-        ivec = self.ivec
-
-        def apply(m, vec):
-            return tuple(sum(m[a][b] * vec[b] for b in range(4)) for a in range(4))
-
-        for y in range(4):
-            ey = tuple(F(1 if i == y else 0) for i in range(4))
-            iys = [apply(ivec[i], ey) for i in range(3)]
-            for z in range(4):
-                ez = tuple(F(1 if i == z else 0) for i in range(4))
-
-                def w(i, vec):
-                    return sum(vec[a] * v.omega_dot[i][a][b] * ez[b]
-                               for a in range(4) for b in range(4))
-
-                def gdot(vec):
-                    return sum(vec[a] * gd[a][b] * ez[b]
-                               for a in range(4) for b in range(4))
-
-                assert gdot(ey) == -(w(0, iys[0]) + w(1, iys[1]) + w(2, iys[2]))
-                assert gdot(iys[0]) == w(0, ey) + w(1, iys[2]) - w(2, iys[1])
-                assert gdot(iys[1]) == -w(0, iys[2]) + w(1, ey) + w(2, iys[0])
-                assert gdot(iys[2]) == w(0, iys[1]) - w(1, iys[0]) + w(2, ey)
+        g_dot = hk.metric_variation(self.t, v).g_dot
+        assert verify.failing_cyclic_families(self.ivec, v, g_dot) == []
 
     def test_on_random_asd(self):
         rng = random.Random(4)
@@ -315,10 +292,22 @@ class TestCyclicIdentities:
             self._check_families(hk.TripleVariation.of(*(random_asd(rng) for _ in range(3))))
 
     def test_jet_level_slots(self):
-        # independent random tensors in the derivative slots obey the same identities
+        # the fibre-derivative slots (w[k][0][i], w[k][1][i], w[k][2][i]) of
+        # constraint-compatible jets obey the same identities
         rng = random.Random(5)
-        for _ in range(50):
-            self._check_families(hk.TripleVariation.of(*(random_asd(rng) for _ in range(3))))
+        for _ in range(5):
+            jet = random_donaldson_jet(rng)
+            for k in range(3):
+                for i in range(4):
+                    self._check_families(hk.TripleVariation.of(
+                        *(jet.w[k][m][i] for m in range(3))))
+
+    def test_corrupted_i2_fails_every_family(self):
+        ivec = list(self.ivec)
+        ivec[1] = tuple(tuple(-x for x in row) for row in ivec[1])
+        v = hk.TripleVariation.of(*hk.ASD_BASIS)
+        g_dot = hk.metric_variation(self.t, v).g_dot
+        assert verify.failing_cyclic_families(ivec, v, g_dot) == [1, 2, 3, 4]
 
 
 class TestCliffordOfVariation:

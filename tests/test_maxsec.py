@@ -314,6 +314,17 @@ class TestSolver:
         assert not out.converged
         assert out.message
 
+    def test_no_newton_direction_raises(self, monkeypatch):
+        from scipy.sparse import linalg as sla
+
+        def nan_minres(a, b, **kwargs):
+            return np.full_like(b, np.nan), 0
+
+        monkeypatch.setattr(sla, "minres", nan_minres)
+        s = perturbed_affine(np.random.default_rng(15))
+        with pytest.raises(mx.SolveError, match="iteration 1"):
+            mx.solve_dirichlet(s, tol=1e-8, max_iter=10)
+
     def test_work_counted_once(self, monkeypatch):
         # one Gram evaluation per gradient (the start and every line-search
         # trial), and one Hessian-vector product per MINRES iteration

@@ -1,4 +1,5 @@
-"""Declared dependencies are used and declared scripts resolve."""
+"""Declared dependencies are used, declared scripts resolve and every public
+function is referenced."""
 
 import ast
 import importlib.util
@@ -41,3 +42,33 @@ def test_every_script_target_resolves(monkeypatch):
     missing = [target for target in PROJECT.get("scripts", {}).values()
                if importlib.util.find_spec(target.split(":")[0]) is None]
     assert not missing, f"script targets that do not resolve: {missing}"
+
+
+def public_definitions() -> list:
+    """(path, line, name) of every public module-level function and method
+    under src/adg2."""
+    out = []
+    for path in sorted((ROOT / "src" / "adg2").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [tree.body] + [node.body for node in tree.body
+                                if isinstance(node, ast.ClassDef)]
+        for body in scopes:
+            for node in body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    out.append((path, node.lineno, node.name))
+    return out
+
+
+def test_every_public_function_is_referenced():
+    defs = public_definitions()
+    def_lines = {(path, line) for path, line, _ in defs}
+    words = set()
+    for top in ("src", "tests", "benchmarks"):
+        for path in (ROOT / top).rglob("*.py"):
+            for line, text in enumerate(path.read_text().splitlines(), 1):
+                if (path, line) not in def_lines:
+                    words.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for path, line, name in defs if name not in words]
+    assert not unused, f"public functions referenced nowhere: {unused}"
