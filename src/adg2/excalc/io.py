@@ -4,6 +4,9 @@ Document layout:
     {"degree": n,
      "terms": [{"I": [...], "J": [...],
                 "poly": [{"exp": [7 ints], "num": int, "den": int}, ...]}]}
+
+The loader accepts integers only where the layout says int: a float such as
+1.5, a string or a boolean is rejected, never truncated.
 """
 
 from __future__ import annotations
@@ -26,21 +29,31 @@ def form_to_json(a: BigradedForm) -> dict:
     return {"degree": a.degree, "terms": terms}
 
 
+def _int(value, name: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"'{name}' values must be integers, got {value!r}")
+    return value
+
+
 def form_from_json(doc: dict) -> BigradedForm:
     if not isinstance(doc, dict) or "degree" not in doc:
         raise ValueError("form document must be an object with a 'degree' field")
-    out = BigradedForm(int(doc["degree"]))
-    for t, term in enumerate(doc.get("terms", [])):
+    out = BigradedForm(_int(doc["degree"], "degree"))
+    terms = doc.get("terms", [])
+    if not isinstance(terms, list):
+        raise ValueError(f"'terms' must be a list, got {terms!r}")
+    for t, term in enumerate(terms):
         try:
-            I = tuple(int(i) for i in term["I"])
-            J = tuple(int(j) for j in term["J"])
+            I = tuple(_int(i, "I") for i in term["I"])
+            J = tuple(_int(j, "J") for j in term["J"])
             coeffs: dict[tuple, Fraction] = {}
             for m in term["poly"]:
-                exp = tuple(int(e) for e in m["exp"])
+                exp = tuple(_int(e, "exp") for e in m["exp"])
                 if len(exp) != NVARS:
                     raise ValueError("exponent tuples must have 7 entries")
-                coeffs[exp] = coeffs.get(exp, Fraction(0)) + Fraction(int(m["num"]), int(m["den"]))
+                num, den = _int(m["num"], "num"), _int(m["den"], "den")
+                coeffs[exp] = coeffs.get(exp, Fraction(0)) + Fraction(num, den)
             out._accumulate(I, J, Poly(coeffs))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed term /terms/{t}: {exc}") from exc
     return out

@@ -94,11 +94,17 @@ STANDARD_TRIPLE: tuple[Mat4, Mat4, Mat4] = (
     form2({(0, 3): 1, (1, 2): 1}),
 )
 
+def asd_form(c1, c2, c3) -> Mat4:
+    """The anti-self-dual 2-form c1 eta1 + c2 eta2 + c3 eta3, written out
+    entrywise, where (eta1, eta2, eta3) = ASD_BASIS is dx1 dx2 - dx3 dx4,
+    dx1 dx3 + dx2 dx4, dx1 dx4 - dx2 dx3."""
+    c1, c2, c3 = Fraction(c1), Fraction(c2), Fraction(c3)
+    z = Fraction(0)
+    return ((z, c1, c2, c3), (-c1, z, -c3, c2), (-c2, c3, z, -c1), (-c3, -c2, c1, z))
+
+
 ASD_BASIS: tuple[Mat4, Mat4, Mat4] = (
-    form2({(0, 1): 1, (2, 3): -1}),
-    form2({(0, 2): 1, (1, 3): 1}),
-    form2({(0, 3): 1, (1, 2): -1}),
-)
+    asd_form(1, 0, 0), asd_form(0, 1, 0), asd_form(0, 0, 1))
 
 
 class TripleRelationError(ValueError):

@@ -1,6 +1,6 @@
 """Spinor algebra for the split 3+4 model, with exact Gaussian-rational matrices.
 
-Conventions, frozen here and proved by build_spinor_model():
+Conventions, frozen here and proved by verify_conventions():
   * fibre half-spinors S+ and S- are each C^2; the fibre Clifford action of
     the coordinate vectors e_1..e_4 is built from the quaternion units
     q_0 = 1, q_k = -i sigma_k, with e_a: S- -> S+ given by q_{a-1} and
@@ -12,7 +12,7 @@ Conventions, frozen here and proved by build_spinor_model():
     quaternion relations, and c(vol4) = +1 on S-, -1 on S+.
 
 build_spinor_model() returns one verified model per process; the proof
-runs on the first call.  The curvature operators are linear in the metric
+runs on its first call.  The curvature operators are linear in the metric
 slots of a jet: each model holds the contraction tensor of
 curvature_operators, built from its ccc table on first use.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Sequence
 
 from . import hk
@@ -173,7 +173,7 @@ def build_spinor_model(corrupt: str | None = None) -> SpinorModel:
 @cache
 def _verified_model() -> SpinorModel:
     model = _assemble(None)
-    _verify_conventions(model)
+    verify_conventions(model)
     return model
 
 
@@ -194,7 +194,9 @@ def _assemble(corrupt: str | None) -> SpinorModel:
     return SpinorModel(mp, pm, cb, i_sp, cc_plus, cc_minus, ccc)
 
 
-def _verify_conventions(model: SpinorModel):
+def verify_conventions(model: SpinorModel):
+    """Prove the frozen conventions of the module docstring on model; raise
+    ConventionError, an AssertionError, at the first one that fails."""
     # base convention: c_B(dt1) c_B(dt2) c_B(dt3) = -1
     if mchain(*model.cb) != mscale(QQi(-1), eye(2)):
         raise ConventionError("base volume convention failed")
@@ -204,25 +206,19 @@ def _verify_conventions(model: SpinorModel):
             raise ConventionError("i_sp squares")
     if mmul(model.i_sp[0], model.i_sp[1]) != model.i_sp[2]:
         raise ConventionError("i_sp product")
-    # Clifford relations of the full module at two scales
+    # Clifford relations of the full module at two scales; the anticommutator
+    # is symmetric, so each unordered pair is checked once
     for eps in (Fraction(1), Fraction(1, 3)):
         t_ops, x_ops = model.clifford7(eps)
-        for a in range(4):
-            for b in range(4):
-                anti = madd(mmul(x_ops[a], x_ops[b]), mmul(x_ops[b], x_ops[a]))
-                want = mscale(QQi(-2 * eps if a == b else 0), eye(8))
-                if anti != want:
-                    raise ConventionError("vertical Clifford relation")
-        for i in range(3):
-            for j in range(3):
-                anti = madd(mmul(t_ops[i], t_ops[j]), mmul(t_ops[j], t_ops[i]))
-                want = mscale(QQi(-2 if i == j else 0), eye(8))
-                if anti != want:
-                    raise ConventionError("horizontal Clifford relation")
-            for a in range(4):
-                anti = madd(mmul(x_ops[a], t_ops[i]), mmul(t_ops[i], x_ops[a]))
-                if not is_zero_matrix(anti):
-                    raise ConventionError("mixed Clifford relation")
+        for ops, square, kind in ((x_ops, -eps, "vertical"), (t_ops, -1, "horizontal")):
+            for a, b in combinations_with_replacement(range(len(ops)), 2):
+                anti = madd(mmul(ops[a], ops[b]), mmul(ops[b], ops[a]))
+                if anti != mscale(QQi(2 * square if a == b else 0), eye(8)):
+                    raise ConventionError(f"{kind} Clifford relation")
+        for i, a in product(range(3), range(4)):
+            anti = madd(mmul(x_ops[a], t_ops[i]), mmul(t_ops[i], x_ops[a]))
+            if not is_zero_matrix(anti):
+                raise ConventionError("mixed Clifford relation")
     # chirality of the form actions
     for i, w in enumerate(hk.STANDARD_TRIPLE):
         if not is_zero_matrix(model.c_form2_minus(w)):
@@ -375,10 +371,7 @@ def zero_jet() -> AdiabaticJet:
 
 
 def random_asd(rng) -> hk.Mat4:
-    out = hk.zero2()
-    for eta in hk.ASD_BASIS:
-        out = hk.add2(out, hk.scale2(Fraction(rng.randint(-6, 6), rng.randint(1, 3)), eta))
-    return out
+    return hk.asd_form(*(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)))
 
 
 def random_donaldson_jet(rng) -> AdiabaticJet:

@@ -1,0 +1,43 @@
+"""One run of every `verify` suite per test session.
+
+The suites' rows are the one body of each exact-half law.  Tier-1 runs them
+once, here, and tests read the rows from the shared report.
+"""
+
+import pytest
+
+from adg2 import spin, verify
+
+VERIFY_SEED = 5
+
+
+@pytest.fixture(scope="session")
+def verify_run():
+    """(reports, proofs): verify.run_suite("all", VERIFY_SEED) with a warm
+    spinor-model cache, and the models spin.verify_conventions was called on
+    during that run."""
+    spin.build_spinor_model()
+    proofs = []
+    original = spin.verify_conventions
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spin, "verify_conventions",
+                   lambda model: proofs.append(model) or original(model))
+        reports = verify.run_suite("all", VERIFY_SEED)
+    return reports, proofs
+
+
+@pytest.fixture(scope="session")
+def reports(verify_run):
+    return verify_run[0]
+
+
+@pytest.fixture(scope="session")
+def law(reports):
+    """law(check_id) asserts that the shared run's row check_id passed."""
+    rows = {c.id: c for r in reports for c in r.checks}
+
+    def holds(check_id):
+        row = rows[check_id]
+        assert row.status == "pass", f"{check_id}: {row.max_residual}"
+
+    return holds

@@ -27,6 +27,8 @@ from adg2.excalc import (
     wedge,
     wedge_all,
 )
+from adg2.verify import _random_distribution as random_distribution
+from adg2.verify import _random_form as random_form
 
 T1, T2, T3, X1, X2, X3, X4 = range(7)
 
@@ -37,40 +39,6 @@ def dt(i, c=1):
 
 def dx(a, c=1):
     return BigradedForm.monomial((), (a,), c)
-
-
-def random_form(rng, degree, max_poly_deg=2, nterms=3):
-    from itertools import combinations
-
-    keys = []
-    for p in range(min(degree, 3) + 1):
-        q = degree - p
-        if q < 0 or q > 4:
-            continue
-        for I in combinations(range(3), p):
-            for J in combinations(range(3, 7), q):
-                keys.append((I, J))
-    out = BigradedForm(degree)
-    for _ in range(nterms):
-        I, J = rng.choice(keys)
-        exp = [0] * 7
-        for _ in range(rng.randint(0, max_poly_deg)):
-            exp[rng.randrange(7)] += 1
-        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        out = out + BigradedForm.monomial(I, J, Poly({tuple(exp): coeff}))
-    return out
-
-
-def random_distribution(rng, max_poly_deg=2):
-    coeffs = {}
-    for _ in range(rng.randint(1, 4)):
-        i = rng.randrange(3)
-        a = rng.randrange(3, 7)
-        exp = [0] * 7
-        for _ in range(rng.randint(0, max_poly_deg)):
-            exp[rng.randrange(7)] += 1
-        coeffs[(i, a)] = Poly({tuple(exp): Fraction(rng.randint(-3, 3))})
-    return HorizontalDistribution(coeffs)
 
 
 class TestWedge:
@@ -160,14 +128,8 @@ class TestSplitD:
         want = from_coordinate_frame(exterior_d(to_coordinate_frame(a, H)), H)
         assert total == want
 
-    def test_sum_equals_d_random(self):
-        rng = random.Random(4)
-        for _ in range(20):
-            H = random_distribution(rng)
-            a = random_form(rng, rng.randint(0, 3))
-            df, dh, fh = split_d(a, H)
-            want = from_coordinate_frame(exterior_d(to_coordinate_frame(a, H)), H)
-            assert df + dh + fh == want
+    def test_sum_equals_d_random(self, law):
+        law("excalc.split_d.sum")
 
     def test_bigrade_shifts(self):
         rng = random.Random(5)
@@ -184,63 +146,19 @@ class TestSplitD:
             assert dh.bigrades() <= {(p + 1, q)}
             assert fh.bigrades() <= {(p + 2, q - 1)}
 
-    def test_df_squares_to_zero(self):
-        rng = random.Random(6)
-        for _ in range(15):
-            H = random_distribution(rng)
-            a = random_form(rng, rng.randint(0, 3))
-            df, _, _ = split_d(a, H)
-            df2, _, _ = split_d(df, H)
-            assert df2.is_zero()
+    def test_df_squares_to_zero(self, law):
+        law("excalc.split_d.df_squared")
 
-    def test_fh_zero_iff_flat_curvature(self):
-        rng = random.Random(7)
-        flat_seen = curved_seen = 0
-        for _ in range(40):
-            if rng.random() < 0.5:
-                # gradient-type lifts H_i^a = d(phi_a)/dt_i with phi_a = phi_a(t): zero curvature
-                coeffs = {}
-                for a in (X1, X2):
-                    phi = Poly({tuple(e): Fraction(rng.randint(-3, 3))
-                                for e in [(1, 0, 0, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0, 0),
-                                          (1, 1, 0, 0, 0, 0, 0)]})
-                    for i in range(3):
-                        coeffs[(i, a)] = phi.diff(i)
-                H = HorizontalDistribution(coeffs)
-            else:
-                H = random_distribution(rng)
-            curv = H.curvature()
-            curv_zero = all(k.is_zero() for k in curv.values())
-            fh_all_zero = True
-            for deg in (0, 1, 2):
-                for _ in range(4):
-                    a = random_form(rng, deg)
-                    _, _, fh = split_d(a, H)
-                    if not fh.is_zero():
-                        fh_all_zero = False
-            # F_H on the coframe covectors themselves is the sharpest probe
-            for a in range(3, 7):
-                _, _, fh = split_d(BigradedForm.monomial((), (a,)), H)
-                if not fh.is_zero():
-                    fh_all_zero = False
-            assert fh_all_zero == curv_zero
-            flat_seen += curv_zero
-            curved_seen += not curv_zero
-        assert flat_seen and curved_seen
+    def test_fh_zero_iff_flat_curvature(self, law):
+        law("excalc.split_d.fh_iff_curvature")
 
 
 class TestHodge:
     def test_star4_basis(self):
         assert star4(dx(X1)) == BigradedForm.monomial((), (X2, X3, X4))
 
-    def test_star4_involution_sign(self):
-        # on R^4, star.star = (-1)^(k(4-k)): -1 on 1-forms, +1 on 2-forms
-        rng = random.Random(8)
-        for _ in range(10):
-            a = random_form(rng, 1).component(0, 1)
-            assert star4(star4(a)) == -a
-            b = random_form(rng, 2).component(0, 2)
-            assert star4(star4(b)) == b
+    def test_star4_involution_sign(self, law):
+        law("excalc.hodge.star4_involution")
 
     def test_star4_selfdual_triple(self):
         for w in standard_triple():
@@ -287,9 +205,8 @@ class TestHodge:
 
 
 class TestDonaldsonResiduals:
-    def test_product_data_all_zero(self):
-        res = donaldson_residuals(FibrationData.product())
-        assert residuals_all_zero(res)
+    def test_product_data_all_zero(self, law):
+        law("excalc.donaldson_residuals.product")
 
     def test_scaled_omega1_fails(self):
         # (1+t1) scaling: the t1-dependence sits in the dt1 slot, so it breaks
@@ -337,8 +254,18 @@ class TestEvalAndIO:
             assert form_from_json(doc) == a
 
     def test_json_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            form_from_json({"degree": 1, "terms": [{"I": [0], "J": []}]})
+        def term(**entry):
+            return {"I": [0], "J": [], "poly": [dict({"exp": [0] * 7, "num": 1, "den": 2},
+                                                     **entry)]}
+
+        bad_terms = [{"I": [0], "J": []}, term(den=0), term(num=1.5), term(den=2.5),
+                     term(exp=[1.5] + [0] * 6), term(exp=[0] * 6)]
+        for bad in bad_terms:
+            with pytest.raises(ValueError, match=r"malformed term /terms/1"):
+                form_from_json({"degree": 1, "terms": [term(), bad]})
+        for doc in ({"degree": 1, "terms": 5}, {"degree": 1.5, "terms": []}):
+            with pytest.raises(ValueError):
+                form_from_json(doc)
 
 
 def test_wedge_all_matches_pairwise():

@@ -27,12 +27,11 @@ def mat_vec(M, v4):
 
 
 class TestCross:
-    def test_x1_cross_x2_is_t1(self):
-        assert cross(E(X1), E(X2), G2Model()) == E(T1)
+    def test_x1_cross_x2_is_t1(self, law):
+        law("g2lin.cross.reference_values")
 
-    def test_t1_cross_t2_is_minus_t3(self):
-        got = cross(E(T1), E(T2), G2Model())
-        assert got == tuple(-c for c in E(T3))
+    def test_t1_cross_t2_is_minus_t3(self, law):
+        law("g2lin.cross.reference_values")
 
     def test_self_cross_zero(self):
         rng = random.Random(0)
@@ -69,46 +68,11 @@ class TestCross:
 
 
 class TestChi:
-    def test_identity_all_eps(self):
-        rng = random.Random(3)
-        for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 7)):
-            m = G2Model(eps)
-            sphi = m.star_phi()
-            for _ in range(200):
-                x, y, z = (rand_vec(rng) for _ in range(3))
-                c = chi(x, y, z, m)
-                for k in range(7):
-                    w = E(k)
-                    assert m.metric_pair(c, w) == eval_on_vectors(sphi, [x, y, z, w])
+    def test_identity_all_eps(self, law):
+        law("g2lin.chi.defining_identity")
 
-    def test_scaling_case_table(self):
-        # vertical count 3 or 2 -> eps * chi_1; count 1 -> chi_1; count 0 -> 0
-        rng = random.Random(4)
-        m1 = G2Model(1)
-        cases = {3: [(X1, X2, X3), (X2, X3, X4)],
-                 2: [(X1, X2, T1), (X3, X4, T2)],
-                 1: [(X1, T2, T3), (X4, T1, T2)],
-                 0: [(T1, T2, T3)]}
-        for eps in (Fraction(1, 2), Fraction(1, 5)):
-            meps = G2Model(eps)
-            for nv, triples in cases.items():
-                for tr in triples:
-                    args = [E(i) for i in tr]
-                    ce = chi(*args, meps)
-                    c1 = chi(*args, m1)
-                    if nv >= 2:
-                        assert ce == tuple(eps * v for v in c1)
-                    elif nv == 1:
-                        assert ce == c1
-                    else:
-                        assert all(v == 0 for v in ce)
-        # same statement on random pure-type vectors
-        for _ in range(20):
-            xs = [vertical_part(rand_vec(rng)) for _ in range(3)]
-            eps = Fraction(1, 3)
-            ce = chi(*xs, G2Model(eps))
-            c1 = chi(*xs, m1)
-            assert ce == tuple(eps * v for v in c1)
+    def test_scaling_case_table(self, law):
+        law("g2lin.chi.scaling_case_table")
 
     def test_alternating(self):
         rng = random.Random(5)
@@ -118,22 +82,8 @@ class TestChi:
             assert chi(x, y, z, m) == tuple(-c for c in chi(y, x, z, m))
             assert all(v == 0 for v in chi(x, x, z, m))
 
-    def test_limit_case_table(self):
-        m0 = G2Model(0)
-        # one vertical, two horizontal: chi(x, t2, t3) = -I1 x for vertical x
-        ivec, _ = complex_structures(m0)
-        rng = random.Random(6)
-        for _ in range(10):
-            x = vertical_part(rand_vec(rng))
-            got = chi(x, E(T2), E(T3), m0)
-            want4 = mat_vec(ivec[0], x[3:])
-            assert got[:3] == (0, 0, 0)
-            assert got[3:] == tuple(-c for c in want4)
-        # all horizontal: zero
-        assert all(v == 0 for v in chi(E(T1), E(T2), E(T3), m0))
-        # two or three vertical arguments die in the limit
-        assert all(v == 0 for v in chi(E(X1), E(X2), E(X3), m0))
-        assert all(v == 0 for v in chi(E(X1), E(X2), E(T1), m0))
+    def test_limit_case_table(self, law):
+        law("g2lin.chi.formal_limit")
 
     def test_limit_matches_small_eps_constant_term(self):
         # chi_eps(x,y,z) is affine in eps (vertical components divide the
@@ -185,10 +135,5 @@ class TestComplexStructures:
                                                      tuple(ivec[i][b][a] for a in range(4)))
 
 
-def test_chi_limit_reference_value():
-    # chi(x, dt2, dt3) with x = dx1 must give -I1 dx1 = -dx2 direction
-    m0 = G2Model(0)
-    got = chi(basis_vector(X1), basis_vector(T2), basis_vector(T3), m0)
-    want = [Fraction(0)] * 7
-    want[X2] = Fraction(-1)
-    assert got == tuple(want)
+def test_chi_limit_reference_value(law):
+    law("g2lin.chi.formal_limit")

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from adg2 import hk, verify
-from adg2.exact import QQi, mmul, mscale
 from adg2.spin import build_spinor_model, random_donaldson_jet
 
 F = Fraction
@@ -15,10 +14,7 @@ def rand_frac(rng, lo=-4, hi=4):
 
 
 def random_asd(rng):
-    out = hk.zero2()
-    for eta in hk.ASD_BASIS:
-        out = hk.add2(out, hk.scale2(rand_frac(rng), eta))
-    return out
+    return hk.asd_form(*(rand_frac(rng) for _ in range(3)))
 
 
 def rotate_triple(omega, R):
@@ -37,11 +33,25 @@ R_SO3 = (
 )
 
 
+class TestAsdForm:
+    def test_equals_the_basis_sum(self):
+        assert hk.ASD_BASIS == (hk.form2({(0, 1): 1, (2, 3): -1}),
+                                hk.form2({(0, 2): 1, (1, 3): 1}),
+                                hk.form2({(0, 3): 1, (1, 2): -1}))
+        rng = random.Random(12)
+        for bound in (4, 6):
+            for _ in range(200):
+                cs = [rand_frac(rng, -bound, bound) for _ in range(3)]
+                want = hk.zero2()
+                for c, eta in zip(cs, hk.ASD_BASIS):
+                    want = hk.add2(want, hk.scale2(c, eta))
+                got = hk.asd_form(*cs)
+                assert got == want and all(type(x) is F for row in got for x in row)
+
+
 class TestMetricFromTriple:
-    def test_standard(self):
-        g, mu = hk.metric_from_triple(hk.STANDARD_TRIPLE)
-        assert mu == 1
-        assert g == tuple(tuple(F(1 if a == b else 0) for b in range(4)) for a in range(4))
+    def test_standard(self, law):
+        law("hk.metric_from_triple.standard")
 
     def test_scaling(self):
         c = F(3, 2)
@@ -120,17 +130,8 @@ class TestMetricVariation:
     def setup_method(self):
         self.t = hk.HKTriple.standard()
 
-    def test_worked_example(self):
-        # variation of the third form by dx1 dx2 - dx3 dx4 moves the metric by
-        # -dx1.dx3 - dx3.dx1 + dx2.dx4 + dx4.dx2
-        eta = hk.form2({(0, 1): 1, (2, 3): -1})
-        v = hk.TripleVariation.of(hk.zero2(), hk.zero2(), eta)
-        mv = hk.metric_variation(self.t, v)
-        want = [[0] * 4 for _ in range(4)]
-        want[0][2] = want[2][0] = -1
-        want[1][3] = want[3][1] = 1
-        assert mv.g_dot == tuple(tuple(F(x) for x in row) for row in want)
-        assert mv.mu_dot == 0
+    def test_worked_example(self, law):
+        law("hk.metric_variation.worked_example")
 
     def test_zero(self):
         v = hk.TripleVariation.of(hk.zero2(), hk.zero2(), hk.zero2())
@@ -231,26 +232,16 @@ class TestRecoverFormVariation:
     def setup_method(self):
         self.t = hk.HKTriple.standard()
 
-    def test_worked_example_inverse(self):
-        g_dot = [[F(0)] * 4 for _ in range(4)]
-        g_dot[0][2] = g_dot[2][0] = F(-1)
-        g_dot[1][3] = g_dot[3][1] = F(1)
-        forms = hk.recover_form_variation(self.t, tuple(map(tuple, g_dot)))
-        assert hk.is_zero2(forms[0]) and hk.is_zero2(forms[1])
-        assert forms[2] == hk.form2({(0, 1): 1, (2, 3): -1})
+    def test_worked_example_inverse(self, law):
+        law("hk.metric_variation.worked_example")
 
     def test_zero(self):
         z = tuple(tuple(F(0) for _ in range(4)) for _ in range(4))
         forms = hk.recover_form_variation(self.t, z)
         assert all(hk.is_zero2(f) for f in forms)
 
-    def test_roundtrip_on_asd(self):
-        rng = random.Random(2)
-        for _ in range(100):
-            v = hk.TripleVariation.of(*(random_asd(rng) for _ in range(3)))
-            mv = hk.metric_variation(self.t, v)
-            back = hk.recover_form_variation(self.t, mv.g_dot)
-            assert back == v.omega_dot
+    def test_roundtrip_on_asd(self, law):
+        law("hk.recover_form_variation.roundtrip")
 
     def test_traceless_required(self):
         g_dot = tuple(tuple(F(1 if a == b else 0) for b in range(4)) for a in range(4))
@@ -286,10 +277,8 @@ class TestCyclicIdentities:
         g_dot = hk.metric_variation(self.t, v).g_dot
         assert verify.failing_cyclic_families(self.ivec, v, g_dot) == []
 
-    def test_on_random_asd(self):
-        rng = random.Random(4)
-        for _ in range(100):
-            self._check_families(hk.TripleVariation.of(*(random_asd(rng) for _ in range(3))))
+    def test_on_random_asd(self, law):
+        law("hk.variation.cyclic_symmetry")
 
     def test_jet_level_slots(self):
         # the fibre-derivative slots (w[k][0][i], w[k][1][i], w[k][2][i]) of
@@ -315,21 +304,8 @@ class TestCliffordOfVariation:
         self.t = hk.HKTriple.standard()
         self.model = build_spinor_model()
 
-    def test_worked_example(self):
-        g_dot = [[F(0)] * 4 for _ in range(4)]
-        g_dot[0][2] = g_dot[2][0] = F(-1)
-        g_dot[1][3] = g_dot[3][1] = F(1)
-        g_dot = tuple(map(tuple, g_dot))
-        # k = 3: equals c(dx1 dx2 - dx3 dx4) = 2 c1 c2 on negative spinors
-        got = hk.clifford_of_variation(self.t, g_dot, 2, self.model)
-        c1c2 = self.model.cc_minus[0][1]
-        assert got == mscale(QQi(2), c1c2)
-        direct = self.model.c_form2_minus(hk.form2({(0, 1): 1, (2, 3): -1}))
-        assert got == direct
-        # k = 1, 2: zero
-        for k in (0, 1):
-            assert all(not bool(x) for row in
-                       hk.clifford_of_variation(self.t, g_dot, k, self.model) for x in row)
+    def test_worked_example(self, law):
+        law("hk.clifford_of_variation.worked_example")
 
     def test_zero(self):
         z = tuple(tuple(F(0) for _ in range(4)) for _ in range(4))

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from adg2 import hk, spin
-from adg2.exact import (QQi, dagger, eye, is_zero_matrix, mat_apply, mchain,
+from adg2.exact import (QQi, dagger, is_zero_matrix, mat_apply, mchain,
                         mmul, mscale)
 
 F = Fraction
@@ -51,30 +51,20 @@ def sample_jets(seed, n):
 
 
 class TestBuild:
-    def test_vertical_anticommutator_offdiag(self, model):
-        # c(x1)c(x2) + c(x2)c(x1) = 0
-        _, x_ops = model.clifford7()
-        s = mmul(x_ops[0], x_ops[1])
-        t = mmul(x_ops[1], x_ops[0])
-        assert is_zero_matrix(tuple(tuple(s[i][j] + t[i][j] for j in range(8))
-                                    for i in range(8)))
+    # the Clifford and quaternion relations are proved by
+    # spin.verify_conventions, the body of the row spin.build.clifford_relations
 
-    def test_mixed_anticommutator_zero(self, model):
-        t_ops, x_ops = model.clifford7()
-        s = mmul(x_ops[0], t_ops[0])
-        t = mmul(t_ops[0], x_ops[0])
-        assert is_zero_matrix(tuple(tuple(s[i][j] + t[i][j] for j in range(8))
-                                    for i in range(8)))
+    def test_vertical_anticommutator_offdiag(self, law):
+        law("spin.build.clifford_relations")
 
-    def test_i_squares_minus_one(self, model):
-        for i in range(3):
-            assert mmul(model.i_sp[i], model.i_sp[i]) == mscale(QQi(-1), eye(2))
+    def test_mixed_anticommutator_zero(self, law):
+        law("spin.build.clifford_relations")
 
-    def test_eps_scaled_vertical_relation(self, model):
-        eps = F(1, 3)
-        _, x_ops = model.clifford7(eps)
-        s = mmul(x_ops[2], x_ops[2])
-        assert s == mscale(QQi(-eps), eye(8))
+    def test_i_squares_minus_one(self, law):
+        law("spin.build.clifford_relations")
+
+    def test_eps_scaled_vertical_relation(self, law):
+        law("spin.build.clifford_relations")
 
     def test_corrupt_hook_breaks_quaternions(self):
         bad = spin.build_spinor_model(corrupt="i2_sign")
@@ -92,8 +82,8 @@ class TestModelCache:
 
     def test_conventions_are_proved_once(self, monkeypatch):
         proofs = []
-        original = spin._verify_conventions
-        monkeypatch.setattr(spin, "_verify_conventions",
+        original = spin.verify_conventions
+        monkeypatch.setattr(spin, "verify_conventions",
                             lambda m: proofs.append(m) or original(m))
         # a cold cache, so that the first build below is a real one
         monkeypatch.setattr(spin, "_verified_model",
@@ -127,10 +117,8 @@ class TestCompiledCurvature:
 
 
 class TestOmegaDecomposition:
-    def test_spectrum(self, model):
-        dec = spin.c_omega_decomposition(model)
-        assert set(dec) == {-6, 2}
-        assert len(dec[-6]) == 1 and len(dec[2]) == 3
+    def test_spectrum(self, law):
+        law("spin.c_omega.spectrum")
 
     def test_eigenvectors(self, model):
         om = model.c_omega_block()
@@ -163,12 +151,8 @@ class TestOmegaDecomposition:
 
 
 class TestCanonicalPhi:
-    def test_intertwining_and_unitarity(self, model):
-        for sign in (1, -1):
-            phi = spin.canonical_phi(model, sign)
-            for i in range(3):
-                assert mmul(phi, model.i_sp[i]) == mmul(model.cb[i], phi)
-            assert mmul(dagger(phi), phi) == eye(2)
+    def test_intertwining_and_unitarity(self, law):
+        law("spin.canonical_phi.intertwining")
 
     def test_two_real_choices_differ_by_sign(self, model):
         p1 = spin.canonical_phi(model, 1)
@@ -190,12 +174,8 @@ class TestCurvature:
         rks = spin.curvature_operators(spin.zero_jet(), model)
         assert all(is_zero_matrix(r) for r in rks)
 
-    def test_cancellation_on_donaldson_jets(self, model):
-        rng = random.Random(1)
-        for _ in range(100):
-            jet = spin.random_donaldson_jet(rng)
-            assert jet.all_flags()
-            assert is_zero_matrix(spin.curvature_sum(jet, model))
+    def test_cancellation_on_donaldson_jets(self, law):
+        law("spin.curvature.cancellation")
 
     def test_linearity_in_jet(self, model):
         rng = random.Random(2)
@@ -240,25 +220,17 @@ class TestCurvature:
             count += 1
         assert count == 4 * 3 * 5
 
-    def test_negative_controls(self, model):
+    def test_negative_controls(self):
+        # the jet generators behind the rows spin.curvature.cancellation and
+        # spin.curvature.negative_controls: a random jet sets every constraint
+        # flag, and violate_jet clears the flag of the constraint it names
         rng = random.Random(3)
-        nonzero = 0
-        total = 0
-        for which in ("d_H_omega", "d_H_mu", "d_H_Theta"):
+        for which, flag in (("d_H_omega", "d_H_omega_sym"), ("d_H_mu", "d_H_mu"),
+                            ("d_H_Theta", "d_H_Theta")):
             for _ in range(34 if which == "d_H_omega" else 33):
-                jet = spin.violate_jet(spin.random_donaldson_jet(rng), which, rng)
-                flags = jet.flags()
-                if which == "d_H_omega":
-                    assert not flags["d_H_omega_sym"]
-                if which == "d_H_Theta":
-                    assert not flags["d_H_Theta"]
-                if which == "d_H_mu":
-                    assert not flags["d_H_mu"]
-                total += 1
-                if not is_zero_matrix(spin.curvature_sum(jet, model)):
-                    nonzero += 1
-        assert total == 100
-        assert nonzero >= 95
+                jet = spin.random_donaldson_jet(rng)
+                assert jet.all_flags()
+                assert not spin.violate_jet(jet, which, rng).flags()[flag]
 
 
 class TestDiracVariation:
@@ -267,13 +239,8 @@ class TestDiracVariation:
         assert is_zero_matrix(z)
         assert all(is_zero_matrix(c) for c in first)
 
-    def test_vanishing_on_donaldson_jets(self, model):
-        rng = random.Random(4)
-        for _ in range(100):
-            jet = spin.random_donaldson_jet(rng)
-            z, first = spin.dirac_variation_symbol(jet, model)
-            assert is_zero_matrix(z)
-            assert all(is_zero_matrix(c) for c in first)
+    def test_vanishing_on_donaldson_jets(self, law):
+        law("spin.curvature.cancellation")
 
     def test_symmetry_violation_hits_first_order(self, model):
         rng = random.Random(5)
