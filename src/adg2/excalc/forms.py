@@ -37,15 +37,18 @@ class BigradedForm:
             for (I, J), p in terms.items():
                 self._accumulate(tuple(I), tuple(J), Poly.of(p))
 
-    def _accumulate(self, I: tuple, J: tuple, p: Poly):
-        if p.is_zero():
-            return
+    def _check_key(self, I: tuple, J: tuple):
         if list(I) != sorted(set(I)) or list(J) != sorted(set(J)):
             raise ValueError(f"index sets must be strictly increasing: {I}, {J}")
         if any(i not in HORIZONTAL for i in I) or any(a not in VERTICAL for a in J):
             raise ValueError(f"bad index split: {I}, {J}")
         if len(I) + len(J) != self.degree:
             raise ValueError(f"term ({I},{J}) does not have degree {self.degree}")
+
+    def _accumulate(self, I: tuple, J: tuple, p: Poly):
+        if p.is_zero():
+            return
+        self._check_key(I, J)
         key = (I, J)
         s = self.terms.get(key)
         total = p if s is None else s + p

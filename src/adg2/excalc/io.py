@@ -38,7 +38,10 @@ def _int(value, name: str) -> int:
 def form_from_json(doc: dict) -> BigradedForm:
     if not isinstance(doc, dict) or "degree" not in doc:
         raise ValueError("form document must be an object with a 'degree' field")
-    out = BigradedForm(_int(doc["degree"], "degree"))
+    degree = _int(doc["degree"], "degree")
+    if degree < 0:
+        raise ValueError(f"'degree' must not be negative, got {degree}")
+    out = BigradedForm(degree)
     terms = doc.get("terms", [])
     if not isinstance(terms, list):
         raise ValueError(f"'terms' must be a list, got {terms!r}")
@@ -46,6 +49,7 @@ def form_from_json(doc: dict) -> BigradedForm:
         try:
             I = tuple(_int(i, "I") for i in term["I"])
             J = tuple(_int(j, "J") for j in term["J"])
+            out._check_key(I, J)  # also for a term whose coefficients are all zero
             coeffs: dict[tuple, Fraction] = {}
             for m in term["poly"]:
                 exp = tuple(_int(e, "exp") for e in m["exp"])

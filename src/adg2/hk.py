@@ -198,23 +198,30 @@ def triple(omega: Sequence[Mat4]) -> HKTriple:
     return HKTriple(tuple(omega), g, mu)
 
 
-def decompose_variation(t: HKTriple, v: TripleVariation):
-    """Split each w_i-dot into span{w_j} plus an anti-self-dual remainder.
-
-    Returns (a, b, asd): the traceless projection coefficients a[i][j]
-    (antisymmetric exactly when the variation preserves the algebraic
-    relations to first order), the conformal coefficient b with
-    mu_dot = 2 b mu, and the three ASD remainders.
-    """
+def self_dual_coefficients(t: HKTriple, v: TripleVariation):
+    """The span{w_j} part of each w_i-dot, as (a, b): the traceless
+    projection coefficients a[i][j] (antisymmetric exactly when the
+    variation preserves the algebraic relations to first order) and the
+    conformal coefficient b with mu_dot = 2 b mu."""
     c = [[wedge22(v.omega_dot[i], t.omega[j]) / (2 * t.mu) for j in range(3)]
          for i in range(3)]
     b = (c[0][0] + c[1][1] + c[2][2]) / 3
     a = tuple(tuple(c[i][j] - (b if i == j else 0) for j in range(3)) for i in range(3))
+    return a, b
+
+
+def decompose_variation(t: HKTriple, v: TripleVariation):
+    """Split each w_i-dot into span{w_j} plus an anti-self-dual remainder.
+
+    Returns (a, b, asd): the coefficients of self_dual_coefficients and the
+    three ASD remainders.
+    """
+    a, b = self_dual_coefficients(t, v)
     asd = []
     for i in range(3):
         r = v.omega_dot[i]
         for j in range(3):
-            r = sub2(r, scale2(c[i][j], t.omega[j]))
+            r = sub2(r, scale2(a[i][j] + (b if i == j else 0), t.omega[j]))
         asd.append(r)
     return a, b, tuple(asd)
 

@@ -218,12 +218,28 @@ def _check_positive(g: np.ndarray):
     return m3
 
 
-def _min_eigenvalue(g: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(g)[..., 0].min())
+def _min_eigenvalues(g: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric 3x3 matrix of g, from the
+    trigonometric roots of its characteristic cubic (Smith, CACM 4(4),
+    1961): with q = tr g / 3, p^2 = |g - q I|^2 / 6 and r = det((g - q I) /
+    p) / 2, it is q + 2 p cos(arccos(r) / 3 + 2 pi / 3), and q where p = 0.
+    Near r = 1 the smallest root is nearly double and the formula keeps only
+    half the digits, so those few matrices go to eigvalsh."""
+    q = (g[..., 0, 0] + g[..., 1, 1] + g[..., 2, 2]) / 3.0
+    b = g - q[..., None, None] * np.eye(3)
+    p = np.sqrt(np.sum(b * b, axis=(-1, -2)) / 6.0)
+    scalar = p == 0.0
+    r = np.clip(_det3(b / np.where(scalar, 1.0, p)[..., None, None]) / 2.0, -1.0, 1.0)
+    lam = np.where(scalar, q,
+                   q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0))
+    near = r > 1.0 - 1e-3
+    if near.any():
+        lam[near] = np.linalg.eigvalsh(g[near])[:, 0]
+    return lam
 
 
 def min_gram_eigenvalue(s: SectionGrid) -> float:
-    return _min_eigenvalue(_gram(s)[2])
+    return float(_min_eigenvalues(_gram(s)[2]).min())
 
 
 def _area(s: SectionGrid, det: np.ndarray) -> float:
@@ -384,6 +400,7 @@ class SolveResult:
     message: str = ""
     # work counters of the whole solve
     krylov_iters: int = 0  # MINRES iterations, over all Newton steps
+    krylov_per_step: list = field(default_factory=list)  # one per Newton step
     hvps: int = 0  # Hessian-vector products
     line_search_rejections: int = 0  # trials rejected by the residual bar
     positivity_failures: int = 0  # trials that lost positivity
@@ -410,7 +427,7 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     mask = s.interior_mask()
 
     counts = dict(krylov_iters=0, hvps=0, line_search_rejections=0,
-                  positivity_failures=0)
+                  positivity_failures=0, krylov_per_step=[])
     g, gram = _grad_and_gram(s)
     res = residual_norm(s, g)
     history = [_history_row(0, s, gram, res)]
@@ -420,6 +437,7 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     recent = [res]
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
+        krylov_before = counts["krylov_iters"]
         delta = _newton_direction(s, g, gram, mask, counts)
         if delta is None:
             raise SolveError(
@@ -450,6 +468,7 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
         if not accepted:
             raise SolveError(
                 f"no acceptable step at iteration {n_iter} (residual {res:.3e})")
+        counts["krylov_per_step"].append(counts["krylov_iters"] - krylov_before)
         recent.append(res)
         history.append(_history_row(n_iter, s, gram, res))
         if res <= tol:
@@ -461,7 +480,7 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
 
 def _history_row(n_iter: int, s: SectionGrid, gram, res: float) -> tuple:
     _, _, g, det = gram
-    return (n_iter, _area(s, det), res, _min_eigenvalue(g))
+    return (n_iter, _area(s, det), res, float(_min_eigenvalues(g).min()))
 
 
 def _hessian_cache(s: SectionGrid, gram):
@@ -516,34 +535,50 @@ def _section_frame_basis(s: SectionGrid, dh: np.ndarray):
 
 
 def _split_preconditioner(s: SectionGrid, dh: np.ndarray):
-    """Positive definite approximation of |Hessian|^-1.
+    """Positive definite approximation of |H / V|^-1, with H the Hessian
+    (_hessian_apply) and V = h1 h2 h3 the cell volume; exact at an affine
+    section with a Q-orthonormal frame.
 
-    In the frame/complement coordinates the leading Hessian blocks at a
-    near-affine section are (2/9) times the axis-m 1-d Laplacian on the m-th
-    frame coefficient and (2/3) times the full Laplacian on the complement;
-    both are inverted spectrally with sine transforms on the interior.  dh
-    holds the section's derivatives at the Gauss points (_gram).
+    There, in the frame/complement coordinates, the blocks of H are sums of
+    trilinear-element products K (x) M (x) M, with 1-d stiffness K = (1/h)
+    tridiag(-1, 2, -1) and mass M = (h/6) tridiag(1, 4, 1) per axis: the
+    2x2x2 Gauss rule integrates the products of Q1 shape functions and their
+    derivatives exactly.  The sine transform (DST-I) on the interior
+    diagonalizes K and M, with eigenvalues h kappa_d and h m_d at theta =
+    pi k / (n_d - 1), where kappa_d = (4 / h_d^2) sin^2(theta / 2) and m_d =
+    (2 + cos theta) / 3.  So H / V has the symbol (2/3) sum_d kappa_d
+    prod_{e != d} m_e on the complement and (2/9) kappa_m prod_{e != m} m_e
+    on the m-th frame coefficient, and the apply divides by it mode by mode.
+    dh holds the section's derivatives at the Gauss points (_gram).
+
+    The scale is that of the area density, as in residual_norm, and it is
+    not free: MINRES stops on ||r||_M / (||M H|| ||x||), which falls as M
+    grows, so inverting H itself (M larger by 1/V) stops MINRES after two
+    iterations and takes a noisy affine 11^3 solve from 24 to about 110
+    Newton steps.
     """
     from scipy import fft as sfft
 
-    n1, n2, n3 = s.dims
-    lam_ax = []
-    for (n, h) in zip(s.dims, s.spacing):
-        k = np.arange(1, n - 1)
-        lam_ax.append((4.0 / h ** 2) * np.sin(np.pi * k / (2.0 * (n - 1))) ** 2)
-    lam_full = (lam_ax[0][:, None, None] + lam_ax[1][None, :, None]
-                + lam_ax[2][None, None, :])
+    kappa, mass = [], []
+    for ax, (n, h) in enumerate(zip(s.dims, s.spacing)):
+        theta = np.pi * np.arange(1, n - 1) / (n - 1)
+        shape = [1, 1, 1]
+        shape[ax] = n - 2
+        kappa.append(((4.0 / h ** 2) * np.sin(theta / 2.0) ** 2).reshape(shape))
+        mass.append(((2.0 + np.cos(theta)) / 3.0).reshape(shape))
+    # stiff[d] = kappa_d prod_{e != d} m_e on the interior sine modes
+    stiff = [kappa[d] * mass[d - 1] * mass[d - 2] for d in range(3)]
+    symbol = np.empty(tuple(n - 2 for n in s.dims) + (DIM,))
+    for m in range(3):
+        symbol[..., m] = (2.0 / 9.0) * stiff[m]
+    symbol[..., 3:] = ((2.0 / 3.0) * (stiff[0] + stiff[1] + stiff[2]))[..., None]
     a, nbasis = _section_frame_basis(s, dh)
     t = np.concatenate([a, nbasis], axis=1)  # (22, 22)
 
     def apply(r: np.ndarray) -> np.ndarray:
         rc = r[1:-1, 1:-1, 1:-1] @ t
         spec = sfft.dstn(rc, type=1, axes=(0, 1, 2))
-        for m in range(3):
-            shape = [1, 1, 1]
-            shape[m] = len(lam_ax[m])
-            spec[..., m] /= (2.0 / 9.0) * lam_ax[m].reshape(shape)
-        spec[..., 3:] /= (2.0 / 3.0) * lam_full[..., None]
+        spec /= symbol
         sol = sfft.idstn(spec, type=1, axes=(0, 1, 2))
         out = np.zeros_like(r)
         out[1:-1, 1:-1, 1:-1] = sol @ t.T

@@ -345,7 +345,7 @@ class AdiabaticJet:
         # the self-dual parts (a, b) of every zeroth-order and derivative slot
         triples = list(self.v) + [tuple(self.w[k][m][i] for m in range(3))
                                   for k in range(3) for i in range(4)]
-        sd = [hk.decompose_variation(std, hk.TripleVariation.of(*t))[:2] for t in triples]
+        sd = [hk.self_dual_coefficients(std, hk.TripleVariation.of(*t)) for t in triples]
         b_zero = all(b == 0 for _, b in sd)
         asd = b_zero and all(x == 0 for a, _ in sd for row in a for x in row)
         return {"d_H_omega_sym": sym, "d_H_mu": b_zero,

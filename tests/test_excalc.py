@@ -259,11 +259,13 @@ class TestEvalAndIO:
                                                      **entry)]}
 
         bad_terms = [{"I": [0], "J": []}, term(den=0), term(num=1.5), term(den=2.5),
-                     term(exp=[1.5] + [0] * 6), term(exp=[0] * 6)]
+                     term(exp=[1.5] + [0] * 6), term(exp=[0] * 6),
+                     dict(term(num=0), I=[5, 9], J=[0])]
         for bad in bad_terms:
             with pytest.raises(ValueError, match=r"malformed term /terms/1"):
                 form_from_json({"degree": 1, "terms": [term(), bad]})
-        for doc in ({"degree": 1, "terms": 5}, {"degree": 1.5, "terms": []}):
+        for doc in ({"degree": 1, "terms": 5}, {"degree": 1.5, "terms": []},
+                    {"degree": -3, "terms": []}):
             with pytest.raises(ValueError):
                 form_from_json(doc)
 

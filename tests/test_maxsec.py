@@ -33,6 +33,16 @@ def interior_direction(rng, s):
     return d
 
 
+def sine_mode(s, ks, coord):
+    """delta whose coordinate coord is the interior sine mode ks (one wave
+    number per axis); zero elsewhere and on the boundary."""
+    phi = [np.sin(np.pi * k * np.arange(n) / (n - 1)) for n, k in zip(s.dims, ks)]
+    d = np.zeros(s.values.shape)
+    d[..., coord] = phi[0][:, None, None] * phi[1][None, :, None] * phi[2][None, None, :]
+    d[~s.interior_mask()] = 0.0
+    return d
+
+
 def hessian_apply(s, delta):
     return mx._hessian_apply(s, mx._hessian_cache(s, mx._grad_and_gram(s)[1]), delta)
 
@@ -235,6 +245,63 @@ class TestHessian:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+class TestPreconditioner:
+    @pytest.mark.parametrize("dims", [(11, 11, 11), (9, 7, 8)])
+    def test_exact_at_affine_section(self, dims):
+        # M H = V on the sine modes, with V the cell volume: M H delta = V
+        # delta on the complement, and Rayleigh quotient V on each frame
+        # coefficient's modes
+        s = mx.affine_section(dims, tuple(1.0 / (n - 1) for n in dims))
+        gram = mx._grad_and_gram(s)[1]
+        cache = mx._hessian_cache(s, gram)
+        precond = mx._split_preconditioner(s, gram[0])
+        vol = float(np.prod(s.spacing))
+        top = tuple(n - 2 for n in dims)
+        modes = [(1, 1, 1), (2, 3, 1), (1, top[1], 3), top]
+        for ks in modes:
+            for coord in (mx.SIG_PLUS, 12, mx.DIM - 1):
+                d = sine_mode(s, ks, coord)
+                mhd = precond(mx._hessian_apply(s, cache, d)) / vol
+                assert np.abs(mhd - d).max() <= 1e-12
+            for coord in range(mx.SIG_PLUS):
+                d = sine_mode(s, ks, coord)
+                mhd = precond(mx._hessian_apply(s, cache, d)) / vol
+                assert abs(np.sum(d * mhd) / np.sum(d * d) - 1.0) <= 1e-12
+
+
+class TestMinEigenvalues:
+    @staticmethod
+    def fields():
+        rng = np.random.default_rng(30)
+        n = 2000
+        rot = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+        a = rng.normal(size=(n, 3, 3))
+        noise = rng.normal(size=(n, 3, 3))
+        x, y = rng.uniform(0.5, 2.0, size=(2, n))
+
+        def with_spectrum(*lam):
+            return rot @ (np.stack(lam, axis=-1)[..., None] * rot.swapaxes(-1, -2))
+
+        return {
+            "spd": a @ a.swapaxes(-1, -2) + np.eye(3),
+            "near_identity": np.eye(3) + 1e-9 * (noise + noise.swapaxes(-1, -2)),
+            "double_smallest": with_spectrum(x, x, x + y),
+            "double_largest": with_spectrum(x, x + y, x + y),
+            "scalar": x[:, None, None] * np.eye(3),
+        }
+
+    @pytest.mark.parametrize("name", ["spd", "near_identity", "double_smallest",
+                                      "double_largest", "scalar"])
+    def test_matches_eigvalsh(self, name):
+        g = self.fields()[name]
+        want = np.linalg.eigvalsh(g)[:, 0]
+        got = mx._min_eigenvalues(g)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_identity_exact(self):
+        assert mx._min_eigenvalues(np.eye(3)[None]) == 1.0
+
+
 class TestBaseMetric:
     def test_orthonormal_affine(self):
         s = mx.affine_section((5, 5, 5), (0.25, 0.25, 0.25))
@@ -348,6 +415,8 @@ class TestSolver:
         trials = out.iterations + out.line_search_rejections + out.positivity_failures
         assert calls["gram"] == 1 + trials
         assert calls["hvp"] == out.hvps == out.krylov_iters > 0
+        assert len(out.krylov_per_step) == out.iterations
+        assert sum(out.krylov_per_step) == out.krylov_iters
         monkeypatch.undo()
         # the history rows hold the values of the public functions
         _, last_area, last_res, last_eig = out.history[-1]
