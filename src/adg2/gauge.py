@@ -403,13 +403,21 @@ def field_to_json(a: LatticeConnection) -> dict:
 
 
 def field_from_json(doc: dict) -> LatticeConnection:
+    """The connection of a field_to_json document.  /rank must be an integer
+    and the /periodic flags booleans: a float rank or a string flag is
+    rejected, never converted."""
     try:
         dims = doc["dims"]
-        rank = int(doc["rank"])
+        rank = doc["rank"]
+        if type(rank) is not int:
+            raise ValueError(f"/rank must be an integer, got {rank!r}")
         spacing = doc.get("spacing", {})
         periodic = doc.get("periodic", {})
-        base_periodic = bool(periodic.get("base", False))
-        fibre_periodic = bool(periodic.get("fibre", True))
+        base_periodic = periodic.get("base", False)
+        fibre_periodic = periodic.get("fibre", True)
+        for name, flag in (("base", base_periodic), ("fibre", fibre_periodic)):
+            if type(flag) is not bool:
+                raise ValueError(f"/periodic/{name} must be a boolean, got {flag!r}")
         grid = LatticeGrid(
             tuple(dims["base"]), tuple(dims["fibre"]),
             tuple(spacing.get("base", [_unit_spacing(n, base_periodic)

@@ -24,11 +24,13 @@ duality statement for maximal sections.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
 import os
 import tempfile
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,13 +107,14 @@ class SectionGrid:
 
     def interior_mask(self) -> np.ndarray:
         m = np.zeros(self.dims, dtype=bool)
-        m[1:-1, 1:-1, 1:-1] = True
+        m[_INTERIOR] = True
         return m
 
 
 _CORNERS = [(o1, o2, o3) for o1 in (0, 1) for o2 in (0, 1) for o3 in (0, 1)]
 _GAUSS_1D = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 _GAUSS_PTS = [(a, b, c) for a in _GAUSS_1D for b in _GAUSS_1D for c in _GAUSS_1D]
+_INTERIOR = (slice(1, -1),) * 3  # index of the interior nodes
 
 
 def _shape_gradient_table(spacing) -> np.ndarray:
@@ -171,14 +174,15 @@ def _corner_view(values: np.ndarray, offset) -> np.ndarray:
     return values[o1:n1 - 1 + o1, o2:n2 - 1 + o2, o3:n3 - 1 + o3]
 
 
-def _corner_stack(values: np.ndarray) -> np.ndarray:
-    """(cells..., 8 corners, 22) view of the nodal values."""
-    return np.stack([_corner_view(values, o) for o in _CORNERS], axis=-2)
+def _corner_stack(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(cells..., 8 corners, 22) copy of the nodal values, into out if given."""
+    return np.stack([_corner_view(values, o) for o in _CORNERS], axis=-2, out=out)
 
 
-def _corner_scatter(cells: np.ndarray, shape) -> np.ndarray:
-    """Sum per-corner cell terms (cells..., 8 corners, 22) onto the nodes."""
-    out = np.zeros(shape)
+def _corner_scatter(cells: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum per-corner cell terms (cells..., 8 corners, 22) onto the nodes of
+    out, which is zero-filled first; returns out."""
+    out.fill(0.0)
     for ci, o in enumerate(_CORNERS):
         view = _corner_view(out, o)
         view += cells[..., ci, :]
@@ -268,7 +272,7 @@ def _grad_and_gram(s: SectionGrid):
     _, t3 = _shape_tables(s.spacing)
     # contract gauss and axis with one matmul: (8c, 24) @ (cells, 24, 22)
     cells = t3 @ m.reshape(m.shape[:3] + (24, DIM))
-    grad = _corner_scatter(cells, s.values.shape)
+    grad = _corner_scatter(cells, np.empty(s.values.shape))
     grad[~s.interior_mask()] = 0.0
     return grad, (dh, qd, g, det)
 
@@ -404,6 +408,21 @@ class SolveResult:
     hvps: int = 0  # Hessian-vector products
     line_search_rejections: int = 0  # trials rejected by the residual bar
     positivity_failures: int = 0  # trials that lost positivity
+    # seconds per phase: "start" (the initial gradient and residual),
+    # "krylov" (_newton_direction: Hessian data, preconditioner set-up and
+    # MINRES), "line_search" (trial gradients, residuals and positivity
+    # checks) and "history" (_history_row)
+    phase_seconds: dict = field(default_factory=dict)
+
+
+@contextlib.contextmanager
+def _timed(phases: dict, key: str):
+    """Add the seconds spent in the with-block to phases[key]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        phases[key] += time.perf_counter() - t0
 
 
 def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
@@ -426,11 +445,14 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     s = init.copy()
     mask = s.interior_mask()
 
+    phases = dict.fromkeys(("start", "krylov", "line_search", "history"), 0.0)
     counts = dict(krylov_iters=0, hvps=0, line_search_rejections=0,
-                  positivity_failures=0, krylov_per_step=[])
-    g, gram = _grad_and_gram(s)
-    res = residual_norm(s, g)
-    history = [_history_row(0, s, gram, res)]
+                  positivity_failures=0, krylov_per_step=[], phase_seconds=phases)
+    with _timed(phases, "start"):
+        g, gram = _grad_and_gram(s)
+        res = residual_norm(s, g)
+    with _timed(phases, "history"):
+        history = [_history_row(0, s, gram, res)]
     if res <= tol:
         return SolveResult(s, True, 0, res, history, **counts)
 
@@ -438,39 +460,42 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         krylov_before = counts["krylov_iters"]
-        delta = _newton_direction(s, g, gram, mask, counts)
+        with _timed(phases, "krylov"):
+            delta = _newton_direction(s, g, gram, mask, counts)
         if delta is None:
             raise SolveError(
                 f"no Newton direction at iteration {n_iter} (residual {res:.3e})")
         accepted = False
         shrink = 1.0
         bar = max(recent[-8:])
-        for _ in range(60):
-            trial = s.copy()
-            trial.values[mask] += shrink * delta[mask]
-            try:
-                g_trial, gram_trial = _grad_and_gram(trial)
-                res_trial = residual_norm(trial, g_trial)
-            except PositivityError:
-                counts["positivity_failures"] += 1
+        with _timed(phases, "line_search"):
+            for _ in range(60):
+                trial = s.copy()
+                trial.values[mask] += shrink * delta[mask]
+                try:
+                    g_trial, gram_trial = _grad_and_gram(trial)
+                    res_trial = residual_norm(trial, g_trial)
+                except PositivityError:
+                    counts["positivity_failures"] += 1
+                    shrink *= 0.5
+                    if shrink < 1e-10:
+                        raise SolveError(
+                            f"positivity lost at minimum step (iteration {n_iter}, "
+                            f"residual {res:.3e})")
+                    continue
+                if res_trial < bar or shrink < 1e-6:
+                    s, g, gram, res = trial, g_trial, gram_trial, res_trial
+                    accepted = True
+                    break
+                counts["line_search_rejections"] += 1
                 shrink *= 0.5
-                if shrink < 1e-10:
-                    raise SolveError(
-                        f"positivity lost at minimum step (iteration {n_iter}, "
-                        f"residual {res:.3e})")
-                continue
-            if res_trial < bar or shrink < 1e-6:
-                s, g, gram, res = trial, g_trial, gram_trial, res_trial
-                accepted = True
-                break
-            counts["line_search_rejections"] += 1
-            shrink *= 0.5
         if not accepted:
             raise SolveError(
                 f"no acceptable step at iteration {n_iter} (residual {res:.3e})")
         counts["krylov_per_step"].append(counts["krylov_iters"] - krylov_before)
         recent.append(res)
-        history.append(_history_row(n_iter, s, gram, res))
+        with _timed(phases, "history"):
+            history.append(_history_row(n_iter, s, gram, res))
         if res <= tol:
             return SolveResult(s, True, n_iter, res, history, **counts)
     return SolveResult(s, False, n_iter, res, history,
@@ -485,13 +510,24 @@ def _history_row(n_iter: int, s: SectionGrid, gram, res: float) -> tuple:
 
 def _hessian_cache(s: SectionGrid, gram):
     """Per-Gauss-point data of the Hessian at s, from its Gram data
-    (dh, qd, g, det): dh, (G^-1 qd)^T, G^-1, the gradient weight w and
-    A = w G^-1."""
+    (dh, qd, g, det): dh, (G^-1 qd)^T, G^-1, the gradient weight w,
+    A = w G^-1 and -Q; then the workspace of _hessian_apply.
+
+    The workspace is allocated here, once per Newton step, and every
+    product at this step overwrites it: the corner values (later the
+    per-corner cell terms), the Gauss-point derivatives dd (later E dh), the
+    variation dm, the 3x3 fields K (later L + L^T), L and E, the trace and
+    the node sums.  It lives in the cache, not in the module, so a cache is
+    the only state a product touches."""
     dh, qd, g, det = gram
     ginv = _inv3(g, det)
     w = _gradient_weight(s, det)[..., None, None]
     gq_t = np.ascontiguousarray((ginv @ qd).swapaxes(-1, -2))
-    return dh, gq_t, ginv, w, w * ginv
+    cells = dh.shape[:3]
+    work = (np.empty(cells + (8, DIM)), np.empty(dh.shape), np.empty(dh.shape),
+            np.empty(g.shape), np.empty(g.shape), np.empty(g.shape),
+            np.empty(g.shape[:-2]), np.empty(s.values.shape))
+    return dh, gq_t, ginv, w, w * ginv, -s.pairing, work
 
 
 def _hessian_apply(s: SectionGrid, cache, delta: np.ndarray) -> np.ndarray:
@@ -502,20 +538,33 @@ def _hessian_apply(s: SectionGrid, cache, delta: np.ndarray) -> np.ndarray:
     of delta) by (A dd + E dh) Q.  With dG = dd Q dh^T + dh Q dd^T,
     E = (tr(G^-1 dG) / 3) A - A dG G^-1, and K = dd Q dh^T G^-1 and
     L = G^-1 K give tr(G^-1 dG) = 2 tr K and A dG G^-1 = w (L + L^T).  Q
-    commutes with the sum onto the nodes, so it is applied once per node."""
-    dh, gq_t, ginv, w, a = cache
+    commutes with the sum onto the nodes, so it is applied once per node.
+
+    Every intermediate is written into the workspace of the cache
+    (_hessian_cache), so a product allocates only its result.  The result
+    is a fresh array on every call: MINRES keeps the vectors it is given."""
+    dh, gq_t, ginv, w, a, neg_q, work = cache
+    corners, dd, dm, k, lmat, e, tr, nodes = work
     t2, t3 = _shape_tables(s.spacing)
-    corners = _corner_stack(delta)
-    dd = (t2 @ corners).reshape(corners.shape[:3] + (8, 3, DIM))
-    k = dd @ gq_t
-    lmat = ginv @ k
-    tr = k[..., 0, 0] + k[..., 1, 1] + k[..., 2, 2]
-    e = (2.0 / 3.0) * tr[..., None, None] * a - w * (lmat + lmat.swapaxes(-1, -2))
-    dm = a @ dd
-    dm += e @ dh
-    cells = _corner_scatter(t3 @ dm.reshape(dm.shape[:3] + (24, DIM)), delta.shape)
+    cells = corners.shape[:3]
+    _corner_stack(delta, out=corners)
+    np.matmul(t2, corners, out=dd.reshape(cells + (24, DIM)))
+    np.matmul(dd, gq_t, out=k)
+    np.matmul(ginv, k, out=lmat)
+    np.add(k[..., 0, 0], k[..., 1, 1], out=tr)
+    tr += k[..., 2, 2]
+    tr *= 2.0 / 3.0
+    np.multiply(tr[..., None, None], a, out=e)
+    lsym = np.add(lmat, lmat.swapaxes(-1, -2), out=k)
+    lsym *= w
+    e -= lsym
+    np.matmul(a, dd, out=dm)
+    edh = np.matmul(e, dh, out=dd)
+    dm += edh
+    np.matmul(t3, dm.reshape(cells + (24, DIM)), out=corners)
+    _corner_scatter(corners, nodes)
     out = np.zeros_like(delta)
-    out[1:-1, 1:-1, 1:-1] = cells[1:-1, 1:-1, 1:-1] @ -s.pairing
+    np.matmul(nodes[_INTERIOR], neg_q, out=out[_INTERIOR])
     return out
 
 
@@ -576,12 +625,12 @@ def _split_preconditioner(s: SectionGrid, dh: np.ndarray):
     t = np.concatenate([a, nbasis], axis=1)  # (22, 22)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        rc = r[1:-1, 1:-1, 1:-1] @ t
-        spec = sfft.dstn(rc, type=1, axes=(0, 1, 2))
+        # one temporary, transformed in place; the result is fresh
+        spec = sfft.dstn(r[_INTERIOR] @ t, type=1, axes=(0, 1, 2), overwrite_x=True)
         spec /= symbol
-        sol = sfft.idstn(spec, type=1, axes=(0, 1, 2))
+        sol = sfft.idstn(spec, type=1, axes=(0, 1, 2), overwrite_x=True)
         out = np.zeros_like(r)
-        out[1:-1, 1:-1, 1:-1] = sol @ t.T
+        np.matmul(sol, t.T, out=out[_INTERIOR])
         return out
 
     return apply
@@ -601,17 +650,15 @@ def _newton_direction(s: SectionGrid, g: np.ndarray, gram, mask: np.ndarray,
     cache = _hessian_cache(s, gram)
     precond = _split_preconditioner(s, gram[0])
     shape = g.shape
+    vec = np.zeros(shape)  # the boundary stays zero
 
     def matvec(x):
         counts["hvps"] += 1
-        vec = np.zeros(shape)
-        vec[mask] = x.reshape(shape)[mask]
+        vec[_INTERIOR] = x.reshape(shape)[_INTERIOR]
         return _hessian_apply(s, cache, vec).ravel()
 
     def psolve(x):
-        out = precond(x.reshape(shape))
-        out[~mask] = 0.0
-        return out.ravel()
+        return precond(x.reshape(shape)).ravel()
 
     def count_iteration(_):
         counts["krylov_iters"] += 1
@@ -619,8 +666,8 @@ def _newton_direction(s: SectionGrid, g: np.ndarray, gram, mask: np.ndarray,
     ndof = int(np.prod(shape))
     a_op = sla.LinearOperator((ndof, ndof), matvec=matvec, dtype=float)
     m_op = sla.LinearOperator((ndof, ndof), matvec=psolve, dtype=float)
-    b = np.where(mask[..., None], g, 0.0).ravel()
-    x, _ = sla.minres(a_op, b, M=m_op, rtol=2e-2, maxiter=60,
+    # g, the products and the preconditioner all vanish on the boundary
+    x, _ = sla.minres(a_op, g.ravel(), M=m_op, rtol=2e-2, maxiter=60,
                       callback=count_iteration)
     x = x.reshape(shape)
     x[~mask] = 0.0
@@ -643,14 +690,21 @@ def grid_to_json(s: SectionGrid) -> dict:
 
 
 def grid_from_json(doc: dict) -> SectionGrid:
+    """The grid of a grid_to_json document.  /dims must hold integers and
+    /spacing numbers: a float or boolean dim and a string or boolean spacing
+    are rejected, never converted."""
     for key in ("dims", "spacing", "Q", "nodes"):
         if key not in doc:
             raise ValueError(f"grid document missing /{key}")
-    dims = tuple(int(n) for n in doc["dims"])
+    dims, spacing = tuple(doc["dims"]), tuple(doc["spacing"])
+    if not all(type(n) is int for n in dims):
+        raise ValueError(f"/dims must hold integers, got {doc['dims']!r}")
+    if not all(type(h) in (int, float) for h in spacing):
+        raise ValueError(f"/spacing must hold numbers, got {doc['spacing']!r}")
     nodes = np.asarray(doc["nodes"], dtype=float)
     if nodes.shape != (int(np.prod(dims)), DIM):
         raise ValueError("/nodes has the wrong shape for /dims")
-    return SectionGrid(nodes.reshape(dims + (DIM,)), tuple(doc["spacing"]),
+    return SectionGrid(nodes.reshape(dims + (DIM,)), spacing,
                        np.asarray(doc["Q"], dtype=float))
 
 

@@ -526,6 +526,17 @@ class TestFieldIO:
         with pytest.raises(ValueError, match="malformed field document"):
             ga.field_from_json({"dims": dims, "rank": 1})
 
+    @pytest.mark.parametrize("field, value, where", [
+        ("rank", 1.7, "/rank"), ("rank", True, "/rank"),
+        ("periodic", {"base": "false"}, "/periodic/base"),
+        ("periodic", {"fibre": 1}, "/periodic/fibre")],
+        ids=["float_rank", "bool_rank", "string_base_flag", "int_fibre_flag"])
+    def test_guessed_fields_rejected(self, field, value, where):
+        doc = ga.field_to_json(ga.LatticeConnection.zero(ga.LatticeGrid.unit(3, 3)))
+        doc[field] = value
+        with pytest.raises(ValueError, match=where):
+            ga.field_from_json(doc)
+
     def test_spacing_count_checked(self):
         with pytest.raises(ValueError, match="spacings"):
             ga.LatticeGrid((3, 3, 3), (3, 3, 3, 3), (0.5, 0.5), (0.5,) * 4)

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,38 @@ class TestHessian:
             got = hessian_apply(s, d)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @staticmethod
+    def workspace_case():
+        rng = np.random.default_rng(24)
+        s = perturbed_affine(rng, dims=(11, 11, 11))
+        cache = mx._hessian_cache(s, mx._grad_and_gram(s)[1])
+        return s, cache, interior_direction(rng, s), interior_direction(rng, s)
+
+    def test_product_allocates_only_its_result(self):
+        # the intermediates live in the per-step workspace of the cache
+        s, cache, d, _ = self.workspace_case()
+        mx._hessian_apply(s, cache, d)
+        tracemalloc.start()
+        try:
+            mx._hessian_apply(s, cache, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * d.nbytes
+
+    def test_results_are_fresh_and_repeatable(self):
+        # MINRES keeps the vectors it is given, so a product must not return
+        # or overwrite workspace memory
+        s, cache, d1, d2 = self.workspace_case()
+        first = mx._hessian_apply(s, cache, d1)
+        kept = first.copy()
+        second = mx._hessian_apply(s, cache, d2)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert np.array_equal(mx._hessian_apply(s, cache, d1), kept)
+        want = reference_hessian_apply(s, d2)
+        assert np.abs(second - want).max() <= 1e-12 * np.abs(want).max()
+
 
 class TestPreconditioner:
     @pytest.mark.parametrize("dims", [(11, 11, 11), (9, 7, 8)])
@@ -424,6 +457,19 @@ class TestSolver:
         assert last_eig == mx.min_gram_eigenvalue(out.grid)
         assert last_res == out.residual
 
+    def test_phase_seconds(self):
+        rng = np.random.default_rng(16)
+        s = perturbed_affine(rng, dims=(9, 9, 9), amp=2e-3)
+        t0 = time.perf_counter()
+        out = mx.solve_dirichlet(s, tol=1e-8, max_iter=500)
+        wall = time.perf_counter() - t0
+        phases = out.phase_seconds
+        assert out.converged and out.iterations > 0
+        assert set(phases) == {"start", "krylov", "line_search", "history"}
+        assert all(v >= 0.0 for v in phases.values())
+        assert phases["krylov"] > 0.0
+        assert sum(phases.values()) <= wall
+
     def test_history_columns(self):
         rng = np.random.default_rng(12)
         s = perturbed_affine(rng, dims=(5, 5, 5), amp=1e-3)
@@ -453,6 +499,17 @@ class TestIO:
         doc = mx.grid_to_json(mx.affine_section((5, 5, 5), (0.25,) * 3))
         doc["spacing"] = spacing
         with pytest.raises(ValueError):
+            mx.grid_from_json(doc)
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("dims", [3.9, 3.2, 3.7], "/dims"), ("dims", [5, True, 5], "/dims"),
+        ("spacing", [0.25, "0.25", 0.25], "/spacing"),
+        ("spacing", [0.25, 0.25, True], "/spacing")],
+        ids=["float_dims", "bool_dim", "string_spacing", "bool_spacing"])
+    def test_guessed_fields_rejected(self, field, value, where):
+        doc = mx.grid_to_json(mx.affine_section((5, 5, 5), (0.25,) * 3))
+        doc[field] = value
+        with pytest.raises(ValueError, match=where):
             mx.grid_from_json(doc)
 
     def test_history_csv(self, tmp_path):
