@@ -430,13 +430,18 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     """Drive the interior nodes to a discrete critical point of the area,
     holding the boundary values of `init` fixed.
 
-    Each step solves the Newton system approximately by MINRES with exact
-    Hessian-vector products and the split preconditioner
-    (_newton_direction), then halves the step until the trial keeps
-    positivity and its residual falls below the worst of the last eight
-    accepted residuals.  SolveError names the iteration and the residual
-    when MINRES gives no usable direction, when positivity is lost at the
-    minimum step, or when no step is accepted.
+    Each step solves the Newton system by MINRES with exact Hessian-vector
+    products and the split preconditioner P, to the fixed forcing term
+    ||g - H delta||_P <= _ETA ||g||_P (_newton_direction), then halves the
+    step until the trial keeps positivity and its residual falls below the
+    worst of the last eight accepted residuals.  That forcing term means the
+    same on every grid and is isometry-invariant, so the Newton step count
+    barely grows with the grid (7 to 10 steps from 9^3 to 17^3 on noisy
+    affine and smooth graphical data) and solve commutes with dualize to
+    rounding.  SolveError names the iteration and the residual when MINRES
+    breaks down (then also its own iteration and beta^2) or gives no usable
+    direction, when positivity is lost at the minimum step, or when no
+    step is accepted.
 
     Each history row is (iteration, area, residual, smallest Gram
     eigenvalue); the residual is residual_norm of the iterate, which
@@ -460,11 +465,14 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         krylov_before = counts["krylov_iters"]
+        where = f"no Newton direction at iteration {n_iter} (residual {res:.3e})"
         with _timed(phases, "krylov"):
-            delta = _newton_direction(s, g, gram, mask, counts)
+            try:
+                delta = _newton_direction(s, g, gram, counts)
+            except SolveError as err:
+                raise SolveError(f"{where}: {err}") from err
         if delta is None:
-            raise SolveError(
-                f"no Newton direction at iteration {n_iter} (residual {res:.3e})")
+            raise SolveError(where)
         accepted = False
         shrink = 1.0
         bar = max(recent[-8:])
@@ -600,11 +608,10 @@ def _split_preconditioner(s: SectionGrid, dh: np.ndarray):
     on the m-th frame coefficient, and the apply divides by it mode by mode.
     dh holds the section's derivatives at the Gauss points (_gram).
 
-    The scale is that of the area density, as in residual_norm, and it is
-    not free: MINRES stops on ||r||_M / (||M H|| ||x||), which falls as M
-    grows, so inverting H itself (M larger by 1/V) stops MINRES after two
-    iterations and takes a noisy affine 11^3 solve from 24 to about 110
-    Newton steps.
+    The scale is that of the area density, as in residual_norm.  It does not
+    move where MINRES stops: _minres compares ||r||_P with ||g||_P, and a
+    constant factor in P cancels from that ratio, so inverting H itself
+    (P larger by 1/V) gives the same directions to rounding.
     """
     from scipy import fft as sfft
 
@@ -636,42 +643,97 @@ def _split_preconditioner(s: SectionGrid, dh: np.ndarray):
     return apply
 
 
-def _newton_direction(s: SectionGrid, g: np.ndarray, gram, mask: np.ndarray,
-                      counts: dict):
+_ETA = 0.1
+"""Forcing term of the Newton-MINRES step: MINRES stops once ||g - H x||_P
+<= _ETA ||g||_P, with P the split preconditioner.  Tighter costs more
+products, and much tighter costs Newton steps too: away from the solution
+the Hessian is indefinite and an accurate Newton direction there is a poor
+one.  Looser costs Newton steps, each with its Hessian set-up and line
+search.  On the first maxsec-rough draw of seed 0 (noisy affine, 11^3, one
+thread), eta = 0.01 took 19 Newton steps, one line-search rejection, 609
+MINRES iterations and 9.6 s; 0.03 took 7 steps, 91 iterations and 1.3 s;
+0.1 takes 8 steps, 77 iterations and 1.2 s; 0.3 took 12 steps, 73
+iterations and 1.5 s.  With 0.1, 9^3 to 17^3 solves take 7 to 10 Newton
+steps."""
+
+
+def _minres(apply, precond, b: np.ndarray, eta: float, maxiter: int):
+    """Preconditioned MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12,
+    1975) for apply(x) = b from x = 0, with apply symmetric and precond
+    symmetric positive definite; both map arrays shaped like b to fresh
+    arrays.
+
+    Stops when phibar <= eta beta1, that is ||b - apply(x)||_P <= eta
+    ||b||_P with ||r||_P^2 = r . precond(r), or after maxiter iterations.
+    The recurrences carry phibar, so the test costs no product, and it does
+    not change when precond is scaled by a constant.  One apply and one
+    precond per iteration, and one precond before the first.  Returns (x, iterations); raises SolveError when
+    some beta^2 = r . precond(r) is negative or not finite, which a positive
+    definite precond cannot give."""
+
+    def beta_of(r, z, itn):
+        beta2 = float(np.vdot(r, z))
+        if not (np.isfinite(beta2) and beta2 >= 0.0):
+            raise SolveError(f"MINRES broke down at its iteration {itn}: beta^2 = "
+                             f"{beta2:.3e} is negative or not finite")
+        return np.sqrt(beta2)
+
+    x = np.zeros_like(b)
+    r1 = r2 = b
+    y = precond(b)
+    beta1 = beta = phibar = beta_of(b, y, 0)
+    oldb = dbar = epsln = 0.0
+    cs, sn = -1.0, 0.0
+    w = w2 = np.zeros_like(b)
+    itn = 0
+    while phibar > eta * beta1 and itn < maxiter:
+        itn += 1
+        # Lanczos step: v is the next P-orthonormal vector, y = P r2
+        v = y / beta
+        y = apply(v)
+        if itn >= 2:
+            y -= (beta / oldb) * r1
+        alfa = float(np.vdot(v, y))
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = precond(r2)
+        oldb, beta = beta, beta_of(r2, y, itn)
+        # the next Givens rotation of the tridiagonal QR factorization
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        gamma = np.hypot(gbar, beta)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x += phi * w
+    return x, itn
+
+
+def _newton_direction(s: SectionGrid, g: np.ndarray, gram, counts: dict):
     """Approximately solve H delta = g with H = -Hessian (exact analytic
     Hessian-vector products) at s with Gram data gram.  The Hessian is
     indefinite in general (the critical sections are saddles of the discrete
     area in the tangential compression modes), so the Krylov solver is
-    MINRES with the positive definite split preconditioner.  Adds the
-    MINRES iterations and Hessian-vector products to counts.  Returns None
-    when MINRES gives a non-finite or all-zero direction."""
-    from scipy.sparse import linalg as sla
-
+    MINRES (_minres) with the positive definite split preconditioner P,
+    stopped at ||g - H delta||_P <= _ETA ||g||_P: a relative residual in a
+    norm that Q-isometries and the scale of P leave unchanged, so the same
+    forcing term on every grid.  Adds the MINRES iterations and the
+    Hessian-vector products, one per iteration, to counts.  Returns None
+    when MINRES gives a non-finite or all-zero direction; SolveError from
+    _minres passes through."""
     cache = _hessian_cache(s, gram)
     precond = _split_preconditioner(s, gram[0])
-    shape = g.shape
-    vec = np.zeros(shape)  # the boundary stays zero
-
-    def matvec(x):
-        counts["hvps"] += 1
-        vec[_INTERIOR] = x.reshape(shape)[_INTERIOR]
-        return _hessian_apply(s, cache, vec).ravel()
-
-    def psolve(x):
-        return precond(x.reshape(shape)).ravel()
-
-    def count_iteration(_):
-        counts["krylov_iters"] += 1
-
-    ndof = int(np.prod(shape))
-    a_op = sla.LinearOperator((ndof, ndof), matvec=matvec, dtype=float)
-    m_op = sla.LinearOperator((ndof, ndof), matvec=psolve, dtype=float)
-    # g, the products and the preconditioner all vanish on the boundary
-    x, _ = sla.minres(a_op, g.ravel(), M=m_op, rtol=2e-2, maxiter=60,
-                      callback=count_iteration)
-    x = x.reshape(shape)
-    x[~mask] = 0.0
-    if not np.isfinite(x).all() or float(np.abs(x[mask]).max()) == 0.0:
+    # g, the products and the preconditioner all vanish on the boundary, and
+    # so does every MINRES vector
+    x, iters = _minres(lambda d: _hessian_apply(s, cache, d), precond, g,
+                       _ETA, 60)
+    counts["krylov_iters"] += iters
+    counts["hvps"] += iters
+    if not np.isfinite(x).all() or not x.any():
         return None
     return x
 

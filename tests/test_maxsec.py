@@ -302,6 +302,68 @@ class TestPreconditioner:
                 assert abs(np.sum(d * mhd) / np.sum(d * d) - 1.0) <= 1e-12
 
 
+class TestMinres:
+    N = 30
+
+    @classmethod
+    def problem(cls):
+        """A symmetric indefinite H (a third of its eigenvalues negative,
+        |lambda| in [1, 2]), an SPD preconditioner matrix P = I + 0.2 A A^T /
+        N and a right-hand side."""
+        rng = np.random.default_rng(50)
+        u = np.linalg.qr(rng.normal(size=(cls.N, cls.N)))[0]
+        lam = rng.uniform(1.0, 2.0, size=cls.N) * np.where(np.arange(cls.N) % 3, 1.0, -1.0)
+        h = (u * lam) @ u.T
+        a = rng.normal(size=(cls.N, cls.N))
+        p = 0.2 * a @ a.T / cls.N + np.eye(cls.N)
+        return h, p, rng.normal(size=cls.N)
+
+    def solve(self, h, p, b, eta, maxiter=100):
+        return mx._minres(lambda x: h @ x, lambda r: p @ r, b, eta, maxiter)
+
+    def test_accurate_solve(self):
+        h, p, b = self.problem()
+        x, iters = self.solve(h, p, b, 1e-12)
+        assert iters <= self.N + 1
+        want = np.linalg.solve(h, b)
+        assert np.abs(x - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_stops_on_the_preconditioned_residual(self):
+        h, p, b = self.problem()
+        maxiter = 100
+        x, iters = self.solve(h, p, b, 0.1, maxiter)
+        assert 0 < iters < maxiter
+        r = b - h @ x
+        assert np.sqrt(r @ p @ r) <= 0.1 * np.sqrt(b @ p @ b)
+
+    def test_preconditioner_scale_does_not_move_the_stop(self):
+        h, p, b = self.problem()
+        x1, iters1 = self.solve(h, p, b, 0.1)
+        for c in (1e-3, 1e3):
+            xc, itersc = self.solve(h, c * p, b, 0.1)
+            assert itersc == iters1
+            assert np.abs(xc - x1).max() <= 1e-12 * np.abs(x1).max()
+
+    def test_zero_right_hand_side(self):
+        h, p, b = self.problem()
+        x, iters = self.solve(h, p, 0.0 * b, 0.1)
+        assert iters == 0 and not x.any()
+
+    @pytest.mark.parametrize("bad, where", [(-1.0, r"1: beta\^2 = -"),
+                                            (np.nan, r"1: beta\^2 = nan")])
+    def test_breakdown_raises(self, bad, where):
+        # a diagonal P, positive on b = e_0 and broken on e_1, the direction
+        # the first product opens
+        h = np.eye(self.N) + np.diag(np.ones(self.N - 1), 1) + np.diag(np.ones(self.N - 1), -1)
+        d = np.ones(self.N)
+        d[1] = bad
+        b = np.zeros(self.N)
+        b[0] = 1.0
+        with pytest.raises(mx.SolveError, match="MINRES broke down at its iteration " + where):
+            mx._minres(lambda x: h @ x, lambda r: np.where(r != 0.0, d * r, 0.0), b,
+                       1e-12, 100)
+
+
 class TestMinEigenvalues:
     @staticmethod
     def fields():
@@ -415,15 +477,67 @@ class TestSolver:
         assert out.message
 
     def test_no_newton_direction_raises(self, monkeypatch):
-        from scipy.sparse import linalg as sla
+        def nan_minres(apply, precond, b, eta, maxiter):
+            return np.full_like(b, np.nan), 1
 
-        def nan_minres(a, b, **kwargs):
-            return np.full_like(b, np.nan), 0
-
-        monkeypatch.setattr(sla, "minres", nan_minres)
+        monkeypatch.setattr(mx, "_minres", nan_minres)
         s = perturbed_affine(np.random.default_rng(15))
         with pytest.raises(mx.SolveError, match="iteration 1"):
             mx.solve_dirichlet(s, tol=1e-8, max_iter=10)
+
+    def test_indefinite_preconditioner_raises(self, monkeypatch):
+        split = mx._split_preconditioner
+
+        def negated(s, dh):
+            apply = split(s, dh)
+            return lambda r: -apply(r)
+
+        monkeypatch.setattr(mx, "_split_preconditioner", negated)
+        s = perturbed_affine(np.random.default_rng(15))
+        with pytest.raises(mx.SolveError, match=r"iteration 1 .*MINRES broke down "
+                           r"at its iteration 0: beta\^2 = -\d"):
+            mx.solve_dirichlet(s, tol=1e-8, max_iter=10)
+
+    def test_preconditioner_scale_does_not_move_the_solve(self, monkeypatch):
+        # the MINRES stop compares P-norms, so a constant factor in P cancels
+        s = perturbed_affine(np.random.default_rng(17))
+        want = mx.solve_dirichlet(s, tol=1e-8)
+        split = mx._split_preconditioner
+
+        def scaled(s, dh):
+            apply = split(s, dh)
+            return lambda r: 1e3 * apply(r)
+
+        monkeypatch.setattr(mx, "_split_preconditioner", scaled)
+        got = mx.solve_dirichlet(s, tol=1e-8)
+        assert got.converged and want.converged
+        assert got.krylov_per_step == want.krylov_per_step
+        assert np.abs(got.grid.values - want.grid.values).max() <= 1e-12
+
+    def test_equivariant_under_isometries(self):
+        # solve and a Q-isometry commute to rounding: the MINRES stop and
+        # every other step of the solver is isometry-invariant
+        init = graphical_section((9, 9, 9))
+        tol = 1e-8
+        base = mx.solve_dirichlet(init, tol=tol)
+        assert base.converged
+        want_area = mx.area(base.grid)
+        rng = np.random.default_rng(40)
+        for _ in range(3):
+            psi = mx.MuMap.random(rng)
+            moved = mx.dualize(base.grid, psi)
+            out = mx.solve_dirichlet(mx.dualize(init, psi), tol=tol)
+            assert out.converged
+            assert np.abs(out.grid.values - moved.values).max() <= 1e-10
+            assert abs(mx.area(out.grid) - want_area) <= 1e-12 * want_area
+            assert mx.residual_norm(moved) <= tol
+        # negative control: doubling the bent negative component is not a
+        # Q-isometry, and the solve sees it
+        scale = np.ones(mx.DIM)
+        scale[mx.SIG_PLUS] = 2.0
+        out = mx.solve_dirichlet(mx.SectionGrid(init.values * scale, init.spacing), tol=tol)
+        assert out.converged
+        assert np.abs(out.grid.values - base.grid.values * scale).max() > 1e-4
 
     def test_work_counted_once(self, monkeypatch):
         # one Gram evaluation per gradient (the start and every line-search
