@@ -465,14 +465,12 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         krylov_before = counts["krylov_iters"]
-        where = f"no Newton direction at iteration {n_iter} (residual {res:.3e})"
         with _timed(phases, "krylov"):
             try:
                 delta = _newton_direction(s, g, gram, counts)
             except SolveError as err:
-                raise SolveError(f"{where}: {err}") from err
-        if delta is None:
-            raise SolveError(where)
+                raise SolveError(f"no Newton direction at iteration {n_iter} "
+                                 f"(residual {res:.3e}): {err}") from err
         accepted = False
         shrink = 1.0
         bar = max(recent[-8:])
@@ -722,9 +720,9 @@ def _newton_direction(s: SectionGrid, g: np.ndarray, gram, counts: dict):
     stopped at ||g - H delta||_P <= _ETA ||g||_P: a relative residual in a
     norm that Q-isometries and the scale of P leave unchanged, so the same
     forcing term on every grid.  Adds the MINRES iterations and the
-    Hessian-vector products, one per iteration, to counts.  Returns None
-    when MINRES gives a non-finite or all-zero direction; SolveError from
-    _minres passes through."""
+    Hessian-vector products, one per iteration, to counts.  Raises
+    SolveError when MINRES breaks down or gives a non-finite or all-zero
+    direction."""
     cache = _hessian_cache(s, gram)
     precond = _split_preconditioner(s, gram[0])
     # g, the products and the preconditioner all vanish on the boundary, and
@@ -734,7 +732,7 @@ def _newton_direction(s: SectionGrid, g: np.ndarray, gram, counts: dict):
     counts["krylov_iters"] += iters
     counts["hvps"] += iters
     if not np.isfinite(x).all() or not x.any():
-        return None
+        raise SolveError("MINRES gave a non-finite or all-zero direction")
     return x
 
 
