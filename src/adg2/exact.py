@@ -4,8 +4,11 @@ Gaussian elimination.
 Everything in the pointwise algebra modules (excalc, g2lin, hk, spin) runs
 over Fraction or QQi entries, so "equals zero" always means exactly zero.
 Matrices are plain tuples of tuples; the sizes involved are 2x2 .. 8x8 and
-clarity beats speed here.  Where speed matters, the hot linear maps are not
-sped up here but cached where they are defined, built lazily from their one
+clarity beats speed here.  This is the one matrix vocabulary of those
+modules: the fibre 2-forms of hk are 4x4 Fraction matrices, added, scaled
+and tested for zero with madd, msub, mscale and is_zero_matrix like any
+other matrix.  Where speed matters, the hot linear maps are not sped up
+here but cached where they are defined, built lazily from their one
 defining formula: HKTriple._variation_map (hk.metric_variation) and
 SpinorModel._curvature_tensor (spin.curvature_operators).  The one
 elimination routine, _row_echelon, serves det, inverse and kernel_basis on
@@ -156,7 +159,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def is_zero_matrix(a: Matrix) -> bool:
-    return all(not bool(QQi.of(x)) for row in a for x in row)
+    """Every entry is exactly zero: Fraction, int and QQi entries alike are
+    tested by their truthiness, with no conversion."""
+    return not any(map(any, a))
 
 
 def mat_apply(a: Matrix, v: Sequence) -> tuple:

@@ -184,13 +184,24 @@ def section_to_json(s: FueterSectionGrid) -> dict:
 
 
 def section_from_json(doc: dict) -> FueterSectionGrid:
+    """The section of a section_to_json document.  /dims must hold integers,
+    /spacing and /period numbers and /base_periodic a boolean: a float dim, a
+    string number or a string flag is rejected, never converted."""
     for key in ("dims", "spacing", "values"):
         if key not in doc:
             raise ValueError(f"section document missing /{key}")
-    dims = tuple(int(n) for n in doc["dims"])
+    dims, spacing = tuple(doc["dims"]), tuple(doc["spacing"])
+    period = doc.get("period", TWO_PI)
+    base_periodic = doc.get("base_periodic", False)
+    if not all(type(n) is int for n in dims):
+        raise ValueError(f"/dims must hold integers, got {doc['dims']!r}")
+    if not all(type(h) in (int, float) for h in spacing):
+        raise ValueError(f"/spacing must hold numbers, got {doc['spacing']!r}")
+    if type(period) not in (int, float):
+        raise ValueError(f"/period must be a number, got {period!r}")
+    if type(base_periodic) is not bool:
+        raise ValueError(f"/base_periodic must be a boolean, got {base_periodic!r}")
     vals = np.asarray(doc["values"], dtype=float)
     if vals.shape != (int(np.prod(dims)), 4):
         raise ValueError("/values has the wrong shape for /dims")
-    return FueterSectionGrid(vals.reshape(dims + (4,)), tuple(doc["spacing"]),
-                             float(doc.get("period", TWO_PI)),
-                             bool(doc.get("base_periodic", False)))
+    return FueterSectionGrid(vals.reshape(dims + (4,)), spacing, period, base_periodic)

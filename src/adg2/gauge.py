@@ -8,7 +8,7 @@ edges) plus the commutator term.  The residual conventions:
 
   * rho_fibre[i]  = coefficient of the vertical curvature against the i-th
     standard self-dual form (the fibrewise anti-self-duality defect);
-  * rho_horiz[a]  = a-th component of sum_i I_i (contraction of the
+  * rho_horiz[a]  = a-th component of sum_i I_i (interior product of the
     curvature with the i-th base direction, vertical part), the horizontal
     defect written as a fibre 1-form; its Hodge dual against the base volume
     reproduces the horizontal part of the structure-form equation.
@@ -21,7 +21,6 @@ associative-side comparison in the fueter module would fail by a sign.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -74,14 +73,6 @@ def _matmul(a: np.ndarray, b: np.ndarray, commutator: bool = False) -> np.ndarra
 def _trace_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Tr(x y) at every node of two (..., r, r) matrix fields."""
     return np.einsum("...ij,...ji->...", x, y)
-
-
-def thread_count() -> int:
-    env = os.environ.get("ADG2_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _unit_spacing(n: int, periodic: bool) -> float:
@@ -341,7 +332,7 @@ def _cs_density(f_vert, f_mix, delta: np.ndarray, w: np.ndarray) -> float:
     return total
 
 
-def cs_instanton(path: ConnectionPath, workers: int | None = None) -> float:
+def cs_instanton(path: ConnectionPath, workers: int = 1) -> float:
     """Path functional whose critical points are the limiting instantons.
 
     Trapezoid in the path parameter with the increment folded in (so the
@@ -356,7 +347,6 @@ def cs_instanton(path: ConnectionPath, workers: int | None = None) -> float:
     """
     fields = path.fields
     n = len(fields)
-    workers = workers if workers is not None else thread_count()
 
     def snapshot_value(k: int) -> float:
         a = fields[k]
@@ -403,15 +393,21 @@ def field_to_json(a: LatticeConnection) -> dict:
 
 
 def field_from_json(doc: dict) -> LatticeConnection:
-    """The connection of a field_to_json document.  /rank must be an integer
-    and the /periodic flags booleans: a float rank or a string flag is
-    rejected, never converted."""
+    """The connection of a field_to_json document.  /rank and /dims must hold
+    integers, /spacing numbers and the /periodic flags booleans: a float rank
+    or dim, a string spacing or a string flag is rejected, never converted."""
     try:
         dims = doc["dims"]
         rank = doc["rank"]
         if type(rank) is not int:
             raise ValueError(f"/rank must be an integer, got {rank!r}")
         spacing = doc.get("spacing", {})
+        for name in ("base", "fibre"):
+            if not all(type(n) is int for n in dims[name]):
+                raise ValueError(f"/dims/{name} must hold integers, got {dims[name]!r}")
+            if not all(type(h) in (int, float) for h in spacing.get(name, ())):
+                raise ValueError(
+                    f"/spacing/{name} must hold numbers, got {spacing[name]!r}")
         periodic = doc.get("periodic", {})
         base_periodic = periodic.get("base", False)
         fibre_periodic = periodic.get("fibre", True)

@@ -10,6 +10,12 @@ metric_variation is linear in the form variation.  Its defining formula,
 _metric_variation_formula, is evaluated once per triple on the 48 unit
 variations, lazily on first use; the sparse exact map it yields is cached on
 the HKTriple object and every call applies that map.
+
+This module is the one home of the standard triple (STANDARD_TRIPLE), its
+anti-self-dual basis (ASD_BASIS) and the complex structures of a triple
+(complex_structure_matrices).  It has no matrix arithmetic of its own: sums,
+differences, multiples and zero tests of 2-forms are exact.madd, msub,
+mscale and is_zero_matrix, and the zero 2-form is form2({}).
 """
 
 from __future__ import annotations
@@ -19,11 +25,9 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Sequence
 
-from .exact import QQi, inverse, madd, mscale, zeros
+from .exact import QQi, inverse, madd, mscale, msub, zeros
 
 Mat4 = tuple  # 4x4 tuple of tuples of Fraction
-
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def form2(entries) -> Mat4:
@@ -45,27 +49,6 @@ def form2(entries) -> Mat4:
     return tuple(tuple(row) for row in m)
 
 
-def zero2() -> Mat4:
-    return form2({})
-
-
-def add2(a: Mat4, b: Mat4) -> Mat4:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def sub2(a: Mat4, b: Mat4) -> Mat4:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def scale2(c, a: Mat4) -> Mat4:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def is_zero2(a: Mat4) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def wedge22(a: Mat4, b: Mat4) -> Fraction:
     """Coefficient of vol4 in a ^ b for 2-forms a, b."""
     return (a[0][1] * b[2][3] + a[2][3] * b[0][1]
@@ -81,11 +64,6 @@ def wedge112(u: Sequence, v: Sequence, c: Mat4) -> Fraction:
             - (u[1] * v[3] - u[3] * v[1]) * c[0][2]
             + (u[0] * v[3] - u[3] * v[0]) * c[1][2]
             + (u[1] * v[2] - u[2] * v[1]) * c[0][3])
-
-
-def contract(vector: Sequence, a: Mat4) -> tuple:
-    """Covector i_Y a, components (a(Y, e_b))_b."""
-    return tuple(sum(Fraction(vector[c]) * a[c][b] for c in range(4)) for b in range(4))
 
 
 STANDARD_TRIPLE: tuple[Mat4, Mat4, Mat4] = (
@@ -180,7 +158,7 @@ def metric_from_triple(omega: Sequence[Mat4]) -> tuple[Mat4, Fraction]:
     cyc = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     gs = []
     for (i, j, k) in cyc:
-        # contraction with a basis vector is row extraction
+        # the interior product with e_a is row a of the matrix
         gs.append(tuple(tuple(wedge112(omega[i][a], omega[j][b], omega[k]) / mu
                               for b in range(4)) for a in range(4)))
     if not (gs[0] == gs[1] == gs[2]):
@@ -221,7 +199,7 @@ def decompose_variation(t: HKTriple, v: TripleVariation):
     for i in range(3):
         r = v.omega_dot[i]
         for j in range(3):
-            r = sub2(r, scale2(a[i][j] + (b if i == j else 0), t.omega[j]))
+            r = msub(r, mscale(a[i][j] + (b if i == j else 0), t.omega[j]))
         asd.append(r)
     return a, b, tuple(asd)
 
@@ -249,7 +227,7 @@ def _metric_variation_formula(t: HKTriple, v: TripleVariation) -> MetricVariatio
     w1d, w2d, w3d = v.omega_dot
     g_dot = [[Fraction(0)] * 4 for _ in range(4)]
     for aa in range(4):
-        # contraction with a basis vector is row extraction
+        # the interior product with e_a is row a of the matrix
         r1d, r1 = w1d[aa], w1[aa]
         for bb in range(4):
             rhs = (wedge112(r1d, w2[bb], w3)

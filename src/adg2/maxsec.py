@@ -200,7 +200,7 @@ def _gram(s: SectionGrid):
     and the Gram matrices; leading shape (cells..., 8 gauss)."""
     t2, _ = _shape_tables(s.spacing)
     corners = _corner_stack(s.values)
-    # contract the corner index with one matmul: (24, 8c) @ (cells, 8c, 22)
+    # sum over the corner index with one matmul: (24, 8c) @ (cells, 8c, 22)
     dh = (t2 @ corners).reshape(corners.shape[:3] + (8, 3, DIM))
     qd = dh @ s.pairing
     g = dh @ qd.swapaxes(-1, -2)
@@ -270,7 +270,7 @@ def _grad_and_gram(s: SectionGrid):
     ginv = _inv3(g, det)
     m = (_gradient_weight(s, det)[..., None, None] * ginv) @ qd
     _, t3 = _shape_tables(s.spacing)
-    # contract gauss and axis with one matmul: (8c, 24) @ (cells, 24, 22)
+    # sum over gauss and axis with one matmul: (8c, 24) @ (cells, 24, 22)
     cells = t3 @ m.reshape(m.shape[:3] + (24, DIM))
     grad = _corner_scatter(cells, np.empty(s.values.shape))
     grad[~s.interior_mask()] = 0.0
@@ -329,18 +329,21 @@ def base_metric(s: SectionGrid):
     return gb, dens
 
 
+# largest entry of M^T Q M - Q that MuMap accepts, relative to max(1, |Q|)
+_ISOMETRY_TOL = 1e-10
+
+
 class MuMap:
     """A linear map preserving the pairing; composition acts nodewise."""
 
-    def __init__(self, matrix: np.ndarray, pairing: np.ndarray | None = None,
-                 tol: float = 1e-12):
+    def __init__(self, matrix: np.ndarray, pairing: np.ndarray | None = None):
         self.matrix = np.asarray(matrix, dtype=float)
         q = standard_pairing() if pairing is None else check_pairing(pairing)
         if self.matrix.shape != (DIM, DIM):
             raise ValueError("isometry must be a 22x22 matrix")
         resid = self.matrix.T @ q @ self.matrix - q
         scale = max(1.0, float(np.abs(q).max()))
-        if np.abs(resid).max() > tol * scale * 100:
+        if np.abs(resid).max() > _ISOMETRY_TOL * scale:
             raise ValueError(
                 f"matrix is not a Q-isometry (defect {np.abs(resid).max():.3e})")
         self.pairing = q
@@ -403,9 +406,7 @@ class SolveResult:
     history: list  # rows (iter, area, grad_inf_norm, min_eig_G)
     message: str = ""
     # work counters of the whole solve
-    krylov_iters: int = 0  # MINRES iterations, over all Newton steps
-    krylov_per_step: list = field(default_factory=list)  # one per Newton step
-    hvps: int = 0  # Hessian-vector products
+    krylov_per_step: list = field(default_factory=list)  # MINRES iterations, per step
     line_search_rejections: int = 0  # trials rejected by the residual bar
     positivity_failures: int = 0  # trials that lost positivity
     # seconds per phase: "start" (the initial gradient and residual),
@@ -413,6 +414,16 @@ class SolveResult:
     # MINRES), "line_search" (trial gradients, residuals and positivity
     # checks) and "history" (_history_row)
     phase_seconds: dict = field(default_factory=dict)
+
+    @property
+    def krylov_iters(self) -> int:
+        """MINRES iterations over all Newton steps."""
+        return sum(self.krylov_per_step)
+
+    @property
+    def hvps(self) -> int:
+        """Hessian-vector products: one per MINRES iteration."""
+        return self.krylov_iters
 
 
 @contextlib.contextmanager
@@ -451,8 +462,8 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     mask = s.interior_mask()
 
     phases = dict.fromkeys(("start", "krylov", "line_search", "history"), 0.0)
-    counts = dict(krylov_iters=0, hvps=0, line_search_rejections=0,
-                  positivity_failures=0, krylov_per_step=[], phase_seconds=phases)
+    counts = dict(krylov_per_step=[], line_search_rejections=0,
+                  positivity_failures=0, phase_seconds=phases)
     with _timed(phases, "start"):
         g, gram = _grad_and_gram(s)
         res = residual_norm(s, g)
@@ -464,10 +475,9 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     recent = [res]
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        krylov_before = counts["krylov_iters"]
         with _timed(phases, "krylov"):
             try:
-                delta = _newton_direction(s, g, gram, counts)
+                delta, iters = _newton_direction(s, g, gram)
             except SolveError as err:
                 raise SolveError(f"no Newton direction at iteration {n_iter} "
                                  f"(residual {res:.3e}): {err}") from err
@@ -498,7 +508,7 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
         if not accepted:
             raise SolveError(
                 f"no acceptable step at iteration {n_iter} (residual {res:.3e})")
-        counts["krylov_per_step"].append(counts["krylov_iters"] - krylov_before)
+        counts["krylov_per_step"].append(iters)
         recent.append(res)
         with _timed(phases, "history"):
             history.append(_history_row(n_iter, s, gram, res))
@@ -711,7 +721,7 @@ def _minres(apply, precond, b: np.ndarray, eta: float, maxiter: int):
     return x, itn
 
 
-def _newton_direction(s: SectionGrid, g: np.ndarray, gram, counts: dict):
+def _newton_direction(s: SectionGrid, g: np.ndarray, gram):
     """Approximately solve H delta = g with H = -Hessian (exact analytic
     Hessian-vector products) at s with Gram data gram.  The Hessian is
     indefinite in general (the critical sections are saddles of the discrete
@@ -719,21 +729,19 @@ def _newton_direction(s: SectionGrid, g: np.ndarray, gram, counts: dict):
     MINRES (_minres) with the positive definite split preconditioner P,
     stopped at ||g - H delta||_P <= _ETA ||g||_P: a relative residual in a
     norm that Q-isometries and the scale of P leave unchanged, so the same
-    forcing term on every grid.  Adds the MINRES iterations and the
-    Hessian-vector products, one per iteration, to counts.  Raises
-    SolveError when MINRES breaks down or gives a non-finite or all-zero
-    direction."""
+    forcing term on every grid.  Returns the direction and the MINRES
+    iteration count, which is also the number of Hessian-vector products.
+    Raises SolveError when MINRES breaks down or gives a non-finite or
+    all-zero direction."""
     cache = _hessian_cache(s, gram)
     precond = _split_preconditioner(s, gram[0])
     # g, the products and the preconditioner all vanish on the boundary, and
     # so does every MINRES vector
     x, iters = _minres(lambda d: _hessian_apply(s, cache, d), precond, g,
                        _ETA, 60)
-    counts["krylov_iters"] += iters
-    counts["hvps"] += iters
     if not np.isfinite(x).all() or not x.any():
         raise SolveError("MINRES gave a non-finite or all-zero direction")
-    return x
+    return x, iters
 
 
 # ----------------------------------------------------------------------------

@@ -13,7 +13,7 @@ Conventions, frozen here and proved by verify_conventions():
 
 build_spinor_model() returns one verified model per process; the proof
 runs on its first call.  The curvature operators are linear in the metric
-slots of a jet: each model holds the contraction tensor of
+slots of a jet: each model holds the coefficient tensor of
 curvature_operators, built from its ccc table on first use.
 
 The total module S = S_X (x) S_B is ordered (u1,u2,v1,v2) (x) (b1,b2) with
@@ -301,10 +301,10 @@ def canonical_phi(model: SpinorModel, sign: int = 1):
                 phi[beta][s] += EPSILON2[alpha][s] * fixed[2 * alpha + beta]
     phi = tuple(map(tuple, phi))
     gram = mmul(dagger(phi), phi)
-    scale2 = gram[0][0]
-    if gram != mscale(scale2, eye(2)) or not bool(scale2) or scale2.im != 0:
+    norm2 = gram[0][0]
+    if gram != mscale(norm2, eye(2)) or not bool(norm2) or norm2.im != 0:
         raise ConventionError("eigenvector does not induce a conformal map")
-    norm = frac_sqrt(scale2.re)
+    norm = frac_sqrt(norm2.re)
     phi = mscale(QQi(Fraction(sign, 1) / norm), phi)
     for i in range(3):
         if mmul(phi, model.i_sp[i]) != mmul(model.cb[i], phi):
@@ -340,8 +340,9 @@ class AdiabaticJet:
         sym = all(self.v[k][m] == self.v[m][k] for k in range(3) for m in range(3))
         sym = sym and all(self.w[k][m][i] == self.w[m][k][i]
                           for k in range(3) for m in range(3) for i in range(4))
-        trace_zero = hk.is_zero2(_sum2(self.v[k][k] for k in range(3))) and all(
-            hk.is_zero2(_sum2(self.w[k][k][i] for k in range(3))) for i in range(4))
+        diagonals = [[self.v[k][k] for k in range(3)]] + [
+            [self.w[k][k][i] for k in range(3)] for i in range(4)]
+        trace_zero = all(is_zero_matrix(madd(madd(a, b), c)) for a, b, c in diagonals)
         # the self-dual parts (a, b) of every zeroth-order and derivative slot
         triples = list(self.v) + [tuple(self.w[k][m][i] for m in range(3))
                                   for k in range(3) for i in range(4)]
@@ -355,15 +356,8 @@ class AdiabaticJet:
         return all(self.flags().values())
 
 
-def _sum2(mats):
-    out = hk.zero2()
-    for m in mats:
-        out = hk.add2(out, m)
-    return out
-
-
 def zero_jet() -> AdiabaticJet:
-    z = hk.zero2()
+    z = hk.form2({})
     return AdiabaticJet(
         tuple(tuple(z for _ in range(3)) for _ in range(3)),
         tuple(tuple(tuple(z for _ in range(4)) for _ in range(3)) for _ in range(3)),
@@ -383,7 +377,7 @@ def random_donaldson_jet(rng) -> AdiabaticJet:
             for m in range(k, 3):
                 grid[k][m] = random_asd(rng)
                 grid[m][k] = grid[k][m]
-        grid[2][2] = hk.sub2(hk.scale2(-1, grid[0][0]), grid[1][1])
+        grid[2][2] = msub(mscale(-1, grid[0][0]), grid[1][1])
         return tuple(tuple(row) for row in grid)
 
     v = sym_tracefree()
@@ -398,36 +392,31 @@ def violate_jet(jet: AdiabaticJet, which: str, rng) -> AdiabaticJet:
     the break in the zeroth-order slots so both identity families see it)."""
     v = [list(row) for row in jet.v]
     w = [[list(slots) for slots in row] for row in jet.w]
-    if which == "d_H_omega":
+    if which in ("d_H_omega", "d_H_Theta"):
+        # d_H_omega adds to the off-diagonal slot (0, 1), which breaks the
+        # symmetry; d_H_Theta to the diagonal slot (0, 0), which keeps the
+        # symmetry flag but breaks the trace.  fallback replaces a zero draw.
+        m, fallback = ((1, hk.ASD_BASIS[0]) if which == "d_H_omega"
+                       else (0, hk.ASD_BASIS[1]))
         delta = random_asd(rng)
-        while hk.is_zero2(delta):
+        while is_zero_matrix(delta):
             delta = random_asd(rng)
-        v[0][1] = hk.add2(v[0][1], delta)
+        v[0][m] = madd(v[0][m], delta)
         for i in range(4):
             d = random_asd(rng)
-            if hk.is_zero2(d):
-                d = hk.ASD_BASIS[0]
-            w[0][1][i] = hk.add2(w[0][1][i], d)
-    elif which == "d_H_Theta":
-        # diagonal additions keep the symmetry flag but break the trace
-        delta = random_asd(rng)
-        while hk.is_zero2(delta):
-            delta = random_asd(rng)
-        v[0][0] = hk.add2(v[0][0], delta)
-        for i in range(4):
-            d = random_asd(rng)
-            if hk.is_zero2(d):
-                d = hk.ASD_BASIS[1]
-            w[0][0][i] = hk.add2(w[0][0][i], d)
+            if is_zero_matrix(d):
+                d = fallback
+            w[0][m][i] = madd(w[0][m][i], d)
     elif which == "d_H_mu":
         # conformal injection on the k-diagonal: b^k becomes nonzero while the
         # symmetry flag survives (a standalone volume violation necessarily
         # disturbs the trace too, since self-dual parts cannot cancel in it)
         c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
         k = rng.randrange(3)
-        v[k][k] = hk.add2(v[k][k], hk.scale2(3 * c, hk.STANDARD_TRIPLE[k]))
+        dv = mscale(3 * c, hk.STANDARD_TRIPLE[k])
+        v[k][k] = madd(v[k][k], dv)
         for i in range(4):
-            w[k][k][i] = hk.add2(w[k][k][i], hk.scale2(3 * c, hk.STANDARD_TRIPLE[k]))
+            w[k][k][i] = madd(w[k][k][i], dv)
     else:
         raise ValueError(f"unknown constraint {which}")
     return AdiabaticJet(tuple(tuple(r) for r in v),

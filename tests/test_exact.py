@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from adg2 import hk
-from adg2.exact import QQi, det, eye, inverse, kernel_basis, mat, mat_apply, mmul
+from adg2.exact import (QQi, det, eye, inverse, is_zero_matrix, kernel_basis, mat,
+                        mat_apply, mmul, zeros)
 
 F = Fraction
 
@@ -38,6 +39,19 @@ class TestElimination:
             assert all(not bool(x) for x in mat_apply(m, v))
 
     def test_singular_metric_is_reported(self):
-        t = hk.HKTriple(hk.STANDARD_TRIPLE, hk.zero2(), F(1))
+        t = hk.HKTriple(hk.STANDARD_TRIPLE, hk.form2({}), F(1))
         with pytest.raises(ValueError, match="singular metric"):
             hk.complex_structure_matrices(t)
+
+
+class TestIsZeroMatrix:
+    def test_fraction_entries(self):
+        assert is_zero_matrix(zeros(4, field=Fraction))
+        assert is_zero_matrix(((F(0), F(0, 7)), (F(0), F(0))))
+        assert not is_zero_matrix(((F(0), F(0)), (F(0), F(-1, 3))))
+
+    def test_qqi_entries(self):
+        assert is_zero_matrix(zeros(3))
+        assert not is_zero_matrix(((QQi(0), QQi(0)), (QQi(2, 5), QQi(0))))
+        # a zero real part does not make the entry zero
+        assert not is_zero_matrix(((QQi(0), QQi(0, 1)), (QQi(0), QQi(0))))

@@ -5,7 +5,6 @@ from adg2 import fueter as fu
 from adg2 import gauge as ga
 from adg2 import hk
 from adg2.excalc import standard_triple
-from adg2.g2lin import G2Model, complex_structures
 
 
 def theta_connection(grid, theta_fn, extra=None):
@@ -38,14 +37,6 @@ class TestComplexStructureTables:
         want = np.array([[[float(x) for x in row] for row in m] for m in self.ivec])
         assert ga.I_VEC.shape == (3, 4, 4)
         assert np.array_equal(ga.I_VEC, want)
-
-    def test_g2lin_complex_structures_match_hk(self):
-        on_vec, on_form = complex_structures(G2Model())
-        assert tuple(on_vec) == self.ivec
-        for i in range(3):
-            # on 1-form coefficients I_i acts as -I_i^T
-            assert on_form[i] == tuple(tuple(-self.ivec[i][b][a] for b in range(4))
-                                       for a in range(4))
 
     def test_excalc_triple_matches_hk(self):
         forms = standard_triple()
@@ -283,3 +274,17 @@ class TestSectionIO:
     def test_bad_doc(self):
         with pytest.raises(ValueError):
             fu.section_from_json({"dims": [2, 2, 2]})
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("dims", [3.7, 3, 3], "/dims"), ("dims", [3, True, 3], "/dims"),
+        ("spacing", ["0.5", 0.5, 0.5], "/spacing"), ("period", "6.28", "/period"),
+        ("base_periodic", "false", "/base_periodic"),
+        ("base_periodic", 1, "/base_periodic")],
+        ids=["float_dim", "bool_dim", "string_spacing", "string_period",
+             "string_base_flag", "int_base_flag"])
+    def test_guessed_fields_rejected(self, field, value, where):
+        doc = fu.section_to_json(fu.FueterSectionGrid(np.zeros((3, 3, 3, 4)),
+                                                      (0.5, 0.5, 0.5)))
+        doc[field] = value
+        with pytest.raises(ValueError, match=where):
+            fu.section_from_json(doc)

@@ -8,7 +8,6 @@ from adg2.g2lin import (
     G2Model,
     basis_vector,
     chi,
-    complex_structures,
     cross,
     vec,
     vertical_part,
@@ -20,10 +19,6 @@ E = basis_vector
 
 def rand_vec(rng):
     return vec([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(7)])
-
-
-def mat_vec(M, v4):
-    return tuple(sum(M[a][b] * v4[b] for b in range(4)) for a in range(4))
 
 
 class TestCross:
@@ -99,40 +94,6 @@ class TestChi:
             c2 = chi(x, y, z, G2Model(e2))
             extrap = tuple((e1 * b - e2 * a) / (e1 - e2) for a, b in zip(c1, c2))
             assert extrap == v0
-
-
-class TestComplexStructures:
-    def test_i1_on_x1(self):
-        ivec, _ = complex_structures(G2Model())
-        assert mat_vec(ivec[0], (1, 0, 0, 0)) == (0, 1, 0, 0)
-
-    def test_quaternion_relations(self):
-        ivec, _ = complex_structures(G2Model())
-
-        def mm(a, b):
-            return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4))
-                               for j in range(4)) for i in range(4))
-
-        minus1 = tuple(tuple(Fraction(-1 if i == j else 0) for j in range(4))
-                       for i in range(4))
-        for i in range(3):
-            assert mm(ivec[i], ivec[i]) == minus1
-        assert mm(ivec[0], ivec[1]) == ivec[2]
-        assert mm(mm(ivec[0], ivec[1]), ivec[2]) == minus1
-
-    def test_oneform_action_sign(self):
-        # I1 dx1 = -dx1 o I1 = dx2, consistently with omega-compatibility
-        ivec, iform = complex_structures(G2Model())
-        a = (1, 0, 0, 0)  # components of dx1
-        got = mat_vec(iform[0], a)
-        assert got == (0, 1, 0, 0)
-        # compatibility: omega_1(X, Y) = g(I_1 X, Y) pairs I1 dx1 with dx2
-        for i in range(3):
-            for b in range(4):
-                e = [Fraction(0)] * 4
-                e[b] = Fraction(1)
-                assert mat_vec(iform[i], e) == tuple(-x for x in
-                                                     tuple(ivec[i][b][a] for a in range(4)))
 
 
 def test_chi_limit_reference_value(law):

@@ -529,8 +529,14 @@ class TestFieldIO:
     @pytest.mark.parametrize("field, value, where", [
         ("rank", 1.7, "/rank"), ("rank", True, "/rank"),
         ("periodic", {"base": "false"}, "/periodic/base"),
-        ("periodic", {"fibre": 1}, "/periodic/fibre")],
-        ids=["float_rank", "bool_rank", "string_base_flag", "int_fibre_flag"])
+        ("periodic", {"fibre": 1}, "/periodic/fibre"),
+        ("dims", {"base": [3.0, 3, 3], "fibre": [3] * 4}, "/dims/base"),
+        ("dims", {"base": [3] * 3, "fibre": [3, 3, 3, 3.5]}, "/dims/fibre"),
+        ("spacing", {"base": ["0.5"] * 3}, "/spacing/base"),
+        ("spacing", {"fibre": [0.25, 0.25, 0.25, "0.25"]}, "/spacing/fibre")],
+        ids=["float_rank", "bool_rank", "string_base_flag", "int_fibre_flag",
+             "float_base_dim", "float_fibre_dim", "string_base_spacing",
+             "string_fibre_spacing"])
     def test_guessed_fields_rejected(self, field, value, where):
         doc = ga.field_to_json(ga.LatticeConnection.zero(ga.LatticeGrid.unit(3, 3)))
         doc[field] = value

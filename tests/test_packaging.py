@@ -60,15 +60,32 @@ def public_definitions() -> list:
     return out
 
 
+def code_identifiers(path: Path) -> set:
+    """The identifiers that a file uses as code: names, attributes, import
+    aliases and identifier-shaped string constants (benchmarks/tracing.py
+    names the functions it wraps by string).  Words in docstrings and
+    comments do not count."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+            if node.asname:
+                out.add(node.asname)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            out.add(node.value)
+    return out
+
+
 def test_every_public_function_is_referenced():
-    defs = public_definitions()
-    def_lines = {(path, line) for path, line, _ in defs}
-    words = set()
+    used = set()
     for top in ("src", "tests", "benchmarks"):
         for path in (ROOT / top).rglob("*.py"):
-            for line, text in enumerate(path.read_text().splitlines(), 1):
-                if (path, line) not in def_lines:
-                    words.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
+            used |= code_identifiers(path)
     unused = [f"{path.relative_to(ROOT)}:{line} {name}"
-              for path, line, name in defs if name not in words]
+              for path, line, name in public_definitions() if name not in used]
     assert not unused, f"public functions referenced nowhere: {unused}"

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from adg2 import hk, spin
-from adg2.exact import (QQi, dagger, is_zero_matrix, mat_apply, mchain,
+from adg2.exact import (QQi, dagger, is_zero_matrix, madd, mat_apply, mchain,
                         mmul, mscale)
 
 F = Fraction
@@ -182,9 +182,9 @@ class TestCurvature:
         j1 = spin.random_donaldson_jet(rng)
         j2 = spin.violate_jet(spin.zero_jet(), "d_H_Theta", rng)
         # sum of jets maps to sum of operators
-        v = tuple(tuple(hk.add2(j1.v[k][m], j2.v[k][m]) for m in range(3))
+        v = tuple(tuple(madd(j1.v[k][m], j2.v[k][m]) for m in range(3))
                   for k in range(3))
-        w = tuple(tuple(tuple(hk.add2(j1.w[k][m][i], j2.w[k][m][i]) for i in range(4))
+        w = tuple(tuple(tuple(madd(j1.w[k][m][i], j2.w[k][m][i]) for i in range(4))
                         for m in range(3)) for k in range(3))
         js = spin.AdiabaticJet(v, w)
         a = spin.curvature_sum(j1, model)
@@ -202,12 +202,12 @@ class TestCurvature:
                         for m in range(k, 3):
                             if k == m == 2:
                                 continue  # eliminated by the trace condition
-                            w = [[[hk.zero2() for _ in range(4)] for _ in range(3)]
+                            w = [[[hk.form2({}) for _ in range(4)] for _ in range(3)]
                                  for _ in range(3)]
                             w[k][m][i_slot] = eta
                             w[m][k][i_slot] = eta
                             if k == m:
-                                w[2][2][i_slot] = hk.scale2(-1, eta)
+                                w[2][2][i_slot] = mscale(-1, eta)
                             yield spin.AdiabaticJet(
                                 spin.zero_jet().v,
                                 tuple(tuple(tuple(w[a][b][c] for c in range(4))
