@@ -15,10 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import (I_VEC, W_SD, LatticeConnection, fibre_curvatures,
-                    fibre_defect, residual_scalars, trapezoid_weights)
+from .gauge import (I_VEC, W_SD, LatticeConnection, _numbers, _spacings,
+                    fibre_curvatures, fibre_defect, residual_scalars,
+                    trapezoid_weights)
 
 TWO_PI = 2.0 * np.pi
+
+# Largest vertical curvature holonomy_section accepts (the fibre average is a
+# holonomy class only on flat fibres).  Flat sampled fields show rounding, at
+# most 2e-15 on those of the test suite: this leaves nine orders of room.
+_CURVATURE_TOL = 1e-6
 
 
 @dataclass
@@ -38,7 +44,7 @@ class FueterSectionGrid:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 4 or self.values.shape[-1] != 4:
             raise ValueError("values must have shape (n1, n2, n3, 4)")
-        self.spacing = tuple(float(h) for h in self.spacing)
+        self.spacing = _spacings(self.spacing, 3, "base")
         self.period = float(self.period)
         if self.period > 0:
             self.values = np.mod(self.values, self.period)
@@ -95,6 +101,8 @@ def minimal_image(delta: np.ndarray, period: float) -> np.ndarray:
 
 @dataclass
 class SectionPath:
+    """Sections of one torus bundle (one period) at ascending times."""
+
     times: list
     sections: list
 
@@ -102,24 +110,31 @@ class SectionPath:
         self.times = [float(t) for t in self.times]
         if len(self.times) != len(self.sections):
             raise ValueError("one section per time sample")
+        if sorted(self.times) != self.times:
+            raise ValueError("times must be ascending")
+        if len({s.period for s in self.sections}) > 1:
+            raise ValueError("the sections of a path must share one period")
 
 
-def cs_associative(path: SectionPath, moduli_scale: float | None = None) -> float:
+def cs_associative(path: SectionPath) -> float:
     """Path functional of sections against the canonical structure 4-form of
     the moduli bundle; for the flat dual-torus model the fibre triple is the
-    standard one scaled by vol(fibre)/(4 pi^2).
+    standard one scaled by vol(fibre)/(4 pi^2) = (2 pi / period)^4 / (4 pi^2),
+    as a fibre of side L gives sections of period 2 pi / L, and by 1 for
+    R^4-valued sections (period <= 0).
 
     Trapezoid in the path parameter with increments folded in (exactly
     reparametrization independent), base quadrature in space.  Equals the
     connection-path functional for paths of fibrewise-flat abelian
     connections, which the test suite verifies.
     """
-    kappa = moduli_scale if moduli_scale is not None else 1.0 / (4 * np.pi ** 2)
+    period = path.sections[0].period if path.sections else 0.0
+    kappa = (TWO_PI / period) ** 4 / (4 * np.pi ** 2) if period > 0 else 1.0
     total = 0.0
     for k in range(len(path.times) - 1):
         s0: FueterSectionGrid = path.sections[k]
         s1: FueterSectionGrid = path.sections[k + 1]
-        delta = minimal_image(s1.values - s0.values, s0.period)
+        delta = minimal_image(s1.values - s0.values, period)
 
         def density(s: FueterSectionGrid) -> float:
             ds = section_derivatives(s)
@@ -134,12 +149,11 @@ def cs_associative(path: SectionPath, moduli_scale: float | None = None) -> floa
     return kappa * total
 
 
-def holonomy_section(a: LatticeConnection, curvature_tol: float = 1e-6
-                     ) -> FueterSectionGrid:
+def holonomy_section(a: LatticeConnection) -> FueterSectionGrid:
     """Fibre-averaged vertical connection components as a dual-torus section.
 
     Requires rank 1 and fibrewise-flat input: the vertical curvature defect
-    must stay below curvature_tol (the class is ill-defined otherwise).
+    must stay below _CURVATURE_TOL (the class is ill-defined otherwise).
     """
     if a.rank != 1:
         raise ValueError("holonomy sections need a rank-1 connection")
@@ -148,10 +162,10 @@ def holonomy_section(a: LatticeConnection, curvature_tol: float = 1e-6
     # the self-dual pairing sees only half the components; check them all
     for f in f_vert:
         worst = max(worst, float(np.abs(f).max()))
-    if worst > curvature_tol:
+    if worst > _CURVATURE_TOL:
         raise ValueError(
             f"connection is not fibrewise flat (defect {worst:.3e} exceeds "
-            f"{curvature_tol:.1e}); the holonomy class is ill-defined")
+            f"{_CURVATURE_TOL:.1e}); the holonomy class is ill-defined")
 
     # components[3:] carries a leading component axis, then base, then fibre
     fibre_axes = (4, 5, 6, 7)
@@ -165,8 +179,8 @@ def holonomy_section(a: LatticeConnection, curvature_tol: float = 1e-6
                              base_periodic=a.grid.base_periodic)
 
 
-def holonomy_path(path_fields, times, **kwargs) -> SectionPath:
-    return SectionPath(list(times), [holonomy_section(a, **kwargs) for a in path_fields])
+def holonomy_path(path_fields, times) -> SectionPath:
+    return SectionPath(list(times), [holonomy_section(a) for a in path_fields])
 
 
 # ----------------------------------------------------------------------------
@@ -185,8 +199,9 @@ def section_to_json(s: FueterSectionGrid) -> dict:
 
 def section_from_json(doc: dict) -> FueterSectionGrid:
     """The section of a section_to_json document.  /dims must hold integers,
-    /spacing and /period numbers and /base_periodic a boolean: a float dim, a
-    string number or a string flag is rejected, never converted."""
+    /spacing, /period and /values numbers and /base_periodic a boolean: a
+    float dim, a string number or a string flag is rejected, never
+    converted."""
     for key in ("dims", "spacing", "values"):
         if key not in doc:
             raise ValueError(f"section document missing /{key}")
@@ -195,13 +210,11 @@ def section_from_json(doc: dict) -> FueterSectionGrid:
     base_periodic = doc.get("base_periodic", False)
     if not all(type(n) is int for n in dims):
         raise ValueError(f"/dims must hold integers, got {doc['dims']!r}")
-    if not all(type(h) in (int, float) for h in spacing):
-        raise ValueError(f"/spacing must hold numbers, got {doc['spacing']!r}")
-    if type(period) not in (int, float):
-        raise ValueError(f"/period must be a number, got {period!r}")
+    _numbers(spacing, "/spacing")
+    _numbers(period, "/period")
     if type(base_periodic) is not bool:
         raise ValueError(f"/base_periodic must be a boolean, got {base_periodic!r}")
-    vals = np.asarray(doc["values"], dtype=float)
+    vals = _numbers(doc["values"], "/values")
     if vals.shape != (int(np.prod(dims)), 4):
         raise ValueError("/values has the wrong shape for /dims")
     return FueterSectionGrid(vals.reshape(dims + (4,)), spacing, period, base_periodic)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .excalc import BigradedForm, FibrationData, eval_on_vectors, wedge
@@ -48,8 +49,8 @@ def vertical_part(v: Vector7) -> Vector7:
 class G2Model:
     """The split pointwise model at a rational scale eps >= 0 (0 = formal limit).
 
-    A function of eps alone: phi_eps and star phi_eps are built once, with
-    the model, from the flat product data FibrationData.product()."""
+    A function of eps alone: phi_eps and star phi_eps are built on first
+    use, once per model, from the flat product data FibrationData.product()."""
 
     eps: Fraction = Fraction(1)
 
@@ -57,19 +58,21 @@ class G2Model:
         self.eps = Fraction(self.eps)
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
+
+    @cached_property
+    def _forms(self) -> tuple[BigradedForm, BigradedForm]:
         data = FibrationData.product()
-        self._phi = data.lam + data.omega_total().scale(self.eps)
         w1 = data.omega[0]
-        self._star_phi = (data.theta().scale(self.eps)
-                          + wedge(w1, w1).scale(self.eps ** 2 / 2))
+        return (data.lam + data.omega_total().scale(self.eps),
+                data.theta().scale(self.eps) + wedge(w1, w1).scale(self.eps ** 2 / 2))
 
     def phi(self) -> BigradedForm:
         """lambda + eps * sum_i omega_i dt_i."""
-        return self._phi
+        return self._forms[0]
 
     def star_phi(self) -> BigradedForm:
         """eps * Theta + (eps^2/2) omega_1 ^ omega_1."""
-        return self._star_phi
+        return self._forms[1]
 
     def metric_pair(self, x: Vector7, y: Vector7) -> Fraction:
         return (sum(x[i] * y[i] for i in HORIZONTAL)
@@ -103,8 +106,10 @@ def _metric_solve(covector, eps: Fraction) -> Vector7:
     return tuple(covector[i] if i < 3 else covector[i] / eps for i in range(7))
 
 
+_UNIT = G2Model(1)  # read by every formal-limit chi; forms built on first use
+
+
 def _chi_limit(x: Vector7, y: Vector7, z: Vector7) -> Vector7:
-    unit = G2Model(1)
     parts = [(horizontal_part(v), vertical_part(v)) for v in (x, y, z)]
     total = [Fraction(0)] * 7
     for bx in range(2):
@@ -112,7 +117,7 @@ def _chi_limit(x: Vector7, y: Vector7, z: Vector7) -> Vector7:
             for bz in range(2):
                 if bx + by + bz != 1:  # one vertical, two horizontal survives
                     continue
-                val = chi(parts[0][bx], parts[1][by], parts[2][bz], unit)
+                val = chi(parts[0][bx], parts[1][by], parts[2][bz], _UNIT)
                 total = [a + b for a, b in zip(total, val)]
     return tuple(total)
 

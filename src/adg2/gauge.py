@@ -80,6 +80,26 @@ def _unit_spacing(n: int, periodic: bool) -> float:
     return 1.0 / n if periodic else 1.0 / (n - 1)
 
 
+def _spacings(hs, n: int, axes: str) -> tuple:
+    """hs as n floats, one finite positive spacing per axis."""
+    hs = tuple(float(h) for h in hs)
+    if len(hs) != n:
+        raise ValueError(f"grid needs {n} {axes} spacings, got {len(hs)}")
+    if not all(0 < h < np.inf for h in hs):
+        raise ValueError(f"{axes} spacings must be finite and positive, got {hs}")
+    return hs
+
+
+def _numbers(values, where: str) -> np.ndarray:
+    """The float array of a document's (nested) list; an entry that is not an
+    int or a float, such as a string or a boolean, is rejected, never converted."""
+    arr = np.asarray(values, dtype=object)
+    for v in arr.flat:
+        if type(v) not in (int, float):
+            raise ValueError(f"{where} must hold numbers, got {v!r}")
+    return arr.astype(float)
+
+
 def trapezoid_weights(dims, spacing, periodic: bool) -> np.ndarray:
     """Node quadrature weights: trapezoid on a box, uniform on a torus."""
     w = np.ones(dims)
@@ -101,12 +121,10 @@ class LatticeGrid:
     def __post_init__(self):
         self.dims_base = tuple(int(n) for n in self.dims_base)
         self.dims_fibre = tuple(int(n) for n in self.dims_fibre)
-        self.spacing_base = tuple(float(h) for h in self.spacing_base)
-        self.spacing_fibre = tuple(float(h) for h in self.spacing_fibre)
+        self.spacing_base = _spacings(self.spacing_base, 3, "base")
+        self.spacing_fibre = _spacings(self.spacing_fibre, 4, "fibre")
         if len(self.dims_base) != 3 or len(self.dims_fibre) != 4:
             raise ValueError("grid needs 3 base and 4 fibre dimensions")
-        if len(self.spacing_base) != 3 or len(self.spacing_fibre) != 4:
-            raise ValueError("grid needs 3 base and 4 fibre spacings")
         if any(n < 3 for n in self.dims_base + self.dims_fibre):
             raise ValueError("need at least three nodes per axis")
 
@@ -394,8 +412,9 @@ def field_to_json(a: LatticeConnection) -> dict:
 
 def field_from_json(doc: dict) -> LatticeConnection:
     """The connection of a field_to_json document.  /rank and /dims must hold
-    integers, /spacing numbers and the /periodic flags booleans: a float rank
-    or dim, a string spacing or a string flag is rejected, never converted."""
+    integers, /spacing and /values numbers and the /periodic flags booleans: a
+    float rank or dim, a string spacing or value or a string flag is
+    rejected, never converted."""
     try:
         dims = doc["dims"]
         rank = doc["rank"]
@@ -405,9 +424,7 @@ def field_from_json(doc: dict) -> LatticeConnection:
         for name in ("base", "fibre"):
             if not all(type(n) is int for n in dims[name]):
                 raise ValueError(f"/dims/{name} must hold integers, got {dims[name]!r}")
-            if not all(type(h) in (int, float) for h in spacing.get(name, ())):
-                raise ValueError(
-                    f"/spacing/{name} must hold numbers, got {spacing[name]!r}")
+            _numbers(spacing.get(name, []), f"/spacing/{name}")
         periodic = doc.get("periodic", {})
         base_periodic = periodic.get("base", False)
         fibre_periodic = periodic.get("fibre", True)
@@ -421,7 +438,7 @@ def field_from_json(doc: dict) -> LatticeConnection:
             tuple(spacing.get("fibre", [_unit_spacing(n, fibre_periodic)
                                          for n in dims["fibre"]])),
             base_periodic, fibre_periodic)
-        flat = np.asarray(doc["values"], dtype=float)
+        flat = _numbers(doc["values"], "/values")
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed field document: {exc}") from exc
     want = 7 * int(np.prod(grid.shape)) * rank * rank * 2

@@ -35,6 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gauge import _numbers, _spacings
+
 DIM = 22
 SIG_PLUS = 3
 
@@ -87,11 +89,7 @@ class SectionGrid:
             raise ValueError("values must have shape (n1, n2, n3, 22)")
         if any(n < 3 for n in self.values.shape[:3]):
             raise ValueError("need at least three nodes per axis")
-        self.spacing = tuple(float(h) for h in self.spacing)
-        if len(self.spacing) != 3:
-            raise ValueError("need one spacing per axis (three)")
-        if not all(np.isfinite(h) and h > 0 for h in self.spacing):
-            raise ValueError("spacings must be finite and positive")
+        self.spacing = _spacings(self.spacing, 3, "base")
         self.pairing = check_pairing(self.pairing)
 
     @property
@@ -759,21 +757,20 @@ def grid_to_json(s: SectionGrid) -> dict:
 
 def grid_from_json(doc: dict) -> SectionGrid:
     """The grid of a grid_to_json document.  /dims must hold integers and
-    /spacing numbers: a float or boolean dim and a string or boolean spacing
-    are rejected, never converted."""
+    /spacing, /nodes and /Q numbers: a float or boolean dim and a string or
+    boolean spacing, node or pairing entry are rejected, never converted."""
     for key in ("dims", "spacing", "Q", "nodes"):
         if key not in doc:
             raise ValueError(f"grid document missing /{key}")
     dims, spacing = tuple(doc["dims"]), tuple(doc["spacing"])
     if not all(type(n) is int for n in dims):
         raise ValueError(f"/dims must hold integers, got {doc['dims']!r}")
-    if not all(type(h) in (int, float) for h in spacing):
-        raise ValueError(f"/spacing must hold numbers, got {doc['spacing']!r}")
-    nodes = np.asarray(doc["nodes"], dtype=float)
+    _numbers(spacing, "/spacing")
+    nodes = _numbers(doc["nodes"], "/nodes")
     if nodes.shape != (int(np.prod(dims)), DIM):
         raise ValueError("/nodes has the wrong shape for /dims")
     return SectionGrid(nodes.reshape(dims + (DIM,)), spacing,
-                       np.asarray(doc["Q"], dtype=float))
+                       _numbers(doc["Q"], "/Q"))
 
 
 def _write_atomic(path: str, write) -> None:

@@ -1,6 +1,6 @@
 """Spinor algebra for the split 3+4 model, with exact Gaussian-rational matrices.
 
-Conventions, frozen here and proved by verify_conventions():
+Conventions, frozen here and proved on the 2x2 tables by verify_conventions():
   * fibre half-spinors S+ and S- are each C^2; the fibre Clifford action of
     the coordinate vectors e_1..e_4 is built from the quaternion units
     q_0 = 1, q_k = -i sigma_k, with e_a: S- -> S+ given by q_{a-1} and
@@ -15,10 +15,6 @@ build_spinor_model() returns one verified model per process; the proof
 runs on its first call.  The curvature operators are linear in the metric
 slots of a jet: each model holds the coefficient tensor of
 curvature_operators, built from its ccc table on first use.
-
-The total module S = S_X (x) S_B is ordered (u1,u2,v1,v2) (x) (b1,b2) with
-u = S- and v = S+; indices 0..3 are the S- (x) S_B block and 4..7 the
-S+ (x) S_B block.
 """
 
 from __future__ import annotations
@@ -74,35 +70,6 @@ class SpinorModel:
     cc_minus: tuple  # (c_a c_b)|_{S-}
     ccc: tuple  # (c_l c_i c_j): S- -> S+, indexed [l][i][j]
 
-    def clifford7(self, eps: Fraction = Fraction(1)):
-        """The 8x8 module action of the seven coordinate vectors at scale eps."""
-        eps = Fraction(eps)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        ops = []
-        for a in range(4):
-            m = [[QQi(0)] * 8 for _ in range(8)]
-            _place(m, 0, 4, mscale(QQi(eps), kron(self.pm[a], eye(2))))
-            _place(m, 4, 0, kron(self.mp[a], eye(2)))
-            ops.append(tuple(map(tuple, m)))
-        t_ops = []
-        for k in range(3):
-            m = [[QQi(0)] * 8 for _ in range(8)]
-            _place(m, 0, 0, kron(eye(2), self.cb[k]))
-            _place(m, 4, 4, mscale(QQi(-1), kron(eye(2), self.cb[k])))
-            t_ops.append(tuple(map(tuple, m)))
-        return tuple(t_ops), tuple(ops)
-
-    def c_lambda(self):
-        """Action of the base 3-form -dt1 dt2 dt3 on S."""
-        t_ops, _ = self.clifford7()
-        return mscale(QQi(-1), mchain(t_ops[0], t_ops[1], t_ops[2]))
-
-    def c_mu(self):
-        """Action of the fibre volume form, with the scale-free normalization."""
-        _, x_ops = self.clifford7(Fraction(1))
-        return mchain(x_ops[0], x_ops[1], x_ops[2], x_ops[3])
-
     def c_omega_block(self):
         """c(omega) = -sum_i c_X(omega_i) (x) c_B(dt_i) on the S+ (x) S_B block (4x4)."""
         out = zeros(4)
@@ -150,12 +117,6 @@ def _form2_action(w: hk.Mat4, cc):
     return out
 
 
-def _place(m, r0, c0, block):
-    for i, row in enumerate(block):
-        for j, v in enumerate(row):
-            m[r0 + i][c0 + j] = v
-
-
 def build_spinor_model(corrupt: str | None = None) -> SpinorModel:
     """The concrete model; with corrupt=None the one verified model of the
     process, whose frozen conventions are proved on the first call.
@@ -178,12 +139,14 @@ def _verified_model() -> SpinorModel:
 
 
 def _assemble(corrupt: str | None) -> SpinorModel:
-    mp = tuple(Q_UNITS)
-    pm = (mscale(QQi(-1), eye(2)),) + tuple(Q_UNITS[1:])
-    cb = tuple(Q_UNITS[1:])
+    mp = Q_UNITS
     if corrupt == "i2_sign":
         mp = (mp[0], mp[1], mscale(QQi(-1), mp[2]), mp[3])
+    return _from_tables(mp, (mscale(QQi(-1), eye(2)),) + Q_UNITS[1:], Q_UNITS[1:])
 
+
+def _from_tables(mp, pm, cb) -> SpinorModel:
+    """The model whose Clifford actions are the 2x2 tables mp, pm and cb."""
     cc_plus = tuple(tuple(mmul(mp[a], pm[b]) for b in range(4)) for a in range(4))
     cc_minus = tuple(tuple(mmul(pm[a], mp[b]) for b in range(4)) for a in range(4))
     ccc = tuple(tuple(tuple(mmul(mp[l], cc_minus[i][j]) for j in range(4))
@@ -196,47 +159,50 @@ def _assemble(corrupt: str | None) -> SpinorModel:
 
 def verify_conventions(model: SpinorModel):
     """Prove the frozen conventions of the module docstring on model; raise
-    ConventionError, an AssertionError, at the first one that fails."""
+    ConventionError, an AssertionError, at the first one that fails.
+
+    Each relation of the module S is proved on the 2x2 tables.  At fibre
+    scale eps, c(e_a) has the off-diagonal blocks eps pm_a (x) 1 (S+ -> S-)
+    and mp_a (x) 1 (S- -> S+), and c(dt_k) = diag(1 (x) cb_k, -1 (x) cb_k).
+    """
+    minus_one = mscale(QQi(-1), eye(2))
     # base convention: c_B(dt1) c_B(dt2) c_B(dt3) = -1
-    if mchain(*model.cb) != mscale(QQi(-1), eye(2)):
+    if mchain(*model.cb) != minus_one:
         raise ConventionError("base volume convention failed")
     # quaternion relations for the S+ operators
     for i in range(3):
-        if mmul(model.i_sp[i], model.i_sp[i]) != mscale(QQi(-1), eye(2)):
+        if mmul(model.i_sp[i], model.i_sp[i]) != minus_one:
             raise ConventionError("i_sp squares")
     if mmul(model.i_sp[0], model.i_sp[1]) != model.i_sp[2]:
         raise ConventionError("i_sp product")
-    # Clifford relations of the full module at two scales; the anticommutator
-    # is symmetric, so each unordered pair is checked once
-    for eps in (Fraction(1), Fraction(1, 3)):
-        t_ops, x_ops = model.clifford7(eps)
-        for ops, square, kind in ((x_ops, -eps, "vertical"), (t_ops, -1, "horizontal")):
-            for a, b in combinations_with_replacement(range(len(ops)), 2):
-                anti = madd(mmul(ops[a], ops[b]), mmul(ops[b], ops[a]))
-                if anti != mscale(QQi(2 * square if a == b else 0), eye(8)):
-                    raise ConventionError(f"{kind} Clifford relation")
-        for i, a in product(range(3), range(4)):
-            anti = madd(mmul(x_ops[a], t_ops[i]), mmul(t_ops[i], x_ops[a]))
-            if not is_zero_matrix(anti):
-                raise ConventionError("mixed Clifford relation")
+    # Clifford relations of S, each unordered pair once.  c(e_a) c(e_b) =
+    # eps diag(cc_minus[a][b], cc_plus[a][b]) (x) 1 and c(dt_i) c(dt_j) =
+    # diag(1, 1) (x) cb_i cb_j, so at every eps > 0 the anticommutators are
+    # -2 (eps) delta exactly when those of the 2x2 tables are -2 delta.
+    # {c(e_a), c(dt_k)} vanishes for any tables: the blocks of c(e_a) commute
+    # with 1 (x) cb_k, and the -1 on the S+ block of c(dt_k) gives the two
+    # products opposite signs
+    cb_cb = tuple(tuple(mmul(x, y) for y in model.cb) for x in model.cb)
+    for kind, tables in (("vertical", (model.cc_minus, model.cc_plus)),
+                         ("horizontal", (cb_cb,))):
+        for a, b in combinations_with_replacement(range(len(tables[0])), 2):
+            want = mscale(QQi(-2 if a == b else 0), eye(2))
+            if any(madd(cc[a][b], cc[b][a]) != want for cc in tables):
+                raise ConventionError(f"{kind} Clifford relation")
     # chirality of the form actions
-    for i, w in enumerate(hk.STANDARD_TRIPLE):
+    for w in hk.STANDARD_TRIPLE:
         if not is_zero_matrix(model.c_form2_minus(w)):
             raise ConventionError("self-dual form acts on S-")
     for eta in hk.ASD_BASIS:
         if not is_zero_matrix(model.c_form2_plus(eta)):
             raise ConventionError("anti-self-dual form acts on S+")
-    # volume actions: c(lambda) c(mu) = 1 and the block signs
-    lam = model.c_lambda()
-    mu = model.c_mu()
-    if mmul(lam, mu) != eye(8):
+    # volume actions: c(lambda) = -c(dt1) c(dt2) c(dt3) = diag(1, -1) by the
+    # base convention, and c(mu) = c(e_1) .. c(e_4) (eps = 1) is diag(cc_minus[0][1]
+    # cc_minus[2][3], cc_plus[0][1] cc_plus[2][3]) (x) 1; c(lambda) c(mu) = 1
+    # with these block signs exactly when the two products are +1 and -1
+    if (mmul(model.cc_minus[0][1], model.cc_minus[2][3]) != eye(2)
+            or mmul(model.cc_plus[0][1], model.cc_plus[2][3]) != minus_one):
         raise ConventionError("lambda mu product")
-    for blk, sign in ((0, 1), (4, -1)):
-        for i in range(4):
-            for j in range(4):
-                want = QQi(sign if i == j else 0)
-                if lam[blk + i][blk + j] != want or mu[blk + i][blk + j] != want:
-                    raise ConventionError("volume block signs")
     # c(Theta) = c(omega)
     if model.c_theta_block() != model.c_omega_block():
         raise ConventionError("Theta and omega actions differ")

@@ -455,8 +455,9 @@ def run_spin(seed: int, corrupt: str | None = None) -> list:
         return "0"
 
     _run(checks, "spin.build.clifford_relations",
-         "the frozen spinor conventions hold: all module anticommutators at two "
-         "scales, base triple product minus one, quaternion relations on S+, "
+         "the frozen spinor conventions hold, proved on the 2x2 tables: base "
+         "triple product minus one, quaternion relations on S+, the vertical "
+         "and horizontal module anticommutators at every fibre scale, "
          "chirality and volume actions, c(Theta) = c(omega)", check_clifford)
 
     def check_spectrum():

@@ -92,6 +92,15 @@ class TestFueterResidual:
         assert np.abs(r - want).max() < 1e-9
 
 
+class TestSectionGrid:
+    @pytest.mark.parametrize("spacing", [
+        (0.25, 0.25), (0.25, 0.25, float("nan")), (0.25, float("inf"), 0.25),
+        (0.25, 0.0, 0.25), (-0.25, 0.25, 0.25)])
+    def test_bad_spacing_rejected(self, spacing):
+        with pytest.raises(ValueError, match="spacings"):
+            fu.FueterSectionGrid(np.zeros((3, 3, 3, 4)), spacing)
+
+
 class TestHolonomySection:
     def test_constant_theta(self):
         grid = ga.LatticeGrid.unit(4, 4, fibre_periodic=True)
@@ -199,22 +208,24 @@ class TestCorrespondence:
 
 
 class TestChernSimonsEquality:
-    def path_pair(self, grid, rng, n_times=4):
-        times = np.linspace(0, 1, n_times)
-        c = rng.normal(size=(4, 3)) * 0.3
-        d = rng.normal(size=(4, 3)) * 0.3
-        fields = []
-        for tau in times:
-            def theta(t1, t2, t3, tau=tau):
-                ts = [np.sin(2 * np.pi * t1), np.cos(2 * np.pi * t2),
-                      np.sin(2 * np.pi * t3)]
-                return [tau * sum(c[b][i] * ts[i] for i in range(3))
-                        + tau * tau * sum(d[b][i] * ts[i] for i in range(3))
-                        for b in range(4)]
-            fields.append(theta_connection(grid, theta))
-        cpath = ga.ConnectionPath(list(times), fields)
-        spath = fu.holonomy_path(fields, times)
-        return cpath, spath
+    @staticmethod
+    def functionals(base_periodic, side, theta):
+        """cs_instanton and cs_associative of the path of connections
+        A = i sum_a theta(tau, t)_a dx_a, tau in [0, 1], on 5^3 base and 4^4
+        fibre nodes with a fibre torus of side `side`."""
+        unit = ga.LatticeGrid.unit(5, 4, base_periodic=base_periodic)
+        grid = ga.LatticeGrid(unit.dims_base, unit.dims_fibre, unit.spacing_base,
+                              tuple(side * h for h in unit.spacing_fibre),
+                              base_periodic)
+        times = np.linspace(0, 1, 4)
+        fields = [theta_connection(grid, lambda t1, t2, t3, tau=tau:
+                                   theta(tau, t1, t2, t3)) for tau in times]
+        ci = ga.cs_instanton(ga.ConnectionPath(list(times), fields))
+        ca = fu.cs_associative(fu.holonomy_path(fields, times))
+        # both functionals vanish on paths without this size, whatever the
+        # moduli scale kappa; the side-2 fibre tells kappa's exponent apart
+        assert abs(ci) >= 1e-4
+        return ci, ca
 
     def test_constant_path_zero(self):
         grid = ga.LatticeGrid.unit(4, 4, base_periodic=True, fibre_periodic=True)
@@ -237,28 +248,35 @@ class TestChernSimonsEquality:
         times = [0.0, 1.0]
         s0 = fu.FueterSectionGrid(base, (h,) * 3, period=0.0)
         s1 = fu.FueterSectionGrid(base + delta, (h,) * 3, period=0.0)
-        got = fu.cs_associative(fu.SectionPath(times, [s0, s1]), moduli_scale=1.0)
+        got = fu.cs_associative(fu.SectionPath(times, [s0, s1]))
         # integrand: (d_1 s)^T W_1 (delta) = 0.7 * W1[0,1] * 0.5 = 0.35
         assert abs(got - 0.35) < 1e-12
 
     def test_equality_with_connection_functional(self):
-        rng = np.random.default_rng(11)
-        grid = ga.LatticeGrid.unit(5, 4, base_periodic=True, fibre_periodic=True)
-        for _ in range(5):
-            cpath, spath = self.path_pair(grid, rng)
-            ci = ga.cs_instanton(cpath)
-            vol = float(np.prod([n * h for n, h in
-                                 zip(grid.dims_fibre, grid.spacing_fibre)]))
-            ca = fu.cs_associative(spath, moduli_scale=vol / (4 * np.pi ** 2))
-            assert abs(ci - ca) <= 1e-10 * max(1.0, abs(ci))
+        def theta(tau, t1, t2, t3):
+            return [0.4 * tau * np.cos(2 * np.pi * t2), 0.0,
+                    0.4 * tau * (1 + 0.3 * tau) * np.sin(2 * np.pi * t2), 0.0]
+
+        for side in (1.0, 2.0):
+            ci, ca = self.functionals(True, side, theta)
+            assert abs(ci - ca) <= 1e-10 * abs(ci)
 
     def test_equality_on_box_base(self):
-        rng = np.random.default_rng(12)
-        grid = ga.LatticeGrid.unit(5, 4, base_periodic=False, fibre_periodic=True)
-        cpath, spath = self.path_pair(grid, rng)
-        ci = ga.cs_instanton(cpath)
-        ca = fu.cs_associative(spath, moduli_scale=1.0 / (4 * np.pi ** 2))
-        assert abs(ci - ca) <= 1e-10 * max(1.0, abs(ci))
+        # theta = tau (a t2, b t1, 0, 0) has the closed form -a b L^4 / (16 pi^2)
+        a, b = 0.7, -0.4
+        for side in (1.0, 2.0):
+            ci, ca = self.functionals(False, side, lambda tau, t1, t2, t3:
+                                      [tau * a * t2, tau * b * t1, 0.0, 0.0])
+            assert abs(ci + a * b * side ** 4 / (16 * np.pi ** 2)) <= 1e-12 * abs(ci)
+            assert abs(ci - ca) <= 1e-10 * abs(ci)
+
+    def test_path_needs_ascending_times_and_one_period(self):
+        s = fu.FueterSectionGrid(np.zeros((3, 3, 3, 4)), (0.5,) * 3)
+        with pytest.raises(ValueError, match="ascending"):
+            fu.SectionPath([1.0, 0.0], [s, s])
+        other = fu.FueterSectionGrid(np.zeros((3, 3, 3, 4)), (0.5,) * 3, period=np.pi)
+        with pytest.raises(ValueError, match="period"):
+            fu.SectionPath([0.0, 1.0], [s, other])
 
 
 class TestSectionIO:
@@ -279,9 +297,13 @@ class TestSectionIO:
         ("dims", [3.7, 3, 3], "/dims"), ("dims", [3, True, 3], "/dims"),
         ("spacing", ["0.5", 0.5, 0.5], "/spacing"), ("period", "6.28", "/period"),
         ("base_periodic", "false", "/base_periodic"),
-        ("base_periodic", 1, "/base_periodic")],
+        ("base_periodic", 1, "/base_periodic"),
+        ("values", [[0.0] * 4] * 26 + [["1.5", 0.0, 0.0, 0.0]], "/values"),
+        ("values", [[0.0] * 4] * 26 + [[0.0, "nan", 0.0, 0.0]], "/values"),
+        ("values", [[0.0] * 4] * 26 + [[0.0, 0.0, True, 0.0]], "/values")],
         ids=["float_dim", "bool_dim", "string_spacing", "string_period",
-             "string_base_flag", "int_base_flag"])
+             "string_base_flag", "int_base_flag", "string_value",
+             "string_nan_value", "bool_value"])
     def test_guessed_fields_rejected(self, field, value, where):
         doc = fu.section_to_json(fu.FueterSectionGrid(np.zeros((3, 3, 3, 4)),
                                                       (0.5, 0.5, 0.5)))

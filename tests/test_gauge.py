@@ -533,10 +533,15 @@ class TestFieldIO:
         ("dims", {"base": [3.0, 3, 3], "fibre": [3] * 4}, "/dims/base"),
         ("dims", {"base": [3] * 3, "fibre": [3, 3, 3, 3.5]}, "/dims/fibre"),
         ("spacing", {"base": ["0.5"] * 3}, "/spacing/base"),
-        ("spacing", {"fibre": [0.25, 0.25, 0.25, "0.25"]}, "/spacing/fibre")],
+        ("spacing", {"fibre": [0.25, 0.25, 0.25, "0.25"]}, "/spacing/fibre"),
+        # a rank-1 field on the 3^7 grid has 7 * 3^7 * 2 values
+        ("values", [0.0] * (7 * 3 ** 7 * 2 - 1) + ["1.5"], "/values"),
+        ("values", ["nan"] + [0.0] * (7 * 3 ** 7 * 2 - 1), "/values"),
+        ("values", [0.0, True] + [0.0] * (7 * 3 ** 7 * 2 - 2), "/values")],
         ids=["float_rank", "bool_rank", "string_base_flag", "int_fibre_flag",
              "float_base_dim", "float_fibre_dim", "string_base_spacing",
-             "string_fibre_spacing"])
+             "string_fibre_spacing", "string_value", "string_nan_value",
+             "bool_value"])
     def test_guessed_fields_rejected(self, field, value, where):
         doc = ga.field_to_json(ga.LatticeConnection.zero(ga.LatticeGrid.unit(3, 3)))
         doc[field] = value
@@ -544,14 +549,19 @@ class TestFieldIO:
             ga.field_from_json(doc)
 
     def test_spacing_count_checked(self):
-        with pytest.raises(ValueError, match="spacings"):
-            ga.LatticeGrid((3, 3, 3), (3, 3, 3, 3), (0.5, 0.5), (0.5,) * 4)
-        with pytest.raises(ValueError, match="spacings"):
-            ga.LatticeGrid((3, 3, 3), (3, 3, 3, 3), (0.5,) * 3, (0.5,) * 5)
-        doc = ga.field_to_json(ga.LatticeConnection.zero(ga.LatticeGrid.unit(3, 3)))
-        doc["spacing"]["base"] = [0.5, 0.5]
-        with pytest.raises(ValueError, match="spacings"):
-            ga.field_from_json(doc)
+        # one finite positive spacing per axis, on the grid and in documents
+        nan, inf = float("nan"), float("inf")
+        for base, fibre in (((0.5, 0.5), (0.5,) * 4), ((0.5,) * 3, (0.5,) * 5),
+                            ((0.5, 0.0, 0.5), (0.5,) * 4),
+                            ((0.5,) * 3, (0.5, -0.5, 0.5, 0.5)),
+                            ((nan, 0.5, 0.5), (0.5,) * 4),
+                            ((0.5,) * 3, (0.5, 0.5, 0.5, inf))):
+            with pytest.raises(ValueError, match="spacings"):
+                ga.LatticeGrid((3, 3, 3), (3, 3, 3, 3), base, fibre)
+            doc = ga.field_to_json(ga.LatticeConnection.zero(ga.LatticeGrid.unit(3, 3)))
+            doc["spacing"] = {"base": list(base), "fibre": list(fibre)}
+            with pytest.raises(ValueError, match="spacings"):
+                ga.field_from_json(doc)
 
     def test_missing_spacing_follows_the_unit_grid(self):
         # periodic base, box fibre: the opposite of the default flags

@@ -618,8 +618,12 @@ class TestIO:
     @pytest.mark.parametrize("field, value, where", [
         ("dims", [3.9, 3.2, 3.7], "/dims"), ("dims", [5, True, 5], "/dims"),
         ("spacing", [0.25, "0.25", 0.25], "/spacing"),
-        ("spacing", [0.25, 0.25, True], "/spacing")],
-        ids=["float_dims", "bool_dim", "string_spacing", "bool_spacing"])
+        ("spacing", [0.25, 0.25, True], "/spacing"),
+        ("nodes", [[0.0] * 22] * 124 + [["1.5"] + [0.0] * 21], "/nodes"),
+        ("nodes", [[0.0] * 22] * 124 + [[0.0] * 21 + ["nan"]], "/nodes"),
+        ("Q", [[True] + [0.0] * 21] + mx.standard_pairing()[1:].tolist(), "/Q")],
+        ids=["float_dims", "bool_dim", "string_spacing", "bool_spacing",
+             "string_node", "string_nan_node", "bool_pairing"])
     def test_guessed_fields_rejected(self, field, value, where):
         doc = mx.grid_to_json(mx.affine_section((5, 5, 5), (0.25,) * 3))
         doc[field] = value
