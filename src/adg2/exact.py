@@ -11,14 +11,13 @@ other matrix.  Where speed matters, the hot linear maps are not sped up
 here but cached where they are defined, built lazily from their one
 defining formula: HKTriple._variation_map (hk.metric_variation) and
 SpinorModel._curvature_tensor (spin.curvature_operators).  The one
-elimination routine, _row_echelon, serves det, inverse and kernel_basis on
+elimination routine, _row_echelon, serves inverse and kernel_basis on
 either entry type.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -169,66 +168,36 @@ def mat_apply(a: Matrix, v: Sequence) -> tuple:
                  for i in range(len(a)))
 
 
-def _row_echelon(rows: list[list], n_cols: int, stop_at_free: bool = False):
-    """Forward Gaussian elimination, in place, over the first n_cols columns.
-
-    Returns (pivots, swaps): the pivot column of each leading row and the
-    number of row swaps made.  With stop_at_free the elimination ends at the
-    first column without a pivot, which is all det and inverse need to know.
-    """
+def _row_echelon(rows: list[list], n_cols: int) -> list[int]:
+    """Gauss-Jordan elimination, in place, over the first n_cols columns, to
+    the reduced row-echelon form.  Returns the pivot column of each leading
+    row."""
     pivots: list[int] = []
-    swaps = 0
     for c in range(n_cols):
         r = len(pivots)
         if r == len(rows):
             break
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
-            if stop_at_free:
-                break
             continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            swaps += 1
-        top = rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c]:
-                f = rows[i][c] / top[c]
-                rows[i][c:] = [x - f * y for x, y in zip(rows[i][c:], top[c:])]
-        pivots.append(c)
-    return pivots, swaps
-
-
-def _back_substitute(rows: list[list], pivots: list[int]) -> None:
-    """Turn a row-echelon form into the reduced one, in place."""
-    for r in reversed(range(len(pivots))):
-        c = pivots[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
         p = rows[r][c]
-        rows[r] = [x / p for x in rows[r]]
-        for i in range(r):
-            f = rows[i][c]
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-
-
-def det(a: Sequence[Sequence]):
-    """Exact determinant of a square matrix."""
-    rows = [list(r) for r in a]
-    pivots, swaps = _row_echelon(rows, len(rows), stop_at_free=True)
-    if len(pivots) < len(rows):
-        return rows[0][0] * 0
-    out = prod(row[i] for i, row in enumerate(rows))
-    return -out if swaps % 2 else out
+        top = rows[r] = [x / p for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, top)]
+        pivots.append(c)
+    return pivots
 
 
 def inverse(a: Sequence[Sequence]) -> Matrix:
     """Exact inverse of a square matrix; ValueError if it is singular."""
     n = len(a)
     rows = [list(r) + list(e) for r, e in zip(a, eye(n, field=type(a[0][0])))]
-    pivots, _ = _row_echelon(rows, n, stop_at_free=True)
+    pivots = _row_echelon(rows, n)
     if len(pivots) < n:
         raise ValueError("singular matrix")
-    _back_substitute(rows, pivots)
     return tuple(tuple(r[n:]) for r in rows)
 
 
@@ -236,8 +205,7 @@ def kernel_basis(a: Matrix) -> list[tuple]:
     """Exact kernel basis of a QQi matrix via Gaussian elimination."""
     rows = [list(r) for r in mat(a)]
     n_cols = len(rows[0]) if rows else 0
-    pivots, _ = _row_echelon(rows, n_cols)
-    _back_substitute(rows, pivots)
+    pivots = _row_echelon(rows, n_cols)
     basis = []
     for fc in (c for c in range(n_cols) if c not in pivots):
         v = [QQi(0)] * n_cols

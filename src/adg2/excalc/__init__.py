@@ -4,6 +4,7 @@ from .poly import HORIZONTAL, NVARS, VAR_NAMES, VERTICAL, Poly
 from .forms import (
     BigradedForm,
     HorizontalDistribution,
+    contract,
     eval_on_vectors,
     exterior_d,
     from_coordinate_frame,
@@ -26,7 +27,7 @@ from .io import form_from_json, form_to_json
 __all__ = [
     "BigradedForm", "FibrationData", "HorizontalDistribution", "Poly",
     "HORIZONTAL", "NVARS", "VAR_NAMES", "VERTICAL",
-    "donaldson_residuals", "residuals_all_zero", "eval_on_vectors",
+    "contract", "donaldson_residuals", "residuals_all_zero", "eval_on_vectors",
     "exterior_d", "from_coordinate_frame", "split_d", "to_coordinate_frame",
     "wedge", "wedge_all", "star3", "star4", "star7", "star7_limit",
     "standard_lambda", "standard_mu", "standard_triple",

@@ -15,8 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from ..exact import det
-from .poly import HORIZONTAL, NVARS, VERTICAL, Poly, Scalar
+from .poly import HORIZONTAL, NVARS, VERTICAL, ZERO_EXP, Poly, Scalar
 
 Key = tuple  # (I, J)
 
@@ -300,22 +299,37 @@ def _substitute_coframe(a: BigradedForm, H: HorizontalDistribution,
     return out
 
 
-def eval_on_vectors(a: BigradedForm, vectors: Sequence[Sequence[Scalar]],
-                    point: Sequence[Scalar] | None = None) -> Fraction:
-    """Evaluate a degree-n form on n constant vectors at a point (default 0).
+def contract(a: BigradedForm, vectors: Sequence[Sequence[Scalar]]) -> dict[tuple, Fraction]:
+    """i_{v_k} ... i_{v_1} a at the origin, for constant vectors v_1 .. v_k:
+    the coefficients of the remaining form, keyed by index tuple I + J.
 
-    Vectors are length-7 rationals in the coordinate ordering t1..t3,x1..x4.
-    Only meaningful in a flat coframe (e^a = dx_a).
+    The coefficients are read at the origin first, so the contraction runs
+    over plain Fractions; removing the slot at position pos of I + J carries
+    the sign (-1)^pos.  Vectors are length-7 rationals in the coordinate
+    ordering t1..t3,x1..x4.  Only meaningful in a flat coframe (e^a = dx_a).
     """
+    if len(vectors) > a.degree:
+        raise ValueError("more vectors than the form degree")
+    vs = [tuple(map(Fraction, v)) for v in vectors]
+    if any(len(v) != NVARS for v in vs):
+        raise ValueError(f"vectors have {NVARS} components (t1..t3,x1..x4)")
+    coeffs = {I + J: p.terms[ZERO_EXP] for (I, J), p in a.terms.items()
+              if ZERO_EXP in p.terms}
+    for v in vs:
+        out: dict[tuple, Fraction] = {}
+        for idx, c in coeffs.items():
+            for pos, i in enumerate(idx):
+                if v[i]:
+                    key = idx[:pos] + idx[pos + 1:]
+                    term = c * v[i]
+                    out[key] = out.get(key, 0) + (-term if pos % 2 else term)
+        coeffs = {key: c for key, c in out.items() if c}
+    return coeffs
+
+
+def eval_on_vectors(a: BigradedForm, vectors: Sequence[Sequence[Scalar]]) -> Fraction:
+    """The value of a degree-n form on n constant vectors, taken at the origin:
+    the 0-form that contract leaves."""
     if len(vectors) != a.degree:
         raise ValueError("need as many vectors as the form degree")
-    pt = point if point is not None else (0,) * NVARS
-    total = Fraction(0)
-    for (I, J), p in a.terms.items():
-        idx = I + J
-        c = p.eval(pt)
-        if c == 0:
-            continue
-        total += c * det([[Fraction(v[i]) for v in vectors] for i in idx])
-    return total
-
+    return contract(a, vectors).get((), Fraction(0))

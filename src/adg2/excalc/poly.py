@@ -122,16 +122,6 @@ class Poly:
         p.terms = {e: c for e, c in out.items() if c}
         return p
 
-    def eval(self, point) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for idx, pw in enumerate(e):
-                if pw:
-                    v *= Fraction(point[idx]) ** pw
-            total += v
-        return total
-
     def __eq__(self, other):
         return self.terms == Poly.of(other).terms
 

@@ -44,6 +44,8 @@ class FueterSectionGrid:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 4 or self.values.shape[-1] != 4:
             raise ValueError("values must have shape (n1, n2, n3, 4)")
+        if any(n < 3 for n in self.values.shape[:3]):
+            raise ValueError("need at least three nodes per axis")
         self.spacing = _spacings(self.spacing, 3, "base")
         self.period = float(self.period)
         if self.period > 0:

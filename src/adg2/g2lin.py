@@ -4,9 +4,10 @@ The defining 3-form is phi_eps = eps * sum_i omega_i dt_i - dt1 dt2 dt3 and
 its dual 4-form is star phi_eps = -eps * sum_cyc omega_i dt_j dt_k +
 (eps^2/2) omega_1^2, with metric g_eps = sum dt^2 + eps sum dx^2.  The cross
 product and the trilinear map chi are recovered from these by solving the
-defining identities against the metric; eps = 0 is a distinct formal-limit
-mode evaluated through the scaling case table (only one-vertical /
-two-horizontal argument combinations survive).
+defining identities against the metric, each from one contraction
+(excalc.contract): i_y i_x phi_eps for cross, i_z i_y i_x star phi_eps for
+chi.  eps = 0 is a distinct formal-limit mode evaluated through the scaling
+case table (only one-vertical / two-horizontal argument combinations survive).
 
 G2Model is a function of eps alone, on the flat product data of excalc.  The
 fibre complex structures are not re-derived here: they are
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .excalc import BigradedForm, FibrationData, eval_on_vectors, wedge
+from .excalc import BigradedForm, FibrationData, contract, wedge
 from .excalc.poly import HORIZONTAL, VERTICAL
 
 Vector7 = tuple  # length-7 tuple of Fractions, ordering t1,t2,t3,x1..x4
@@ -83,9 +84,7 @@ def cross(x: Vector7, y: Vector7, m: G2Model) -> Vector7:
     """The product defined by g_eps(x X y, z) = phi_eps(x, y, z); needs eps > 0."""
     if m.eps == 0:
         raise ValueError("cross product needs eps > 0; the limit lives in chi")
-    phi = m.phi()
-    co = [eval_on_vectors(phi, [x, y, basis_vector(k)]) for k in range(7)]
-    return _metric_solve(co, m.eps)
+    return _metric_solve(contract(m.phi(), [x, y]), m.eps)
 
 
 def chi(x: Vector7, y: Vector7, z: Vector7, m: G2Model) -> Vector7:
@@ -97,13 +96,13 @@ def chi(x: Vector7, y: Vector7, z: Vector7, m: G2Model) -> Vector7:
     """
     if m.eps == 0:
         return _chi_limit(x, y, z)
-    sphi = m.star_phi()
-    co = [eval_on_vectors(sphi, [x, y, z, basis_vector(k)]) for k in range(7)]
-    return _metric_solve(co, m.eps)
+    return _metric_solve(contract(m.star_phi(), [x, y, z]), m.eps)
 
 
-def _metric_solve(covector, eps: Fraction) -> Vector7:
-    return tuple(covector[i] if i < 3 else covector[i] / eps for i in range(7))
+def _metric_solve(covector: dict, eps: Fraction) -> Vector7:
+    """The vector v with g_eps(v, .) the 1-form covector, keyed by (k,)."""
+    co = [covector.get((k,), Fraction(0)) for k in range(7)]
+    return tuple(c if k in HORIZONTAL else c / eps for k, c in enumerate(co))
 
 
 _UNIT = G2Model(1)  # read by every formal-limit chi; forms built on first use

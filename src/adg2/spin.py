@@ -124,11 +124,19 @@ def build_spinor_model(corrupt: str | None = None) -> SpinorModel:
     corrupt is a test hook: "i2_sign" flips one quaternion unit before the
     derived operators are formed, which downstream identity suites must
     catch.  A corrupted model is built afresh on every call, never cached
-    and never verified (the construction checks would see the flip).
+    and never verified (the construction checks would see the flip).  Any
+    other name raises ValueError, so a misspelt control cannot pass.
     """
+    check_corruption(corrupt)
     if corrupt is None:
         return _verified_model()
     return _assemble(corrupt)
+
+
+def check_corruption(corrupt: str | None) -> None:
+    """ValueError unless corrupt is None or the one known hook, "i2_sign"."""
+    if corrupt not in (None, "i2_sign"):
+        raise ValueError(f"unknown corruption {corrupt!r}; the known hook is 'i2_sign'")
 
 
 @cache

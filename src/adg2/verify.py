@@ -480,10 +480,10 @@ def run_spin(seed: int, corrupt: str | None = None) -> list:
     def check_cancellations():
         for _ in range(100):
             jet = spin.random_donaldson_jet(rng)
-            _expect(is_zero_matrix(spin.curvature_sum(jet, model)),
-                    "curvature cancellation failed")
-            z, first = spin.dirac_variation_symbol(jet, model)
-            _expect(is_zero_matrix(z) and all(is_zero_matrix(c) for c in first),
+            # the symbol's zeroth part is minus the curvature sum
+            zeroth, first = spin.dirac_variation_symbol(jet, model)
+            _expect(is_zero_matrix(zeroth), "curvature cancellation failed")
+            _expect(all(is_zero_matrix(c) for c in first),
                     "Dirac-variation cancellation failed")
         return "0"
 
@@ -522,6 +522,9 @@ def run_suite(suite: str, seed: int, corrupt: str | None = None) -> list[Report]
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from "
                          f"{', '.join(SUITES)} or all")
+    from .spin import check_corruption
+
+    check_corruption(corrupt)
     out = []
     for name in names:
         report = Report(name, seed)

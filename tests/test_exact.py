@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from adg2 import hk
-from adg2.exact import (QQi, det, eye, inverse, is_zero_matrix, kernel_basis, mat,
+from adg2.exact import (QQi, eye, inverse, is_zero_matrix, kernel_basis, mat,
                         mat_apply, mmul, zeros)
 
 F = Fraction
@@ -12,19 +12,12 @@ A = ((F(2), F(1), F(0)), (F(1, 3), F(-1), F(4)), (F(0), F(5, 2), F(1)))
 
 
 class TestElimination:
-    def test_det_changes_sign_under_a_row_swap(self):
-        swapped = (A[1], A[0], A[2])
-        assert det(A) == F(-67, 3)
-        assert det(swapped) == -det(A)
-
-    def test_det_and_inverse_agree(self):
+    def test_inverse_of_a_fraction_matrix(self):
         inv = inverse(A)
         assert mmul(A, inv) == eye(3, field=Fraction)
-        assert det(inv) * det(A) == 1
 
     def test_singular_fraction_matrix(self):
         singular = (A[0], A[1], tuple(2 * x - y for x, y in zip(A[0], A[1])))
-        assert det(singular) == 0
         with pytest.raises(ValueError):
             inverse(singular)
 

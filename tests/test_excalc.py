@@ -1,6 +1,8 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
+from math import prod
 
 import pytest
 
@@ -245,6 +247,39 @@ class TestEvalAndIO:
         e[0][X1] = 1
         e[1][X2] = 1
         assert eval_on_vectors(w, e) == 1
+
+    def test_eval_on_vectors_is_the_leibniz_sum(self):
+        # sum_T c_T(0) sum_sigma sgn(sigma) prod_j v_sigma(j)[T_j], on random
+        # forms of every degree with mixed bigrades and polynomial coefficients
+        def leibniz(a, vectors):
+            total = Fraction(0)
+            for (I, J), p in a.terms.items():
+                c0 = sum((c for e, c in p.terms.items() if not any(e)), Fraction(0))
+                idx = I + J
+                for sigma in permutations(range(len(idx))):
+                    sign = (-1) ** sum(1 for i, j in combinations(sigma, 2) if i > j)
+                    total += sign * c0 * prod(Fraction(vectors[s][t])
+                                              for s, t in zip(sigma, idx))
+            return total
+
+        rng = random.Random(11)
+        for degree in range(8):
+            nonzero = 0
+            for _ in range(12):
+                a = random_form(rng, degree, max_poly_deg=1, nterms=6)
+                vectors = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                            for _ in range(7)] for _ in range(degree)]
+                want = leibniz(a, vectors)
+                assert eval_on_vectors(a, vectors) == want
+                nonzero += want != 0
+            assert nonzero >= 3, f"degree {degree} was checked on too few values"
+
+    def test_vectors_need_seven_entries(self):
+        w = standard_triple()[0]
+        good = [0, 0, 0, 0, 1, 0, 0]
+        for bad in ([0, 0, 0, 1, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0]):
+            with pytest.raises(ValueError, match="7 components"):
+                eval_on_vectors(w, [bad, good])
 
     def test_json_roundtrip(self):
         rng = random.Random(9)

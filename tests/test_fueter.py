@@ -100,6 +100,10 @@ class TestSectionGrid:
         with pytest.raises(ValueError, match="spacings"):
             fu.FueterSectionGrid(np.zeros((3, 3, 3, 4)), spacing)
 
+    def test_two_nodes_per_axis_rejected(self):
+        with pytest.raises(ValueError, match="three nodes per axis"):
+            fu.FueterSectionGrid(np.zeros((2, 2, 2, 4)), (0.5, 0.5, 0.5), period=0.0)
+
 
 class TestHolonomySection:
     def test_constant_theta(self):

@@ -71,6 +71,10 @@ class TestBuild:
         ok = (mmul(bad.i_sp[0], bad.i_sp[1]) == bad.i_sp[2])
         assert not ok
 
+    def test_misspelt_corruption_is_rejected(self):
+        with pytest.raises(ValueError, match="'i2_sign'"):
+            spin.build_spinor_model(corrupt="i2-sign")
+
     # one corruption of the 2x2 tables per relation that the proof can reach
     # first: the mixed relation holds for any tables, and the volume relation
     # follows from the earlier ones on every entry corruption tried

@@ -65,3 +65,8 @@ def test_corrupted_model_fails_the_suite(suite):
 def test_unknown_suite_is_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         verify.run_suite("nope", SEED)
+
+
+def test_misspelt_corruption_is_rejected():
+    with pytest.raises(ValueError, match="'i2_sign'"):
+        verify.run_suite("spin", SEED, corrupt="i2-sign")
