@@ -1,22 +1,28 @@
-"""Exact arithmetic helpers: Gaussian rationals, small dense matrices and
-Gaussian elimination.
+"""Exact arithmetic helpers: Gaussian rationals, small dense matrices,
+Gaussian elimination and exact linear maps.
 
 Everything in the pointwise algebra modules (excalc, g2lin, hk, spin) runs
 over Fraction or QQi entries, so "equals zero" always means exactly zero.
-Matrices are plain tuples of tuples; the sizes involved are 2x2 .. 8x8 and
-clarity beats speed here.  This is the one matrix vocabulary of those
-modules: the fibre 2-forms of hk are 4x4 Fraction matrices, added, scaled
-and tested for zero with madd, msub, mscale and is_zero_matrix like any
-other matrix.  Where speed matters, the hot linear maps are not sped up
-here but cached where they are defined, built lazily from their one
-defining formula: HKTriple._variation_map (hk.metric_variation) and
-SpinorModel._curvature_tensor (spin.curvature_operators).  The one
-elimination routine, _row_echelon, serves inverse and kernel_basis on
-either entry type.
+Matrices are plain tuples of tuples; the sizes involved are 2x2 .. 8x8.
+This is the one matrix vocabulary of those modules: the fibre 2-forms of hk
+are 4x4 Fraction matrices, added, scaled and tested for zero with madd,
+msub, mscale and is_zero_matrix like any other matrix.  The one elimination
+routine, _row_echelon, serves inverse and kernel_basis on either entry type.
+
+LinearMap is the one way an exact linear law is applied on a hot path: a
+map is built once, lazily, from the images of the unit vectors under its
+one defining formula, and applying it costs integer dot products and one
+Fraction per output instead of one Fraction per term.  The compiled maps
+are HKTriple._variation_map (hk.metric_variation), HKTriple._recovery_map
+(hk.recover_form_variation), SpinorModel._curvature_tensor
+(spin.curvature_operators) and SpinorModel._dirac_first_map (the
+first-order part of spin.dirac_variation_symbol).
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -166,6 +172,44 @@ def is_zero_matrix(a: Matrix) -> bool:
 def mat_apply(a: Matrix, v: Sequence) -> tuple:
     return tuple(sum((a[i][j] * v[j] for j in range(1, len(v))), a[i][0] * v[0])
                  for i in range(len(a)))
+
+
+@dataclass(frozen=True)
+class LinearMap:
+    """An exact linear map from n_in rationals to len(rows) rationals:
+    output s is sum(c * x[n] for n, c in rows[s]) / den, with integer c.
+
+    Built by from_columns in lowest terms (den is the least common
+    denominator of all entries, zero entries are dropped, n increases along
+    a row), so maps from equal columns compare equal and maps from different
+    columns compare unequal.
+    """
+
+    n_in: int
+    rows: tuple  # per output, the (n, c) with c a nonzero int
+    den: int
+
+    @staticmethod
+    def from_columns(columns: Sequence[Sequence[Rat]]) -> "LinearMap":
+        """The map whose n-th column, the image of the n-th unit vector, is
+        columns[n]; every column has one entry per output."""
+        den = math.lcm(*(x.denominator for col in columns for x in col))
+        return LinearMap(len(columns), tuple(
+            tuple((n, x.numerator * (den // x.denominator))
+                  for n, col in enumerate(columns) if (x := col[s]))
+            for s in range(len(columns[0]))), den)
+
+    def __call__(self, x: Sequence[Rat]) -> tuple[Fraction, ...]:
+        """The image of x, n_in ints or Fractions, as Fractions: x is put
+        over its common denominator, so each output is one integer dot
+        product and one Fraction."""
+        if len(x) != self.n_in:
+            raise ValueError(f"map takes {self.n_in} inputs, got {len(x)}")
+        d = math.lcm(*(v.denominator for v in x))
+        nums = [v.numerator * (d // v.denominator) for v in x]
+        den = self.den * d
+        return tuple(Fraction(sum(c * nums[n] for n, c in row), den)
+                     for row in self.rows)
 
 
 def _row_echelon(rows: list[list], n_cols: int) -> list[int]:

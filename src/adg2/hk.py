@@ -6,10 +6,12 @@ triple determines the metric through g(Y,Z) mu = i_Y w1 ^ i_Z w2 ^ w3, and
 variations of the triple decompose into rotation/conformal coefficients
 plus anti-self-dual remainders, which carry the whole metric variation.
 
-metric_variation is linear in the form variation.  Its defining formula,
-_metric_variation_formula, is evaluated once per triple on the 48 unit
-variations, lazily on first use; the sparse exact map it yields is cached on
-the HKTriple object and every call applies that map.
+metric_variation and its inverse recover_form_variation are linear.  Each
+runs through an exact.LinearMap cached on the HKTriple and built lazily, on
+first use, from its one defining formula: HKTriple._variation_map from
+_metric_variation_formula on the 48 unit variations, and
+HKTriple._recovery_map from the frame-free inverse formula on the 16 unit
+metric variations.
 
 This module is the one home of the standard triple (STANDARD_TRIPLE), its
 anti-self-dual basis (ASD_BASIS) and the complex structures of a triple
@@ -23,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import product
 from typing import Sequence
 
-from .exact import QQi, inverse, madd, mscale, msub, zeros
+from .exact import LinearMap, QQi, inverse, madd, mscale, msub, zeros
 
 Mat4 = tuple  # 4x4 tuple of tuples of Fraction
 
@@ -107,11 +110,10 @@ class HKTriple:
         return HKTriple(STANDARD_TRIPLE, g, mu)
 
     @cached_property
-    def _variation_map(self) -> tuple:
-        """metric_variation at this triple as 17 sparse rows, one per entry of
-        g_dot (row-major) and one for mu_dot; row s holds the nonzero (n, c)
-        with c the coefficient of entry n of the flattened (w1dot, w2dot,
-        w3dot).  Column n is the formula applied to the n-th unit variation."""
+    def _variation_map(self) -> LinearMap:
+        """metric_variation at this triple: the 48 entries of the flattened
+        (w1dot, w2dot, w3dot) to the 16 entries of g_dot (row-major) and, last,
+        mu_dot.  Column n is the formula applied to the n-th unit variation."""
         cols = []
         for n in range(48):
             unit = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(3)]
@@ -119,8 +121,30 @@ class HKTriple:
             mv = _metric_variation_formula(
                 self, TripleVariation(tuple(tuple(map(tuple, w)) for w in unit)))
             cols.append([x for row in mv.g_dot for x in row] + [mv.mu_dot])
-        return tuple(tuple((n, col[s]) for n, col in enumerate(cols) if col[s])
-                     for s in range(17))
+        return LinearMap.from_columns(cols)
+
+    @cached_property
+    def _recovery_map(self) -> LinearMap:
+        """recover_form_variation at this triple: the 16 entries of g_dot
+        (row-major) to the 48 entries of the flattened (w1dot, w2dot, w3dot)
+        and, last, the trace g^{ab} g_dot_ba.
+
+        Column (b, d) is the frame-free formula
+            w_i-dot = -(1/2) sum_{a,b'} g^{ab'} (I_i e_a)-flat ^ i_{e_b'} g_dot
+        on the unit g_dot = e_b (x) e_d.  There i_{e_b'} g_dot is
+        delta_{b'b} dx_d and (I_i e_a)-flat = i_{e_a} w_i is row a of w_i, so
+        the column of w_i-dot is the 2-form h ^ dx_d, h = -(1/2) sum_a g^{ab} i_{e_a} w_i.
+        """
+        ginv = _metric_inverse(self.g)
+        cols = []
+        for b, d in product(range(4), repeat=2):
+            col = []
+            for w in self.omega:
+                h = [-sum(ginv[a][b] * w[a][c] for a in range(4)) / 2 for c in range(4)]
+                col += [(h[c] if e == d else 0) - (h[e] if c == d else 0)
+                        for c in range(4) for e in range(4)]
+            cols.append(col + [ginv[d][b]])
+        return LinearMap.from_columns(cols)
 
 
 @dataclass(frozen=True)
@@ -215,8 +239,7 @@ def metric_variation(t: HKTriple, v: TripleVariation) -> MetricVariation:
     Applies the triple's cached exact map (HKTriple._variation_map); the
     values equal _metric_variation_formula on every input, antisymmetric or not.
     """
-    x = [e for w in v.omega_dot for row in w for e in row]
-    out = [sum((c * x[n] for n, c in terms), Fraction(0)) for terms in t._variation_map]
+    out = t._variation_map([e for w in v.omega_dot for row in w for e in row])
     return MetricVariation(tuple(tuple(out[4 * a:4 * a + 4]) for a in range(4)), out[16])
 
 
@@ -249,42 +272,19 @@ def complex_structure_matrices(t: HKTriple) -> tuple[Mat4, Mat4, Mat4]:
     return tuple(out)
 
 
-def recover_form_variation(t: HKTriple, g_dot: Mat4,
-                           frame: Sequence[Sequence] | None = None):
-    """Invert the metric variation: -(1/2) sum_j I_i e_j-flat ^ i_{e_j} g_dot.
+def recover_form_variation(t: HKTriple, g_dot: Mat4):
+    """Invert the metric variation: -(1/2) sum_{a,b} g^{ab} (I_i e_a)-flat ^
+    i_{e_b} g_dot, which is -(1/2) sum_j (I_i e_j)-flat ^ i_{e_j} g_dot in every
+    g-orthonormal frame (e_j).
 
-    g_dot must be traceless w.r.t. the triple metric (pure ASD variation);
-    frame optionally supplies a g-orthonormal basis (default: coordinate
-    frame, valid for the standard triple).
+    g_dot must be traceless w.r.t. the triple metric (pure ASD variation).
+    Applies the triple's cached exact map (HKTriple._recovery_map).
     """
-    ginv = _metric_inverse(t.g)
-    tr = sum(ginv[a][b] * g_dot[b][a] for a in range(4) for b in range(4))
+    *out, tr = t._recovery_map([e for row in g_dot for e in row])
     if tr != 0:
         raise ValueError(f"g_dot must be traceless; got trace {tr}")
-    if frame is None:
-        frame = [[Fraction(1 if c == j else 0) for c in range(4)] for j in range(4)]
-    for j, e in enumerate(frame):
-        for k, f in enumerate(frame):
-            ip = sum(e[a] * t.g[a][b] * f[b] for a in range(4) for b in range(4))
-            if ip != (1 if j == k else 0):
-                raise ValueError("frame is not orthonormal for the triple metric")
-    ivec = complex_structure_matrices(t)
-    out = []
-    for i in range(3):
-        m = [[Fraction(0)] * 4 for _ in range(4)]
-        for e in frame:
-            ie = tuple(sum(ivec[i][a][b] * Fraction(e[b]) for b in range(4))
-                       for a in range(4))
-            u = tuple(sum(Fraction(ie[c]) * t.g[c][b] for c in range(4))
-                      for b in range(4))  # (I_i e_j)-flat
-            w = tuple(sum(Fraction(e[c]) * g_dot[c][b] for c in range(4))
-                      for b in range(4))  # i_{e_j} g_dot
-            # (1/2) sum_j u ^ w equals minus the form variation
-            for a in range(4):
-                for bidx in range(4):
-                    m[a][bidx] -= Fraction(1, 2) * (u[a] * w[bidx] - u[bidx] * w[a])
-        out.append(tuple(tuple(row) for row in m))
-    return tuple(out)
+    return tuple(tuple(tuple(out[16 * i + 4 * a:16 * i + 4 * a + 4]) for a in range(4))
+                 for i in range(3))
 
 
 def clifford_of_variation(t: HKTriple, g_dot: Mat4, k: int, spinor_model=None):

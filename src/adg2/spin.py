@@ -12,9 +12,12 @@ Conventions, frozen here and proved on the 2x2 tables by verify_conventions():
     quaternion relations, and c(vol4) = +1 on S-, -1 on S+.
 
 build_spinor_model() returns one verified model per process; the proof
-runs on its first call.  The curvature operators are linear in the metric
-slots of a jet: each model holds the coefficient tensor of
-curvature_operators, built from its ccc table on first use.
+runs on its first call.  The curvature operators and the first-order part
+of the Dirac-variation symbol are linear in the metric slots of a jet: each
+model holds them as two exact.LinearMap, built from its 2x2 tables on first
+use: SpinorModel._curvature_tensor (g1 to R~_1..3, from the ccc table) and
+SpinorModel._dirac_first_map (g0 to the four first-order coefficients, from
+the i_sp and mp tables).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Sequence
 
 from . import hk
 from .exact import (
+    LinearMap,
     QQi,
     dagger,
     eye,
@@ -93,19 +97,37 @@ class SpinorModel:
         return _form2_action(w, self.cc_plus)
 
     @cached_property
-    def _curvature_tensor(self) -> tuple:
-        """Nonzero entries of (c_l c_j c_i - c_l c_i c_j) / 8, the coefficient
-        of the metric slot g1[k][i][l][j] in R~_k, as ((i, l, j), parts) with
-        parts the nonzero (s, x): s = 2 * (2 * row + col) + (0 re | 1 im)."""
-        out = []
-        for i, l, j in product(range(4), repeat=3):
-            t = msub(self.ccc[l][j][i], self.ccc[l][i][j])
-            parts = tuple((4 * r + 2 * c + p, x / 8)
-                          for r, c in product(range(2), repeat=2)
-                          for p, x in enumerate((t[r][c].re, t[r][c].im)) if x)
-            if parts:
-                out.append(((i, l, j), parts))
-        return tuple(out)
+    def _curvature_tensor(self) -> LinearMap:
+        """curvature_operators on the metric slots: the 192 entries
+        g1[k][i][l][j] to the parts of R~_1..3 (_parts order, 8 per k).  Slot
+        (k, i, l, j) maps to (c_l c_j c_i - c_l c_i c_j) / 8 in block k."""
+        tensor = [[x / 8 for x in _parts(msub(self.ccc[l][j][i], self.ccc[l][i][j]))]
+                  for i, l, j in product(range(4), repeat=3)]
+        return LinearMap.from_columns(
+            [[0] * (8 * k) + t + [0] * (8 * (2 - k)) for k in range(3) for t in tensor])
+
+    @cached_property
+    def _dirac_first_map(self) -> LinearMap:
+        """The first-order part of dirac_variation_symbol on the metric slots:
+        the 48 entries g0[k][i][j] to the parts of the four coefficient
+        matrices (_parts order, 8 per i).  Slot (k, i, j) maps to
+        -(1/2) I_k^{S+} c(e_j) in block i."""
+        first = [[-x / 2 for x in _parts(mmul(self.i_sp[k], self.mp[j]))]
+                 for k in range(3) for j in range(4)]
+        return LinearMap.from_columns(
+            [[0] * (8 * i) + first[4 * k + j] + [0] * (8 * (3 - i))
+             for k, i, j in product(range(3), range(4), range(4))])
+
+
+def _parts(m) -> list:
+    """The real and imaginary parts of a 2x2 QQi matrix, in the order
+    re m00, im m00, re m01, im m01, re m10, .., im m11."""
+    return [x for row in m for z in row for x in (z.re, z.im)]
+
+
+def _from_parts(p) -> tuple:
+    """The 2x2 QQi matrix whose _parts are p."""
+    return ((QQi(p[0], p[1]), QQi(p[2], p[3])), (QQi(p[4], p[5]), QQi(p[6], p[7])))
 
 
 def _form2_action(w: hk.Mat4, cc):
@@ -415,18 +437,11 @@ def curvature_operators(jet: AdiabaticJet, model: SpinorModel):
 
 
 def _curvature_operators(g1, model: SpinorModel):
-    """R~_k = sum_{i,l,j} g1[k][i][l][j] (c_l c_j c_i - c_l c_i c_j) / 8."""
-    out = []
-    for k in range(3):
-        acc = [Fraction(0)] * 8
-        for (i, l, j), parts in model._curvature_tensor:
-            g = g1[k][i][l][j]
-            if g:
-                for s, x in parts:
-                    acc[s] += g * x
-        out.append(((QQi(acc[0], acc[1]), QQi(acc[2], acc[3])),
-                    (QQi(acc[4], acc[5]), QQi(acc[6], acc[7]))))
-    return tuple(out)
+    """R~_k = sum_{i,l,j} g1[k][i][l][j] (c_l c_j c_i - c_l c_i c_j) / 8,
+    through the model's map SpinorModel._curvature_tensor."""
+    p = model._curvature_tensor(
+        [x for gk in g1 for gki in gk for row in gki for x in row])
+    return tuple(_from_parts(p[8 * k:8 * k + 8]) for k in range(3))
 
 
 def curvature_sum(jet: AdiabaticJet, model: SpinorModel):
@@ -451,14 +466,5 @@ def dirac_variation_symbol(jet: AdiabaticJet, model: SpinorModel):
     """
     g0, g1 = jet_metric_slots(jet)
     zeroth = mscale(QQi(-1), _curvature_sum(g1, model))
-    first = []
-    for i in range(4):
-        ci = zeros(2)
-        for k in range(3):
-            inner = zeros(2)
-            for j in range(4):
-                if g0[k][i][j]:
-                    inner = madd(inner, mscale(QQi(g0[k][i][j]), model.mp[j]))
-            ci = madd(ci, mmul(model.i_sp[k], inner))
-        first.append(mscale(QQi(Fraction(-1, 2)), ci))
-    return zeroth, tuple(first)
+    p = model._dirac_first_map([x for gk in g0 for row in gk for x in row])
+    return zeroth, tuple(_from_parts(p[8 * i:8 * i + 8]) for i in range(4))

@@ -216,7 +216,7 @@ def run_g2lin(seed: int, corrupt: str | None = None) -> list:
     from itertools import combinations
 
     from . import hk
-    from .excalc import eval_on_vectors
+    from .excalc import contract
     from .g2lin import G2Model, basis_vector, chi, cross, vec, vertical_part
 
     rng = random.Random(seed)
@@ -237,9 +237,12 @@ def run_g2lin(seed: int, corrupt: str | None = None) -> list:
             sphi = m.star_phi()
 
             def holds(x, y, z):
+                # star phi(x, y, z, e_k) is the (k,) coefficient of the one
+                # contraction i_z i_y i_x star phi
                 c = chi(x, y, z, m)
-                return all(m.metric_pair(c, w) == eval_on_vectors(sphi, [x, y, z, w])
-                           for w in e)
+                rhs = contract(sphi, [x, y, z])
+                return all(m.metric_pair(c, e[k]) == rhs.get((k,), 0)
+                           for k in range(7))
 
             for i, j, k in combinations(range(7), 3):
                 _expect(holds(e[i], e[j], e[k]),

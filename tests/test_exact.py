@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from adg2 import hk
-from adg2.exact import (QQi, eye, inverse, is_zero_matrix, kernel_basis, mat,
-                        mat_apply, mmul, zeros)
+from adg2.exact import (LinearMap, QQi, eye, inverse, is_zero_matrix,
+                        kernel_basis, mat, mat_apply, mmul, zeros)
 
 F = Fraction
 
@@ -48,3 +49,49 @@ class TestIsZeroMatrix:
         assert not is_zero_matrix(((QQi(0), QQi(0)), (QQi(2, 5), QQi(0))))
         # a zero real part does not make the entry zero
         assert not is_zero_matrix(((QQi(0), QQi(0, 1)), (QQi(0), QQi(0))))
+
+
+def random_columns(rng, n_in, n_out):
+    """Sparse rational columns with denominators 1-7, about a third nonzero."""
+    return [[F(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.35 else F(0)
+             for _ in range(n_out)] for _ in range(n_in)]
+
+
+class TestLinearMap:
+    def test_equals_the_written_out_dot_product(self):
+        rng = random.Random(4)
+        for _ in range(30):
+            n_in, n_out = rng.randint(1, 20), rng.randint(1, 12)
+            cols = random_columns(rng, n_in, n_out)
+            m = LinearMap.from_columns(cols)
+            for _ in range(5):
+                x = [F(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(n_in)]
+                want = tuple(sum((cols[n][s] * x[n] for n in range(n_in)), F(0))
+                             for s in range(n_out))
+                got = m(x)
+                assert got == want
+                assert all(type(y) is F for y in got)
+
+    def test_integer_inputs_and_zero_input(self):
+        m = LinearMap.from_columns([[F(1, 2), F(0)], [F(1, 3), 2], [0, F(-5, 7)]])
+        assert m([1, 3, 0]) == (F(3, 2), F(6))
+        zero = m([F(0)] * 3)
+        assert zero == (F(0), F(0)) and all(type(y) is F for y in zero)
+
+    def test_wrong_input_length_is_rejected(self):
+        m = LinearMap.from_columns([[F(1)], [F(2)]])
+        with pytest.raises(ValueError, match="takes 2 inputs"):
+            m([F(1)])
+
+    def test_equality_follows_the_columns(self):
+        rng = random.Random(5)
+        cols = random_columns(rng, 9, 6)
+        # the same columns, with the integral entries given as ints
+        same = [[x.numerator if x.denominator == 1 else x for x in col] for col in cols]
+        assert LinearMap.from_columns(cols) == LinearMap.from_columns(same)
+        other = [list(col) for col in cols]
+        other[4][2] += F(1, 5)
+        assert LinearMap.from_columns(cols) != LinearMap.from_columns(other)
+        # a trailing zero column is part of the map
+        zero_col = [F(0)] * 6
+        assert LinearMap.from_columns(cols) != LinearMap.from_columns(cols + [zero_col])

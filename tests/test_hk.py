@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from adg2 import hk, verify
-from adg2.exact import eye, is_zero_matrix, madd, mat_apply, mmul, mscale
+from adg2.exact import (eye, inverse, is_zero_matrix, madd, mat_apply, mmul,
+                        mscale)
 from adg2.spin import build_spinor_model, random_donaldson_jet
 
 F = Fraction
@@ -230,6 +231,38 @@ class TestCompiledMetricVariation:
         assert t._variation_map is built
         assert t._variation_map != hk.HKTriple.standard()._variation_map
 
+    def test_recovery_map_is_built_lazily_once_per_triple(self):
+        t = hk.triple(pulled_back(hk.STANDARD_TRIPLE, self.FRAME))
+        g_dot = hk.metric_variation(t, hk.TripleVariation.of(
+            *pulled_back(hk.ASD_BASIS, self.FRAME))).g_dot
+        assert "_recovery_map" not in vars(t)
+        hk.recover_form_variation(t, g_dot)
+        built = vars(t)["_recovery_map"]
+        hk.recover_form_variation(t, g_dot)
+        assert t._recovery_map is built
+        assert t._recovery_map != hk.HKTriple.standard()._recovery_map
+
+
+def frame_sum(t, g_dot, frame):
+    """-(1/2) sum_j (I_i e_j)-flat ^ i_{e_j} g_dot over the frame (e_j),
+    written out: the inverse formula recover_form_variation must equal in
+    every g-orthonormal frame."""
+    assert all(sum(e[a] * t.g[a][b] * f[b] for a in range(4) for b in range(4))
+               == (1 if j == k else 0)
+               for j, e in enumerate(frame) for k, f in enumerate(frame))
+    ivec = hk.complex_structure_matrices(t)
+    out = []
+    for i in range(3):
+        m = [[F(0)] * 4 for _ in range(4)]
+        for e in frame:
+            ie = mat_apply(ivec[i], e)
+            u = [sum(ie[c] * t.g[c][b] for c in range(4)) for b in range(4)]
+            w = [sum(e[c] * g_dot[c][b] for c in range(4)) for b in range(4)]
+            for a, b in product(range(4), repeat=2):
+                m[a][b] -= (u[a] * w[b] - u[b] * w[a]) / 2
+        out.append(tuple(map(tuple, m)))
+    return tuple(out)
+
 
 class TestRecoverFormVariation:
     def setup_method(self):
@@ -260,13 +293,28 @@ class TestRecoverFormVariation:
             (F(0), F(0), c, -s),
             (F(0), F(0), s, c),
         )
+        coordinates = eye(4, field=F)
         rng = random.Random(3)
         for _ in range(20):
             v = hk.TripleVariation.of(*(random_asd(rng) for _ in range(3)))
             mv = hk.metric_variation(self.t, v)
-            a = hk.recover_form_variation(self.t, mv.g_dot)
-            b = hk.recover_form_variation(self.t, mv.g_dot, frame=frame)
-            assert a == b
+            got = hk.recover_form_variation(self.t, mv.g_dot)
+            assert got == frame_sum(self.t, mv.g_dot, frame)
+            assert got == frame_sum(self.t, mv.g_dot, coordinates)
+
+    def test_roundtrip_on_a_pulled_back_triple(self):
+        # the triple and its anti-self-dual variations pulled back by one
+        # frame: no coordinate frame is orthonormal for its metric
+        a = TestCompiledMetricVariation.FRAME
+        t = hk.triple(pulled_back(hk.STANDARD_TRIPLE, a))
+        orthonormal = tuple(zip(*inverse(a)))  # the columns of a^-1
+        rng = random.Random(13)
+        for _ in range(10):
+            forms = pulled_back([random_asd(rng) for _ in range(3)], a)
+            g_dot = hk.metric_variation(t, hk.TripleVariation.of(*forms)).g_dot
+            back = hk.recover_form_variation(t, g_dot)
+            assert back == forms
+            assert back == frame_sum(t, g_dot, orthonormal)
 
 
 class TestComplexStructureMatrices:

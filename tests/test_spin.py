@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from adg2 import hk, spin
+from adg2 import hk, spin, verify
 from adg2.exact import (QQi, dagger, eye, is_zero_matrix, madd, mat_apply,
                         mchain, mmul, mscale)
 
@@ -38,6 +38,21 @@ def reference_curvature_operators(jet, model):
                 for c in range(2):
                     rk[r][c] = rk[r][c] + q * term[r][c]
         out.append(tuple(map(tuple, rk)))
+    return tuple(out)
+
+
+def reference_dirac_first_part(g0, model):
+    """The (k, j) loop the first-order map replaces: coefficient i is
+    -(1/2) sum_k I_k^{S+} sum_j g0[k][i][j] c(e_j)."""
+    out = []
+    for i in range(4):
+        ci = ((QQi(0), QQi(0)), (QQi(0), QQi(0)))
+        for k in range(3):
+            inner = ((QQi(0), QQi(0)), (QQi(0), QQi(0)))
+            for j in range(4):
+                inner = madd(inner, mscale(QQi(g0[k][i][j]), model.mp[j]))
+            ci = madd(ci, mmul(model.i_sp[k], inner))
+        out.append(mscale(QQi(F(-1, 2)), ci))
     return tuple(out)
 
 
@@ -122,6 +137,25 @@ class TestModelCache:
                       for jet in sample_jets(8, 10))
         assert nonzero == 20
 
+    def test_maps_are_built_lazily_once_per_model(self, model):
+        fresh = spin.build_spinor_model(corrupt="i2_sign")
+        names = ("_curvature_tensor", "_dirac_first_map")
+        assert not any(name in vars(fresh) for name in names)
+        jet = next(sample_jets(10, 1))
+        spin.dirac_variation_symbol(jet, fresh)
+        built = [vars(fresh)[name] for name in names]
+        spin.dirac_variation_symbol(jet, fresh)
+        assert all(getattr(fresh, name) is m for name, m in zip(names, built))
+        assert all(getattr(model, name) != m for name, m in zip(names, built))
+
+    def test_corrupted_maps_fail_the_spin_suite(self, model):
+        clean = (model._curvature_tensor, model._dirac_first_map)
+        (report,) = verify.run_suite("spin", 8, corrupt="i2_sign")
+        status = {c.id: c.status for c in report.checks}
+        # the cancellation row runs on the corrupted model's own maps
+        assert status["spin.curvature.cancellation"] == "fail"
+        assert model._curvature_tensor is clean[0] and model._dirac_first_map is clean[1]
+
 
 class TestCompiledCurvature:
     def test_operators_equal_the_loop(self, model, bad_model):
@@ -131,6 +165,15 @@ class TestCompiledCurvature:
                 assert got == reference_curvature_operators(jet, m)
                 assert all(type(x.re) is F and type(x.im) is F
                            for r in got for row in r for x in row)
+
+    def test_dirac_first_part_equals_the_loop(self, model, bad_model):
+        for m in (model, bad_model):
+            for jet in sample_jets(11, 6):
+                g0, _ = spin.jet_metric_slots(jet)
+                _, got = spin.dirac_variation_symbol(jet, m)
+                assert got == reference_dirac_first_part(g0, m)
+                assert all(type(x.re) is F and type(x.im) is F
+                           for c in got for row in c for x in row)
 
     def test_dirac_zeroth_part_is_minus_the_curvature_sum(self, model, bad_model):
         for m in (model, bad_model):

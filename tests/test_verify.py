@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import adg2
 from adg2 import spin, verify
 
 SEED = 5
@@ -70,3 +76,51 @@ def test_unknown_suite_is_rejected():
 def test_misspelt_corruption_is_rejected():
     with pytest.raises(ValueError, match="'i2_sign'"):
         verify.run_suite("spin", SEED, corrupt="i2-sign")
+
+
+def test_g2lin_suite_contraction_count(monkeypatch):
+    # one contraction per chi and one per defining-identity triple for its
+    # right-hand side: 2 x 3 eps x 102 triples = 612 in that row, 152 chi
+    # calls in the other rows (the right-hand side once took 7 per triple,
+    # 2,600 in all)
+    from adg2 import excalc, g2lin
+    from adg2.excalc import forms
+
+    calls = []
+    original = forms.contract
+
+    def counted(a, vectors):
+        calls.append(len(vectors))
+        return original(a, vectors)
+
+    for module in (forms, excalc, g2lin):
+        monkeypatch.setattr(module, "contract", counted)
+    (report,) = verify.run_suite("g2lin", SEED)
+    assert report.passed
+    assert len(calls) == 764
+
+
+def test_corrupted_spin_maps_build_in_50_ms():
+    # build_spinor_model(corrupt=...) makes a fresh model, whose maps are
+    # built again, on every call; the best of three builds is timed
+    best = float("inf")
+    for _ in range(3):
+        model = spin.build_spinor_model(corrupt="i2_sign")
+        t0 = time.perf_counter()
+        model._curvature_tensor, model._dirac_first_map
+        best = min(best, time.perf_counter() - t0)
+    assert best <= 0.050
+
+
+def test_no_exact_map_is_built_at_import():
+    code = ("from adg2 import exact\n"
+            "built = []\n"
+            "init = exact.LinearMap.__init__\n"
+            "exact.LinearMap.__init__ = lambda self, *a: built.append(a) or init(self, *a)\n"
+            "import adg2.cli, adg2.excalc, adg2.fueter, adg2.g2lin, adg2.gauge, "
+            "adg2.hk, adg2.maxsec, adg2.spin, adg2.verify\n"
+            "assert built == [], f'{len(built)} maps built at import'\n")
+    src = str(Path(adg2.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
