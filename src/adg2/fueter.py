@@ -6,7 +6,9 @@ classified up to gauge by their fibre-averaged vertical components, living
 on the dual torus; a lattice connection therefore induces a section of a
 torus bundle over the base (holonomy_section).  The quaternionic Dirac
 operator pairs base derivatives with the standard complex structures, and
-its value matches the horizontal defect of the inducing connection.
+its value matches the horizontal defect of the inducing connection.  Box
+derivatives use gauge.diff and cs_associative gauge._path_trapezoid, the
+grid half's one derivative stencil and one path trapezoid.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import (I_VEC, W_SD, LatticeConnection, _numbers, _spacings,
-                    fibre_curvatures, fibre_defect, residual_scalars,
-                    trapezoid_weights)
+from .gauge import (I_VEC, W_SD, LatticeConnection, _base_document, _base_values,
+                    _flag, _numbers, _path_times, _path_trapezoid, diff, fibre_curvatures,
+                    fibre_defect, residual_scalars, trapezoid_weights)
 
 TWO_PI = 2.0 * np.pi
 
@@ -41,12 +43,7 @@ class FueterSectionGrid:
     base_periodic: bool = False
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 4 or self.values.shape[-1] != 4:
-            raise ValueError("values must have shape (n1, n2, n3, 4)")
-        if any(n < 3 for n in self.values.shape[:3]):
-            raise ValueError("need at least three nodes per axis")
-        self.spacing = _spacings(self.spacing, 3, "base")
+        self.values, self.spacing = _base_values(self.values, self.spacing, 4)
         self.period = float(self.period)
         if self.period > 0:
             self.values = np.mod(self.values, self.period)
@@ -70,8 +67,9 @@ class FueterSectionGrid:
 def section_derivatives(s: FueterSectionGrid) -> np.ndarray:
     """(3, n1, n2, n3, 4) derivatives of the section.
 
-    On a periodic base the wrap differences take the minimal torus image; on
-    a box the values are unwrapped to a smooth lift first.
+    On a box gauge.diff differentiates a smooth lift of the values.  On a
+    periodic base a section may wind around the torus, so the differences
+    are circle-valued and take their minimal image: not gauge.diff.
     """
     out = np.empty((3,) + s.values.shape)
     if s.base_periodic:
@@ -82,7 +80,7 @@ def section_derivatives(s: FueterSectionGrid) -> np.ndarray:
     else:
         v = s.lifted()
         for i in range(3):
-            out[i] = np.gradient(v, s.spacing[i], axis=i, edge_order=2)
+            out[i] = diff(v, s.spacing[i], i, periodic=False)
     return out
 
 
@@ -109,13 +107,8 @@ class SectionPath:
     sections: list
 
     def __post_init__(self):
-        self.times = [float(t) for t in self.times]
-        if len(self.times) != len(self.sections):
-            raise ValueError("one section per time sample")
-        if sorted(self.times) != self.times:
-            raise ValueError("times must be ascending")
-        if len({s.period for s in self.sections}) > 1:
-            raise ValueError("the sections of a path must share one period")
+        self.times = _path_times(self.times, self.sections, "section", "period",
+                                 lambda s: s.period)
 
 
 def cs_associative(path: SectionPath) -> float:
@@ -125,30 +118,22 @@ def cs_associative(path: SectionPath) -> float:
     as a fibre of side L gives sections of period 2 pi / L, and by 1 for
     R^4-valued sections (period <= 0).
 
-    Trapezoid in the path parameter with increments folded in (exactly
-    reparametrization independent), base quadrature in space.  Equals the
-    connection-path functional for paths of fibrewise-flat abelian
-    connections, which the test suite verifies.
+    gauge._path_trapezoid in the path parameter, base quadrature in space;
+    each section's derivatives are built once.  Equals the connection-path
+    functional for paths of fibrewise-flat abelian connections, which the
+    test suite verifies.
     """
     period = path.sections[0].period if path.sections else 0.0
     kappa = (TWO_PI / period) ** 4 / (4 * np.pi ** 2) if period > 0 else 1.0
-    total = 0.0
-    for k in range(len(path.times) - 1):
-        s0: FueterSectionGrid = path.sections[k]
-        s1: FueterSectionGrid = path.sections[k + 1]
-        delta = minimal_image(s1.values - s0.values, period)
 
-        def density(s: FueterSectionGrid) -> float:
-            ds = section_derivatives(s)
-            w = s.base_weights()
-            val = 0.0
-            for i in range(3):
-                pairing = np.einsum("...a,ab,...b->...", ds[i], W_SD[i], delta)
-                val += float(np.sum(w * pairing))
-            return val
+    def density(s: FueterSectionGrid):
+        ds, w = section_derivatives(s), s.base_weights()
+        return lambda delta: sum(float(np.sum(w * np.einsum(
+            "...a,ab,...b->...", ds[i], W_SD[i], delta))) for i in range(3))
 
-        total += 0.5 * (density(s0) + density(s1))
-    return kappa * total
+    return kappa * _path_trapezoid(
+        path.sections, density,
+        lambda s0, s1: minimal_image(s1.values - s0.values, period))
 
 
 def holonomy_section(a: LatticeConnection) -> FueterSectionGrid:
@@ -204,19 +189,8 @@ def section_from_json(doc: dict) -> FueterSectionGrid:
     /spacing, /period and /values numbers and /base_periodic a boolean: a
     float dim, a string number or a string flag is rejected, never
     converted."""
-    for key in ("dims", "spacing", "values"):
-        if key not in doc:
-            raise ValueError(f"section document missing /{key}")
-    dims, spacing = tuple(doc["dims"]), tuple(doc["spacing"])
+    values, spacing = _base_document(doc, "section", "values", 4)
     period = doc.get("period", TWO_PI)
-    base_periodic = doc.get("base_periodic", False)
-    if not all(type(n) is int for n in dims):
-        raise ValueError(f"/dims must hold integers, got {doc['dims']!r}")
-    _numbers(spacing, "/spacing")
     _numbers(period, "/period")
-    if type(base_periodic) is not bool:
-        raise ValueError(f"/base_periodic must be a boolean, got {base_periodic!r}")
-    vals = _numbers(doc["values"], "/values")
-    if vals.shape != (int(np.prod(dims)), 4):
-        raise ValueError("/values has the wrong shape for /dims")
-    return FueterSectionGrid(vals.reshape(dims + (4,)), spacing, period, base_periodic)
+    base_periodic = _flag(doc.get("base_periodic", False), "/base_periodic")
+    return FueterSectionGrid(values, spacing, period, base_periodic)

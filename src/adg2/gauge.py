@@ -17,12 +17,16 @@ The path functional cs_instanton integrates Tr(F ^ dA/dtau) against the
 structure 4-form with the seven-manifold orientation -dt123 dx1234 (the
 orientation the pointwise model fixes); with the product orientation the
 associative-side comparison in the fueter module would fail by a sign.
+
+The grid half's shared rules live here once: diff is the one derivative
+stencil, _path_trapezoid the one path rule and _path_times the one path check.
 """
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,6 +94,35 @@ def _spacings(hs, n: int, axes: str) -> tuple:
     return hs
 
 
+def _dims(ns, n: int, axes: str) -> tuple:
+    """ns as n integer node counts; a float is rejected, never truncated."""
+    try:
+        ns = tuple(map(operator.index, ns))
+    except TypeError:
+        raise ValueError(f"{axes} dims must be integers, got {ns!r}") from None
+    if len(ns) != n or min(ns) < 3:
+        raise ValueError(f"grid needs {n} {axes} dims, three nodes per axis or more, "
+                         f"got {ns}")
+    return ns
+
+
+def _base_values(values, spacing, width: int) -> tuple:
+    """The float (n1, n2, n3, width) values and three spacings of a base map."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 4 or values.shape[-1] != width:
+        raise ValueError(f"values must have shape (n1, n2, n3, {width})")
+    _dims(values.shape[:3], 3, "base")
+    return values, _spacings(spacing, 3, "base")
+
+
+def _ints(values, where: str):
+    """A document's integer or flat list of integers, never converted."""
+    for v in values if isinstance(values, (list, tuple)) else [values]:
+        if type(v) is not int:
+            raise ValueError(f"{where} must hold integers, got {v!r}")
+    return values
+
+
 def _numbers(values, where: str) -> np.ndarray:
     """The float array of a document's (nested) list; an entry that is not an
     int or a float, such as a string or a boolean, is rejected, never converted."""
@@ -98,6 +131,28 @@ def _numbers(values, where: str) -> np.ndarray:
         if type(v) not in (int, float):
             raise ValueError(f"{where} must hold numbers, got {v!r}")
     return arr.astype(float)
+
+
+def _flag(value, where: str) -> bool:
+    """A document's boolean, never converted from 0, 1 or "false"."""
+    if type(value) is not bool:
+        raise ValueError(f"{where} must be a boolean, got {value!r}")
+    return value
+
+
+def _base_document(doc: dict, what: str, rows: str, width: int, extra=()) -> tuple:
+    """The values, as a float array of shape /dims + (width,), and the
+    /spacing of a base map's document with integer /dims, numeric /spacing,
+    one row of width numbers per node in /rows and every key in extra."""
+    for key in ("dims", "spacing", rows) + extra:
+        if key not in doc:
+            raise ValueError(f"{what} document missing /{key}")
+    dims = _ints(doc["dims"], "/dims")
+    _numbers(doc["spacing"], "/spacing")
+    values = _numbers(doc[rows], f"/{rows}")
+    if values.shape != (int(np.prod(dims)), width):
+        raise ValueError(f"/{rows} has the wrong shape for /dims")
+    return values.reshape(tuple(dims) + (width,)), doc["spacing"]
 
 
 def trapezoid_weights(dims, spacing, periodic: bool) -> np.ndarray:
@@ -119,14 +174,10 @@ class LatticeGrid:
     fibre_periodic: bool = True
 
     def __post_init__(self):
-        self.dims_base = tuple(int(n) for n in self.dims_base)
-        self.dims_fibre = tuple(int(n) for n in self.dims_fibre)
+        self.dims_base = _dims(self.dims_base, 3, "base")
+        self.dims_fibre = _dims(self.dims_fibre, 4, "fibre")
         self.spacing_base = _spacings(self.spacing_base, 3, "base")
         self.spacing_fibre = _spacings(self.spacing_fibre, 4, "fibre")
-        if len(self.dims_base) != 3 or len(self.dims_fibre) != 4:
-            raise ValueError("grid needs 3 base and 4 fibre dimensions")
-        if any(n < 3 for n in self.dims_base + self.dims_fibre):
-            raise ValueError("need at least three nodes per axis")
 
     @staticmethod
     def unit(nb: int, nf: int, base_periodic=False, fibre_periodic=True) -> "LatticeGrid":
@@ -145,6 +196,10 @@ class LatticeGrid:
 
     def periodic(self, direction: int) -> bool:
         return self.base_periodic if direction < 3 else self.fibre_periodic
+
+    def diff(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """diff along grid axis `axis`, with that axis's spacing and wrap."""
+        return diff(values, self.spacing(axis), axis, self.periodic(axis))
 
     def coordinates(self):
         """Arrays t1,t2,t3,x1..x4 broadcastable over the node grid."""
@@ -171,7 +226,8 @@ class LatticeGrid:
 
 
 def diff(values: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
-    """2nd-order derivative along an axis of a node field."""
+    """2nd-order derivative along an axis of a node field (one-sided at the
+    ends of a box axis): the one derivative stencil of the grid half."""
     if periodic:
         return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2 * h)
     return np.gradient(values, h, axis=axis, edge_order=2)
@@ -201,8 +257,7 @@ class LatticeConnection:
         return float(np.abs(ah).max()) <= tol
 
     def deriv(self, comp: int, axis: int) -> np.ndarray:
-        return diff(self.components[comp], self.grid.spacing(axis), axis,
-                    self.grid.periodic(axis))
+        return self.grid.diff(self.components[comp], axis)
 
     def curvature(self, mu: int, nu: int) -> np.ndarray:
         """F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] at every node."""
@@ -272,7 +327,7 @@ def higgs_covariant_vertical(a: LatticeConnection, phi: np.ndarray):
     """(d_A phi) in the four fibre directions; phi has shape (grid, r, r)."""
     out = np.zeros((4,) + phi.shape, dtype=complex)
     for b in range(4):
-        out[b] = (diff(phi, a.grid.spacing(3 + b), 3 + b, a.grid.periodic(3 + b))
+        out[b] = (a.grid.diff(phi, 3 + b)
                   + _matmul(a.components[3 + b], phi, commutator=True))
     return out
 
@@ -320,19 +375,52 @@ def slope_potential(b_form, h2_classes: np.ndarray, rank: int = 1) -> np.ndarray
     return _wedge2(b_form, comp) / rank
 
 
+def _path_times(times, samples, what: str, shared: str, kind) -> list:
+    """A path's times as floats: one sample per time, ascending, and one
+    kind(sample) along the path, else a ValueError naming the first misfit."""
+    times = [float(t) for t in times]
+    if len(times) != len(samples):
+        raise ValueError(f"one {what} per time sample")
+    if sorted(times) != times:
+        raise ValueError("times must be ascending")
+    for k, x in enumerate(samples):
+        if kind(x) != kind(samples[0]):
+            raise ValueError(f"the {what}s of a path must share one {shared}: "
+                             f"{what} {k} differs from {what} 0")
+    return times
+
+
 @dataclass
 class ConnectionPath:
-    """Snapshots of a connection along a parameter in [0, 1]."""
+    """Snapshots of a connection on one grid and of one rank along [0, 1]."""
 
     times: list
     fields: object  # sequence-like of LatticeConnection
 
     def __post_init__(self):
-        self.times = [float(t) for t in self.times]
-        if len(self.times) != len(self.fields):
-            raise ValueError("one field per time sample")
-        if sorted(self.times) != self.times:
-            raise ValueError("times must be ascending")
+        self.times = _path_times(self.times, self.fields, "field", "grid and rank",
+                                 lambda a: (a.grid, a.rank))
+
+
+def _path_trapezoid(samples, density, increment, workers: int = 1) -> float:
+    """Sum over segments j of (f_j(d_j) + f_j+1(d_j)) / 2, f_k = density(s_k),
+    d_j = increment(s_j, s_j+1): the trapezoid in the path parameter with the
+    increments folded in, exactly reparametrization invariant.  Each f_k is
+    built once and held by one of `workers` threads (a pool if workers > 1)."""
+    n = len(samples)
+
+    def sample_value(k: int) -> float:
+        f = density(samples[k])
+        # half of each bordering segment's trapezoid, with that segment's increment
+        return 0.5 * sum(f(increment(samples[j], samples[j + 1]))
+                         for j in (k - 1, k) if 0 <= j < n - 1)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            values = list(ex.map(sample_value, range(n)))
+    else:
+        values = [sample_value(k) for k in range(n)]
+    return float(np.sum(values))
 
 
 def _cs_density(f_vert, f_mix, delta: np.ndarray, w: np.ndarray) -> float:
@@ -353,35 +441,20 @@ def _cs_density(f_vert, f_mix, delta: np.ndarray, w: np.ndarray) -> float:
 def cs_instanton(path: ConnectionPath, workers: int = 1) -> float:
     """Path functional whose critical points are the limiting instantons.
 
-    Trapezoid in the path parameter with the increment folded in (so the
-    value is exactly invariant under reparametrizations that revisit the
-    same connections), node quadrature in space, seven-manifold orientation
+    _path_trapezoid in the path parameter (each snapshot's 18 curvatures
+    computed once), node quadrature in space, seven-manifold orientation
     -dt123 dx1234.
-
-    Each snapshot's 18 curvatures are computed once and serve the densities
-    of both segments it borders; they are dropped before the next snapshot,
-    so at most `workers` snapshots' curvatures are held in memory at a time.
-    With workers > 1 a thread pool maps over the snapshots.
     """
-    fields = path.fields
-    n = len(fields)
 
-    def snapshot_value(k: int) -> float:
-        a = fields[k]
+    def density(a: LatticeConnection):
         f_vert = fibre_curvatures(a)
         f_mix = [[a.curvature(l, 3 + b) for b in range(4)] for l in range(3)]
         w = a.grid.node_weights()
-        # half of each bordering segment's trapezoid, with that segment's increment
-        return 0.5 * sum(
-            _cs_density(f_vert, f_mix, fields[j + 1].components - fields[j].components, w)
-            for j in (k - 1, k) if 0 <= j < n - 1)
+        return lambda delta: _cs_density(f_vert, f_mix, delta, w)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            values = list(ex.map(snapshot_value, range(n)))
-    else:
-        values = [snapshot_value(k) for k in range(n)]
-    return -float(np.sum(values)) / (4 * np.pi ** 2)
+    total = _path_trapezoid(path.fields, density,
+                            lambda a0, a1: a1.components - a0.components, workers)
+    return -total / (4 * np.pi ** 2)
 
 
 def gauge_transform(a: LatticeConnection, g: np.ndarray) -> LatticeConnection:
@@ -389,8 +462,7 @@ def gauge_transform(a: LatticeConnection, g: np.ndarray) -> LatticeConnection:
     ginv = np.conj(g.swapaxes(-1, -2))
     comps = np.empty_like(a.components)
     for mu in range(7):
-        dg = diff(g, a.grid.spacing(mu), mu, a.grid.periodic(mu))
-        comps[mu] = _matmul(_matmul(g, a.components[mu]) - dg, ginv)
+        comps[mu] = _matmul(_matmul(g, a.components[mu]) - a.grid.diff(g, mu), ginv)
     return LatticeConnection(a.grid, comps)
 
 
@@ -416,28 +488,17 @@ def field_from_json(doc: dict) -> LatticeConnection:
     float rank or dim, a string spacing or value or a string flag is
     rejected, never converted."""
     try:
-        dims = doc["dims"]
-        rank = doc["rank"]
-        if type(rank) is not int:
-            raise ValueError(f"/rank must be an integer, got {rank!r}")
-        spacing = doc.get("spacing", {})
-        for name in ("base", "fibre"):
-            if not all(type(n) is int for n in dims[name]):
-                raise ValueError(f"/dims/{name} must hold integers, got {dims[name]!r}")
-            _numbers(spacing.get(name, []), f"/spacing/{name}")
-        periodic = doc.get("periodic", {})
-        base_periodic = periodic.get("base", False)
-        fibre_periodic = periodic.get("fibre", True)
-        for name, flag in (("base", base_periodic), ("fibre", fibre_periodic)):
-            if type(flag) is not bool:
-                raise ValueError(f"/periodic/{name} must be a boolean, got {flag!r}")
-        grid = LatticeGrid(
-            tuple(dims["base"]), tuple(dims["fibre"]),
-            tuple(spacing.get("base", [_unit_spacing(n, base_periodic)
-                                        for n in dims["base"]])),
-            tuple(spacing.get("fibre", [_unit_spacing(n, fibre_periodic)
-                                         for n in dims["fibre"]])),
-            base_periodic, fibre_periodic)
+        rank = _ints(doc["rank"], "/rank")
+        axes = []  # (dims, spacing, periodic) of the base, then of the fibre
+        for name, default in (("base", False), ("fibre", True)):
+            dims = _ints(doc["dims"][name], f"/dims/{name}")
+            flag = _flag(doc.get("periodic", {}).get(name, default), f"/periodic/{name}")
+            unit = [_unit_spacing(n, flag) for n in dims]
+            spacing = doc.get("spacing", {}).get(name, unit)
+            _numbers(spacing, f"/spacing/{name}")
+            axes.append((dims, spacing, flag))
+        (db, hb, pb), (df, hf, pf) = axes
+        grid = LatticeGrid(db, df, hb, hf, pb, pf)
         flat = _numbers(doc["values"], "/values")
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed field document: {exc}") from exc

@@ -19,7 +19,9 @@ interior node the Q-dual gradient vector is measured in the positive
 definite metric that agrees with Q on the tangent 3-plane of the section
 and with -Q on its Q-orthogonal complement.  Composing the section with any
 Q-isometry leaves this norm unchanged, which is the computable form of the
-duality statement for maximal sections.
+duality statement for maximal sections.  Its nodewise derivatives use
+gauge.diff, the grid half's one derivative stencil (gauge._path_trapezoid is
+its one path rule).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gauge import _numbers, _spacings
+from .gauge import _base_document, _base_values, _numbers, diff
 
 DIM = 22
 SIG_PLUS = 3
@@ -84,12 +86,7 @@ class SectionGrid:
     pairing: np.ndarray = field(default_factory=standard_pairing)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 4 or self.values.shape[-1] != DIM:
-            raise ValueError("values must have shape (n1, n2, n3, 22)")
-        if any(n < 3 for n in self.values.shape[:3]):
-            raise ValueError("need at least three nodes per axis")
-        self.spacing = _spacings(self.spacing, 3, "base")
+        self.values, self.spacing = _base_values(self.values, self.spacing, DIM)
         self.pairing = check_pairing(self.pairing)
 
     @property
@@ -185,12 +182,6 @@ def _corner_scatter(cells: np.ndarray, out: np.ndarray) -> np.ndarray:
         view = _corner_view(out, o)
         view += cells[..., ci, :]
     return out
-
-
-def node_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Nodewise derivative (central inside, one-sided at the ends); used only
-    for per-node frames, not for the area functional."""
-    return np.gradient(values, h, axis=axis, edge_order=2)
 
 
 def _gram(s: SectionGrid):
@@ -300,7 +291,7 @@ def residual_norm(s: SectionGrid, grad: np.ndarray | None = None) -> float:
     """
     if grad is None:
         grad = grad_area(s)
-    dh = [node_diff(s.values, s.spacing[i], i) for i in range(3)]
+    dh = [diff(s.values, s.spacing[i], i, periodic=False) for i in range(3)]
     v = np.stack(dh, axis=-1)  # (..., 22, 3)
     qv = v.swapaxes(-1, -2) @ s.pairing
     g = qv @ v
@@ -673,9 +664,9 @@ def _minres(apply, precond, b: np.ndarray, eta: float, maxiter: int):
     ||b||_P with ||r||_P^2 = r . precond(r), or after maxiter iterations.
     The recurrences carry phibar, so the test costs no product, and it does
     not change when precond is scaled by a constant.  One apply and one
-    precond per iteration, and one precond before the first.  Returns (x, iterations); raises SolveError when
-    some beta^2 = r . precond(r) is negative or not finite, which a positive
-    definite precond cannot give."""
+    precond per iteration, and one precond before the first.  Returns
+    (x, iterations); raises SolveError when some beta^2 = r . precond(r) is
+    negative or not finite, which a positive definite precond cannot give."""
 
     def beta_of(r, z, itn):
         beta2 = float(np.vdot(r, z))
@@ -759,18 +750,8 @@ def grid_from_json(doc: dict) -> SectionGrid:
     """The grid of a grid_to_json document.  /dims must hold integers and
     /spacing, /nodes and /Q numbers: a float or boolean dim and a string or
     boolean spacing, node or pairing entry are rejected, never converted."""
-    for key in ("dims", "spacing", "Q", "nodes"):
-        if key not in doc:
-            raise ValueError(f"grid document missing /{key}")
-    dims, spacing = tuple(doc["dims"]), tuple(doc["spacing"])
-    if not all(type(n) is int for n in dims):
-        raise ValueError(f"/dims must hold integers, got {doc['dims']!r}")
-    _numbers(spacing, "/spacing")
-    nodes = _numbers(doc["nodes"], "/nodes")
-    if nodes.shape != (int(np.prod(dims)), DIM):
-        raise ValueError("/nodes has the wrong shape for /dims")
-    return SectionGrid(nodes.reshape(dims + (DIM,)), spacing,
-                       _numbers(doc["Q"], "/Q"))
+    nodes, spacing = _base_document(doc, "grid", "nodes", DIM, ("Q",))
+    return SectionGrid(nodes, spacing, _numbers(doc["Q"], "/Q"))
 
 
 def _write_atomic(path: str, write) -> None:

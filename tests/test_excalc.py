@@ -249,17 +249,37 @@ class TestEvalAndIO:
         assert eval_on_vectors(w, e) == 1
 
     def test_eval_on_vectors_is_the_leibniz_sum(self):
-        # sum_T c_T(0) sum_sigma sgn(sigma) prod_j v_sigma(j)[T_j], on random
-        # forms of every degree with mixed bigrades and polynomial coefficients
-        def leibniz(a, vectors):
+        # sum_T c_T(0) det[v_s[T_j]], on random forms of every degree with
+        # mixed bigrades and polynomial coefficients; the determinant is the
+        # Leibniz sum over permutations, written out up to degree 4 as a
+        # cross-check and taken by Fraction elimination at every degree
+        def leibniz_det(m):
+            n = len(m)
+            return sum((-1) ** sum(1 for i, j in combinations(sigma, 2) if i > j)
+                       * prod(m[s][j] for j, s in enumerate(sigma))
+                       for sigma in permutations(range(n)))
+
+        def elimination_det(m):
+            m = [list(row) for row in m]
+            det = Fraction(1)
+            for c in range(len(m)):
+                pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+                if pivot is None:
+                    return Fraction(0)
+                if pivot != c:
+                    m[c], m[pivot] = m[pivot], m[c]
+                    det = -det
+                det *= m[c][c]
+                for r in range(c + 1, len(m)):
+                    f = m[r][c] / m[c][c]
+                    m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+            return det
+
+        def form_value(a, vectors, det):
             total = Fraction(0)
             for (I, J), p in a.terms.items():
                 c0 = sum((c for e, c in p.terms.items() if not any(e)), Fraction(0))
-                idx = I + J
-                for sigma in permutations(range(len(idx))):
-                    sign = (-1) ** sum(1 for i, j in combinations(sigma, 2) if i > j)
-                    total += sign * c0 * prod(Fraction(vectors[s][t])
-                                              for s, t in zip(sigma, idx))
+                total += c0 * det([[Fraction(v[t]) for t in I + J] for v in vectors])
             return total
 
         rng = random.Random(11)
@@ -269,7 +289,9 @@ class TestEvalAndIO:
                 a = random_form(rng, degree, max_poly_deg=1, nterms=6)
                 vectors = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                             for _ in range(7)] for _ in range(degree)]
-                want = leibniz(a, vectors)
+                want = form_value(a, vectors, elimination_det)
+                if degree <= 4:
+                    assert form_value(a, vectors, leibniz_det) == want
                 assert eval_on_vectors(a, vectors) == want
                 nonzero += want != 0
             assert nonzero >= 3, f"degree {degree} was checked on too few values"

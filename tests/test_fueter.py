@@ -274,6 +274,36 @@ class TestChernSimonsEquality:
             assert abs(ci + a * b * side ** 4 / (16 * np.pi ** 2)) <= 1e-12 * abs(ci)
             assert abs(ci - ca) <= 1e-10 * abs(ci)
 
+    def test_each_section_differentiated_once(self, monkeypatch):
+        # a section's derivatives serve both segments it borders
+        calls = []
+        original = fu.section_derivatives
+
+        def counted(s):
+            calls.append(s)
+            return original(s)
+
+        monkeypatch.setattr(fu, "section_derivatives", counted)
+        rng = np.random.default_rng(21)
+        sections = [fu.FueterSectionGrid(rng.uniform(0, 6, size=(4, 3, 5, 4)),
+                                         (0.3, 0.25, 0.5)) for _ in range(5)]
+        got = fu.cs_associative(fu.SectionPath(np.linspace(0, 1, 5), sections))
+        assert len(calls) == len(sections)
+        assert all(c is s for c, s in zip(calls, sections))
+
+        # the same trapezoid summed segment by segment
+        def density(s, delta):
+            ds = original(s)
+            return sum(float(np.sum(s.base_weights() * np.einsum(
+                "...a,ab,...b->...", ds[i], ga.W_SD[i], delta))) for i in range(3))
+
+        want = 0.0
+        for s0, s1 in zip(sections, sections[1:]):
+            delta = fu.minimal_image(s1.values - s0.values, s0.period)
+            want += 0.5 * (density(s0, delta) + density(s1, delta))
+        assert abs(got - (fu.TWO_PI / s0.period) ** 4 / (4 * np.pi ** 2) * want) \
+            <= 1e-14 * abs(got)
+
     def test_path_needs_ascending_times_and_one_period(self):
         s = fu.FueterSectionGrid(np.zeros((3, 3, 3, 4)), (0.5,) * 3)
         with pytest.raises(ValueError, match="ascending"):
@@ -281,6 +311,8 @@ class TestChernSimonsEquality:
         other = fu.FueterSectionGrid(np.zeros((3, 3, 3, 4)), (0.5,) * 3, period=np.pi)
         with pytest.raises(ValueError, match="period"):
             fu.SectionPath([0.0, 1.0], [s, other])
+        with pytest.raises(ValueError, match="one period: section 2 differs"):
+            fu.SectionPath([0.0, 0.5, 1.0, 1.5], [s, s, other, s])
 
 
 class TestSectionIO:

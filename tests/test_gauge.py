@@ -396,6 +396,20 @@ class TestChernSimons:
         ga.cs_instanton(path, workers=1)
         assert len(curvature_calls) == 18 * 4
 
+    def test_path_rejects_snapshots_of_another_rank(self):
+        grid = ga.LatticeGrid.unit(3, 3)
+        fields = [ga.LatticeConnection.zero(grid, rank=r) for r in (1, 1, 2)]
+        with pytest.raises(ValueError, match="grid and rank: field 2 differs"):
+            ga.ConnectionPath([0.0, 0.5, 1.0], fields)
+
+    def test_path_rejects_snapshots_on_another_grid(self):
+        # the same node counts with another fibre spacing
+        grid0 = ga.LatticeGrid((3, 3, 3), (3, 3, 3, 3), (0.5,) * 3, (1 / 3,) * 4)
+        grid1 = ga.LatticeGrid((3, 3, 3), (3, 3, 3, 3), (0.5,) * 3, (0.25,) * 4)
+        fields = [ga.LatticeConnection.zero(g) for g in (grid0, grid1)]
+        with pytest.raises(ValueError, match="grid and rank: field 1 differs"):
+            ga.ConnectionPath([0.0, 1.0], fields)
+
     def test_holonomy_section_computes_vertical_curvatures_once(self, curvature_calls):
         grid = ga.LatticeGrid.unit(3, 4, fibre_periodic=True)
         fu.holonomy_section(ga.LatticeConnection.zero(grid))
@@ -562,6 +576,16 @@ class TestFieldIO:
             doc["spacing"] = {"base": list(base), "fibre": list(fibre)}
             with pytest.raises(ValueError, match="spacings"):
                 ga.field_from_json(doc)
+
+    def test_non_integral_dims_rejected(self):
+        with pytest.raises(ValueError, match="base dims must be integers"):
+            ga.LatticeGrid((3.7, 3, 3), (3,) * 4, (0.5,) * 3, (0.25,) * 4)
+        with pytest.raises(ValueError, match="fibre dims must be integers"):
+            ga.LatticeGrid((3,) * 3, (3, 3, 3, 4.0), (0.5,) * 3, (0.25,) * 4)
+        grid = ga.LatticeGrid(np.array([3, 4, 5]), (np.int64(3),) * 4,
+                              (0.5,) * 3, (0.25,) * 4)
+        assert grid.shape == (3, 4, 5, 3, 3, 3, 3)
+        assert all(type(n) is int for n in grid.shape)
 
     def test_missing_spacing_follows_the_unit_grid(self):
         # periodic base, box fibre: the opposite of the default flags

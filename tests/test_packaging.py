@@ -1,5 +1,5 @@
-"""Declared dependencies are used, declared scripts resolve and every public
-function is referenced."""
+"""Declared dependencies are used, declared scripts resolve, every public
+function is referenced and the grid half has one derivative stencil."""
 
 import ast
 import importlib.util
@@ -89,3 +89,18 @@ def test_every_public_function_is_referenced():
     unused = [f"{path.relative_to(ROOT)}:{line} {name}"
               for path, line, name in public_definitions() if name not in used]
     assert not unused, f"public functions referenced nowhere: {unused}"
+
+
+def test_one_derivative_stencil():
+    """np.gradient is called only inside gauge.diff, the grid half's one
+    derivative stencil; every other node derivative goes through diff."""
+    calls = []
+    for path in sorted((ROOT / "src" / "adg2").rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "gradient" in (
+                        getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                    calls.append((path.relative_to(ROOT).as_posix(),
+                                  getattr(top, "name", None)))
+    assert calls == [("src/adg2/gauge.py", "diff")], \
+        f"np.gradient called outside gauge.diff: {calls}"
