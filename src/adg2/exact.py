@@ -10,13 +10,13 @@ msub, mscale and is_zero_matrix like any other matrix.  The one elimination
 routine, _row_echelon, serves inverse and kernel_basis on either entry type.
 
 LinearMap is the one way an exact linear law is applied on a hot path: a
-map is built once, lazily, from the images of the unit vectors under its
-one defining formula, and applying it costs integer dot products and one
-Fraction per output instead of one Fraction per term.  The compiled maps
-are HKTriple._variation_map (hk.metric_variation), HKTriple._recovery_map
-(hk.recover_form_variation), SpinorModel._curvature_tensor
-(spin.curvature_operators) and SpinorModel._dirac_first_map (the
-first-order part of spin.dirac_variation_symbol).
+map is built once, lazily, from the images of the unit vectors
+(from_columns) or as a composite (compose), and applying it costs integer
+dot products and one Fraction per output instead of one Fraction per term.
+The compiled maps are HKTriple._variation_map and _recovery_map, from the
+triple's tables, and SpinorModel._curvature_tensor and _dirac_first_map,
+each a map from the model's 2x2 tables composed with the standard triple's
+_variation_map slot by slot.
 """
 
 from __future__ import annotations
@@ -177,16 +177,17 @@ def mat_apply(a: Matrix, v: Sequence) -> tuple:
 @dataclass(frozen=True)
 class LinearMap:
     """An exact linear map from n_in rationals to len(rows) rationals:
-    output s is sum(c * x[n] for n, c in rows[s]) / den, with integer c.
+    output s is sum(c * x[n] for n, c in zip(*rows[s])) / den, with integer c.
 
-    Built by from_columns in lowest terms (den is the least common
+    Built by from_columns or compose in lowest terms (den is the least common
     denominator of all entries, zero entries are dropped, n increases along
     a row), so maps from equal columns compare equal and maps from different
-    columns compare unequal.
+    columns compare unequal.  A row is two tuples, its n and its c, not one
+    pair per entry: the composed spinor maps hold about a thousand entries.
     """
 
     n_in: int
-    rows: tuple  # per output, the (n, c) with c a nonzero int
+    rows: tuple  # per output, (the n of its nonzero entries, their int c)
     den: int
 
     @staticmethod
@@ -195,8 +196,8 @@ class LinearMap:
         columns[n]; every column has one entry per output."""
         den = math.lcm(*(x.denominator for col in columns for x in col))
         return LinearMap(len(columns), tuple(
-            tuple((n, x.numerator * (den // x.denominator))
-                  for n, col in enumerate(columns) if (x := col[s]))
+            _split_row((n, x.numerator * (den // x.denominator))
+                       for n, col in enumerate(columns) if (x := col[s]))
             for s in range(len(columns[0]))), den)
 
     def __call__(self, x: Sequence[Rat]) -> tuple[Fraction, ...]:
@@ -208,8 +209,32 @@ class LinearMap:
         d = math.lcm(*(v.denominator for v in x))
         nums = [v.numerator * (d // v.denominator) for v in x]
         den = self.den * d
-        return tuple(Fraction(sum(c * nums[n] for n, c in row), den)
+        return tuple(Fraction(sum(c * nums[n] for n, c in zip(*row)), den)
                      for row in self.rows)
+
+    def compose(self, inner: "LinearMap") -> "LinearMap":
+        """self after inner, x -> self(inner(x)), in lowest terms: it equals
+        from_columns of the images of the unit vectors."""
+        if self.n_in != len(inner.rows):
+            raise ValueError(
+                f"map takes {self.n_in} inputs, inner map gives {len(inner.rows)}")
+        rows = []
+        for row in self.rows:
+            acc: dict[int, int] = {}
+            for j, c in zip(*row):
+                for n, d in zip(*inner.rows[j]):
+                    acc[n] = acc.get(n, 0) + c * d
+            rows.append(sorted((n, c) for n, c in acc.items() if c))
+        den = self.den * inner.den
+        g = math.gcd(den, *(c for row in rows for _, c in row))
+        return LinearMap(inner.n_in, tuple(_split_row((n, c // g) for n, c in row)
+                                           for row in rows), den // g)
+
+
+def _split_row(entries) -> tuple:
+    """The (n, c) entries of a row as the two tuples a LinearMap row holds."""
+    entries = list(entries)
+    return tuple(n for n, _ in entries), tuple(c for _, c in entries)
 
 
 def _row_echelon(rows: list[list], n_cols: int) -> list[int]:

@@ -191,6 +191,7 @@ def section_from_json(doc: dict) -> FueterSectionGrid:
     converted."""
     values, spacing = _base_document(doc, "section", "values", 4)
     period = doc.get("period", TWO_PI)
-    _numbers(period, "/period")
+    if _numbers(period, "/period").ndim:
+        raise ValueError(f"/period must be a number, got {period!r}")
     base_periodic = _flag(doc.get("base_periodic", False), "/base_periodic")
     return FueterSectionGrid(values, spacing, period, base_periodic)

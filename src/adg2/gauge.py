@@ -133,6 +133,15 @@ def _numbers(values, where: str) -> np.ndarray:
     return arr.astype(float)
 
 
+def _json(value, kind: type, where: str):
+    """A document's JSON object (kind dict) or array (kind list, a tuple too),
+    never a value of another shape."""
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        shape = "an object" if kind is dict else "an array"
+        raise ValueError(f"{where} must be {shape}, got {value!r}")
+    return value
+
+
 def _flag(value, where: str) -> bool:
     """A document's boolean, never converted from 0, 1 or "false"."""
     if type(value) is not bool:
@@ -142,13 +151,15 @@ def _flag(value, where: str) -> bool:
 
 def _base_document(doc: dict, what: str, rows: str, width: int, extra=()) -> tuple:
     """The values, as a float array of shape /dims + (width,), and the
-    /spacing of a base map's document with integer /dims, numeric /spacing,
-    one row of width numbers per node in /rows and every key in extra."""
+    /spacing of a base map's document, an object with an array of integers
+    /dims, an array of numbers /spacing, one row of width numbers per node in
+    /rows and every key in extra."""
+    _json(doc, dict, f"{what} document /")
     for key in ("dims", "spacing", rows) + extra:
         if key not in doc:
             raise ValueError(f"{what} document missing /{key}")
-    dims = _ints(doc["dims"], "/dims")
-    _numbers(doc["spacing"], "/spacing")
+    dims = _ints(_json(doc["dims"], list, "/dims"), "/dims")
+    _numbers(_json(doc["spacing"], list, "/spacing"), "/spacing")
     values = _numbers(doc[rows], f"/{rows}")
     if values.shape != (int(np.prod(dims)), width):
         raise ValueError(f"/{rows} has the wrong shape for /dims")
@@ -486,15 +497,19 @@ def field_from_json(doc: dict) -> LatticeConnection:
     """The connection of a field_to_json document.  /rank and /dims must hold
     integers, /spacing and /values numbers and the /periodic flags booleans: a
     float rank or dim, a string spacing or value or a string flag is
-    rejected, never converted."""
+    rejected, never converted, and so is a container of the wrong shape."""
+    _json(doc, dict, "field document /")
     try:
         rank = _ints(doc["rank"], "/rank")
+        dims_doc = _json(doc["dims"], dict, "/dims")
+        spacing_doc = _json(doc.get("spacing", {}), dict, "/spacing")
+        periodic_doc = _json(doc.get("periodic", {}), dict, "/periodic")
         axes = []  # (dims, spacing, periodic) of the base, then of the fibre
         for name, default in (("base", False), ("fibre", True)):
-            dims = _ints(doc["dims"][name], f"/dims/{name}")
-            flag = _flag(doc.get("periodic", {}).get(name, default), f"/periodic/{name}")
+            dims = _ints(_json(dims_doc[name], list, f"/dims/{name}"), f"/dims/{name}")
+            flag = _flag(periodic_doc.get(name, default), f"/periodic/{name}")
             unit = [_unit_spacing(n, flag) for n in dims]
-            spacing = doc.get("spacing", {}).get(name, unit)
+            spacing = _json(spacing_doc.get(name, unit), list, f"/spacing/{name}")
             _numbers(spacing, f"/spacing/{name}")
             axes.append((dims, spacing, flag))
         (db, hb, pb), (df, hf, pf) = axes

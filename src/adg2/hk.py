@@ -8,8 +8,8 @@ plus anti-self-dual remainders, which carry the whole metric variation.
 
 metric_variation and its inverse recover_form_variation are linear.  Each
 runs through an exact.LinearMap cached on the HKTriple and built lazily, on
-first use, from its one defining formula: HKTriple._variation_map from
-_metric_variation_formula on the 48 unit variations, and
+first use, from the triple's tables: HKTriple._variation_map from its
+interior products and vol4 pairings on the 48 unit variations, and
 HKTriple._recovery_map from the frame-free inverse formula on the 16 unit
 metric variations.
 
@@ -28,7 +28,7 @@ from functools import cache, cached_property
 from itertools import product
 from typing import Sequence
 
-from .exact import LinearMap, QQi, inverse, madd, mscale, msub, zeros
+from .exact import LinearMap, QQi, eye, inverse, madd, mscale, msub, zeros
 
 Mat4 = tuple  # 4x4 tuple of tuples of Fraction
 
@@ -113,14 +113,30 @@ class HKTriple:
     def _variation_map(self) -> LinearMap:
         """metric_variation at this triple: the 48 entries of the flattened
         (w1dot, w2dot, w3dot) to the 16 entries of g_dot (row-major) and, last,
-        mu_dot.  Column n is the formula applied to the n-th unit variation."""
+        mu_dot = (1/3) sum_m w_m-dot ^ w_m, from i_{e_a} w1 ^ i_{e_b} w2 ^ w3 = g_ab mu.
+
+        Column (m, c, e) is the unit w_m-dot = e_c (x) e_e, antisymmetric or
+        not: its row a is delta_ac dx_e, and a vol4 pairing reads it as
+        dx_c ^ dx_e if c < e and as 0 otherwise.  So mu g_dot_ab + g_ab mu_dot
+        is delta_ac (dx_e ^ i_{e_b} w2 ^ w3), delta_bc (i_{e_a} w1 ^ dx_e ^ w3)
+        or i_{e_a} w1 ^ i_{e_b} w2 ^ (its pairing) for m = 0, 1, 2.
+        """
+        w1, w2, w3 = self.omega
+        dx = eye(4, field=Fraction)
         cols = []
-        for n in range(48):
-            unit = [[[Fraction(0)] * 4 for _ in range(4)] for _ in range(3)]
-            unit[n // 16][n // 4 % 4][n % 4] = Fraction(1)
-            mv = _metric_variation_formula(
-                self, TripleVariation(tuple(tuple(map(tuple, w)) for w in unit)))
-            cols.append([x for row in mv.g_dot for x in row] + [mv.mu_dot])
+        for m, c, e in product(range(3), range(4), range(4)):
+            pair = form2({(c, e): 1}) if c < e else None
+            mu_dot = wedge112(dx[c], dx[e], self.omega[m]) / 3 if pair else Fraction(0)
+            col = []
+            for a, b in product(range(4), repeat=2):
+                if m == 0:
+                    t = wedge112(dx[e], w2[b], w3) if a == c else 0
+                elif m == 1:
+                    t = wedge112(w1[a], dx[e], w3) if b == c else 0
+                else:
+                    t = wedge112(w1[a], w2[b], pair) if pair else 0
+                col.append((t - self.g[a][b] * mu_dot) / self.mu)
+            cols.append(col + [mu_dot])
         return LinearMap.from_columns(cols)
 
     @cached_property
@@ -228,36 +244,14 @@ def decompose_variation(t: HKTriple, v: TripleVariation):
     return a, b, tuple(asd)
 
 
-def conformal_coefficient(t: HKTriple, v: TripleVariation) -> Fraction:
-    """b with mu_dot = 2 b mu: the average self-dual diagonal coefficient."""
-    return sum(wedge22(v.omega_dot[i], t.omega[i]) for i in range(3)) / (6 * t.mu)
-
-
 def metric_variation(t: HKTriple, v: TripleVariation) -> MetricVariation:
     """Solve the variation of the defining product for g_dot, given mu_dot = 2 b mu.
 
-    Applies the triple's cached exact map (HKTriple._variation_map); the
-    values equal _metric_variation_formula on every input, antisymmetric or not.
+    Applies the triple's cached exact map (HKTriple._variation_map), built
+    from the triple's tables, to every input, antisymmetric or not.
     """
     out = t._variation_map([e for w in v.omega_dot for row in w for e in row])
     return MetricVariation(tuple(tuple(out[4 * a:4 * a + 4]) for a in range(4)), out[16])
-
-
-def _metric_variation_formula(t: HKTriple, v: TripleVariation) -> MetricVariation:
-    """The defining formula behind metric_variation, linear in v.omega_dot."""
-    mu_dot = 2 * conformal_coefficient(t, v) * t.mu
-    w1, w2, w3 = t.omega
-    w1d, w2d, w3d = v.omega_dot
-    g_dot = [[Fraction(0)] * 4 for _ in range(4)]
-    for aa in range(4):
-        # the interior product with e_a is row a of the matrix
-        r1d, r1 = w1d[aa], w1[aa]
-        for bb in range(4):
-            rhs = (wedge112(r1d, w2[bb], w3)
-                   + wedge112(r1, w2d[bb], w3)
-                   + wedge112(r1, w2[bb], w3d))
-            g_dot[aa][bb] = (rhs - t.g[aa][bb] * mu_dot) / t.mu
-    return MetricVariation(tuple(tuple(r) for r in g_dot), mu_dot)
 
 
 def complex_structure_matrices(t: HKTriple) -> tuple[Mat4, Mat4, Mat4]:

@@ -13,11 +13,12 @@ Conventions, frozen here and proved on the 2x2 tables by verify_conventions():
 
 build_spinor_model() returns one verified model per process; the proof
 runs on its first call.  The curvature operators and the first-order part
-of the Dirac-variation symbol are linear in the metric slots of a jet: each
-model holds them as two exact.LinearMap, built from its 2x2 tables on first
-use: SpinorModel._curvature_tensor (g1 to R~_1..3, from the ccc table) and
-SpinorModel._dirac_first_map (g0 to the four first-order coefficients, from
-the i_sp and mp tables).
+of the Dirac-variation symbol are linear in a jet: each model holds them as
+two exact.LinearMap, built on first use from its 2x2 tables and composed
+with the standard triple's metric variation slot by slot, so that a jet's
+entries reach the operators through one map: SpinorModel._curvature_tensor
+(w to R~_1..3, from the ccc table) and SpinorModel._dirac_first_map (v to
+the four first-order coefficients, from the i_sp and mp tables).
 """
 
 from __future__ import annotations
@@ -98,25 +99,37 @@ class SpinorModel:
 
     @cached_property
     def _curvature_tensor(self) -> LinearMap:
-        """curvature_operators on the metric slots: the 192 entries
-        g1[k][i][l][j] to the parts of R~_1..3 (_parts order, 8 per k).  Slot
-        (k, i, l, j) maps to (c_l c_j c_i - c_l c_i c_j) / 8 in block k."""
+        """curvature_operators on the 576 entries of w, slot (k, i) =
+        (w[k][0][i], w[k][1][i], w[k][2][i]) after slot (k, i - 1), to the
+        parts of R~_1..3 (_parts order, 8 per k): each slot's g1[k][i]
+        (_metric_slots), then g1[k][i][l][j] to (c_l c_j c_i - c_l c_i c_j) / 8."""
         tensor = [[x / 8 for x in _parts(msub(self.ccc[l][j][i], self.ccc[l][i][j]))]
                   for i, l, j in product(range(4), repeat=3)]
         return LinearMap.from_columns(
-            [[0] * (8 * k) + t + [0] * (8 * (2 - k)) for k in range(3) for t in tensor])
+            [[0] * (8 * k) + t + [0] * (8 * (2 - k)) for k in range(3) for t in tensor]
+        ).compose(_metric_slots(12))
 
     @cached_property
     def _dirac_first_map(self) -> LinearMap:
-        """The first-order part of dirac_variation_symbol on the metric slots:
-        the 48 entries g0[k][i][j] to the parts of the four coefficient
-        matrices (_parts order, 8 per i).  Slot (k, i, j) maps to
-        -(1/2) I_k^{S+} c(e_j) in block i."""
+        """The first-order part of dirac_variation_symbol on the 144 entries
+        of v, slot k = v[k] after slot k - 1, to the parts of the four
+        coefficient matrices (_parts order, 8 per i): each slot's g0[k]
+        (_metric_slots), then g0[k][i][j] to -(1/2) I_k^{S+} c(e_j) in block i."""
         first = [[-x / 2 for x in _parts(mmul(self.i_sp[k], self.mp[j]))]
                  for k in range(3) for j in range(4)]
         return LinearMap.from_columns(
             [[0] * (8 * i) + first[4 * k + j] + [0] * (8 * (3 - i))
-             for k, i, j in product(range(3), range(4), range(4))])
+             for k, i, j in product(range(3), range(4), range(4))]
+        ).compose(_metric_slots(3))
+
+
+def _metric_slots(n: int) -> LinearMap:
+    """The g_dot rows of the standard triple's HKTriple._variation_map on n
+    slots side by side, slot s from inputs 48 s.. to outputs 16 s..; compose
+    reduces it to lowest terms."""
+    var = hk.HKTriple.standard()._variation_map
+    return LinearMap(48 * n, tuple((tuple(48 * s + j for j in ns), cs)
+                                   for s in range(n) for ns, cs in var.rows[:16]), var.den)
 
 
 def _parts(m) -> list:
@@ -419,41 +432,20 @@ def violate_jet(jet: AdiabaticJet, which: str, rng) -> AdiabaticJet:
                         tuple(tuple(tuple(s) for s in row) for row in w))
 
 
-def jet_metric_slots(jet: AdiabaticJet):
-    """Derived metric-variation data: (Lg)_k and the derivative slots (Lg)_k^(i)."""
-    std = hk.HKTriple.standard()
-    g0 = [hk.metric_variation(std, hk.TripleVariation.of(*jet.v[k])).g_dot
-          for k in range(3)]
-    g1 = [[hk.metric_variation(
-        std, hk.TripleVariation.of(*(jet.w[k][m][i] for m in range(3)))).g_dot
-        for i in range(4)] for k in range(3)]
-    return g0, g1
-
-
 def curvature_operators(jet: AdiabaticJet, model: SpinorModel):
     """The three maps S- -> S+ assembled from the mixed curvature of the
-    limiting connection on a flat fibre background."""
-    return _curvature_operators(jet_metric_slots(jet)[1], model)
-
-
-def _curvature_operators(g1, model: SpinorModel):
-    """R~_k = sum_{i,l,j} g1[k][i][l][j] (c_l c_j c_i - c_l c_i c_j) / 8,
-    through the model's map SpinorModel._curvature_tensor."""
-    p = model._curvature_tensor(
-        [x for gk in g1 for gki in gk for row in gki for x in row])
+    limiting connection on a flat fibre background, through the model's one
+    map SpinorModel._curvature_tensor."""
+    p = model._curvature_tensor([x for wk in jet.w for i in range(4) for forms in wk
+                                 for row in forms[i] for x in row])
     return tuple(_from_parts(p[8 * k:8 * k + 8]) for k in range(3))
 
 
 def curvature_sum(jet: AdiabaticJet, model: SpinorModel):
     """sum_k I_k^{S+} R~_k, which vanishes exactly on constraint-compatible jets."""
-    return _curvature_sum(jet_metric_slots(jet)[1], model)
-
-
-def _curvature_sum(g1, model: SpinorModel):
-    rks = _curvature_operators(g1, model)
     out = zeros(2)
-    for k in range(3):
-        out = madd(out, mmul(model.i_sp[k], rks[k]))
+    for i_k, r_k in zip(model.i_sp, curvature_operators(jet, model)):
+        out = madd(out, mmul(i_k, r_k))
     return out
 
 
@@ -462,9 +454,9 @@ def dirac_variation_symbol(jet: AdiabaticJet, model: SpinorModel):
 
     Returns (zeroth, first) with zeroth a 2x2 matrix (equal to minus the
     curvature sum) and first a list of four 2x2 coefficient matrices, one per
-    fibre derivative direction.  All vanish exactly on compatible jets.
+    fibre derivative direction, through SpinorModel._dirac_first_map.  All
+    vanish exactly on compatible jets.
     """
-    g0, g1 = jet_metric_slots(jet)
-    zeroth = mscale(QQi(-1), _curvature_sum(g1, model))
-    p = model._dirac_first_map([x for gk in g0 for row in gk for x in row])
+    zeroth = mscale(QQi(-1), curvature_sum(jet, model))
+    p = model._dirac_first_map([x for vk in jet.v for w in vk for row in w for x in row])
     return zeroth, tuple(_from_parts(p[8 * i:8 * i + 8]) for i in range(4))

@@ -95,3 +95,35 @@ class TestLinearMap:
         # a trailing zero column is part of the map
         zero_col = [F(0)] * 6
         assert LinearMap.from_columns(cols) != LinearMap.from_columns(cols + [zero_col])
+
+    def test_compose_is_inner_then_outer(self):
+        rng = random.Random(6)
+        for _ in range(30):
+            n_in, n_mid, n_out = rng.randint(1, 12), rng.randint(1, 10), rng.randint(1, 8)
+            inner = LinearMap.from_columns(random_columns(rng, n_in, n_mid))
+            outer = LinearMap.from_columns(random_columns(rng, n_mid, n_out))
+            both = outer.compose(inner)
+            units = [[F(int(n == j)) for j in range(n_in)] for n in range(n_in)]
+            images = [outer(inner(u)) for u in units]
+            assert [both(u) for u in units] == images
+            assert both == LinearMap.from_columns(images)
+            for _ in range(5):
+                x = [F(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(n_in)]
+                assert both(x) == outer(inner(x))
+
+    def test_compose_reduces_to_lowest_terms(self):
+        # an inner map over a common factor of its coefficients and den
+        inner = LinearMap(2, (((0, 1), (2, 4)),), 6)
+        assert LinearMap.from_columns([[1]]).compose(inner) == \
+            LinearMap.from_columns([[F(1, 3)], [F(2, 3)]])
+        # a composite that cancels to zero is the zero map over 1
+        zero = LinearMap.from_columns([[F(1, 2)], [F(-1, 2)]]).compose(
+            LinearMap.from_columns([[F(1, 3), F(1, 3)]]))
+        assert zero == LinearMap.from_columns([[0]])
+        assert zero.den == 1 and zero.rows == (((), ()),)
+
+    def test_compose_rejects_mismatched_sizes(self):
+        outer = LinearMap.from_columns([[F(1)], [F(2)], [F(3)]])
+        inner = LinearMap.from_columns([[F(1), F(1)]])
+        with pytest.raises(ValueError, match="takes 3 inputs, inner map gives 2"):
+            outer.compose(inner)

@@ -329,6 +329,18 @@ class TestSectionIO:
         with pytest.raises(ValueError):
             fu.section_from_json({"dims": [2, 2, 2]})
 
+    def test_mis_shaped_containers_rejected(self):
+        # 3^3 nodes, so that a scalar /dims of 27 matches the node count
+        doc = fu.section_to_json(fu.FueterSectionGrid(np.zeros((3, 3, 3, 4)),
+                                                      (0.5, 0.5, 0.5)))
+        for field, value, where in (("dims", 27, "/dims must be an array"),
+                                    ("spacing", 0.5, "/spacing must be an array"),
+                                    ("period", [1.0], "/period must be a number")):
+            with pytest.raises(ValueError, match=where):
+                fu.section_from_json({**doc, field: value})
+        with pytest.raises(ValueError, match="section document / must be an object"):
+            fu.section_from_json(None)
+
     @pytest.mark.parametrize("field, value, where", [
         ("dims", [3.7, 3, 3], "/dims"), ("dims", [3, True, 3], "/dims"),
         ("spacing", ["0.5", 0.5, 0.5], "/spacing"), ("period", "6.28", "/period"),

@@ -540,6 +540,21 @@ class TestFieldIO:
         with pytest.raises(ValueError, match="malformed field document"):
             ga.field_from_json({"dims": dims, "rank": 1})
 
+    def test_mis_shaped_containers_rejected(self):
+        # a container of the wrong shape raises a ValueError naming its path,
+        # never an AttributeError or TypeError from deeper down
+        doc = ga.field_to_json(ga.LatticeConnection.zero(ga.LatticeGrid.unit(3, 3)))
+        for field, value, where in (
+                ("periodic", [True], "/periodic"),
+                ("spacing", [0.5], "/spacing"),
+                ("dims", [3] * 7, "/dims"),
+                ("dims", {"base": 3, "fibre": [3] * 4}, "/dims/base"),
+                ("spacing", {"fibre": 0.25}, "/spacing/fibre")):
+            with pytest.raises(ValueError, match=where):
+                ga.field_from_json({**doc, field: value})
+        with pytest.raises(ValueError, match="field document /"):
+            ga.field_from_json(None)
+
     @pytest.mark.parametrize("field, value, where", [
         ("rank", 1.7, "/rank"), ("rank", True, "/rank"),
         ("periodic", {"base": "false"}, "/periodic/base"),

@@ -220,6 +220,17 @@ class TestCompiledMetricVariation:
                     v = hk.TripleVariation.of(*forms)
                     assert hk.metric_variation(t, v) == reference_metric_variation(t, v)
 
+    def test_equals_the_formula_on_raw_unit_variations(self):
+        # the 48 unit matrices e_c (x) e_e in each slot, antisymmetric or
+        # not: the columns the map is built from
+        for t in self.triples():
+            for m, c, e in product(range(3), range(4), range(4)):
+                forms = [ZERO] * 3
+                forms[m] = tuple(tuple(F(int((a, b) == (c, e))) for b in range(4))
+                                 for a in range(4))
+                v = hk.TripleVariation.of(*forms)
+                assert hk.metric_variation(t, v) == reference_metric_variation(t, v)
+
     def test_map_is_built_lazily_once_per_triple(self):
         assert hk.HKTriple.standard() is hk.HKTriple.standard()
         t = hk.triple(pulled_back(hk.STANDARD_TRIPLE, self.FRAME))

@@ -302,6 +302,64 @@ class TestPreconditioner:
                 assert abs(np.sum(d * mhd) / np.sum(d * d) - 1.0) <= 1e-12
 
 
+def dense_pair(n, components):
+    """Dense H (_hessian_apply) and P (_split_preconditioner) at the affine
+    n^3 section with the standard frame and spacing 1 / (n - 1), on the
+    interior unknowns of the given node components (node-major order), with
+    the cell volume V and each unknown's component."""
+    s = mx.affine_section((n,) * 3, (1.0 / (n - 1),) * 3)
+    gram = mx._grad_and_gram(s)[1]
+    cache = mx._hessian_cache(s, gram)
+    precond = mx._split_preconditioner(s, gram[0])
+    mask = np.zeros(s.values.shape, dtype=bool)
+    mask[1:-1, 1:-1, 1:-1, components] = True
+    unknowns = np.flatnonzero(mask)
+    h, p = np.empty((2, unknowns.size, unknowns.size))
+    for col, flat in enumerate(unknowns):
+        unit = np.zeros(s.values.shape)
+        unit.flat[flat] = 1.0
+        h[:, col] = mx._hessian_apply(s, cache, unit).flat[unknowns]
+        p[:, col] = precond(unit).flat[unknowns]
+    return h, p, float(np.prod(s.spacing)), unknowns % mx.DIM
+
+
+def spectrum(m):
+    """The eigenvalues of m, real to rounding, in ascending order."""
+    w = np.linalg.eigvals(m)
+    assert np.abs(w.imag).max() <= 1e-10
+    return np.sort(w.real)
+
+
+class TestPreconditionerSpectrum:
+    """The diagnosis of the MINRES growth with the grid: at the affine
+    section P H / V is the identity on the 19 normal components and does not
+    couple them to the frame; on the frame it lies in (0, 3), with an O(h^2)
+    floor from the divergence-free tangential modes.  Fails if either
+    block's symbol changes."""
+
+    def test_blocks_at_5(self):
+        h, p, vol, comp = dense_pair(5, slice(None))
+        m = p @ h / vol
+        normal, tangential = comp >= mx.SIG_PLUS, comp < mx.SIG_PLUS
+        assert np.abs(spectrum(m[np.ix_(normal, normal)]) - 1.0).max() <= 1e-10
+        assert np.abs(m[np.ix_(normal, tangential)]).max() <= 1e-12
+        assert np.abs(m[np.ix_(tangential, normal)]).max() <= 1e-12
+        w = spectrum(m[np.ix_(tangential, tangential)])
+        assert 0.0 < w[0] and w[-1] < 3.0
+        assert 3.0 <= w[0] * 4 ** 2 <= 4.5
+        # the ends as measured, which a rescaled frame symbol moves (2/8 in
+        # place of 2/9 stays inside the bounds above)
+        assert np.allclose((w[0], w[-1]), (0.25, 2.5), rtol=0, atol=1e-9)
+
+    def test_tangential_block_at_7(self):
+        h, p, vol, _ = dense_pair(7, slice(0, mx.SIG_PLUS))
+        assert h.shape == (375, 375)
+        w = spectrum(p @ h / vol)
+        assert 0.0 < w[0] and w[-1] < 3.0
+        assert 3.0 <= w[0] * 6 ** 2 <= 4.5
+        assert np.allclose((w[0], w[-1]), (0.1, 2.8), rtol=0, atol=1e-9)
+
+
 class TestMinres:
     N = 30
 
@@ -607,6 +665,15 @@ class TestIO:
     def test_bad_doc_rejected(self):
         with pytest.raises(ValueError):
             mx.grid_from_json({"dims": [2, 2, 2]})
+
+    def test_mis_shaped_containers_rejected(self):
+        # 3^3 nodes, so that a scalar /dims of 27 matches the node count
+        doc = mx.grid_to_json(mx.affine_section((3, 3, 3), (0.5,) * 3))
+        for field, value in (("dims", 27), ("spacing", 0.5)):
+            with pytest.raises(ValueError, match=f"/{field} must be an array"):
+                mx.grid_from_json({**doc, field: value})
+        with pytest.raises(ValueError, match="grid document / must be an object"):
+            mx.grid_from_json(None)
 
     @pytest.mark.parametrize("spacing", [[0.25, 0.25], [0.25, 0.25, float("nan")]])
     def test_bad_spacing_doc_rejected(self, spacing):

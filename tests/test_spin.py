@@ -22,9 +22,22 @@ def bad_model():
     return spin.build_spinor_model(corrupt="i2_sign")
 
 
+def reference_metric_slots(jet):
+    """(g0, g1): the metric variation of each zeroth-order slot v[k] and of
+    each derivative slot (w[k][0][i], w[k][1][i], w[k][2][i]), one
+    hk.metric_variation call per slot, outside the model's composed maps."""
+    std = hk.HKTriple.standard()
+    g0 = [hk.metric_variation(std, hk.TripleVariation.of(*jet.v[k])).g_dot
+          for k in range(3)]
+    g1 = [[hk.metric_variation(
+        std, hk.TripleVariation.of(*(jet.w[k][m][i] for m in range(3)))).g_dot
+        for i in range(4)] for k in range(3)]
+    return g0, g1
+
+
 def reference_curvature_operators(jet, model):
     """The (l, i, j) loop the contraction tensor replaces."""
-    _, g1 = spin.jet_metric_slots(jet)
+    _, g1 = reference_metric_slots(jet)
     out = []
     for k in range(3):
         rk = [[QQi(0), QQi(0)], [QQi(0), QQi(0)]]
@@ -169,7 +182,7 @@ class TestCompiledCurvature:
     def test_dirac_first_part_equals_the_loop(self, model, bad_model):
         for m in (model, bad_model):
             for jet in sample_jets(11, 6):
-                g0, _ = spin.jet_metric_slots(jet)
+                g0, _ = reference_metric_slots(jet)
                 _, got = spin.dirac_variation_symbol(jet, m)
                 assert got == reference_dirac_first_part(g0, m)
                 assert all(type(x.re) is F and type(x.im) is F
@@ -180,6 +193,10 @@ class TestCompiledCurvature:
             for jet in sample_jets(9, 6):
                 z, _ = spin.dirac_variation_symbol(jet, m)
                 assert z == mscale(QQi(-1), spin.curvature_sum(jet, m))
+                rks = reference_curvature_operators(jet, m)
+                assert z == mscale(QQi(-1), madd(madd(
+                    mmul(m.i_sp[0], rks[0]), mmul(m.i_sp[1], rks[1])),
+                    mmul(m.i_sp[2], rks[2])))
 
 
 class TestOmegaDecomposition:
