@@ -8,7 +8,7 @@ from itertools import combinations
 
 from .. import hk
 from .forms import BigradedForm, HorizontalDistribution, split_d, wedge
-from .poly import VERTICAL
+from .poly import HORIZONTAL, VERTICAL
 
 
 def standard_triple() -> list[BigradedForm]:
@@ -65,10 +65,10 @@ class FibrationData:
 
     def theta(self) -> BigradedForm:
         """-sum_cyc omega_i dt_j dt_k, bigrade (2,2)."""
+        dt = [BigradedForm.covector(i) for i in HORIZONTAL]
         out = BigradedForm(4)
         for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            out = out - wedge(self.omega[i], BigradedForm.monomial(tuple(sorted((j, k))), (),
-                                                                   1 if j < k else -1))
+            out = out - wedge(self.omega[i], wedge(dt[j], dt[k]))
         return out
 
 

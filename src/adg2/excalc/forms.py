@@ -7,6 +7,11 @@ is dt_i; for a in J it is the fibre coframe element e^a.  Over a product
 fibration e^a is just dx_a; for a nonflat horizontal distribution H the
 adapted coframe is e^a = dx_a - sum_i H_i^a dt_i and bigrading is taken in
 that coframe (see split_d).
+
+One sign rule: the key (I, J) stands for the covectors of I + J wedged in
+order, and reordering covectors costs the sign of sorting their indices.
+_merge_sign gives it for two blocks (wedge, hodge._star); contract and
+split_d move the one index at position pos of I + J to the front, for (-1)^pos.
 """
 
 from __future__ import annotations
@@ -55,10 +60,6 @@ class BigradedForm:
             self.terms.pop(key, None)
         else:
             self.terms[key] = total
-
-    @staticmethod
-    def zero(degree: int) -> "BigradedForm":
-        return BigradedForm(degree)
 
     @staticmethod
     def monomial(I: Iterable[int], J: Iterable[int], coeff=1) -> "BigradedForm":
@@ -137,15 +138,14 @@ class BigradedForm:
 
 
 def wedge(a: BigradedForm, b: BigradedForm) -> BigradedForm:
-    """Graded-commutative wedge product; exact."""
+    """Graded-commutative wedge product; exact.  The sign of each term is the
+    sign of sorting the joined index tuple I1 + J1 + I2 + J2 (_merge_sign)."""
     out = BigradedForm(a.degree + b.degree)
     for (I1, J1), p1 in a.terms.items():
         for (I2, J2), p2 in b.terms.items():
             if set(I1) & set(I2) or set(J1) & set(J2):
                 continue
-            sign = _merge_sign(I1, I2) * _merge_sign(J1, J2)
-            if len(J1) % 2 and len(I2) % 2:
-                sign = -sign
+            sign = _merge_sign(I1 + J1, I2 + J2)
             I = tuple(sorted(I1 + I2))
             J = tuple(sorted(J1 + J2))
             prod = p1 * p2
@@ -228,7 +228,9 @@ def split_d(a: BigradedForm, H: HorizontalDistribution):
     The input is interpreted in the adapted coframe {dt_i, e^a}.  The three
     outputs shift the bigrade of each input term by (0,+1), (+1,0), (+2,-1)
     respectively, and their sum is the exterior derivative of a (checked by
-    converting to the coordinate coframe).
+    converting to the coordinate coframe).  Differentiating the coframe
+    element at position pos of I + J carries the sign (-1)^pos, the sign
+    rule of _merge_sign for one index moved to the front.
     """
     df = BigradedForm(a.degree + 1)
     dh = BigradedForm(a.degree + 1)
@@ -305,7 +307,8 @@ def contract(a: BigradedForm, vectors: Sequence[Sequence[Scalar]]) -> dict[tuple
 
     The coefficients are read at the origin first, so the contraction runs
     over plain Fractions; removing the slot at position pos of I + J carries
-    the sign (-1)^pos.  Vectors are length-7 rationals in the coordinate
+    the sign (-1)^pos, the sign rule of _merge_sign for one index moved to
+    the front.  Vectors are length-7 rationals in the coordinate
     ordering t1..t3,x1..x4.  Only meaningful in a flat coframe (e^a = dx_a).
     """
     if len(vectors) > a.degree:

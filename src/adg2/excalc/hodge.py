@@ -1,10 +1,13 @@
 """Hodge stars for the split metric, with the scaled fibre.
 
-The orientation is fixed once: vol7 = -dt1 dt2 dt3 dx1 dx2 dx3 dx4.  All
-star signs below are derived from it: star4 uses vol4 = dx1 dx2 dx3 dx4,
-star3 uses vol3 = -dt1 dt2 dt3 (so that vol3 ^ vol4 = vol7), and the scaled
-seven-dimensional star on a term of vertical degree q is eps^(2-q) times
-the eps = 1 star.
+Every star is the one routine _star: the unit-metric star on a set of
+coordinate axes, signed by the orientation of those axes.  The orientation
+is fixed once: vol7 = -dt1 dt2 dt3 dx1 dx2 dx3 dx4.  star4 uses
+vol4 = dx1 dx2 dx3 dx4 and star3 uses vol3 = -dt1 dt2 dt3 (so that
+vol3 ^ vol4 = vol7), and the scaled seven-dimensional star on a term of
+vertical degree q is eps^(2-q) times the eps = 1 star.  Each sign is the
+sign of sorting a term's indices followed by those of its complement, the
+rule wedge uses (forms._merge_sign).
 """
 
 from __future__ import annotations
@@ -14,36 +17,32 @@ from fractions import Fraction
 from .forms import BigradedForm, _merge_sign
 from .poly import HORIZONTAL, VERTICAL
 
-_H_SET = tuple(HORIZONTAL)
-_V_SET = tuple(VERTICAL)
 
-
-def _complement(sub: tuple, full: tuple) -> tuple:
-    return tuple(i for i in full if i not in sub)
+def _star(a: BigradedForm, axes: tuple, vol_sign: int) -> BigradedForm:
+    """The unit-metric star on the coordinates axes, whose volume form is
+    vol_sign times the wedge of their covectors in order: dt_I e^J goes to
+    vol_sign * _merge_sign(I + J, C) times the covectors C of the complement."""
+    out = BigradedForm(len(axes) - a.degree)
+    for (I, J), p in a.terms.items():
+        K = I + J
+        if not set(K) <= set(axes):
+            raise ValueError(f"the star on axes {axes} needs a form on those axes, "
+                             f"got a term ({I},{J})")
+        C = tuple(i for i in axes if i not in K)
+        sign = vol_sign * _merge_sign(K, C)
+        out._accumulate(tuple(i for i in C if i in HORIZONTAL),
+                        tuple(i for i in C if i in VERTICAL), -p if sign < 0 else p)
+    return out
 
 
 def star4(a: BigradedForm) -> BigradedForm:
-    """Fibre Hodge star; input must be purely vertical."""
-    out = BigradedForm(4 - (a.degree - 0))
-    for (I, J), p in a.terms.items():
-        if I:
-            raise ValueError("star4 requires a purely vertical form")
-        Jc = _complement(J, _V_SET)
-        sign = _merge_sign(J, Jc)  # dx_J ^ dx_Jc = sign * vol4
-        out._accumulate((), Jc, -p if sign < 0 else p)
-    return out
+    """Fibre Hodge star w.r.t. vol4 = dx1 dx2 dx3 dx4; input must be purely vertical."""
+    return _star(a, VERTICAL, 1)
 
 
 def star3(a: BigradedForm) -> BigradedForm:
     """Base Hodge star w.r.t. vol3 = -dt1 dt2 dt3; input must be purely horizontal."""
-    out = BigradedForm(3 - a.degree)
-    for (I, J), p in a.terms.items():
-        if J:
-            raise ValueError("star3 requires a purely horizontal form")
-        Ic = _complement(I, _H_SET)
-        sign = -_merge_sign(I, Ic)  # dt_I ^ (sign dt_Ic) = vol3 = -dt123
-        out._accumulate(Ic, (), -p if sign < 0 else p)
-    return out
+    return _star(a, HORIZONTAL, -1)
 
 
 def star7(a: BigradedForm, eps: Fraction | int = 1) -> BigradedForm:
@@ -63,22 +62,8 @@ def star7(a: BigradedForm, eps: Fraction | int = 1) -> BigradedForm:
 
 
 def star7_limit(a: BigradedForm) -> dict[int, BigradedForm]:
-    """Formal limit data: map scaling exponent k -> form piece, star7 = sum eps^k pieces."""
-    pieces: dict[int, BigradedForm] = {}
-    for (I, J), p in a.terms.items():
-        Ic = _complement(I, _H_SET)
-        Jc = _complement(J, _V_SET)
-        sign = _star7_sign(I, J, Ic, Jc)
-        k = 2 - len(J)
-        piece = pieces.setdefault(k, BigradedForm(7 - a.degree))
-        piece._accumulate(Ic, Jc, -p if sign < 0 else p)
-    return pieces
+    """Formal limit data: map scaling exponent k -> form piece, star7 = sum eps^k pieces.
 
-
-def _star7_sign(I, J, Ic, Jc) -> int:
-    # sign s with dt_I e_J ^ dt_Ic e_Jc = s * dt123 ^ vol4; then flip for
-    # vol7 = -dt123 vol4.
-    s = _merge_sign(I, Ic) * _merge_sign(J, Jc)
-    if len(J) % 2 and len(Ic) % 2:
-        s = -s
-    return -s
+    The (p, q) component contributes the eps = 1 star w.r.t. vol7 at k = 2 - q."""
+    return {2 - q: _star(a.component(p, q), HORIZONTAL + VERTICAL, -1)
+            for p, q in a.bigrades()}

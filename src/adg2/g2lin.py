@@ -1,8 +1,8 @@
 """Pointwise split structure on R^3 + R^4 with a scaled fibre.
 
 The defining 3-form is phi_eps = eps * sum_i omega_i dt_i - dt1 dt2 dt3 and
-its dual 4-form is star phi_eps = -eps * sum_cyc omega_i dt_j dt_k +
-(eps^2/2) omega_1^2, with metric g_eps = sum dt^2 + eps sum dx^2.  The cross
+its dual 4-form star phi_eps is excalc.star7(phi_eps), the Hodge star of the
+metric g_eps = sum dt^2 + eps sum dx^2, defined for eps > 0 only.  The cross
 product and the trilinear map chi are recovered from these by solving the
 defining identities against the metric, each from one contraction
 (excalc.contract): i_y i_x phi_eps for cross, i_z i_y i_x star phi_eps for
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .excalc import BigradedForm, FibrationData, contract, wedge
+from .excalc import BigradedForm, FibrationData, contract, star7
 from .excalc.poly import HORIZONTAL, VERTICAL
 
 Vector7 = tuple  # length-7 tuple of Fractions, ordering t1,t2,t3,x1..x4
@@ -51,7 +51,8 @@ class G2Model:
     """The split pointwise model at a rational scale eps >= 0 (0 = formal limit).
 
     A function of eps alone: phi_eps and star phi_eps are built on first
-    use, once per model, from the flat product data FibrationData.product()."""
+    use, once per model, phi_eps from the flat product data
+    FibrationData.product() and star phi_eps as star7(phi_eps)."""
 
     eps: Fraction = Fraction(1)
 
@@ -61,19 +62,21 @@ class G2Model:
             raise ValueError("eps must be nonnegative")
 
     @cached_property
-    def _forms(self) -> tuple[BigradedForm, BigradedForm]:
+    def _phi(self) -> BigradedForm:
         data = FibrationData.product()
-        w1 = data.omega[0]
-        return (data.lam + data.omega_total().scale(self.eps),
-                data.theta().scale(self.eps) + wedge(w1, w1).scale(self.eps ** 2 / 2))
+        return data.lam + data.omega_total().scale(self.eps)
+
+    @cached_property
+    def _star_phi(self) -> BigradedForm:
+        return star7(self._phi, self.eps)
 
     def phi(self) -> BigradedForm:
         """lambda + eps * sum_i omega_i dt_i."""
-        return self._forms[0]
+        return self._phi
 
     def star_phi(self) -> BigradedForm:
-        """eps * Theta + (eps^2/2) omega_1 ^ omega_1."""
-        return self._forms[1]
+        """star7(phi_eps) w.r.t. g_eps; eps = 0 raises ValueError, as for cross."""
+        return self._star_phi
 
     def metric_pair(self, x: Vector7, y: Vector7) -> Fraction:
         return (sum(x[i] * y[i] for i in HORIZONTAL)

@@ -142,6 +142,13 @@ def _json(value, kind: type, where: str):
     return value
 
 
+def _member(doc: dict, key: str, where: str):
+    """doc[key] of a field document, else a ValueError naming its path."""
+    if key not in doc:
+        raise ValueError(f"malformed field document: missing {where}")
+    return doc[key]
+
+
 def _flag(value, where: str) -> bool:
     """A document's boolean, never converted from 0, 1 or "false"."""
     if type(value) is not bool:
@@ -357,14 +364,7 @@ def twisted_hym_residual(a: LatticeConnection, b_form) -> np.ndarray:
     given by its six components in PAIR_ORDER."""
     b_form = np.asarray(b_form, dtype=float)
     if b_form.shape != (6,):
-        if b_form.ndim >= 2 and b_form.shape[-1] == 6:
-            flat = b_form.reshape(-1, 6)
-            if not np.allclose(flat, flat[0], atol=1e-14):
-                raise ValueError("the twist form must be constant on the flat "
-                                 "fibre (harmonic representative)")
-            b_form = flat[0]
-        else:
-            raise ValueError("twist form needs six components in pair order")
+        raise ValueError("twist form needs six components in pair order")
     out = (1j / (2 * np.pi)) * fibre_defect(fibre_curvatures(a))
     for i in range(3):
         out[i] -= wedge2_form(b_form, W_SD[i]) * np.eye(a.rank)
@@ -494,29 +494,31 @@ def field_to_json(a: LatticeConnection) -> dict:
 
 
 def field_from_json(doc: dict) -> LatticeConnection:
-    """The connection of a field_to_json document.  /rank and /dims must hold
-    integers, /spacing and /values numbers and the /periodic flags booleans: a
-    float rank or dim, a string spacing or value or a string flag is
-    rejected, never converted, and so is a container of the wrong shape."""
+    """The connection of a field_to_json document.  /rank must be a positive
+    integer, /dims hold integers, /spacing and /values numbers and the
+    /periodic flags booleans: a float rank or dim, a string spacing or value
+    or a string flag is rejected, never converted, and so is a container of
+    the wrong shape.  A missing key raises a ValueError naming its path."""
     _json(doc, dict, "field document /")
-    try:
-        rank = _ints(doc["rank"], "/rank")
-        dims_doc = _json(doc["dims"], dict, "/dims")
-        spacing_doc = _json(doc.get("spacing", {}), dict, "/spacing")
-        periodic_doc = _json(doc.get("periodic", {}), dict, "/periodic")
-        axes = []  # (dims, spacing, periodic) of the base, then of the fibre
-        for name, default in (("base", False), ("fibre", True)):
-            dims = _ints(_json(dims_doc[name], list, f"/dims/{name}"), f"/dims/{name}")
-            flag = _flag(periodic_doc.get(name, default), f"/periodic/{name}")
-            unit = [_unit_spacing(n, flag) for n in dims]
-            spacing = _json(spacing_doc.get(name, unit), list, f"/spacing/{name}")
-            _numbers(spacing, f"/spacing/{name}")
-            axes.append((dims, spacing, flag))
-        (db, hb, pb), (df, hf, pf) = axes
-        grid = LatticeGrid(db, df, hb, hf, pb, pf)
-        flat = _numbers(doc["values"], "/values")
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed field document: {exc}") from exc
+    rank = _member(doc, "rank", "/rank")
+    if type(rank) is not int or rank < 1:
+        raise ValueError(f"/rank must be a positive integer, got {rank!r}")
+    dims_doc = _json(_member(doc, "dims", "/dims"), dict, "/dims")
+    spacing_doc = _json(doc.get("spacing", {}), dict, "/spacing")
+    periodic_doc = _json(doc.get("periodic", {}), dict, "/periodic")
+    axes = []  # (dims, spacing, periodic) of the base, then of the fibre
+    for name, n, default in (("base", 3, False), ("fibre", 4, True)):
+        where = f"/dims/{name}"
+        dims = _ints(_json(_member(dims_doc, name, where), list, where), where)
+        dims = _dims(dims, n, name)  # before the unit spacings divide by them
+        flag = _flag(periodic_doc.get(name, default), f"/periodic/{name}")
+        unit = [_unit_spacing(k, flag) for k in dims]
+        spacing = _json(spacing_doc.get(name, unit), list, f"/spacing/{name}")
+        _numbers(spacing, f"/spacing/{name}")
+        axes.append((dims, spacing, flag))
+    (db, hb, pb), (df, hf, pf) = axes
+    grid = LatticeGrid(db, df, hb, hf, pb, pf)
+    flat = _numbers(_member(doc, "values", "/values"), "/values")
     want = 7 * int(np.prod(grid.shape)) * rank * rank * 2
     if flat.size != want:
         raise ValueError(f"/values has {flat.size} entries, expected {want}")

@@ -29,6 +29,7 @@ from adg2.excalc import (
     wedge,
     wedge_all,
 )
+from adg2.g2lin import G2Model
 from adg2.verify import _random_distribution as random_distribution
 from adg2.verify import _random_form as random_form
 
@@ -41,6 +42,25 @@ def dt(i, c=1):
 
 def dx(a, c=1):
     return BigradedForm.monomial((), (a,), c)
+
+
+def subsets(indices):
+    return [c for n in range(len(indices) + 1) for c in combinations(indices, n)]
+
+
+# every basis form dt_I e^J, as its key (I, J)
+BASIS = [(I, J) for I in subsets((T1, T2, T3)) for J in subsets((X1, X2, X3, X4))]
+
+
+def swap_sign(seq):
+    """The sign of sorting seq, by counting the swaps of a bubble sort."""
+    seq, swaps = list(seq), 0
+    for end in range(len(seq) - 1, 0, -1):
+        for k in range(end):
+            if seq[k] > seq[k + 1]:
+                seq[k], seq[k + 1] = seq[k + 1], seq[k]
+                swaps += 1
+    return -1 if swaps % 2 else 1
 
 
 class TestWedge:
@@ -73,6 +93,20 @@ class TestWedge:
             b = random_form(rng, rng.randint(0, 2))
             c = random_form(rng, rng.randint(0, 2))
             assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
+
+    def test_basis_pairs(self):
+        # dt_I1 e^J1 ^ dt_I2 e^J2 is zero on a shared index, else the sign of
+        # sorting the joined index tuple I1 + J1 + I2 + J2
+        for I1, J1 in BASIS:
+            a = BigradedForm.monomial(I1, J1)
+            for I2, J2 in BASIS:
+                got = wedge(a, BigradedForm.monomial(I2, J2))
+                joined = I1 + J1 + I2 + J2
+                if len(set(joined)) < len(joined):
+                    assert got.is_zero()
+                else:
+                    assert got == BigradedForm.monomial(
+                        sorted(I1 + I2), sorted(J1 + J2), swap_sign(joined))
 
 
 class TestExteriorD:
@@ -187,6 +221,24 @@ class TestHodge:
         pieces = star7_limit(dx(X1) + dt(T1))
         assert set(pieces) == {1, 2}
 
+    def test_star7_basis_law(self):
+        # a ^ star7(a) = |a|^2 vol_eps = eps^(2 - |J|) vol7 on every dt_I e^J
+        vol7 = BigradedForm(7, {((T1, T2, T3), (X1, X2, X3, X4)): -1})
+        for eps in (Fraction(1), Fraction(1, 3)):
+            for I, J in BASIS:
+                a = BigradedForm.monomial(I, J)
+                assert wedge(a, star7(a, eps)) == vol7.scale(eps ** (2 - len(J)))
+
+    def test_star4_star3_basis_law(self):
+        vol4 = BigradedForm(4, {((), (X1, X2, X3, X4)): 1})
+        vol3 = BigradedForm(3, {((T1, T2, T3), ()): -1})
+        for I, J in BASIS:
+            a = BigradedForm.monomial(I, J)
+            if not I:
+                assert wedge(a, star4(a)) == vol4
+            if not J:
+                assert wedge(a, star3(a)) == vol3
+
     def test_mixed_input_rejected(self):
         with pytest.raises(ValueError):
             star4(dt(T1))
@@ -204,6 +256,8 @@ class TestHodge:
             data = FibrationData(tri, lam, standard_mu())
             want = data.theta().scale(eps) + standard_mu().scale(eps ** 2)
             assert star7(phi, eps) == want
+            m = G2Model(eps)
+            assert m.phi() == phi and m.star_phi() == want
 
 
 class TestDonaldsonResiduals:

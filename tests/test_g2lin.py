@@ -50,6 +50,12 @@ class TestCross:
         with pytest.raises(ValueError):
             cross(E(X1), E(X2), G2Model(0))
 
+    def test_star_phi_needs_positive_eps(self):
+        # star phi_eps is star7(phi_eps), which needs eps > 0; the formal
+        # limit lives in chi
+        with pytest.raises(ValueError):
+            G2Model(0).star_phi()
+
     def test_limit_contributions_need_horizontal(self):
         # vertical x vertical products scale like eps: they die in the limit
         rng = random.Random(2)

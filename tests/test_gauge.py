@@ -540,6 +540,33 @@ class TestFieldIO:
         with pytest.raises(ValueError, match="malformed field document"):
             ga.field_from_json({"dims": dims, "rank": 1})
 
+    @pytest.mark.parametrize("path", ["/rank", "/dims", "/dims/base",
+                                      "/dims/fibre", "/values"])
+    def test_missing_key_named_by_path(self, path):
+        doc = ga.field_to_json(ga.LatticeConnection.zero(ga.LatticeGrid.unit(3, 3)))
+        *parents, key = path.strip("/").split("/")
+        inner = doc
+        for name in parents:
+            inner = inner[name]
+        del inner[key]
+        with pytest.raises(ValueError, match=f"malformed field document: missing {path}$"):
+            ga.field_from_json(doc)
+
+    @pytest.mark.parametrize("rank", [0, -1, [1]])
+    def test_rank_is_one_positive_integer(self, rank):
+        doc = ga.field_to_json(ga.LatticeConnection.zero(ga.LatticeGrid.unit(3, 3)))
+        doc["rank"] = rank
+        with pytest.raises(ValueError, match="/rank must be a positive integer"):
+            ga.field_from_json(doc)
+
+    def test_short_dims_rejected_before_unit_spacing(self):
+        # the default unit spacing 1 / (n - 1) needs n >= 3 nodes per axis
+        doc = ga.field_to_json(ga.LatticeConnection.zero(ga.LatticeGrid.unit(3, 3)))
+        del doc["spacing"]
+        doc["dims"] = {"base": [1, 3, 3], "fibre": [3] * 4}
+        with pytest.raises(ValueError, match="3 base dims, three nodes per axis"):
+            ga.field_from_json(doc)
+
     def test_mis_shaped_containers_rejected(self):
         # a container of the wrong shape raises a ValueError naming its path,
         # never an AttributeError or TypeError from deeper down

@@ -104,3 +104,23 @@ def test_one_derivative_stencil():
                                   getattr(top, "name", None)))
     assert calls == [("src/adg2/gauge.py", "diff")], \
         f"np.gradient called outside gauge.diff: {calls}"
+
+
+def test_one_star_and_one_sign_rule():
+    """star3, star4 and star7_limit each call excalc.hodge._star, the one
+    star routine, and _merge_sign, the one sign of reordering two blocks of
+    covectors, is called only from wedge and _star."""
+    callers = {"_star": set(), "_merge_sign": set()}
+    for path in sorted((ROOT / "src" / "adg2").rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                    if name in callers:
+                        callers[name].add((path.relative_to(ROOT).as_posix(),
+                                           getattr(top, "name", None)))
+    hodge, forms = "src/adg2/excalc/hodge.py", "src/adg2/excalc/forms.py"
+    assert {(hodge, f) for f in ("star3", "star4", "star7_limit")} <= callers["_star"], \
+        f"a star that does not go through _star: {callers['_star']}"
+    assert callers["_merge_sign"] == {(forms, "wedge"), (hodge, "_star")}, \
+        f"_merge_sign called outside wedge and _star: {callers['_merge_sign']}"
