@@ -4,7 +4,12 @@ flat 4-torus fibre, against the constant standard fibre triple.
 Connections are anti-Hermitian r x r matrix fields with one component per
 coordinate direction; curvature comes from 2nd-order finite differences
 (periodic wrap where the geometry is periodic, one-sided stencils at box
-edges) plus the commutator term.  The residual conventions:
+edges) plus the commutator term.  A connection stores its components
+entry-first, one contiguous node field per matrix entry, and exposes them as
+the (7, *grid, r, r) view `components`; the matrix products of the rank-r
+half (_matmul, _trace_product) are then products of contiguous node fields,
+and the (..., r, r) fields they and the residuals return are entry-first too.
+The residual conventions:
 
   * rho_fibre[i]  = coefficient of the vertical curvature against the i-th
     standard self-dual form (the fibrewise anti-self-duality defect);
@@ -54,14 +59,29 @@ def wedge2_form(f_components, w: np.ndarray):
     return _wedge2(f_components, [w[p, q] for (p, q) in PAIR_ORDER])
 
 
+# _SD_SLOTS[l, s]: the coefficient of PAIR_ORDER slot s in wedge2_form(., W_SD[l]);
+# each standard form sees two of the six slots, and cs_instanton pairs only those
+_SD_SLOTS = np.array([wedge2_form(np.eye(6), w) for w in W_SD])
+
+
+def _entry_first(shape, dtype=complex) -> np.ndarray:
+    """An uninitialized (..., r, r) matrix field stored entry-first: the node
+    field of each matrix entry is one contiguous block."""
+    return np.moveaxis(np.empty(shape[-2:] + shape[:-2], dtype), (0, 1), (-2, -1))
+
+
 def _matmul(a: np.ndarray, b: np.ndarray, commutator: bool = False) -> np.ndarray:
-    """a b, or the commutator a b - b a, of two (..., r, r) matrix fields.
+    """a b, or the commutator a b - b a, of two (..., r, r) matrix fields,
+    returned entry-first.
 
     Sums the r^3 entry products as elementwise multiplies of node fields: for
     the small r of a gauge group this is several times faster than a batched
-    `@`, which pays a per-node matrix call."""
+    `@`, which pays a per-node matrix call.  Each product reads the entry
+    fields a[..., i, k], which are contiguous when the operands are stored
+    entry-first, as connection components are; strided node-major entry
+    fields make each product several times slower."""
     r = a.shape[-1]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.result_type(a, b))
+    out = _entry_first(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
     for i in range(r):
         for j in range(r):
             acc = a[..., i, 0] * b[..., 0, j]
@@ -75,8 +95,15 @@ def _matmul(a: np.ndarray, b: np.ndarray, commutator: bool = False) -> np.ndarra
 
 
 def _trace_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Tr(x y) at every node of two (..., r, r) matrix fields."""
-    return np.einsum("...ij,...ji->...", x, y)
+    """Tr(x y) at every node of two (..., r, r) matrix fields, as the r^2
+    entry products x[..., i, j] y[..., j, i] of node fields."""
+    r = x.shape[-1]
+    out = x[..., 0, 0] * y[..., 0, 0]
+    for i in range(r):
+        for j in range(r):
+            if i or j:
+                out += x[..., i, j] * y[..., j, i]
+    return out
 
 
 def _unit_spacing(n: int, periodic: bool) -> float:
@@ -253,18 +280,24 @@ def diff(values: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
 
 @dataclass
 class LatticeConnection:
-    """Anti-Hermitian connection components A_mu, mu = t1..t3, x1..x4."""
+    """Anti-Hermitian connection components A_mu, mu = t1..t3, x1..x4.
+
+    The components are stored entry-first, as one contiguous (7, r, r, *grid)
+    array; `components` is its (7, *grid, r, r) view.  At rank 1 the two
+    layouts are the same memory and the given array is kept without a copy."""
 
     grid: LatticeGrid
     components: np.ndarray  # (7, *grid.shape, r, r) complex
 
     def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=complex)
+        comps = np.asarray(self.components, dtype=complex)
         want = (7,) + self.grid.shape
-        if self.components.shape[:8] != want or self.components.ndim != 10:
+        if comps.shape[:8] != want or comps.ndim != 10:
             raise ValueError("components must have shape (7, grid, r, r)")
-        if self.components.shape[-1] != self.components.shape[-2]:
+        if comps.shape[-1] != comps.shape[-2]:
             raise ValueError("matrix blocks must be square")
+        entries = np.ascontiguousarray(np.moveaxis(comps, (-2, -1), (1, 2)))
+        self.components = np.moveaxis(entries, (1, 2), (-2, -1))
 
     @property
     def rank(self) -> int:
@@ -310,8 +343,12 @@ def fibre_curvatures(a: LatticeConnection) -> list:
 
 
 def fibre_defect(f_vert) -> np.ndarray:
-    """rho_fibre, shape (3, grid, r, r), from the six vertical curvatures."""
-    return np.stack([wedge2_form(f_vert, W_SD[i]) for i in range(3)])
+    """rho_fibre, shape (3, grid, r, r) and stored entry-first, from the six
+    vertical curvatures."""
+    out = _entry_first((3,) + f_vert[0].shape)
+    for i in range(3):
+        out[i] = wedge2_form(f_vert, W_SD[i])
+    return out
 
 
 def instanton_residual(a: LatticeConnection):
@@ -322,8 +359,8 @@ def instanton_residual(a: LatticeConnection):
     """
     rho_fibre = fibre_defect(fibre_curvatures(a))
 
-    shape = a.grid.shape + (a.rank, a.rank)
-    rho_horiz = np.zeros((4,) + shape, dtype=complex)
+    rho_horiz = _entry_first((4,) + a.grid.shape + (a.rank, a.rank))
+    rho_horiz.fill(0)
     for i in range(3):
         for b in range(4):
             fib = a.curvature(i, 3 + b)
@@ -437,15 +474,21 @@ def _path_trapezoid(samples, density, increment, workers: int = 1) -> float:
 def _cs_density(f_vert, f_mix, delta: np.ndarray, w: np.ndarray) -> float:
     """Node-integrated Sum_l <T_l, w_l> of one snapshot's curvatures (the
     six vertical and the 3 x 4 mixed ones) for a segment increment delta,
-    with node weights w."""
+    with node weights w.
+
+    Only the two slots of T_l that w_l pairs with (_SD_SLOTS) are built; the
+    other four would be multiplied by zero."""
     total = 0.0
     for l in range(3):
-        # T_l[ab] = Tr(F_{la} d_b - F_{lb} d_a + F_{ab} d_l), paired with w_l
-        t6 = [_trace_product(f_mix[l][p], delta[3 + q])
-              - _trace_product(f_mix[l][q], delta[3 + p])
-              + _trace_product(f_pq, delta[l])
-              for (p, q), f_pq in zip(PAIR_ORDER, f_vert)]
-        total += float(np.sum((w * wedge2_form(t6, W_SD[l])).real))
+        pairing = 0.0
+        for s in np.flatnonzero(_SD_SLOTS[l]):
+            # T_l[ab] = Tr(F_{la} d_b - F_{lb} d_a + F_{ab} d_l), ab = PAIR_ORDER[s]
+            a, b = PAIR_ORDER[s]
+            t = (_trace_product(f_mix[l][a], delta[3 + b])
+                 - _trace_product(f_mix[l][b], delta[3 + a])
+                 + _trace_product(f_vert[s], delta[l]))
+            pairing = pairing + _SD_SLOTS[l, s] * t
+        total += float(np.sum((w * pairing).real))
     return total
 
 
@@ -454,7 +497,9 @@ def cs_instanton(path: ConnectionPath, workers: int = 1) -> float:
 
     _path_trapezoid in the path parameter (each snapshot's 18 curvatures
     computed once), node quadrature in space, seven-manifold orientation
-    -dt123 dx1234.
+    -dt123 dx1234.  The increments are differences of entry-first components,
+    so every trace product reads contiguous entry fields, and _cs_density
+    builds only the slots of T_l that w_l does not multiply by zero.
     """
 
     def density(a: LatticeConnection):

@@ -61,6 +61,24 @@ def cs_reference(path):
     return -total / (4 * np.pi ** 2)
 
 
+def random_connection(rng, grid, r, scale=0.3):
+    return ga.LatticeConnection(
+        grid, random_anti_hermitian(rng, (7,) + grid.shape + (r, r), scale))
+
+
+def node_major(a):
+    """a with node-major components, one C-contiguous (7, *grid, r, r) array:
+    built past __post_init__, which would store them entry-first."""
+    b = object.__new__(ga.LatticeConnection)
+    b.grid, b.components = a.grid, np.ascontiguousarray(a.components)
+    return b
+
+
+def entry_first(x):
+    """Whether the (..., r, r) field x is stored entry-first."""
+    return np.moveaxis(x, (-2, -1), (0, 1)).flags.c_contiguous
+
+
 def random_rank2_path(n_times=4, seed=11):
     """A non-commuting rank-2 anti-Hermitian path on a box base."""
     rng = np.random.default_rng(seed)
@@ -115,10 +133,14 @@ class TestCurvature:
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_matmul_matches_batched_matmul(self, r):
         rng = np.random.default_rng(r)
-        a, b = (rng.normal(size=(3, 5, r, r)) + 1j * rng.normal(size=(3, 5, r, r))
-                for _ in range(2))
-        assert np.abs(ga._matmul(a, b) - a @ b).max() < 1e-13
-        assert np.abs(ga._matmul(a, b, commutator=True) - (a @ b - b @ a)).max() < 1e-13
+        plain = [rng.normal(size=(3, 5, r, r)) + 1j * rng.normal(size=(3, 5, r, r))
+                 for _ in range(2)]
+        a = random_connection(rng, ga.LatticeGrid.unit(3, 3), r)
+        for x, y in (plain, (a.components[3], a.components[4])):
+            assert np.abs(ga._matmul(x, y) - x @ y).max() < 1e-13
+            assert np.abs(ga._matmul(x, y, commutator=True) - (x @ y - y @ x)).max() < 1e-13
+            assert np.abs(ga._trace_product(x, y)
+                          - np.trace(x @ y, axis1=-2, axis2=-1)).max() < 1e-13
 
     def test_anti_hermitian_check(self):
         grid = box_grid()
@@ -127,6 +149,56 @@ class TestCurvature:
         assert a.check_anti_hermitian()
         comps[0, ..., 0, 1] = 1.0
         assert not ga.LatticeConnection(grid, comps).check_anti_hermitian()
+
+
+class TestEntryFirstStorage:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_components_view_equals_the_given_array(self, r):
+        grid = ga.LatticeGrid.unit(3, 3)
+        c = random_anti_hermitian(np.random.default_rng(r), (7,) + grid.shape + (r, r))
+        a = ga.LatticeConnection(grid, c)
+        assert a.components.shape == c.shape and np.array_equal(a.components, c)
+        assert np.moveaxis(a.components, (-2, -1), (1, 2)).flags.c_contiguous
+        # at rank 1 both layouts are the same memory: no copy
+        assert np.shares_memory(a.components, c) == (r == 1)
+
+    def test_rank2_fields_are_stored_entry_first(self):
+        rng = np.random.default_rng(4)
+        a = random_connection(rng, box_grid(nb=3, nf=3), 2)
+        x, y = (np.ascontiguousarray(a.components[mu]) for mu in (3, 4))
+        assert entry_first(ga._matmul(x, y))
+        assert entry_first(ga._matmul(a.components[3], a.components[4], commutator=True))
+        for mu, nu in ((0, 4), (3, 5)):
+            assert entry_first(a.curvature(mu, nu))
+        rho_fibre, rho_horiz = ga.instanton_residual(a)
+        assert entry_first(rho_fibre) and entry_first(rho_horiz)
+
+    def test_json_document_is_that_of_the_node_major_array(self):
+        rng = np.random.default_rng(5)
+        a = random_connection(rng, ga.LatticeGrid.unit(3, 3), 2)
+        doc = ga.field_to_json(a)
+        assert doc == ga.field_to_json(node_major(a))
+        b = ga.field_from_json(doc)
+        assert np.array_equal(b.components, a.components)
+        assert (b.grid, b.rank) == (a.grid, a.rank)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_results_equal_the_node_major_results(self, r):
+        rng = np.random.default_rng(r)
+        grid = box_grid(nb=3, nf=4)
+        a = random_connection(rng, grid, r)
+        g = np.linalg.qr(rng.normal(size=grid.shape + (r, r))
+                         + 1j * rng.normal(size=grid.shape + (r, r)))[0]
+        phi = random_anti_hermitian(rng, grid.shape + (r, r))
+        b_form = rng.normal(size=6)
+        for got, want in ((ga.gauge_transform(a, g).components,
+                           ga.gauge_transform(node_major(a), g).components),
+                          (ga.higgs_covariant_vertical(a, phi),
+                           ga.higgs_covariant_vertical(node_major(a), phi)),
+                          (ga.twisted_hym_residual(a, b_form),
+                           ga.twisted_hym_residual(node_major(a), b_form)),
+                          (ga.central_trace_form(a), ga.central_trace_form(node_major(a)))):
+            assert np.array_equal(got, want)
 
 
 def poly_eval(poly, coords):
@@ -381,6 +453,13 @@ class TestChernSimons:
         want = -aa * bb / (16 * np.pi ** 2)
         got = ga.cs_instanton(path)
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+
+    def test_slot_table_is_the_pairing_of_unit_slots(self):
+        unit = np.eye(6)
+        for l in range(3):
+            want = [ga.wedge2_form(list(unit[s]), ga.W_SD[l]) for s in range(6)]
+            assert np.array_equal(ga._SD_SLOTS[l], want)
+            assert np.count_nonzero(ga._SD_SLOTS[l]) == 2
 
     def test_rank2_path_matches_batched_reference(self):
         path = random_rank2_path()
