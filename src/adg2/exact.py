@@ -296,8 +296,6 @@ def frac_sqrt(x: Fraction) -> Fraction:
 
 
 def _isqrt_exact(n: int) -> int:
-    import math
-
     r = math.isqrt(n)
     if r * r != n:
         raise ValueError(f"{n} is not a perfect square")

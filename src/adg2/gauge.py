@@ -248,15 +248,9 @@ class LatticeGrid:
 
     def coordinates(self):
         """Arrays t1,t2,t3,x1..x4 broadcastable over the node grid."""
-        out = []
-        for ax in range(7):
-            n = self.shape[ax]
-            h = self.spacing(ax)
-            c = np.arange(n) * h
-            shape = [1] * 7
-            shape[ax] = n
-            out.append(c.reshape(shape))
-        return out
+        return np.meshgrid(*(np.arange(n) * self.spacing(ax)
+                             for ax, n in enumerate(self.shape)),
+                           indexing="ij", sparse=True)
 
     def base_weights(self) -> np.ndarray:
         """Quadrature weights over base nodes (trapezoid on a box)."""

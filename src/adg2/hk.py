@@ -75,6 +75,7 @@ STANDARD_TRIPLE: tuple[Mat4, Mat4, Mat4] = (
     form2({(0, 3): 1, (1, 2): 1}),
 )
 
+
 def asd_form(c1, c2, c3) -> Mat4:
     """The anti-self-dual 2-form c1 eta1 + c2 eta2 + c3 eta3, written out
     entrywise, where (eta1, eta2, eta3) = ASD_BASIS is dx1 dx2 - dx3 dx4,

@@ -235,35 +235,34 @@ def min_gram_eigenvalue(s: SectionGrid) -> float:
     return float(_min_eigenvalues(_gram(s)[2]).min())
 
 
-def _area(s: SectionGrid, det: np.ndarray) -> float:
-    gp_weight = float(np.prod(s.spacing)) / 8.0
-    return float(np.sum(det ** (1.0 / 3.0)) * gp_weight)
+class _Iterate:
+    """A section s and its Gauss-point data, each computed once: dh, qd, g
+    (_gram), det g (_check_positive, so a section that is not positive
+    raises PositivityError), G^-1, the gradient weight w = (2/3) (Gauss
+    weight) det^(1/3), A = w G^-1, the area and its gradient grad, whose
+    Gauss-point term is A dh Q."""
+
+    def __init__(self, s: SectionGrid):
+        self.s = s
+        self.dh, self.qd, self.g = _gram(s)
+        self.det = _check_positive(self.g)
+        weight = float(np.prod(s.spacing)) / 8.0
+        cbrt = self.det ** (1.0 / 3.0)
+        self.area = float(np.sum(cbrt) * weight)
+        self.ginv = _inv3(self.g, self.det)
+        self.w = (weight * cbrt * (2.0 / 3.0))[..., None, None]
+        self.a = self.w * self.ginv
+        m = self.a @ self.qd
+        _, t3 = _shape_tables(s.spacing)
+        # sum over gauss and axis with one matmul: (8c, 24) @ (cells, 24, 22)
+        cells = t3 @ m.reshape(m.shape[:3] + (24, DIM))
+        self.grad = _corner_scatter(cells, np.empty(s.values.shape))
+        self.grad[~s.interior_mask()] = 0.0
 
 
 def area(s: SectionGrid) -> float:
     """Gauss quadrature of det^(1/3) of the derivative Gram matrices."""
-    return _area(s, _check_positive(_gram(s)[2]))
-
-
-def _gradient_weight(s: SectionGrid, det: np.ndarray) -> np.ndarray:
-    """w = (2/3) (Gauss weight) det^(1/3): the gradient's term at a Gauss
-    point is w G^-1 dh Q."""
-    return (float(np.prod(s.spacing)) / 8.0) * det ** (1.0 / 3.0) * (2.0 / 3.0)
-
-
-def _grad_and_gram(s: SectionGrid):
-    """grad_area(s) and the Gram data (dh, qd, g, det) it was computed from,
-    for the callers that need both at one iterate."""
-    dh, qd, g = _gram(s)
-    det = _check_positive(g)
-    ginv = _inv3(g, det)
-    m = (_gradient_weight(s, det)[..., None, None] * ginv) @ qd
-    _, t3 = _shape_tables(s.spacing)
-    # sum over gauss and axis with one matmul: (8c, 24) @ (cells, 24, 22)
-    cells = t3 @ m.reshape(m.shape[:3] + (24, DIM))
-    grad = _corner_scatter(cells, np.empty(s.values.shape))
-    grad[~s.interior_mask()] = 0.0
-    return grad, (dh, qd, g, det)
+    return _Iterate(s).area
 
 
 def grad_area(s: SectionGrid) -> np.ndarray:
@@ -272,7 +271,7 @@ def grad_area(s: SectionGrid) -> np.ndarray:
     Returns an array shaped like values with zeros at boundary nodes (their
     values are Dirichlet data).
     """
-    return _grad_and_gram(s)[0]
+    return _Iterate(s).grad
 
 
 def q_dual(s: SectionGrid, covector_field: np.ndarray) -> np.ndarray:
@@ -401,7 +400,7 @@ class SolveResult:
     # seconds per phase: "start" (the initial gradient and residual),
     # "krylov" (_newton_direction: Hessian data, preconditioner set-up and
     # MINRES), "line_search" (trial gradients, residuals and positivity
-    # checks) and "history" (_history_row)
+    # checks) and "history" (the history rows)
     phase_seconds: dict = field(default_factory=dict)
 
     @property
@@ -447,76 +446,61 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     eigenvalue); the residual is residual_norm of the iterate, which
     history_to_csv writes under the column name grad_inf_norm.
     """
-    s = init.copy()
-    mask = s.interior_mask()
-
     phases = dict.fromkeys(("start", "krylov", "line_search", "history"), 0.0)
-    counts = dict(krylov_per_step=[], line_search_rejections=0,
-                  positivity_failures=0, phase_seconds=phases)
     with _timed(phases, "start"):
-        g, gram = _grad_and_gram(s)
-        res = residual_norm(s, g)
-    with _timed(phases, "history"):
-        history = [_history_row(0, s, gram, res)]
-    if res <= tol:
-        return SolveResult(s, True, 0, res, history, **counts)
-
-    recent = [res]
-    n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+        it = _Iterate(init.copy())
+        res = residual_norm(it.s, it.grad)
+    out = SolveResult(it.s, False, 0, res, [], phase_seconds=phases)
+    for n_iter in range(max(max_iter, 0) + 1):
+        out.grid, out.iterations, out.residual = it.s, n_iter, res
+        with _timed(phases, "history"):
+            out.history.append((n_iter, it.area, res,
+                                float(_min_eigenvalues(it.g).min())))
+        if res <= tol or n_iter >= max_iter:
+            break
         with _timed(phases, "krylov"):
             try:
-                delta, iters = _newton_direction(s, g, gram)
+                delta, iters = _newton_direction(it)
             except SolveError as err:
-                raise SolveError(f"no Newton direction at iteration {n_iter} "
+                raise SolveError(f"no Newton direction at iteration {n_iter + 1} "
                                  f"(residual {res:.3e}): {err}") from err
-        accepted = False
         shrink = 1.0
-        bar = max(recent[-8:])
+        bar = max(row[2] for row in out.history[-8:])
+        del it  # spent: free its Gauss-point data before the trials build theirs
         with _timed(phases, "line_search"):
             for _ in range(60):
-                trial = s.copy()
-                trial.values[mask] += shrink * delta[mask]
+                trial = out.grid.copy()
+                trial.values[_INTERIOR] += shrink * delta[_INTERIOR]
                 try:
-                    g_trial, gram_trial = _grad_and_gram(trial)
-                    res_trial = residual_norm(trial, g_trial)
+                    it = _Iterate(trial)
+                    res_trial = residual_norm(trial, it.grad)
                 except PositivityError:
-                    counts["positivity_failures"] += 1
+                    out.positivity_failures += 1
                     shrink *= 0.5
                     if shrink < 1e-10:
                         raise SolveError(
-                            f"positivity lost at minimum step (iteration {n_iter}, "
+                            f"positivity lost at minimum step (iteration {n_iter + 1}, "
                             f"residual {res:.3e})")
                     continue
                 if res_trial < bar or shrink < 1e-6:
-                    s, g, gram, res = trial, g_trial, gram_trial, res_trial
-                    accepted = True
                     break
-                counts["line_search_rejections"] += 1
+                out.line_search_rejections += 1
                 shrink *= 0.5
-        if not accepted:
-            raise SolveError(
-                f"no acceptable step at iteration {n_iter} (residual {res:.3e})")
-        counts["krylov_per_step"].append(iters)
-        recent.append(res)
-        with _timed(phases, "history"):
-            history.append(_history_row(n_iter, s, gram, res))
-        if res <= tol:
-            return SolveResult(s, True, n_iter, res, history, **counts)
-    return SolveResult(s, False, n_iter, res, history,
-                       message=f"max_iter reached with residual {res:.3e}",
-                       **counts)
+            else:
+                raise SolveError(f"no acceptable step at iteration {n_iter + 1} "
+                                 f"(residual {res:.3e})")
+        res = res_trial
+        out.krylov_per_step.append(iters)
+    out.converged = res <= tol
+    if not out.converged:
+        out.message = f"max_iter reached with residual {res:.3e}"
+    return out
 
 
-def _history_row(n_iter: int, s: SectionGrid, gram, res: float) -> tuple:
-    _, _, g, det = gram
-    return (n_iter, _area(s, det), res, float(_min_eigenvalues(g).min()))
-
-
-def _hessian_cache(s: SectionGrid, gram):
-    """Per-Gauss-point data of the Hessian at s, from its Gram data
-    (dh, qd, g, det): dh, (G^-1 qd)^T, G^-1, the gradient weight w,
-    A = w G^-1 and -Q; then the workspace of _hessian_apply.
+def _hessian_cache(it: _Iterate):
+    """Per-Gauss-point data of the Hessian at the iterate it: dh, (G^-1
+    qd)^T, G^-1, the gradient weight w, A = w G^-1 and -Q, all but (G^-1
+    qd)^T and -Q read from it; then the workspace of _hessian_apply.
 
     The workspace is allocated here, once per Newton step, and every
     product at this step overwrites it: the corner values (later the
@@ -524,15 +508,13 @@ def _hessian_cache(s: SectionGrid, gram):
     variation dm, the 3x3 fields K (later L + L^T), L and E, the trace and
     the node sums.  It lives in the cache, not in the module, so a cache is
     the only state a product touches."""
-    dh, qd, g, det = gram
-    ginv = _inv3(g, det)
-    w = _gradient_weight(s, det)[..., None, None]
-    gq_t = np.ascontiguousarray((ginv @ qd).swapaxes(-1, -2))
+    dh, g = it.dh, it.g
+    gq_t = np.ascontiguousarray((it.ginv @ it.qd).swapaxes(-1, -2))
     cells = dh.shape[:3]
     work = (np.empty(cells + (8, DIM)), np.empty(dh.shape), np.empty(dh.shape),
             np.empty(g.shape), np.empty(g.shape), np.empty(g.shape),
-            np.empty(g.shape[:-2]), np.empty(s.values.shape))
-    return dh, gq_t, ginv, w, w * ginv, -s.pairing, work
+            np.empty(g.shape[:-2]), np.empty(it.s.values.shape))
+    return dh, gq_t, it.ginv, it.w, it.a, -it.s.pairing, work
 
 
 def _hessian_apply(s: SectionGrid, cache, delta: np.ndarray) -> np.ndarray:
@@ -710,23 +692,23 @@ def _minres(apply, precond, b: np.ndarray, eta: float, maxiter: int):
     return x, itn
 
 
-def _newton_direction(s: SectionGrid, g: np.ndarray, gram):
+def _newton_direction(it: _Iterate):
     """Approximately solve H delta = g with H = -Hessian (exact analytic
-    Hessian-vector products) at s with Gram data gram.  The Hessian is
-    indefinite in general (the critical sections are saddles of the discrete
-    area in the tangential compression modes), so the Krylov solver is
-    MINRES (_minres) with the positive definite split preconditioner P,
-    stopped at ||g - H delta||_P <= _ETA ||g||_P: a relative residual in a
-    norm that Q-isometries and the scale of P leave unchanged, so the same
-    forcing term on every grid.  Returns the direction and the MINRES
-    iteration count, which is also the number of Hessian-vector products.
-    Raises SolveError when MINRES breaks down or gives a non-finite or
-    all-zero direction."""
-    cache = _hessian_cache(s, gram)
-    precond = _split_preconditioner(s, gram[0])
+    Hessian-vector products) and g the gradient at the iterate it.  The
+    Hessian is indefinite in general (the critical sections are saddles of
+    the discrete area in the tangential compression modes), so the Krylov
+    solver is MINRES (_minres) with the positive definite split
+    preconditioner P, stopped at ||g - H delta||_P <= _ETA ||g||_P: a
+    relative residual in a norm that Q-isometries and the scale of P leave
+    unchanged, so the same forcing term on every grid.  Returns the
+    direction and the MINRES iteration count, which is also the number of
+    Hessian-vector products.  Raises SolveError when MINRES breaks down or
+    gives a non-finite or all-zero direction."""
+    cache = _hessian_cache(it)
+    precond = _split_preconditioner(it.s, it.dh)
     # g, the products and the preconditioner all vanish on the boundary, and
     # so does every MINRES vector
-    x, iters = _minres(lambda d: _hessian_apply(s, cache, d), precond, g,
+    x, iters = _minres(lambda d: _hessian_apply(it.s, cache, d), precond, it.grad,
                        _ETA, 60)
     if not np.isfinite(x).all() or not x.any():
         raise SolveError("MINRES gave a non-finite or all-zero direction")

@@ -21,7 +21,11 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-SUITES = ("excalc", "g2lin", "hk", "spin")
+# the worked metric variation of the hk suite
+_WORKED_G_DOT = tuple(tuple(Fraction(x) for x in row) for row in
+                      ((0, 0, -1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, 1, 0, 0)))
+# the largest degree of a random polynomial coefficient
+_MAX_POLY_DEG = 2
 
 
 @dataclass
@@ -83,7 +87,7 @@ def _expect(cond: bool, residual):
 # suite: excalc
 
 
-def _random_form(rng, degree, max_poly_deg=2, nterms=3):
+def _random_form(rng, degree, max_poly_deg=_MAX_POLY_DEG, nterms=3):
     from itertools import combinations
 
     from .excalc import BigradedForm, Poly
@@ -107,7 +111,7 @@ def _random_form(rng, degree, max_poly_deg=2, nterms=3):
     return out
 
 
-def _random_distribution(rng, max_poly_deg=2):
+def _random_distribution(rng):
     from .excalc import HorizontalDistribution, Poly
 
     coeffs = {}
@@ -115,7 +119,7 @@ def _random_distribution(rng, max_poly_deg=2):
         i = rng.randrange(3)
         a = rng.randrange(3, 7)
         exp = [0] * 7
-        for _ in range(rng.randint(0, max_poly_deg)):
+        for _ in range(rng.randint(0, _MAX_POLY_DEG)):
             exp[rng.randrange(7)] += 1
         coeffs[(i, a)] = Poly({tuple(exp): Fraction(rng.randint(-3, 3))})
     return HorizontalDistribution(coeffs)
@@ -376,10 +380,7 @@ def run_hk(seed: int, corrupt: str | None = None) -> list:
         eta = hk.form2({(0, 1): 1, (2, 3): -1})
         zero = hk.form2({})
         mv = hk.metric_variation(std, hk.TripleVariation.of(zero, zero, eta))
-        want = [[Fraction(0)] * 4 for _ in range(4)]
-        want[0][2] = want[2][0] = Fraction(-1)
-        want[1][3] = want[3][1] = Fraction(1)
-        _expect(mv.g_dot == tuple(tuple(r) for r in want) and mv.mu_dot == 0,
+        _expect(mv.g_dot == _WORKED_G_DOT and mv.mu_dot == 0,
                 "worked metric variation")
         back = hk.recover_form_variation(std, mv.g_dot)
         _expect(is_zero_matrix(back[0]) and is_zero_matrix(back[1]) and back[2] == eta,
@@ -417,11 +418,7 @@ def run_hk(seed: int, corrupt: str | None = None) -> list:
         from .spin import build_spinor_model
 
         model = build_spinor_model()
-        g_dot = [[Fraction(0)] * 4 for _ in range(4)]
-        g_dot[0][2] = g_dot[2][0] = Fraction(-1)
-        g_dot[1][3] = g_dot[3][1] = Fraction(1)
-        g_dot = tuple(tuple(r) for r in g_dot)
-        got = hk.clifford_of_variation(std, g_dot, 2, model)
+        got = hk.clifford_of_variation(std, _WORKED_G_DOT, 2, model)
         from .exact import QQi, mscale
 
         _expect(got == mscale(QQi(2), model.cc_minus[0][1]),
@@ -429,7 +426,7 @@ def run_hk(seed: int, corrupt: str | None = None) -> list:
         _expect(got == model.c_form2_minus(hk.form2({(0, 1): 1, (2, 3): -1})),
                 "worked Clifford action is not that of dx1 dx2 - dx3 dx4")
         for k in (0, 1):
-            out = hk.clifford_of_variation(std, g_dot, k, model)
+            out = hk.clifford_of_variation(std, _WORKED_G_DOT, k, model)
             _expect(all(not bool(x) for row in out for x in row),
                     "worked Clifford action must vanish for k=1,2")
         return "0"
@@ -514,6 +511,7 @@ def run_spin(seed: int, corrupt: str | None = None) -> list:
 
 
 _RUNNERS = {"excalc": run_excalc, "g2lin": run_g2lin, "hk": run_hk, "spin": run_spin}
+SUITES = tuple(_RUNNERS)
 
 
 def run_suite(suite: str, seed: int, corrupt: str | None = None) -> list[Report]:

@@ -375,6 +375,22 @@ class TestEvalAndIO:
         for bad in bad_terms:
             with pytest.raises(ValueError, match=r"malformed term /terms/1"):
                 form_from_json({"degree": 1, "terms": [term(), bad]})
+        # the error names the failing field by its path; a repeated exponent
+        # in one term or a repeated (I, J) would load as a sum, so both raise
+        half = term()["poly"][0]
+        named = [("term", r"/terms/1 must be an object"),
+                 (dict(term(), J=5), r"/terms/1/J must be an array"),
+                 (dict(term(), J=[4.0]), r"/terms/1/J/0 must be an integer"),
+                 (dict(term(), poly=[half, {"exp": [1] + [0] * 6, "num": 1}]),
+                  r"/terms/1/poly/1/den is missing"),
+                 (term(den=0), r"/terms/1/poly/0/den must not be zero"),
+                 (term(exp=[-1] + [0] * 6), r"/terms/1/poly/0/exp must hold 7"),
+                 (dict(term(), poly=[half, half]),
+                  r"/terms/1/poly/1/exp repeats \[0, 0, 0, 0, 0, 0, 0\]"),
+                 (term(num=-1), r"/terms/1 repeats the term I=\[0\], J=\[\]")]
+        for bad, path in named:
+            with pytest.raises(ValueError, match=r"malformed term /terms/1: " + path):
+                form_from_json({"degree": 1, "terms": [term(), bad]})
         for doc in ({"degree": 1, "terms": 5}, {"degree": 1.5, "terms": []},
                     {"degree": -3, "terms": []}):
             with pytest.raises(ValueError):

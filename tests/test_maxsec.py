@@ -46,7 +46,7 @@ def sine_mode(s, ks, coord):
 
 
 def hessian_apply(s, delta):
-    return mx._hessian_apply(s, mx._hessian_cache(s, mx._grad_and_gram(s)[1]), delta)
+    return mx._hessian_apply(s, mx._hessian_cache(mx._Iterate(s)), delta)
 
 
 def reference_hessian_apply(s, delta):
@@ -224,7 +224,7 @@ class TestHessian:
     def test_symmetric(self):
         s = graphical_section()
         rng = np.random.default_rng(22)
-        cache = mx._hessian_cache(s, mx._grad_and_gram(s)[1])
+        cache = mx._hessian_cache(mx._Iterate(s))
         for _ in range(3):
             u, v = interior_direction(rng, s), interior_direction(rng, s)
             uhv = float(np.sum(u * mx._hessian_apply(s, cache, v)))
@@ -250,7 +250,7 @@ class TestHessian:
     def workspace_case():
         rng = np.random.default_rng(24)
         s = perturbed_affine(rng, dims=(11, 11, 11))
-        cache = mx._hessian_cache(s, mx._grad_and_gram(s)[1])
+        cache = mx._hessian_cache(mx._Iterate(s))
         return s, cache, interior_direction(rng, s), interior_direction(rng, s)
 
     def test_product_allocates_only_its_result(self):
@@ -286,9 +286,9 @@ class TestPreconditioner:
         # delta on the complement, and Rayleigh quotient V on each frame
         # coefficient's modes
         s = mx.affine_section(dims, tuple(1.0 / (n - 1) for n in dims))
-        gram = mx._grad_and_gram(s)[1]
-        cache = mx._hessian_cache(s, gram)
-        precond = mx._split_preconditioner(s, gram[0])
+        it = mx._Iterate(s)
+        cache = mx._hessian_cache(it)
+        precond = mx._split_preconditioner(s, it.dh)
         vol = float(np.prod(s.spacing))
         top = tuple(n - 2 for n in dims)
         modes = [(1, 1, 1), (2, 3, 1), (1, top[1], 3), top]
@@ -309,9 +309,9 @@ def dense_pair(n, components):
     interior unknowns of the given node components (node-major order), with
     the cell volume V and each unknown's component."""
     s = mx.affine_section((n,) * 3, (1.0 / (n - 1),) * 3)
-    gram = mx._grad_and_gram(s)[1]
-    cache = mx._hessian_cache(s, gram)
-    precond = mx._split_preconditioner(s, gram[0])
+    it = mx._Iterate(s)
+    cache = mx._hessian_cache(it)
+    precond = mx._split_preconditioner(s, it.dh)
     mask = np.zeros(s.values.shape, dtype=bool)
     mask[1:-1, 1:-1, 1:-1, components] = True
     unknowns = np.flatnonzero(mask)
@@ -617,9 +617,12 @@ class TestSolver:
 
     def test_work_counted_once(self, monkeypatch):
         # one Gram evaluation per gradient (the start and every line-search
-        # trial), and one Hessian-vector product per MINRES iteration
-        calls = {"gram": 0, "hvp": 0}
-        gram, hvp = mx._gram, mx._hessian_apply
+        # trial), one Hessian-vector product per MINRES iteration, and two
+        # 3x3 inversions per gradient that keeps positivity, one for the
+        # gradient and one in residual_norm: the Hessian data of a Newton
+        # step reuses the iterate's G^-1
+        calls = {"gram": 0, "hvp": 0, "inv3": 0}
+        gram, hvp, inv3 = mx._gram, mx._hessian_apply, mx._inv3
 
         def counted_gram(s):
             calls["gram"] += 1
@@ -629,14 +632,20 @@ class TestSolver:
             calls["hvp"] += 1
             return hvp(s, cache, delta)
 
+        def counted_inv3(g, det):
+            calls["inv3"] += 1
+            return inv3(g, det)
+
         monkeypatch.setattr(mx, "_gram", counted_gram)
         monkeypatch.setattr(mx, "_hessian_apply", counted_hvp)
+        monkeypatch.setattr(mx, "_inv3", counted_inv3)
         rng = np.random.default_rng(14)
         s = perturbed_affine(rng, dims=(9, 9, 9), amp=2e-3)
         out = mx.solve_dirichlet(s, tol=1e-8, max_iter=500)
         assert out.converged and out.iterations > 0
         trials = out.iterations + out.line_search_rejections + out.positivity_failures
         assert calls["gram"] == 1 + trials
+        assert calls["inv3"] == 2 * (1 + out.iterations + out.line_search_rejections)
         assert calls["hvp"] == out.hvps == out.krylov_iters > 0
         assert len(out.krylov_per_step) == out.iterations
         assert sum(out.krylov_per_step) == out.krylov_iters

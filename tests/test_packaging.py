@@ -1,9 +1,13 @@
 """Declared dependencies are used, declared scripts resolve, every public
-function is referenced and the grid half has one derivative stencil."""
+function is referenced, the grid half has one derivative stencil and the
+exact half loads no numpy."""
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,3 +128,17 @@ def test_one_star_and_one_sign_rule():
         f"a star that does not go through _star: {callers['_star']}"
     assert callers["_merge_sign"] == {(forms, "wedge"), (hodge, "_star")}, \
         f"_merge_sign called outside wedge and _star: {callers['_merge_sign']}"
+
+
+def test_exact_half_imports_no_numpy():
+    """The command line and the exact half run without numpy, whose import
+    costs about 0.1 s: a fresh interpreter imports them, runs an exact suite
+    and has still not loaded it."""
+    code = ("import sys\n"
+            "import adg2.cli, adg2.verify, adg2.excalc, adg2.g2lin, adg2.hk, adg2.spin\n"
+            "assert all(r.passed for r in adg2.verify.run_suite('excalc', 0))\n"
+            "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False", out.stdout + out.stderr
