@@ -12,11 +12,12 @@ routine, _row_echelon, serves inverse and kernel_basis on either entry type.
 LinearMap is the one way an exact linear law is applied on a hot path: a
 map is built once, lazily, from the images of the unit vectors
 (from_columns) or as a composite (compose), and applying it costs integer
-dot products and one Fraction per output instead of one Fraction per term.
-The compiled maps are HKTriple._variation_map and _recovery_map, from the
-triple's tables, and SpinorModel._curvature_tensor and _dirac_first_map,
-each a map from the model's 2x2 tables composed with the standard triple's
-_variation_map slot by slot.
+dot products and one Fraction per nonzero output instead of one Fraction
+per term.  The compiled maps are HKTriple._variation_map and _recovery_map,
+from the triple's tables; SpinorModel._curvature_sum_map, _curvature_tensor
+and _dirac_first_map, each a map from the model's 2x2 tables composed with
+the standard triple's _variation_map slot by slot; and verify._cyclic_map,
+the four cyclic families of hk from the complex structures' tables.
 """
 
 from __future__ import annotations
@@ -24,9 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
+
+_ZERO = Fraction(0)  # shared by every zero output of a LinearMap
 
 
 class QQi:
@@ -203,14 +207,14 @@ class LinearMap:
     def __call__(self, x: Sequence[Rat]) -> tuple[Fraction, ...]:
         """The image of x, n_in ints or Fractions, as Fractions: x is put
         over its common denominator, so each output is one integer dot
-        product and one Fraction."""
+        product and, unless it is zero, one Fraction."""
         if len(x) != self.n_in:
             raise ValueError(f"map takes {self.n_in} inputs, got {len(x)}")
-        d = math.lcm(*(v.denominator for v in x))
-        nums = [v.numerator * (d // v.denominator) for v in x]
+        d = math.lcm(*[v.denominator for v in x])
+        get = [v.numerator * (d // v.denominator) for v in x].__getitem__
         den = self.den * d
-        return tuple(Fraction(sum(c * nums[n] for n, c in zip(*row)), den)
-                     for row in self.rows)
+        return tuple(Fraction(s, den) if (s := sum(map(mul, cs, map(get, ns)))) else _ZERO
+                     for ns, cs in self.rows)
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
         """self after inner, x -> self(inner(x)), in lowest terms: it equals

@@ -16,6 +16,7 @@ split_d move the one index at position pos of I + J to the front, for (-1)^pos.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -305,11 +306,13 @@ def contract(a: BigradedForm, vectors: Sequence[Sequence[Scalar]]) -> dict[tuple
     """i_{v_k} ... i_{v_1} a at the origin, for constant vectors v_1 .. v_k:
     the coefficients of the remaining form, keyed by index tuple I + J.
 
-    The coefficients are read at the origin first, so the contraction runs
-    over plain Fractions; removing the slot at position pos of I + J carries
-    the sign (-1)^pos, the sign rule of _merge_sign for one index moved to
-    the front.  Vectors are length-7 rationals in the coordinate
-    ordering t1..t3,x1..x4.  Only meaningful in a flat coframe (e^a = dx_a).
+    The coefficients are read at the origin first and put, like each vector,
+    over their common denominator, so the contraction runs over Python ints
+    and makes one Fraction per remaining key; removing the slot at position
+    pos of I + J carries the sign (-1)^pos, the sign rule of _merge_sign for
+    one index moved to the front.  Vectors are length-7 rationals in the
+    coordinate ordering t1..t3,x1..x4.  Only meaningful in a flat coframe
+    (e^a = dx_a).
     """
     if len(vectors) > a.degree:
         raise ValueError("more vectors than the form degree")
@@ -318,16 +321,21 @@ def contract(a: BigradedForm, vectors: Sequence[Sequence[Scalar]]) -> dict[tuple
         raise ValueError(f"vectors have {NVARS} components (t1..t3,x1..x4)")
     coeffs = {I + J: p.terms[ZERO_EXP] for (I, J), p in a.terms.items()
               if ZERO_EXP in p.terms}
+    den = math.lcm(*[c.denominator for c in coeffs.values()])
+    nums = {idx: c.numerator * (den // c.denominator) for idx, c in coeffs.items()}
     for v in vs:
-        out: dict[tuple, Fraction] = {}
-        for idx, c in coeffs.items():
+        d = math.lcm(*[x.denominator for x in v])
+        den *= d
+        m = [x.numerator * (d // x.denominator) for x in v]
+        out: dict[tuple, int] = {}
+        for idx, c in nums.items():
             for pos, i in enumerate(idx):
-                if v[i]:
+                if m[i]:
                     key = idx[:pos] + idx[pos + 1:]
-                    term = c * v[i]
+                    term = c * m[i]
                     out[key] = out.get(key, 0) + (-term if pos % 2 else term)
-        coeffs = {key: c for key, c in out.items() if c}
-    return coeffs
+        nums = {key: c for key, c in out.items() if c}
+    return {key: Fraction(c, den) for key, c in nums.items()}
 
 
 def eval_on_vectors(a: BigradedForm, vectors: Sequence[Sequence[Scalar]]) -> Fraction:

@@ -152,12 +152,17 @@ def _ints(values, where: str):
 
 def _numbers(values, where: str) -> np.ndarray:
     """The float array of a document's (nested) list; an entry that is not an
-    int or a float, such as a string or a boolean, is rejected, never converted."""
+    int or a float, such as a string or a boolean, is rejected, never
+    converted, and so is a NaN or an infinite float."""
     arr = np.asarray(values, dtype=object)
     for v in arr.flat:
         if type(v) not in (int, float):
             raise ValueError(f"{where} must hold numbers, got {v!r}")
-    return arr.astype(float)
+    out = arr.astype(float)
+    if not np.isfinite(out).all():
+        bad = float(out[~np.isfinite(out)][0])
+        raise ValueError(f"{where} must hold finite numbers, got {bad!r}")
+    return out
 
 
 def _json(value, kind: type, where: str):

@@ -201,10 +201,15 @@ def _check_positive(g: np.ndarray):
     m1 = g[..., 0, 0]
     m2 = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
     m3 = _det3(g)
-    bad = (m1 <= 0) | (m2 <= 0) | (m3 <= 0)
-    if np.any(bad):
-        # name the failing point with the smallest eigenvalue
-        eig = np.linalg.eigvalsh(g[bad])[:, 0]
+    positive = (m1 > 0) & (m2 > 0) & (m3 > 0)  # False for a NaN minor
+    if not positive.all():
+        bad = ~positive
+        # name the failing point with the smallest eigenvalue; a point whose
+        # Gram matrix is not finite has none, reads NaN and is named first
+        g_bad = g[bad]
+        finite = np.isfinite(g_bad).all(axis=(-2, -1))
+        eig = np.full(len(g_bad), np.nan)
+        eig[finite] = np.linalg.eigvalsh(g_bad[finite])[:, 0]
         worst = int(np.argmin(eig))
         *cell, gauss = np.argwhere(bad)[worst]
         raise PositivityError(cell, gauss, eig[worst])
@@ -733,7 +738,10 @@ def grid_from_json(doc: dict) -> SectionGrid:
     /spacing, /nodes and /Q numbers: a float or boolean dim and a string or
     boolean spacing, node or pairing entry are rejected, never converted."""
     nodes, spacing = _base_document(doc, "grid", "nodes", DIM, ("Q",))
-    return SectionGrid(nodes, spacing, _numbers(doc["Q"], "/Q"))
+    q = _numbers(doc["Q"], "/Q")
+    if q.shape != (DIM, DIM):
+        raise ValueError(f"/Q must be a {DIM}x{DIM} array, got shape {q.shape}")
+    return SectionGrid(nodes, spacing, q)
 
 
 def _write_atomic(path: str, write) -> None:

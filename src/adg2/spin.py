@@ -12,13 +12,16 @@ Conventions, frozen here and proved on the 2x2 tables by verify_conventions():
     quaternion relations, and c(vol4) = +1 on S-, -1 on S+.
 
 build_spinor_model() returns one verified model per process; the proof
-runs on its first call.  The curvature operators and the first-order part
-of the Dirac-variation symbol are linear in a jet: each model holds them as
-two exact.LinearMap, built on first use from its 2x2 tables and composed
-with the standard triple's metric variation slot by slot, so that a jet's
-entries reach the operators through one map: SpinorModel._curvature_tensor
-(w to R~_1..3, from the ccc table) and SpinorModel._dirac_first_map (v to
-the four first-order coefficients, from the i_sp and mp tables).
+runs on its first call.  The curvature sum, the curvature operators and
+the first-order part of the Dirac-variation symbol are linear in a jet: each
+model holds them as exact.LinearMap, built on first use from its 2x2 tables
+and composed with the standard triple's metric variation slot by slot, so
+that a jet's entries reach each through one map:
+SpinorModel._curvature_sum_map (w to sum_k I_k^{S+} R~_k, from the ccc and
+i_sp tables; the zeroth part of the symbol too), SpinorModel._curvature_tensor
+(w to R~_1..3, from the ccc table; built only by curvature_operators) and
+SpinorModel._dirac_first_map (v to the four first-order coefficients, from
+the i_sp and mp tables).
 """
 
 from __future__ import annotations
@@ -97,17 +100,35 @@ class SpinorModel:
     def c_form2_plus(self, w: hk.Mat4):
         return _form2_action(w, self.cc_plus)
 
-    @cached_property
-    def _curvature_tensor(self) -> LinearMap:
-        """curvature_operators on the 576 entries of w, slot (k, i) =
-        (w[k][0][i], w[k][1][i], w[k][2][i]) after slot (k, i - 1), to the
-        parts of R~_1..3 (_parts order, 8 per k): each slot's g1[k][i]
-        (_metric_slots), then g1[k][i][l][j] to (c_l c_j c_i - c_l c_i c_j) / 8."""
+    def _ccc_map(self) -> LinearMap:
+        """g1[k][i][l][j], 64 per k in (i, l, j) order, to the parts of
+        R~_1..3 (_parts order, 8 per k): (c_l c_j c_i - c_l c_i c_j) / 8."""
         tensor = [[x / 8 for x in _parts(msub(self.ccc[l][j][i], self.ccc[l][i][j]))]
                   for i, l, j in product(range(4), repeat=3)]
         return LinearMap.from_columns(
-            [[0] * (8 * k) + t + [0] * (8 * (2 - k)) for k in range(3) for t in tensor]
-        ).compose(_metric_slots(12))
+            [[0] * (8 * k) + t + [0] * (8 * (2 - k)) for k in range(3) for t in tensor])
+
+    @cached_property
+    def _curvature_tensor(self) -> LinearMap:
+        """curvature_operators on the 576 entries of w (_w_entries) to the
+        parts of R~_1..3: each slot's g1[k][i] (_metric_slots), then _ccc_map."""
+        return self._ccc_map().compose(_metric_slots(12))
+
+    @cached_property
+    def _curvature_sum_map(self) -> LinearMap:
+        """curvature_sum on the 576 entries of w (_w_entries) to the parts of
+        sum_k I_k^{S+} R~_k: _curvature_tensor's maps, then the left
+        multiplication of R~_k by i_sp[k], whose column for part (k, c, b)
+        of R~_k is i_sp[k][a][c] (times i for an imaginary part) at (a, b)."""
+        cols = []
+        for k, c, b, unit in product(range(3), range(2), range(2), (QQi(1), I_)):
+            col = [Fraction(0)] * 8
+            for a in range(2):
+                z = self.i_sp[k][a][c] * unit
+                col[4 * a + 2 * b:4 * a + 2 * b + 2] = z.re, z.im
+            cols.append(col)
+        return LinearMap.from_columns(cols).compose(self._ccc_map()).compose(
+            _metric_slots(12))
 
     @cached_property
     def _dirac_first_map(self) -> LinearMap:
@@ -432,30 +453,35 @@ def violate_jet(jet: AdiabaticJet, which: str, rng) -> AdiabaticJet:
                         tuple(tuple(tuple(s) for s in row) for row in w))
 
 
+def _w_entries(jet: AdiabaticJet) -> list:
+    """The 576 entries of jet.w, slot (k, i) = (w[k][0][i], w[k][1][i],
+    w[k][2][i]) after slot (k, i - 1), each form row-major."""
+    return [x for wk in jet.w for i in range(4) for forms in wk
+            for row in forms[i] for x in row]
+
+
 def curvature_operators(jet: AdiabaticJet, model: SpinorModel):
     """The three maps S- -> S+ assembled from the mixed curvature of the
     limiting connection on a flat fibre background, through the model's one
     map SpinorModel._curvature_tensor."""
-    p = model._curvature_tensor([x for wk in jet.w for i in range(4) for forms in wk
-                                 for row in forms[i] for x in row])
+    p = model._curvature_tensor(_w_entries(jet))
     return tuple(_from_parts(p[8 * k:8 * k + 8]) for k in range(3))
 
 
 def curvature_sum(jet: AdiabaticJet, model: SpinorModel):
-    """sum_k I_k^{S+} R~_k, which vanishes exactly on constraint-compatible jets."""
-    out = zeros(2)
-    for i_k, r_k in zip(model.i_sp, curvature_operators(jet, model)):
-        out = madd(out, mmul(i_k, r_k))
-    return out
+    """sum_k I_k^{S+} R~_k, which vanishes exactly on constraint-compatible
+    jets, through the model's one map SpinorModel._curvature_sum_map."""
+    return _from_parts(model._curvature_sum_map(_w_entries(jet)))
 
 
 def dirac_variation_symbol(jet: AdiabaticJet, model: SpinorModel):
     """Operator symbol of sum_k I_k^{S+} [nabla_{t_k}, D^-].
 
     Returns (zeroth, first) with zeroth a 2x2 matrix (equal to minus the
-    curvature sum) and first a list of four 2x2 coefficient matrices, one per
-    fibre derivative direction, through SpinorModel._dirac_first_map.  All
-    vanish exactly on compatible jets.
+    curvature sum, through SpinorModel._curvature_sum_map) and first a list
+    of four 2x2 coefficient matrices, one per fibre derivative direction,
+    through SpinorModel._dirac_first_map.  All vanish exactly on compatible
+    jets.
     """
     zeroth = mscale(QQi(-1), curvature_sum(jet, model))
     p = model._dirac_first_map([x for vk in jet.v for w in vk for row in w for x in row])

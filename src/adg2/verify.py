@@ -20,6 +20,8 @@ import random
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 # the worked metric variation of the hk suite
 _WORKED_G_DOT = tuple(tuple(Fraction(x) for x in row) for row in
@@ -336,17 +338,35 @@ def failing_cyclic_families(ivec, v, g_dot) -> list[int]:
         2: I1^T g_dot = w1 + I3^T w2 - I2^T w3
         3: I2^T g_dot = w2 + I1^T w3 - I3^T w1
         4: I3^T g_dot = w3 + I2^T w1 - I1^T w2
+    checked through one exact.LinearMap per ivec (_cyclic_map): the 64
+    entries of (w1, w2, w3, g_dot) to the 16 entries of lhs - rhs of each
+    family.
     """
-    from .exact import madd, mmul, mscale, msub
+    out = _cyclic_map(tuple(tuple(map(tuple, m)) for m in ivec))(
+        [e for m in (*v.omega_dot, g_dot) for row in m for e in row])
+    return [f + 1 for f in range(4) if any(out[16 * f:16 * f + 16])]
 
+
+@cache
+def _cyclic_map(ivec: tuple):
+    """lhs - rhs of the four cyclic families as one map, from the I tables:
+    input block 0..2 is w1..w3 and block 3 is g_dot, each row-major, and
+    output block f is family f + 1, row-major.  A term s * M X of family f
+    puts s * M[a][c] at output (f, a, b) of input (X, c, b)."""
+    from .exact import LinearMap, eye
+
+    one = eye(4, field=Fraction)
     it = [tuple(zip(*m)) for m in ivec]
-    w = v.omega_dot
-    p = [[mmul(it[i], w[j]) for j in range(3)] for i in range(3)]
-    sides = [(g_dot, mscale(-1, madd(madd(p[0][0], p[1][1]), p[2][2])))]
+    terms = [[(3, one, 1)] + [(j, it[j], 1) for j in range(3)]]
     for k in range(3):
         k1, k2 = (k + 1) % 3, (k + 2) % 3
-        sides.append((mmul(it[k], g_dot), madd(w[k], msub(p[k2][k1], p[k1][k2]))))
-    return [n + 1 for n, (lhs, rhs) in enumerate(sides) if lhs != rhs]
+        terms.append([(3, it[k], 1), (k, one, -1), (k1, it[k2], -1), (k2, it[k1], 1)])
+    cols = [[0] * 64 for _ in range(64)]
+    for f, family in enumerate(terms):
+        for x, m, s in family:
+            for a, c, b in product(range(4), repeat=3):
+                cols[16 * x + 4 * c + b][16 * f + 4 * a + b] += s * m[a][c]
+    return LinearMap.from_columns(cols)
 
 
 def run_hk(seed: int, corrupt: str | None = None) -> list:

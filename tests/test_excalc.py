@@ -11,6 +11,7 @@ from adg2.excalc import (
     FibrationData,
     HorizontalDistribution,
     Poly,
+    contract,
     donaldson_residuals,
     eval_on_vectors,
     exterior_d,
@@ -29,6 +30,7 @@ from adg2.excalc import (
     wedge,
     wedge_all,
 )
+from adg2.excalc.poly import ZERO_EXP
 from adg2.g2lin import G2Model
 from adg2.verify import _random_distribution as random_distribution
 from adg2.verify import _random_form as random_form
@@ -349,6 +351,38 @@ class TestEvalAndIO:
                 assert eval_on_vectors(a, vectors) == want
                 nonzero += want != 0
             assert nonzero >= 3, f"degree {degree} was checked on too few values"
+
+    def test_contract_equals_the_fraction_loop(self):
+        # the contraction one Fraction at a time, against contract's integer
+        # numerators, on random mixed-bigrade forms of every degree and any
+        # number of vectors: the same keys in the same order, as Fractions
+        def fraction_contract(a, vectors):
+            coeffs = {I + J: p.terms[ZERO_EXP] for (I, J), p in a.terms.items()
+                      if ZERO_EXP in p.terms}
+            for v in vectors:
+                out = {}
+                for idx, c in coeffs.items():
+                    for pos, i in enumerate(idx):
+                        if v[i]:
+                            key = idx[:pos] + idx[pos + 1:]
+                            term = c * v[i]
+                            out[key] = out.get(key, 0) + (-term if pos % 2 else term)
+                coeffs = {key: c for key, c in out.items() if c}
+            return coeffs
+
+        rng = random.Random(17)
+        nonzero = 0
+        for _ in range(300):
+            degree = rng.randint(0, 7)
+            a = random_form(rng, degree, max_poly_deg=1, nterms=8)
+            vectors = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(7)]
+                       for _ in range(rng.randint(0, degree))]
+            got = contract(a, vectors)
+            want = fraction_contract(a, vectors)
+            assert list(got.items()) == list(want.items())
+            assert all(type(c) is Fraction for c in got.values())
+            nonzero += bool(got)
+        assert nonzero >= 200
 
     def test_vectors_need_seven_entries(self):
         w = standard_triple()[0]

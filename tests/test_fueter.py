@@ -348,10 +348,12 @@ class TestSectionIO:
         ("base_periodic", 1, "/base_periodic"),
         ("values", [[0.0] * 4] * 26 + [["1.5", 0.0, 0.0, 0.0]], "/values"),
         ("values", [[0.0] * 4] * 26 + [[0.0, "nan", 0.0, 0.0]], "/values"),
-        ("values", [[0.0] * 4] * 26 + [[0.0, 0.0, True, 0.0]], "/values")],
+        ("values", [[0.0] * 4] * 26 + [[0.0, 0.0, True, 0.0]], "/values"),
+        ("period", float("nan"), "/period must hold finite numbers, got nan"),
+        ("period", float("-inf"), "/period must hold finite numbers, got -inf")],
         ids=["float_dim", "bool_dim", "string_spacing", "string_period",
              "string_base_flag", "int_base_flag", "string_value",
-             "string_nan_value", "bool_value"])
+             "string_nan_value", "bool_value", "nan_period", "infinite_period"])
     def test_guessed_fields_rejected(self, field, value, where):
         doc = fu.section_to_json(fu.FueterSectionGrid(np.zeros((3, 3, 3, 4)),
                                                       (0.5, 0.5, 0.5)))

@@ -672,11 +672,13 @@ class TestFieldIO:
         # a rank-1 field on the 3^7 grid has 7 * 3^7 * 2 values
         ("values", [0.0] * (7 * 3 ** 7 * 2 - 1) + ["1.5"], "/values"),
         ("values", ["nan"] + [0.0] * (7 * 3 ** 7 * 2 - 1), "/values"),
-        ("values", [0.0, True] + [0.0] * (7 * 3 ** 7 * 2 - 2), "/values")],
+        ("values", [0.0, True] + [0.0] * (7 * 3 ** 7 * 2 - 2), "/values"),
+        ("values", [0.0] * (7 * 3 ** 7 * 2 - 1) + [float("inf")],
+         "/values must hold finite numbers, got inf")],
         ids=["float_rank", "bool_rank", "string_base_flag", "int_fibre_flag",
              "float_base_dim", "float_fibre_dim", "string_base_spacing",
              "string_fibre_spacing", "string_value", "string_nan_value",
-             "bool_value"])
+             "bool_value", "infinite_value"])
     def test_guessed_fields_rejected(self, field, value, where):
         doc = ga.field_to_json(ga.LatticeConnection.zero(ga.LatticeGrid.unit(3, 3)))
         doc[field] = value
@@ -684,18 +686,22 @@ class TestFieldIO:
             ga.field_from_json(doc)
 
     def test_spacing_count_checked(self):
-        # one finite positive spacing per axis, on the grid and in documents
+        # one finite positive spacing per axis, on the grid and in documents;
+        # a document's NaN or infinite spacing is rejected by its path first
         nan, inf = float("nan"), float("inf")
-        for base, fibre in (((0.5, 0.5), (0.5,) * 4), ((0.5,) * 3, (0.5,) * 5),
-                            ((0.5, 0.0, 0.5), (0.5,) * 4),
-                            ((0.5,) * 3, (0.5, -0.5, 0.5, 0.5)),
-                            ((nan, 0.5, 0.5), (0.5,) * 4),
-                            ((0.5,) * 3, (0.5, 0.5, 0.5, inf))):
+        for base, fibre, in_doc in (((0.5, 0.5), (0.5,) * 4, "spacings"),
+                                    ((0.5,) * 3, (0.5,) * 5, "spacings"),
+                                    ((0.5, 0.0, 0.5), (0.5,) * 4, "spacings"),
+                                    ((0.5,) * 3, (0.5, -0.5, 0.5, 0.5), "spacings"),
+                                    ((nan, 0.5, 0.5), (0.5,) * 4,
+                                     "/spacing/base must hold finite numbers, got nan"),
+                                    ((0.5,) * 3, (0.5, 0.5, 0.5, inf),
+                                     "/spacing/fibre must hold finite numbers, got inf")):
             with pytest.raises(ValueError, match="spacings"):
                 ga.LatticeGrid((3, 3, 3), (3, 3, 3, 3), base, fibre)
             doc = ga.field_to_json(ga.LatticeConnection.zero(ga.LatticeGrid.unit(3, 3)))
             doc["spacing"] = {"base": list(base), "fibre": list(fibre)}
-            with pytest.raises(ValueError, match="spacings"):
+            with pytest.raises(ValueError, match=in_doc):
                 ga.field_from_json(doc)
 
     def test_non_integral_dims_rejected(self):

@@ -367,6 +367,46 @@ class TestCyclicIdentities:
                     self._check_families(hk.TripleVariation.of(
                         *(jet.w[k][m][i] for m in range(3))))
 
+    def test_map_equals_the_matrix_formula(self):
+        # the families written out as twelve 4x4 products, lhs - rhs entry
+        # by entry, against the cached map, for the clean and the i2_sign
+        # complex structures, on random matrices (every family fails) and on
+        # anti-self-dual variations with their g_dot (none fails; under
+        # i2_sign families 2-4 or all four); ivec is passed as lists, which
+        # the cache normalises to nested tuples
+        def residuals(ivec, w, g_dot):
+            it = [tuple(zip(*m)) for m in ivec]
+            p = [[mmul(it[i], w[j]) for j in range(3)] for i in range(3)]
+            sides = [(g_dot, mscale(-1, madd(madd(p[0][0], p[1][1]), p[2][2])))]
+            for k in range(3):
+                k1, k2 = (k + 1) % 3, (k + 2) % 3
+                sides.append((mmul(it[k], g_dot),
+                              madd(w[k], madd(p[k2][k1], mscale(-1, p[k1][k2])))))
+            return [x - y for lhs, rhs in sides
+                    for lr, rr in zip(lhs, rhs) for x, y in zip(lr, rr)]
+
+        def rand_matrix():
+            return tuple(tuple(rand_frac(rng) for _ in range(4)) for _ in range(4))
+
+        rng = random.Random(21)
+        bad = list(self.ivec)
+        bad[1] = tuple(tuple(-x for x in row) for row in bad[1])
+        for ivec in (self.ivec, bad):
+            as_lists = [[list(row) for row in m] for m in ivec]
+            cyclic_map = verify._cyclic_map(tuple(tuple(map(tuple, m)) for m in ivec))
+            for n in range(20):
+                if n % 2:
+                    v = hk.TripleVariation.of(*(random_asd(rng) for _ in range(3)))
+                    g_dot = hk.metric_variation(self.t, v).g_dot
+                else:
+                    v = hk.TripleVariation.of(*(rand_matrix() for _ in range(3)))
+                    g_dot = rand_matrix()
+                want = residuals(ivec, v.omega_dot, g_dot)
+                got = cyclic_map([e for m in (*v.omega_dot, g_dot) for row in m for e in row])
+                assert list(got) == want and all(type(x) is F for x in got)
+                assert (verify.failing_cyclic_families(as_lists, v, g_dot)
+                        == [f + 1 for f in range(4) if any(want[16 * f:16 * f + 16])])
+
     def test_corrupted_i2_fails_every_family(self):
         ivec = list(self.ivec)
         ivec[1] = tuple(tuple(-x for x in row) for row in ivec[1])

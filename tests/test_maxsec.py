@@ -152,6 +152,18 @@ class TestArea:
         assert err.value.gauss == 6
         assert err.value.min_eig == eig[3, 3, 0, 6] == eig.min()
 
+    def test_nan_node_rejected_with_its_cell(self):
+        # a NaN minor is not positive: the corner node (4, 4, 0) touches only
+        # cell (3, 3, 0), whose Gram matrices are all NaN, and its first
+        # Gauss point is named, with no eigenvalue
+        s = mx.affine_section((5, 5, 5), (0.25, 0.25, 0.25))
+        s.values[4, 4, 0, 0] = np.nan
+        for run in (mx.area, mx.solve_dirichlet):
+            with pytest.raises(mx.PositivityError) as err:
+                run(s)
+            assert err.value.cell == (3, 3, 0) and err.value.gauss == 0
+            assert np.isnan(err.value.min_eig)
+
     def test_constant_shift_changes_nothing(self):
         rng = np.random.default_rng(3)
         s = perturbed_affine(rng)
@@ -715,9 +727,14 @@ class TestIO:
         ("spacing", [0.25, 0.25, True], "/spacing"),
         ("nodes", [[0.0] * 22] * 124 + [["1.5"] + [0.0] * 21], "/nodes"),
         ("nodes", [[0.0] * 22] * 124 + [[0.0] * 21 + ["nan"]], "/nodes"),
-        ("Q", [[True] + [0.0] * 21] + mx.standard_pairing()[1:].tolist(), "/Q")],
+        ("Q", [[True] + [0.0] * 21] + mx.standard_pairing()[1:].tolist(), "/Q"),
+        ("nodes", [[0.0] * 22] * 124 + [[float("nan")] + [0.0] * 21],
+         "/nodes must hold finite numbers, got nan"),
+        ("Q", mx.standard_pairing()[:21].tolist(),
+         r"/Q must be a 22x22 array, got shape \(21, 22\)")],
         ids=["float_dims", "bool_dim", "string_spacing", "bool_spacing",
-             "string_node", "string_nan_node", "bool_pairing"])
+             "string_node", "string_nan_node", "bool_pairing", "nan_node",
+             "short_pairing"])
     def test_guessed_fields_rejected(self, field, value, where):
         doc = mx.grid_to_json(mx.affine_section((5, 5, 5), (0.25,) * 3))
         doc[field] = value

@@ -151,15 +151,18 @@ class TestModelCache:
         assert nonzero == 20
 
     def test_maps_are_built_lazily_once_per_model(self, model):
+        # the symbol builds the curvature-sum map and the first-order map;
+        # the larger operator tensor is left to curvature_operators
         fresh = spin.build_spinor_model(corrupt="i2_sign")
-        names = ("_curvature_tensor", "_dirac_first_map")
-        assert not any(name in vars(fresh) for name in names)
+        names = ("_curvature_sum_map", "_dirac_first_map")
+        assert not any(name in vars(fresh) for name in names + ("_curvature_tensor",))
         jet = next(sample_jets(10, 1))
         spin.dirac_variation_symbol(jet, fresh)
         built = [vars(fresh)[name] for name in names]
         spin.dirac_variation_symbol(jet, fresh)
         assert all(getattr(fresh, name) is m for name, m in zip(names, built))
         assert all(getattr(model, name) != m for name, m in zip(names, built))
+        assert "_curvature_tensor" not in vars(fresh)
 
     def test_corrupted_maps_fail_the_spin_suite(self, model):
         clean = (model._curvature_tensor, model._dirac_first_map)
@@ -187,6 +190,28 @@ class TestCompiledCurvature:
                 assert got == reference_dirac_first_part(g0, m)
                 assert all(type(x.re) is F and type(x.im) is F
                            for c in got for row in c for x in row)
+
+    def test_curvature_sum_equals_the_loop(self, model, bad_model):
+        # the QQi loop sum_k I_k^{S+} R~_k over the (l, i, j) loop's R~_k,
+        # against the model's one map, on compatible and violating jets and
+        # on a jet of random 4x4 matrices
+        def matrix():
+            return tuple(tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4))
+                         for _ in range(4))
+
+        rng = random.Random(13)
+        free = spin.AdiabaticJet(
+            tuple(tuple(matrix() for _ in range(3)) for _ in range(3)),
+            tuple(tuple(tuple(matrix() for _ in range(4)) for _ in range(3))
+                  for _ in range(3)))
+        for m in (model, bad_model):
+            for jet in [*sample_jets(12, 6), free]:
+                want = ((QQi(0), QQi(0)), (QQi(0), QQi(0)))
+                for i_k, r_k in zip(m.i_sp, reference_curvature_operators(jet, m)):
+                    want = madd(want, mmul(i_k, r_k))
+                got = spin.curvature_sum(jet, m)
+                assert got == want
+                assert all(type(x.re) is F and type(x.im) is F for row in got for x in row)
 
     def test_dirac_zeroth_part_is_minus_the_curvature_sum(self, model, bad_model):
         for m in (model, bad_model):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import adg2
-from adg2 import spin, verify
+from adg2 import exact, spin, verify
 
 SEED = 5
 
@@ -133,9 +133,27 @@ def test_corrupted_spin_maps_build_in_50_ms():
     for _ in range(3):
         model = spin.build_spinor_model(corrupt="i2_sign")
         t0 = time.perf_counter()
-        model._curvature_tensor, model._dirac_first_map
+        model._curvature_sum_map, model._curvature_tensor, model._dirac_first_map
         best = min(best, time.perf_counter() - t0)
     assert best <= 0.050
+
+
+def test_warm_hk_suite_makes_no_matrix_product(monkeypatch):
+    # the cyclic families run through one cached map, so a warm hk suite
+    # multiplies no matrices (its cyclic row once made 1,200 exact.mmul calls)
+    verify.run_suite("hk", SEED)
+    calls = []
+    original = exact.mmul
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "adg2" and getattr(module, "mmul", None) is original:
+            monkeypatch.setattr(module, "mmul", counted)
+    (report,) = verify.run_suite("hk", SEED)
+    assert report.passed and calls == []
 
 
 def test_no_exact_map_is_built_at_import():
