@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .poly import HORIZONTAL, NVARS, VERTICAL, ZERO_EXP, Poly, Scalar
@@ -162,17 +163,23 @@ def wedge_all(forms: Sequence[BigradedForm]) -> BigradedForm:
 
 
 class HorizontalDistribution:
-    """Lift coefficients H_i^a; the lift of d/dt_i is d/dt_i + sum_a H_i^a d/dx_a."""
+    """Lift coefficients H_i^a; the lift of d/dt_i is d/dt_i + sum_a H_i^a d/dx_a.
+
+    The coefficients are a read-only mapping, so the curvature, built once
+    per distribution on first use and kept on the instance, cannot go stale.
+    """
 
     def __init__(self, coeffs=None):
-        self.coeffs: dict[tuple[int, int], Poly] = {}
+        kept: dict[tuple[int, int], Poly] = {}
         if coeffs:
             for (i, a), p in coeffs.items():
                 if i not in HORIZONTAL or a not in VERTICAL:
                     raise ValueError(f"bad lift index ({i},{a})")
                 p = Poly.of(p)
                 if not p.is_zero():
-                    self.coeffs[(i, a)] = p
+                    kept[(i, a)] = p
+        self.coeffs = MappingProxyType(kept)
+        self._curvature: dict[int, BigradedForm] | None = None
 
     @staticmethod
     def flat() -> "HorizontalDistribution":
@@ -196,8 +203,14 @@ class HorizontalDistribution:
     def curvature(self) -> dict[int, BigradedForm]:
         """Curvature as a map a -> (2,0)-form K^a; H is integrable iff all zero.
 
-        K^a = sum_{j<i} ([lift_j, lift_i] x_a) dt_j dt_i.
+        K^a = sum_{j<i} ([lift_j, lift_i] x_a) dt_j dt_i.  Built once per
+        distribution; each call returns a new dict of the kept forms.
         """
+        if self._curvature is None:
+            self._curvature = self._build_curvature()
+        return dict(self._curvature)
+
+    def _build_curvature(self) -> dict[int, BigradedForm]:
         out = {}
         for a in VERTICAL:
             k = BigradedForm(2)
@@ -231,7 +244,9 @@ def split_d(a: BigradedForm, H: HorizontalDistribution):
     respectively, and their sum is the exterior derivative of a (checked by
     converting to the coordinate coframe).  Differentiating the coframe
     element at position pos of I + J carries the sign (-1)^pos, the sign
-    rule of _merge_sign for one index moved to the front.
+    rule of _merge_sign for one index moved to the front.  F_H reads the
+    curvature of H, which is built once per distribution and shared by every
+    split_d call on it.
     """
     df = BigradedForm(a.degree + 1)
     dh = BigradedForm(a.degree + 1)

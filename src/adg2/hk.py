@@ -80,9 +80,10 @@ def asd_form(c1, c2, c3) -> Mat4:
     """The anti-self-dual 2-form c1 eta1 + c2 eta2 + c3 eta3, written out
     entrywise, where (eta1, eta2, eta3) = ASD_BASIS is dx1 dx2 - dx3 dx4,
     dx1 dx3 + dx2 dx4, dx1 dx4 - dx2 dx3."""
-    c1, c2, c3 = Fraction(c1), Fraction(c2), Fraction(c3)
+    c1, c2, c3 = (c if type(c) is Fraction else Fraction(c) for c in (c1, c2, c3))
+    n1, n2, n3 = -c1, -c2, -c3
     z = Fraction(0)
-    return ((z, c1, c2, c3), (-c1, z, -c3, c2), (-c2, c3, z, -c1), (-c3, -c2, c1, z))
+    return ((z, c1, c2, c3), (n1, z, n3, c2), (n2, c3, z, n1), (n3, n2, c1, z))
 
 
 ASD_BASIS: tuple[Mat4, Mat4, Mat4] = (

@@ -394,21 +394,31 @@ def zero_jet() -> AdiabaticJet:
     )
 
 
+def _asd_coeffs(rng) -> tuple[Fraction, Fraction, Fraction]:
+    """The three ASD_BASIS coefficients of one random_asd draw."""
+    return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3))
+
+
 def random_asd(rng) -> hk.Mat4:
-    return hk.asd_form(*(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)))
+    return hk.asd_form(*_asd_coeffs(rng))
 
 
 def random_donaldson_jet(rng) -> AdiabaticJet:
-    """A random jet satisfying every constraint: symmetric, ASD, trace-free."""
+    """A random jet satisfying every constraint: symmetric, ASD, trace-free.
+
+    The draw order is fixed: each of the five symmetric 3x3 grids (v, then w
+    for i = 0..3) draws the coefficients of its slots (k, m), k <= m, in
+    row-major order, the (2, 2) slot included.  That draw is discarded and
+    the slot set to -(c00 + c11) on the coefficients, so every slot's form
+    is built once, by hk.asd_form.
+    """
 
     def sym_tracefree():
-        grid = [[None] * 3 for _ in range(3)]
-        for k in range(3):
-            for m in range(k, 3):
-                grid[k][m] = random_asd(rng)
-                grid[m][k] = grid[k][m]
-        grid[2][2] = msub(mscale(-1, grid[0][0]), grid[1][1])
-        return tuple(tuple(row) for row in grid)
+        coeffs = {(k, m): _asd_coeffs(rng) for k in range(3) for m in range(k, 3)}
+        coeffs[2, 2] = tuple(-(a + b) for a, b in zip(coeffs[0, 0], coeffs[1, 1]))
+        forms = {km: hk.asd_form(*c) for km, c in coeffs.items()}
+        return tuple(tuple(forms[min(k, m), max(k, m)] for m in range(3))
+                     for k in range(3))
 
     v = sym_tracefree()
     w_per_i = [sym_tracefree() for _ in range(4)]

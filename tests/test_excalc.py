@@ -190,6 +190,21 @@ class TestSplitD:
     def test_fh_zero_iff_flat_curvature(self, law):
         law("excalc.split_d.fh_iff_curvature")
 
+    def test_coeffs_are_read_only(self):
+        H = HorizontalDistribution({(0, X2): Poly.var(X3)})
+        with pytest.raises(TypeError):
+            H.coeffs[(1, X3)] = Poly.const(1)
+
+    def test_kept_curvature_does_not_go_stale(self):
+        # the curvature is built once and kept; each call hands out a new dict
+        H = HorizontalDistribution({(0, X2): Poly.var(X3), (1, X3): 1})
+        want = H.curvature()
+        assert not want[X2].is_zero()
+        first = H.curvature()
+        del first[X3]
+        first[X2] = BigradedForm(2)
+        assert H.curvature() == want
+
 
 class TestHodge:
     def test_star4_basis(self):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from functools import cache
@@ -334,6 +335,37 @@ class TestCurvature:
                 jet = spin.random_donaldson_jet(rng)
                 assert jet.all_flags()
                 assert not spin.violate_jet(jet, which, rng).flags()[flag]
+
+    def test_jet_stream_is_pinned(self):
+        # SHA-256 over each entry's (numerator, denominator), recorded before
+        # random_donaldson_jet drew its trace-free slot on the coefficients:
+        # every jet, and so every later draw of a generator, stays the same
+        def digest(jets):
+            h = hashlib.sha256()
+            for jet in jets:
+                for x in entries((jet.v, jet.w)):
+                    assert type(x) is Fraction
+                    h.update(f"{x.numerator}/{x.denominator};".encode())
+            return h.hexdigest()
+
+        def entries(t):
+            if isinstance(t, Fraction):
+                yield t
+            else:
+                for s in t:
+                    yield from entries(s)
+
+        rng = random.Random(0)
+        got = {"jets": digest(spin.random_donaldson_jet(rng) for _ in range(300))}
+        for which in ("d_H_omega", "d_H_mu", "d_H_Theta"):
+            got[which] = digest(spin.violate_jet(spin.random_donaldson_jet(rng), which, rng)
+                                for _ in range(33))
+        assert got == {
+            "jets": "b67c9067b383b00ed7268d8165a26c5f3aee626dc136f47d30815873b951db5f",
+            "d_H_omega": "ddb985ba1be82e5674b98a71c07dfd8c2a960d4244a815c0f587907682c067cc",
+            "d_H_mu": "bc992bdb1016b4729b7b112db7f543284b8ce562030cdb57d31b0d55be4b8121",
+            "d_H_Theta": "bdb159200b4fba28a5eb46e352b47c6cb5c99d475a0c097d9e7498533b8ea2d5",
+        }
 
 
 class TestDiracVariation:

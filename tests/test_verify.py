@@ -126,6 +126,62 @@ def test_g2lin_suite_contraction_count(monkeypatch):
     assert len(calls) == 764
 
 
+def test_excalc_suite_builds_one_curvature_per_distribution(monkeypatch):
+    # each split_d call once built the curvature again: the fh_iff_curvature
+    # row alone built 645 for its 40 distributions.  Now every non-flat
+    # distribution (72 at seed 5) is built once, and so is the one flat draw
+    # whose curvature that row reads itself
+    from adg2.excalc import HorizontalDistribution
+
+    drawn, built = [], []
+    init = HorizontalDistribution.__init__
+    build = HorizontalDistribution._build_curvature
+    monkeypatch.setattr(HorizontalDistribution, "__init__",
+                        lambda self, *args: drawn.append(self) or init(self, *args))
+    monkeypatch.setattr(HorizontalDistribution, "_build_curvature",
+                        lambda self: built.append(self) or build(self))
+    (report,) = verify.run_suite("excalc", SEED)
+    assert report.passed
+    curved = {id(h) for h in drawn if not h.is_flat()}
+    assert len(built) == len({id(h) for h in built}) == 73
+    assert len(curved) == 72 and curved <= {id(h) for h in built}
+
+
+def test_g2lin_suite_makes_no_metric_pairing(monkeypatch):
+    # g_eps(chi, e_k) is read off chi's coordinates (the defining-identity
+    # row once made 2,142 metric_pair calls)
+    from adg2.g2lin import G2Model
+
+    calls = []
+    original = G2Model.metric_pair
+    monkeypatch.setattr(G2Model, "metric_pair",
+                        lambda self, x, y: calls.append(1) or original(self, x, y))
+    (report,) = verify.run_suite("g2lin", SEED)
+    assert report.passed and calls == []
+
+
+def test_jet_draws_scale_and_subtract_no_matrix(monkeypatch):
+    # the trace-free slot is drawn on its three coefficients, so a jet
+    # builds each slot's form once and no matrix is scaled or subtracted
+    import random
+
+    calls = []
+    for name in ("mscale", "msub"):
+        original = getattr(exact, name)
+
+        def counted(*args, _original=original):
+            calls.append(_original.__name__)
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.split(".")[0] == "adg2"
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counted)
+    rng = random.Random(SEED)
+    jets = [spin.random_donaldson_jet(rng) for _ in range(20)]
+    assert all(jet.all_flags() for jet in jets) and calls == []
+
+
 def test_corrupted_spin_maps_build_in_50_ms():
     # build_spinor_model(corrupt=...) makes a fresh model, whose maps are
     # built again, on every call; the best of three builds is timed
