@@ -143,6 +143,56 @@ def _shape_tables(spacing: tuple):
     return t2, np.ascontiguousarray(t2.T)
 
 
+# the entries (i, j), i <= j, that stand for a symmetric 3x3 matrix, and the
+# weight of each in the Frobenius product of two symmetric matrices
+_SYM_ROWS = np.array([0, 1, 2, 0, 0, 1])
+_SYM_COLS = np.array([0, 1, 2, 1, 2, 2])
+_SYM_WEIGHT = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+# the 21 products p_n = m_(_PAIR_ROWS[n]) m_(_PAIR_COLS[n]) of two such entries
+_PAIR_ROWS, _PAIR_COLS = np.triu_indices(6)
+
+
+def _tangent_table() -> np.ndarray:
+    """(21, 36): takes the 21 products p of the symmetric entries m of G^-1
+    to the 6x6 matrix C (row-major) with E = C Js for E = (1/3) <Js, G^-1>
+    G^-1 - G^-1 Js G^-1, where Js and E stand for their symmetric entries;
+    the Frobenius weights of Js are folded in.  C is quadratic in G^-1, so
+    products of w m with m give w C."""
+    sym = np.empty((3, 3), dtype=int)
+    sym[_SYM_ROWS, _SYM_COLS] = sym[_SYM_COLS, _SYM_ROWS] = np.arange(6)
+    pair = np.empty((6, 6), dtype=int)
+    pair[_PAIR_ROWS, _PAIR_COLS] = pair[_PAIR_COLS, _PAIR_ROWS] = np.arange(21)
+    table = np.zeros((21, 6, 6))
+    for r, (a, b) in enumerate(zip(_SYM_ROWS, _SYM_COLS)):
+        for k, (i, j) in enumerate(zip(_SYM_ROWS, _SYM_COLS)):
+            table[pair[r, k], r, k] += _SYM_WEIGHT[k] / 3.0
+            table[pair[sym[a, i], sym[b, j]], r, k] -= 0.5 * _SYM_WEIGHT[k]
+            table[pair[sym[a, j], sym[b, i]], r, k] -= 0.5 * _SYM_WEIGHT[k]
+    return table.reshape(21, 36)
+
+
+_TANGENT = _tangent_table()
+
+
+@functools.cache
+def _cell_maps(spacing: tuple):
+    """The two linear maps between a cell's 8x8 corner matrices and its
+    Gauss-point 3x3 symmetric matrices, built once per spacing from the rows
+    t2_g (3, 8) of the shape-gradient table: to_gauss (64, 48) takes R
+    (row-major) to the symmetric entries (_SYM_ROWS, _SYM_COLS) of t2_g (R +
+    R^T) t2_g^T at each Gauss point g, and to_cell (48, 64) takes the
+    symmetric entries of E_g to sum_g t2_g^T E_g t2_g."""
+    t2 = _shape_gradient_table(spacing).transpose(0, 2, 1)  # (8 gauss, 3, 8)
+    to_gauss = np.empty((8, 8, 8, 6))
+    to_cell = np.empty((8, 6, 8, 8))
+    for g in range(8):
+        for k, (i, j) in enumerate(zip(_SYM_ROWS, _SYM_COLS)):
+            outer = np.outer(t2[g, i], t2[g, j])
+            to_gauss[:, :, g, k] = outer + outer.T
+            to_cell[g, k] = outer + outer.T if i != j else outer
+    return to_gauss.reshape(64, 48), to_cell.reshape(48, 64)
+
+
 def _det3(g: np.ndarray) -> np.ndarray:
     return (g[..., 0, 0] * (g[..., 1, 1] * g[..., 2, 2] - g[..., 1, 2] * g[..., 2, 1])
             - g[..., 0, 1] * (g[..., 1, 0] * g[..., 2, 2] - g[..., 1, 2] * g[..., 2, 0])
@@ -175,9 +225,8 @@ def _corner_stack(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 
 
 def _corner_scatter(cells: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sum per-corner cell terms (cells..., 8 corners, 22) onto the nodes of
-    out, which is zero-filled first; returns out."""
-    out.fill(0.0)
+    """Add per-corner cell terms (cells..., 8 corners, 22) onto the nodes of
+    out; returns out."""
     for ci, o in enumerate(_CORNERS):
         view = _corner_view(out, o)
         view += cells[..., ci, :]
@@ -261,7 +310,7 @@ class _Iterate:
         _, t3 = _shape_tables(s.spacing)
         # sum over gauss and axis with one matmul: (8c, 24) @ (cells, 24, 22)
         cells = t3 @ m.reshape(m.shape[:3] + (24, DIM))
-        self.grad = _corner_scatter(cells, np.empty(s.values.shape))
+        self.grad = _corner_scatter(cells, np.zeros(s.values.shape))
         self.grad[~s.interior_mask()] = 0.0
 
 
@@ -292,9 +341,18 @@ def residual_norm(s: SectionGrid, grad: np.ndarray | None = None) -> float:
     section: Q on the span of the nodewise derivatives, -Q on its
     Q-complement.  Every construction step commutes with Q-isometries, so
     composing the section with one leaves the value unchanged exactly.
+    Where the nodewise derivative frame is not positive that metric is not
+    either, and a negative squared norm counts as 0 (_residual counts those
+    nodes).
     """
     if grad is None:
         grad = grad_area(s)
+    return _residual(s, grad)[0]
+
+
+def _residual(s: SectionGrid, grad: np.ndarray):
+    """(residual_norm(s, grad), the number of interior nodes whose squared
+    norm was negative and counted as 0)."""
     dh = [diff(s.values, s.spacing[i], i, periodic=False) for i in range(3)]
     v = np.stack(dh, axis=-1)  # (..., 22, 3)
     qv = v.swapaxes(-1, -2) @ s.pairing
@@ -306,10 +364,11 @@ def residual_norm(s: SectionGrid, grad: np.ndarray | None = None) -> float:
     plus = (v @ coef)[..., 0]
     minus = gd - plus
     sq = (np.sum((plus @ s.pairing) * plus, axis=-1)
-          - np.sum((minus @ s.pairing) * minus, axis=-1))
-    sq = np.where(sq < 0, 0.0, sq)
-    mask = s.interior_mask()
-    return float(np.sqrt(sq[mask].max())) if mask.any() else 0.0
+          - np.sum((minus @ s.pairing) * minus, axis=-1))[_INTERIOR]
+    negative = sq < 0
+    sq = np.where(negative, 0.0, sq)
+    norm = float(np.sqrt(sq.max())) if sq.size else 0.0
+    return norm, int(np.count_nonzero(negative))
 
 
 def base_metric(s: SectionGrid):
@@ -402,6 +461,9 @@ class SolveResult:
     krylov_per_step: list = field(default_factory=list)  # MINRES iterations, per step
     line_search_rejections: int = 0  # trials rejected by the residual bar
     positivity_failures: int = 0  # trials that lost positivity
+    # interior nodes whose squared residual norm was negative and counted as
+    # 0, over every residual the solve evaluated (residual_norm)
+    residual_clamped_nodes: int = 0
     # seconds per phase: "start" (the initial gradient and residual),
     # "krylov" (_newton_direction: Hessian data, preconditioner set-up and
     # MINRES), "line_search" (trial gradients, residuals and positivity
@@ -454,8 +516,9 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     phases = dict.fromkeys(("start", "krylov", "line_search", "history"), 0.0)
     with _timed(phases, "start"):
         it = _Iterate(init.copy())
-        res = residual_norm(it.s, it.grad)
-    out = SolveResult(it.s, False, 0, res, [], phase_seconds=phases)
+        res, clamped = _residual(it.s, it.grad)
+    out = SolveResult(it.s, False, 0, res, [], phase_seconds=phases,
+                      residual_clamped_nodes=clamped)
     for n_iter in range(max(max_iter, 0) + 1):
         out.grid, out.iterations, out.residual = it.s, n_iter, res
         with _timed(phases, "history"):
@@ -478,7 +541,7 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
                 trial.values[_INTERIOR] += shrink * delta[_INTERIOR]
                 try:
                     it = _Iterate(trial)
-                    res_trial = residual_norm(trial, it.grad)
+                    res_trial, clamped = _residual(trial, it.grad)
                 except PositivityError:
                     out.positivity_failures += 1
                     shrink *= 0.5
@@ -487,6 +550,7 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
                             f"positivity lost at minimum step (iteration {n_iter + 1}, "
                             f"residual {res:.3e})")
                     continue
+                out.residual_clamped_nodes += clamped
                 if res_trial < bar or shrink < 1e-6:
                     break
                 out.line_search_rejections += 1
@@ -502,59 +566,103 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     return out
 
 
-def _hessian_cache(it: _Iterate):
-    """Per-Gauss-point data of the Hessian at the iterate it: dh, (G^-1
-    qd)^T, G^-1, the gradient weight w, A = w G^-1 and -Q, all but (G^-1
-    qd)^T and -Q read from it; then the workspace of _hessian_apply.
+# A Hessian-vector product runs over blocks of whole cell slabs (fixed first
+# cell index) of at most this many cells where a slab allows, so that the
+# block's workspace (4.6 KB a cell) and its share of the per-cell data (5.6
+# KB a cell) stay near a 2 MB L2 cache.  Of 64 to 1024 cells, 256 was about
+# the fastest at 11^3 to 25^3, and 10-35% faster than one block of all cells.
+_BLOCK_CELLS = 256
 
-    The workspace is allocated here, once per Newton step, and every
-    product at this step overwrites it: the corner values (later the
-    per-corner cell terms), the Gauss-point derivatives dd (later E dh), the
-    variation dm, the 3x3 fields K (later L + L^T), L and E, the trace and
-    the node sums.  It lives in the cache, not in the module, so a cache is
-    the only state a product touches."""
-    dh, g = it.dh, it.g
-    gq_t = np.ascontiguousarray((it.ginv @ it.qd).swapaxes(-1, -2))
-    cells = dh.shape[:3]
-    work = (np.empty(cells + (8, DIM)), np.empty(dh.shape), np.empty(dh.shape),
-            np.empty(g.shape), np.empty(g.shape), np.empty(g.shape),
-            np.empty(g.shape[:-2]), np.empty(it.s.values.shape))
-    return dh, gq_t, it.ginv, it.w, it.a, -it.s.pairing, work
+
+def _hessian_cache(it: _Iterate):
+    """Per-cell data of the Hessian at the iterate it, partially assembled
+    once per Newton step, and the workspace of _hessian_apply.
+
+    The gradient's Gauss-point term A dh Q varies along delta by (A dd +
+    E dh) Q, with dd = t2_g D the derivatives of delta at Gauss point g (D
+    the cell's 8 corner values of delta, t2_g the 3x8 shape rows of g) and E
+    linear in dd.  Per cell this is S D + M X with:
+    - S = sum_g t2_g^T A_g t2_g, an 8x8 stiffness: the A-block acts alike on
+      all 22 components, so one scalar matrix serves them all;
+    - X the cell's corner values less its first corner (its frames), so
+      dh = t2_g X to rounding and sum_g t2_g^T E_g dh = M X with M = sum_g
+      t2_g^T E_g t2_g (_cell_maps' to_cell);
+    - E = (2/3) tr(K) A - w (L + L^T), where K = dd Q dh^T G^-1 and L =
+      G^-1 K.  With R = D (Q^T X^T) the 8x8 product of D with the cell's
+      Q-dual frames Q^T X^T, J = dd Q dh^T = t2_g R t2_g^T, and E = w
+      ((1/3) <Js, G^-1> G^-1 - G^-1 Js G^-1) for Js = J + J^T.  So the six
+      entries of Js come from R by _cell_maps' to_gauss, and E_g = C_g Js_g
+      with a 6x6 C_g per Gauss point (_tangent_table).
+    The cache holds S, X, Q^T X^T, C (cells..., 8 gauss, 6, 6) and -Q, with
+    S and C from the iterate's G^-1 and w: 704 numbers a cell against dh's
+    528.
+
+    The workspace serves one block of whole cell slabs, as many as keep it
+    within _BLOCK_CELLS cells (one slab when a slab is larger): the corner
+    values (later the per-corner cell terms), R, Js, E, M and S D, plus the
+    node sums.  Every product at this step overwrites it.  It lives in the
+    cache, not in the module, so a cache is the only state a product
+    touches."""
+    s = it.s
+    _, to_cell = _cell_maps(s.spacing)
+    cells = it.dh.shape[:3]
+    gsym = it.ginv[..., _SYM_ROWS, _SYM_COLS].reshape(-1, 6)
+    asym = gsym * it.w.reshape(-1, 1)  # the symmetric entries of A
+    stiff = (asym.reshape(-1, 48) @ to_cell).reshape(cells + (8, 8))
+    frames = np.empty(cells + (8, DIM))
+    first = _corner_view(s.values, _CORNERS[0])
+    for ci, o in enumerate(_CORNERS):
+        np.subtract(_corner_view(s.values, o), first, out=frames[..., ci, :])
+    qframes = np.matmul(s.pairing.T, frames.swapaxes(-1, -2))
+    products = asym[:, _PAIR_ROWS]
+    products *= gsym[:, _PAIR_COLS]
+    tangent = (products @ _TANGENT).reshape(cells + (8, 6, 6))
+    del products
+    slab = cells[1] * cells[2]
+    slabs = min(cells[0], max(1, _BLOCK_CELLS // slab))
+    size = slabs * slab
+    work = (np.empty((slabs,) + cells[1:] + (8, DIM)), np.empty((size, 64)),
+            np.empty((size, 48)), np.empty((size, 48)), np.empty((size, 64)),
+            np.empty((size, 8, DIM)), np.empty(s.values.shape))
+    return stiff, frames, qframes, tangent, -s.pairing, slabs, work
 
 
 def _hessian_apply(s: SectionGrid, cache, delta: np.ndarray) -> np.ndarray:
     """Exact directional derivative of -grad_area along delta (so the
-    returned operator is positive definite near a discrete maximum).
+    returned operator is positive definite near a discrete maximum), from
+    the per-cell data of _hessian_cache: per cell, S D + M X with M from the
+    8x8 product R = D (Q^T X^T) through to_gauss, C and to_cell.  The
+    Gauss-point derivatives dd and A dd are never formed.  Q commutes with
+    the sum onto the nodes, so it is applied once per node.
 
-    The gradient's Gauss-point term A dh Q varies along dd (the derivatives
-    of delta) by (A dd + E dh) Q.  With dG = dd Q dh^T + dh Q dd^T,
-    E = (tr(G^-1 dG) / 3) A - A dG G^-1, and K = dd Q dh^T G^-1 and
-    L = G^-1 K give tr(G^-1 dG) = 2 tr K and A dG G^-1 = w (L + L^T).  Q
-    commutes with the sum onto the nodes, so it is applied once per node.
-
-    Every intermediate is written into the workspace of the cache
-    (_hessian_cache), so a product allocates only its result.  The result
-    is a fresh array on every call: MINRES keeps the vectors it is given."""
-    dh, gq_t, ginv, w, a, neg_q, work = cache
-    corners, dd, dm, k, lmat, e, tr, nodes = work
-    t2, t3 = _shape_tables(s.spacing)
-    cells = corners.shape[:3]
-    _corner_stack(delta, out=corners)
-    np.matmul(t2, corners, out=dd.reshape(cells + (24, DIM)))
-    np.matmul(dd, gq_t, out=k)
-    np.matmul(ginv, k, out=lmat)
-    np.add(k[..., 0, 0], k[..., 1, 1], out=tr)
-    tr += k[..., 2, 2]
-    tr *= 2.0 / 3.0
-    np.multiply(tr[..., None, None], a, out=e)
-    lsym = np.add(lmat, lmat.swapaxes(-1, -2), out=k)
-    lsym *= w
-    e -= lsym
-    np.matmul(a, dd, out=dm)
-    edh = np.matmul(e, dh, out=dd)
-    dm += edh
-    np.matmul(t3, dm.reshape(cells + (24, DIM)), out=corners)
-    _corner_scatter(corners, nodes)
+    The cells are taken a block of whole slabs at a time, the last block
+    holding what is left, and each block's terms are added onto the node
+    sums before the next block starts.  Every intermediate is written into
+    the workspace of the cache, so a product allocates only its result.
+    The result is a fresh array on every call: MINRES keeps the vectors it
+    is given."""
+    stiff, frames, qframes, tangent, neg_q, slabs, work = cache
+    corners, r, js, e, m, sd, nodes = work
+    to_gauss, to_cell = _cell_maps(s.spacing)
+    n1, n2, n3 = frames.shape[:3]
+    nodes.fill(0.0)
+    for i0 in range(0, n1, slabs):
+        i1 = min(i0 + slabs, n1)
+        size = (i1 - i0) * n2 * n3
+        block = _corner_stack(delta[i0:i1 + 1], out=corners[:i1 - i0])
+        d = block.reshape(size, 8, DIM)
+        np.matmul(d, qframes[i0:i1].reshape(size, DIM, 8),
+                  out=r[:size].reshape(size, 8, 8))
+        np.matmul(r[:size], to_gauss, out=js[:size])
+        np.einsum("bik,bk->bi", tangent[i0:i1].reshape(8 * size, 6, 6),
+                  js[:size].reshape(8 * size, 6), out=e[:size].reshape(8 * size, 6))
+        np.matmul(e[:size], to_cell, out=m[:size])
+        np.matmul(stiff[i0:i1].reshape(size, 8, 8), d, out=sd[:size])
+        # D is spent: the block's per-corner terms M X + S D take its place
+        np.matmul(m[:size].reshape(size, 8, 8), frames[i0:i1].reshape(size, 8, DIM),
+                  out=d)
+        d += sd[:size]
+        _corner_scatter(block, nodes[i0:i1 + 1])
     out = np.zeros_like(delta)
     np.matmul(nodes[_INTERIOR], neg_q, out=out[_INTERIOR])
     return out
@@ -592,36 +700,59 @@ def _split_preconditioner(s: SectionGrid, dh: np.ndarray):
     on the m-th frame coefficient, and the apply divides by it mode by mode.
     dh holds the section's derivatives at the Gauss points (_gram).
 
+    The DST-I is applied as the dense symmetric matrix S_d = sin(pi j k /
+    (n_d - 1)), j, k = 1..n_d - 2, along each axis by matmul.  S_d^2 = ((n_d
+    - 1) / 2) I, so the inverse transform is the same three products, with
+    prod_d (n_d - 1) / 2 folded into the symbol.  That costs O(n^4 22)
+    operations against an FFT's O(n^3 log n 22), but as matrix products:
+    on a 2-vCPU Xeon host with one BLAS thread, one transform of the 31^3 x
+    22 interior of a 33^3 grid took 9 ms against 31 ms for an FFT-based
+    DST-I, and 0.07 / 0.45 / 2.6 ms against 0.6 / 2.7 / 11.6 ms at 11^3 /
+    17^3 / 25^3.  It agrees with the FFT to 2e-15 to 5e-15 relative.  Two
+    interior-sized buffers, allocated here, hold the transforms, so an apply
+    allocates only its result.
+
     The scale is that of the area density, as in residual_norm.  It does not
     move where MINRES stops: _minres compares ||r||_P with ||g||_P, and a
     constant factor in P cancels from that ratio, so inverting H itself
     (P larger by 1/V) gives the same directions to rounding.
     """
-    from scipy import fft as sfft
-
-    kappa, mass = [], []
+    kappa, mass, sines = [], [], []
     for ax, (n, h) in enumerate(zip(s.dims, s.spacing)):
-        theta = np.pi * np.arange(1, n - 1) / (n - 1)
+        k = np.arange(1, n - 1)
+        theta = np.pi * k / (n - 1)
         shape = [1, 1, 1]
         shape[ax] = n - 2
         kappa.append(((4.0 / h ** 2) * np.sin(theta / 2.0) ** 2).reshape(shape))
         mass.append(((2.0 + np.cos(theta)) / 3.0).reshape(shape))
+        sines.append(np.sin(np.pi * np.outer(k, k) / (n - 1)))
     # stiff[d] = kappa_d prod_{e != d} m_e on the interior sine modes
     stiff = [kappa[d] * mass[d - 1] * mass[d - 2] for d in range(3)]
-    symbol = np.empty(tuple(n - 2 for n in s.dims) + (DIM,))
+    m1, m2, m3 = (n - 2 for n in s.dims)
+    symbol = np.empty((m1, m2, m3, DIM))
     for m in range(3):
         symbol[..., m] = (2.0 / 9.0) * stiff[m]
     symbol[..., 3:] = ((2.0 / 3.0) * (stiff[0] + stiff[1] + stiff[2]))[..., None]
+    symbol *= np.prod([(n - 1) / 2.0 for n in s.dims])
     a, nbasis = _section_frame_basis(s, dh)
     t = np.concatenate([a, nbasis], axis=1)  # (22, 22)
+    x, y = np.empty((2, m1, m2, m3, DIM))
+
+    def sine(src, dst):
+        """The DST-I of src along the three grid axes, into dst; src is
+        overwritten on the way."""
+        np.matmul(sines[0], src.reshape(m1, -1), out=dst.reshape(m1, -1))
+        np.matmul(sines[1], dst.reshape(m1, m2, -1), out=src.reshape(m1, m2, -1))
+        np.matmul(sines[2], src.reshape(m1 * m2, m3, DIM),
+                  out=dst.reshape(m1 * m2, m3, DIM))
 
     def apply(r: np.ndarray) -> np.ndarray:
-        # one temporary, transformed in place; the result is fresh
-        spec = sfft.dstn(r[_INTERIOR] @ t, type=1, axes=(0, 1, 2), overwrite_x=True)
-        spec /= symbol
-        sol = sfft.idstn(spec, type=1, axes=(0, 1, 2), overwrite_x=True)
+        np.matmul(r[_INTERIOR], t, out=x)
+        sine(x, y)
+        np.divide(y, symbol, out=y)
+        sine(y, x)
         out = np.zeros_like(r)
-        np.matmul(sol, t.T, out=out[_INTERIOR])
+        np.matmul(x, t.T, out=out[_INTERIOR])
         return out
 
     return apply

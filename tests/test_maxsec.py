@@ -207,6 +207,21 @@ class TestGradArea:
             rhs = (g @ qinv.T) @ psi.matrix.T
             assert np.abs(lhs - rhs).max() < 1e-9 * max(1.0, np.abs(rhs).max())
 
+    def test_clamped_residual_nodes_counted(self):
+        # moving node (4, 3, 3) makes the central-difference frame at node
+        # (3, 3, 3) indefinite, while every Gauss-point Gram matrix stays
+        # positive; the residual metric is indefinite there too, and the one
+        # negative squared norm counts as 0
+        s = mx.affine_section((7, 7, 7), (1 / 6,) * 3)
+        s.values[4, 3, 3, 0] -= 2 / 6
+        s.values[4, 3, 3, mx.SIG_PLUS] += 0.2 / 6
+        frame = np.stack([np.gradient(s.values, 1 / 6, axis=i)[3, 3, 3]
+                          for i in range(3)], axis=-1)
+        assert np.linalg.eigvalsh(frame.T @ s.pairing @ frame)[0] < 0
+        out = mx.solve_dirichlet(s, max_iter=0)
+        assert out.residual_clamped_nodes == 1
+        assert out.residual == mx.residual_norm(s) > 0
+
     def test_invariant_residual_norm(self):
         rng = np.random.default_rng(6)
         s = perturbed_affine(rng)
@@ -258,6 +273,55 @@ class TestHessian:
             got = hessian_apply(s, d)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    # (3, 5, 4) and (5, 3, 40) have a 3-node axis; the cells of (9, 7, 8) and
+    # (5, 3, 40) do not split into equal blocks of whole slabs, and a slab of
+    # (4, 19, 17) holds more than _BLOCK_CELLS cells, so its blocks are single
+    # slabs
+    BLOCK_GRIDS = [(3, 5, 4), (9, 7, 8), (5, 3, 40), (4, 19, 17)]
+
+    def test_block_grids_cover_the_block_rule(self):
+        slabs = []
+        for dims in self.BLOCK_GRIDS:
+            cells = [n - 1 for n in dims]
+            slab = cells[1] * cells[2]
+            slabs.append((cells[0], max(1, mx._BLOCK_CELLS // slab)))
+        assert any(n % k and k < n for n, k in slabs)  # a short last block
+        assert any(k == 1 for _, k in slabs)  # one slab per block
+        assert any(k >= n for n, k in slabs)  # one block
+
+    @pytest.mark.parametrize("dims", BLOCK_GRIDS)
+    @pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
+    def test_equals_reference_on_uneven_blocks(self, dims, general):
+        rng = np.random.default_rng(25)
+        s = perturbed_affine(rng, dims=dims)
+        if general:
+            # as in test_equals_reference_under_a_general_pairing
+            sm = np.eye(mx.DIM) + 0.3 * rng.normal(size=(mx.DIM, mx.DIM))
+            q = sm.T @ s.pairing @ sm
+            s = mx.SectionGrid(s.values @ np.linalg.inv(sm).T, s.spacing, 0.5 * (q + q.T))
+        cache = mx._hessian_cache(mx._Iterate(s))
+        u, v = interior_direction(rng, s), interior_direction(rng, s)
+        hu, hv = mx._hessian_apply(s, cache, u), mx._hessian_apply(s, cache, v)
+        for d, got in ((u, hu), (v, hv)):
+            want = reference_hessian_apply(s, d)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        uhv, vhu = float(np.sum(u * hv)), float(np.sum(v * hu))
+        assert abs(uhv - vhu) <= 1e-12 * abs(uhv)
+
+    def test_cache_peak_memory(self):
+        # the per-cell data and a one-block workspace: 1.85 dh at 11^3, where
+        # the full-size Gauss-point workspace of the earlier product peaked at
+        # 3.81 dh
+        s = perturbed_affine(np.random.default_rng(24), dims=(11, 11, 11))
+        it = mx._Iterate(s)
+        tracemalloc.start()
+        try:
+            mx._hessian_cache(it)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * it.dh.nbytes
+
     @staticmethod
     def workspace_case():
         rng = np.random.default_rng(24)
@@ -292,7 +356,7 @@ class TestHessian:
 
 
 class TestPreconditioner:
-    @pytest.mark.parametrize("dims", [(11, 11, 11), (9, 7, 8)])
+    @pytest.mark.parametrize("dims", [(11, 11, 11), (9, 7, 8), (4, 9, 11)])
     def test_exact_at_affine_section(self, dims):
         # M H = V on the sine modes, with V the cell volume: M H delta = V
         # delta on the complement, and Rayleigh quotient V on each frame
@@ -530,6 +594,11 @@ class TestSolver:
         assert out.iterations <= 500
         assert dt < 10.0
         assert np.abs(out.grid.values - want.values).max() <= 1e-6
+
+    def test_converged_solve_clamps_no_residual(self):
+        out = mx.solve_dirichlet(graphical_section((9, 9, 9)), tol=1e-8)
+        assert out.converged and out.iterations > 0
+        assert out.residual_clamped_nodes == 0
 
     def test_graphical_boundary_converges(self):
         s = graphical_section()

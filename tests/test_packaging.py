@@ -1,6 +1,6 @@
 """Declared dependencies are used, declared scripts resolve, every public
-function is referenced, the grid half has one derivative stencil and the
-exact half loads no numpy."""
+function is referenced, the grid half has one derivative stencil, the exact
+half loads no numpy and the package loads no scipy."""
 
 import ast
 import importlib.util
@@ -142,3 +142,23 @@ def test_exact_half_imports_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False", out.stdout + out.stderr
+
+
+def test_package_imports_no_scipy():
+    """numpy is the package's one numerical dependency: a fresh interpreter
+    imports every adg2 module, runs a 5^3 maximal-section solve and has
+    not loaded scipy."""
+    code = ("import importlib, pkgutil, sys\n"
+            "import adg2\n"
+            "for m in pkgutil.walk_packages(adg2.__path__, 'adg2.'):\n"
+            "    importlib.import_module(m.name)\n"
+            "from adg2 import maxsec\n"
+            "s = maxsec.affine_section((5, 5, 5), (0.25,) * 3)\n"
+            "s.values[2, 2, 2, 5] += 1e-3\n"
+            "out = maxsec.solve_dirichlet(s)\n"
+            "assert out.converged and out.iterations > 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
