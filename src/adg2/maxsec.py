@@ -148,30 +148,29 @@ def _shape_tables(spacing: tuple):
 _SYM_ROWS = np.array([0, 1, 2, 0, 0, 1])
 _SYM_COLS = np.array([0, 1, 2, 1, 2, 2])
 _SYM_WEIGHT = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
-# the 21 products p_n = m_(_PAIR_ROWS[n]) m_(_PAIR_COLS[n]) of two such entries
-_PAIR_ROWS, _PAIR_COLS = np.triu_indices(6)
 
 
-def _tangent_table() -> np.ndarray:
-    """(21, 36): takes the 21 products p of the symmetric entries m of G^-1
+@functools.cache
+def _tangent_table():
+    """(rows, cols, table): the 21 products p_n = m_rows[n] m_cols[n] of
+    two symmetric entries m of G^-1, and the (21, 36) table that takes them
     to the 6x6 matrix C (row-major) with E = C Js for E = (1/3) <Js, G^-1>
     G^-1 - G^-1 Js G^-1, where Js and E stand for their symmetric entries;
     the Frobenius weights of Js are folded in.  C is quadratic in G^-1, so
-    products of w m with m give w C."""
+    products of w m with m give w C.  Built on first use, so that importing
+    the module runs none of it."""
+    rows, cols = np.triu_indices(6)
     sym = np.empty((3, 3), dtype=int)
     sym[_SYM_ROWS, _SYM_COLS] = sym[_SYM_COLS, _SYM_ROWS] = np.arange(6)
     pair = np.empty((6, 6), dtype=int)
-    pair[_PAIR_ROWS, _PAIR_COLS] = pair[_PAIR_COLS, _PAIR_ROWS] = np.arange(21)
+    pair[rows, cols] = pair[cols, rows] = np.arange(21)
     table = np.zeros((21, 6, 6))
     for r, (a, b) in enumerate(zip(_SYM_ROWS, _SYM_COLS)):
         for k, (i, j) in enumerate(zip(_SYM_ROWS, _SYM_COLS)):
             table[pair[r, k], r, k] += _SYM_WEIGHT[k] / 3.0
             table[pair[sym[a, i], sym[b, j]], r, k] -= 0.5 * _SYM_WEIGHT[k]
             table[pair[sym[a, j], sym[b, i]], r, k] -= 0.5 * _SYM_WEIGHT[k]
-    return table.reshape(21, 36)
-
-
-_TANGENT = _tangent_table()
+    return rows, cols, table.reshape(21, 36)
 
 
 @functools.cache
@@ -570,7 +569,8 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
 # cell index) of at most this many cells where a slab allows, so that the
 # block's workspace (4.6 KB a cell) and its share of the per-cell data (5.6
 # KB a cell) stay near a 2 MB L2 cache.  Of 64 to 1024 cells, 256 was about
-# the fastest at 11^3 to 25^3, and 10-35% faster than one block of all cells.
+# the fastest at 11^3 to 25^3, and 10-35% faster than one block of all cells
+# (2-vCPU Xeon host, one BLAS thread).
 _BLOCK_CELLS = 256
 
 
@@ -614,10 +614,11 @@ def _hessian_cache(it: _Iterate):
     for ci, o in enumerate(_CORNERS):
         np.subtract(_corner_view(s.values, o), first, out=frames[..., ci, :])
     qframes = np.matmul(s.pairing.T, frames.swapaxes(-1, -2))
-    products = asym[:, _PAIR_ROWS]
-    products *= gsym[:, _PAIR_COLS]
-    tangent = (products @ _TANGENT).reshape(cells + (8, 6, 6))
-    del products
+    pair_rows, pair_cols, table = _tangent_table()
+    products = asym[:, pair_rows]
+    products *= gsym[:, pair_cols]
+    tangent = (products @ table).reshape(cells + (8, 6, 6))
+    del products  # before the workspace is allocated, so the peaks do not add
     slab = cells[1] * cells[2]
     slabs = min(cells[0], max(1, _BLOCK_CELLS // slab))
     size = slabs * slab
