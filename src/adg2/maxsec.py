@@ -132,22 +132,14 @@ def _shape_gradient_table(spacing) -> np.ndarray:
     return table
 
 
-@functools.cache
-def _shape_tables(spacing: tuple):
-    """The shape-gradient table as two matrices, built once per spacing: t2
-    (24, 8) takes a cell's corner values to the derivatives at its Gauss
-    points (row 3 * gauss + axis), and t3 = t2.T (8, 24) takes
-    per-(gauss, axis) terms back to the corners."""
-    table = _shape_gradient_table(spacing)
-    t2 = np.ascontiguousarray(table.transpose(0, 2, 1).reshape(24, 8))
-    return t2, np.ascontiguousarray(t2.T)
-
-
 # the entries (i, j), i <= j, that stand for a symmetric 3x3 matrix, and the
 # weight of each in the Frobenius product of two symmetric matrices
 _SYM_ROWS = np.array([0, 1, 2, 0, 0, 1])
 _SYM_COLS = np.array([0, 1, 2, 1, 2, 2])
 _SYM_WEIGHT = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+# _SYM_INDEX[i, j] is the position of entry (i, j) among them
+_SYM_INDEX = np.empty((3, 3), dtype=int)
+_SYM_INDEX[_SYM_ROWS, _SYM_COLS] = _SYM_INDEX[_SYM_COLS, _SYM_ROWS] = np.arange(6)
 
 
 @functools.cache
@@ -160,8 +152,7 @@ def _tangent_table():
     products of w m with m give w C.  Built on first use, so that importing
     the module runs none of it."""
     rows, cols = np.triu_indices(6)
-    sym = np.empty((3, 3), dtype=int)
-    sym[_SYM_ROWS, _SYM_COLS] = sym[_SYM_COLS, _SYM_ROWS] = np.arange(6)
+    sym = _SYM_INDEX
     pair = np.empty((6, 6), dtype=int)
     pair[rows, cols] = pair[cols, rows] = np.arange(21)
     table = np.zeros((21, 6, 6))
@@ -199,17 +190,15 @@ def _det3(g: np.ndarray) -> np.ndarray:
 
 
 def _inv3(g: np.ndarray, det: np.ndarray) -> np.ndarray:
-    out = np.empty_like(g)
-    out[..., 0, 0] = g[..., 1, 1] * g[..., 2, 2] - g[..., 1, 2] * g[..., 2, 1]
-    out[..., 0, 1] = g[..., 0, 2] * g[..., 2, 1] - g[..., 0, 1] * g[..., 2, 2]
-    out[..., 0, 2] = g[..., 0, 1] * g[..., 1, 2] - g[..., 0, 2] * g[..., 1, 1]
-    out[..., 1, 0] = g[..., 1, 2] * g[..., 2, 0] - g[..., 1, 0] * g[..., 2, 2]
-    out[..., 1, 1] = g[..., 0, 0] * g[..., 2, 2] - g[..., 0, 2] * g[..., 2, 0]
-    out[..., 1, 2] = g[..., 0, 2] * g[..., 1, 0] - g[..., 0, 0] * g[..., 1, 2]
-    out[..., 2, 0] = g[..., 1, 0] * g[..., 2, 1] - g[..., 1, 1] * g[..., 2, 0]
-    out[..., 2, 1] = g[..., 0, 1] * g[..., 2, 0] - g[..., 0, 0] * g[..., 2, 1]
-    out[..., 2, 2] = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-    return out / det[..., None, None]
+    """The symmetric entries (_SYM_ROWS, _SYM_COLS) of the inverse of each
+    symmetric 3x3 matrix of g, read from its upper entries; det is det g."""
+    g00, g11, g22 = g[..., 0, 0], g[..., 1, 1], g[..., 2, 2]
+    g01, g02, g12 = g[..., 0, 1], g[..., 0, 2], g[..., 1, 2]
+    out = np.stack([g11 * g22 - g12 * g12, g00 * g22 - g02 * g02,
+                    g00 * g11 - g01 * g01, g02 * g12 - g01 * g22,
+                    g01 * g12 - g02 * g11, g02 * g01 - g00 * g12], axis=-1)
+    out /= det[..., None]
+    return out
 
 
 def _corner_view(values: np.ndarray, offset) -> np.ndarray:
@@ -233,15 +222,22 @@ def _corner_scatter(cells: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _gram(s: SectionGrid):
-    """Derivatives of the interpolant at the Gauss points, their Q-pairings,
-    and the Gram matrices; leading shape (cells..., 8 gauss)."""
-    t2, _ = _shape_tables(s.spacing)
-    corners = _corner_stack(s.values)
-    # sum over the corner index with one matmul: (24, 8c) @ (cells, 8c, 22)
-    dh = (t2 @ corners).reshape(corners.shape[:3] + (8, 3, DIM))
-    qd = dh @ s.pairing
-    g = dh @ qd.swapaxes(-1, -2)
-    return dh, qd, g
+    """The corner frames X (cells..., 8 corners, 22), corner values less the
+    first corner, the Q-dual frames Q^T X^T and the Gram matrices (cells...,
+    8 gauss, 3, 3).  Each row t2_g of the shape-gradient table sums to zero,
+    so the Gauss-point derivatives are dh_g = t2_g X and g_g = t2_g (X Q
+    X^T) t2_g^T: half of to_gauss of an 8x8 product a cell, filled from its
+    symmetric entries."""
+    to_gauss, _ = _cell_maps(s.spacing)
+    cells = tuple(n - 1 for n in s.dims)
+    frames = np.empty(cells + (8, DIM))
+    first = _corner_view(s.values, _CORNERS[0])
+    for ci, o in enumerate(_CORNERS):
+        np.subtract(_corner_view(s.values, o), first, out=frames[..., ci, :])
+    qframes = np.matmul(s.pairing.T, frames.swapaxes(-1, -2))
+    gsym = np.matmul(frames, qframes).reshape(-1, 64) @ to_gauss
+    gsym *= 0.5
+    return frames, qframes, gsym.reshape(cells + (8, 6))[..., _SYM_INDEX]
 
 
 def _check_positive(g: np.ndarray):
@@ -289,28 +285,30 @@ def min_gram_eigenvalue(s: SectionGrid) -> float:
 
 
 class _Iterate:
-    """A section s and its Gauss-point data, each computed once: dh, qd, g
+    """A section s and its cell data, each computed once: X, Q^T X^T and g
     (_gram), det g (_check_positive, so a section that is not positive
-    raises PositivityError), G^-1, the gradient weight w = (2/3) (Gauss
-    weight) det^(1/3), A = w G^-1, the area and its gradient grad, whose
-    Gauss-point term is A dh Q."""
+    raises PositivityError), the symmetric entries of G^-1 and of A = w G^-1
+    (w = (2/3) (Gauss weight) det^(1/3)), the 8x8 stiffness S = sum_g t2_g^T
+    A_g t2_g, the area and its gradient grad.  The gradient's cell term
+    sum_g t2_g^T A_g dh_g Q is S X Q: S X is summed onto the nodes, and Q
+    applied once per node."""
 
     def __init__(self, s: SectionGrid):
         self.s = s
-        self.dh, self.qd, self.g = _gram(s)
-        self.det = _check_positive(self.g)
+        self.frames, self.qframes, self.g = _gram(s)
+        det = _check_positive(self.g)
         weight = float(np.prod(s.spacing)) / 8.0
-        cbrt = self.det ** (1.0 / 3.0)
+        cbrt = det ** (1.0 / 3.0)
         self.area = float(np.sum(cbrt) * weight)
-        self.ginv = _inv3(self.g, self.det)
-        self.w = (weight * cbrt * (2.0 / 3.0))[..., None, None]
-        self.a = self.w * self.ginv
-        m = self.a @ self.qd
-        _, t3 = _shape_tables(s.spacing)
-        # sum over gauss and axis with one matmul: (8c, 24) @ (cells, 24, 22)
-        cells = t3 @ m.reshape(m.shape[:3] + (24, DIM))
-        self.grad = _corner_scatter(cells, np.zeros(s.values.shape))
-        self.grad[~s.interior_mask()] = 0.0
+        self.ginv = _inv3(self.g, det)
+        self.a = (weight * cbrt * (2.0 / 3.0))[..., None] * self.ginv
+        _, to_cell = _cell_maps(s.spacing)
+        cells = self.frames.shape[:3]
+        self.stiff = (self.a.reshape(-1, 48) @ to_cell).reshape(cells + (8, 8))
+        nodes = _corner_scatter(np.matmul(self.stiff, self.frames),
+                                np.zeros(s.values.shape))
+        self.grad = np.zeros(s.values.shape)
+        np.matmul(nodes[_INTERIOR], s.pairing, out=self.grad[_INTERIOR])
 
 
 def area(s: SectionGrid) -> float:
@@ -351,22 +349,23 @@ def residual_norm(s: SectionGrid, grad: np.ndarray | None = None) -> float:
 
 def _residual(s: SectionGrid, grad: np.ndarray):
     """(residual_norm(s, grad), the number of interior nodes whose squared
-    norm was negative and counted as 0)."""
-    dh = [diff(s.values, s.spacing[i], i, periodic=False) for i in range(3)]
-    v = np.stack(dh, axis=-1)  # (..., 22, 3)
-    qv = v.swapaxes(-1, -2) @ s.pairing
-    g = qv @ v
-    mass = float(np.prod(s.spacing))
-    gd = q_dual(s, grad) / mass
-    det = _det3(g)
-    coef = _inv3(g, det) @ (qv @ gd[..., None])
-    plus = (v @ coef)[..., 0]
-    minus = gd - plus
-    sq = (np.sum((plus @ s.pairing) * plus, axis=-1)
-          - np.sum((minus @ s.pairing) * minus, axis=-1))[_INTERIOR]
+    norm was negative and counted as 0).
+
+    With v the nodewise frame, G = v^T Q v and gd = Q^-1 grad / mass, the
+    part of gd on the span of v is v G^-1 y, y = v^T grad / mass.  Its
+    square is y^T G^-1 y and that of the rest y^T G^-1 y - <gd, gd>_Q, so
+    the squared norm is 2 y^T G^-1 y - <gd, gd>_Q."""
+    v = np.stack([diff(s.values, s.spacing[i], i, periodic=False)[_INTERIOR]
+                  for i in range(3)], axis=-2)  # (interior..., 3, 22)
+    g = (v @ s.pairing) @ v.swapaxes(-1, -2)
+    inner = grad[_INTERIOR]
+    y = (v @ inner[..., None])[..., 0]
+    ginv = _inv3(g, _det3(g))
+    sq = 2.0 * ((ginv * y[..., _SYM_ROWS] * y[..., _SYM_COLS]) @ _SYM_WEIGHT)
+    sq -= np.sum(q_dual(s, inner) * inner, axis=-1)
     negative = sq < 0
-    sq = np.where(negative, 0.0, sq)
-    norm = float(np.sqrt(sq.max())) if sq.size else 0.0
+    sq[negative] = 0.0
+    norm = float(np.sqrt(sq.max())) / float(np.prod(s.spacing)) if sq.size else 0.0
     return norm, int(np.count_nonzero(negative))
 
 
@@ -460,6 +459,8 @@ class SolveResult:
     krylov_per_step: list = field(default_factory=list)  # MINRES iterations, per step
     line_search_rejections: int = 0  # trials rejected by the residual bar
     positivity_failures: int = 0  # trials that lost positivity
+    # iterates built (_Iterate): the start and every line-search trial
+    gradients: int = 0
     # interior nodes whose squared residual norm was negative and counted as
     # 0, over every residual the solve evaluated (residual_norm)
     residual_clamped_nodes: int = 0
@@ -516,7 +517,7 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     with _timed(phases, "start"):
         it = _Iterate(init.copy())
         res, clamped = _residual(it.s, it.grad)
-    out = SolveResult(it.s, False, 0, res, [], phase_seconds=phases,
+    out = SolveResult(it.s, False, 0, res, [], gradients=1, phase_seconds=phases,
                       residual_clamped_nodes=clamped)
     for n_iter in range(max(max_iter, 0) + 1):
         out.grid, out.iterations, out.residual = it.s, n_iter, res
@@ -533,11 +534,12 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
                                  f"(residual {res:.3e}): {err}") from err
         shrink = 1.0
         bar = max(row[2] for row in out.history[-8:])
-        del it  # spent: free its Gauss-point data before the trials build theirs
+        del it  # spent: free its cell data before the trials build theirs
         with _timed(phases, "line_search"):
             for _ in range(60):
                 trial = out.grid.copy()
                 trial.values[_INTERIOR] += shrink * delta[_INTERIOR]
+                out.gradients += 1
                 try:
                     it = _Iterate(trial)
                     res_trial, clamped = _residual(trial, it.grad)
@@ -584,18 +586,16 @@ def _hessian_cache(it: _Iterate):
     linear in dd.  Per cell this is S D + M X with:
     - S = sum_g t2_g^T A_g t2_g, an 8x8 stiffness: the A-block acts alike on
       all 22 components, so one scalar matrix serves them all;
-    - X the cell's corner values less its first corner (its frames), so
-      dh = t2_g X to rounding and sum_g t2_g^T E_g dh = M X with M = sum_g
-      t2_g^T E_g t2_g (_cell_maps' to_cell);
+    - X the cell's corner frames (_gram), so dh = t2_g X and sum_g t2_g^T
+      E_g dh = M X with M = sum_g t2_g^T E_g t2_g (_cell_maps' to_cell);
     - E = (2/3) tr(K) A - w (L + L^T), where K = dd Q dh^T G^-1 and L =
       G^-1 K.  With R = D (Q^T X^T) the 8x8 product of D with the cell's
       Q-dual frames Q^T X^T, J = dd Q dh^T = t2_g R t2_g^T, and E = w
       ((1/3) <Js, G^-1> G^-1 - G^-1 Js G^-1) for Js = J + J^T.  So the six
       entries of Js come from R by _cell_maps' to_gauss, and E_g = C_g Js_g
       with a 6x6 C_g per Gauss point (_tangent_table).
-    The cache holds S, X, Q^T X^T, C (cells..., 8 gauss, 6, 6) and -Q, with
-    S and C from the iterate's G^-1 and w: 704 numbers a cell against dh's
-    528.
+    S, X and Q^T X^T are the iterate's; the cache adds C (cells..., 8 gauss,
+    6, 6), from its G^-1 and A, and -Q: 288 numbers a cell.
 
     The workspace serves one block of whole cell slabs, as many as keep it
     within _BLOCK_CELLS cells (one slab when a slab is larger): the corner
@@ -604,19 +604,10 @@ def _hessian_cache(it: _Iterate):
     cache, not in the module, so a cache is the only state a product
     touches."""
     s = it.s
-    _, to_cell = _cell_maps(s.spacing)
-    cells = it.dh.shape[:3]
-    gsym = it.ginv[..., _SYM_ROWS, _SYM_COLS].reshape(-1, 6)
-    asym = gsym * it.w.reshape(-1, 1)  # the symmetric entries of A
-    stiff = (asym.reshape(-1, 48) @ to_cell).reshape(cells + (8, 8))
-    frames = np.empty(cells + (8, DIM))
-    first = _corner_view(s.values, _CORNERS[0])
-    for ci, o in enumerate(_CORNERS):
-        np.subtract(_corner_view(s.values, o), first, out=frames[..., ci, :])
-    qframes = np.matmul(s.pairing.T, frames.swapaxes(-1, -2))
+    cells = it.frames.shape[:3]
     pair_rows, pair_cols, table = _tangent_table()
-    products = asym[:, pair_rows]
-    products *= gsym[:, pair_cols]
+    products = it.a.reshape(-1, 6)[:, pair_rows]
+    products *= it.ginv.reshape(-1, 6)[:, pair_cols]
     tangent = (products @ table).reshape(cells + (8, 6, 6))
     del products  # before the workspace is allocated, so the peaks do not add
     slab = cells[1] * cells[2]
@@ -625,7 +616,7 @@ def _hessian_cache(it: _Iterate):
     work = (np.empty((slabs,) + cells[1:] + (8, DIM)), np.empty((size, 64)),
             np.empty((size, 48)), np.empty((size, 48)), np.empty((size, 64)),
             np.empty((size, 8, DIM)), np.empty(s.values.shape))
-    return stiff, frames, qframes, tangent, -s.pairing, slabs, work
+    return it.stiff, it.frames, it.qframes, tangent, -s.pairing, slabs, work
 
 
 def _hessian_apply(s: SectionGrid, cache, delta: np.ndarray) -> np.ndarray:
@@ -669,10 +660,12 @@ def _hessian_apply(s: SectionGrid, cache, delta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _section_frame_basis(s: SectionGrid, dh: np.ndarray):
+def _section_frame_basis(s: SectionGrid, frames: np.ndarray):
     """Columns [A | N]: the (Q-orthonormalized) mean of the section's
-    derivative 3-frames dh and a Q-orthonormal basis of its Q-complement."""
-    a = dh.mean(axis=(0, 1, 2, 3)).T  # (22, 3)
+    derivative 3-frames dh_g = t2_g X, (mean_g t2_g) (mean_cells X), and a
+    Q-orthonormal basis of its Q-complement."""
+    centre = _shape_gradient_table(s.spacing).mean(axis=0)  # (8 corners, 3)
+    a = frames.mean(axis=(0, 1, 2)).T @ centre  # (22, 3)
     ga = a.T @ s.pairing @ a
     a = a @ np.linalg.inv(np.linalg.cholesky(ga).T)
     w, u = np.linalg.eigh(s.pairing)
@@ -684,7 +677,7 @@ def _section_frame_basis(s: SectionGrid, dh: np.ndarray):
     return a, n
 
 
-def _split_preconditioner(s: SectionGrid, dh: np.ndarray):
+def _split_preconditioner(s: SectionGrid, frames: np.ndarray):
     """Positive definite approximation of |H / V|^-1, with H the Hessian
     (_hessian_apply) and V = h1 h2 h3 the cell volume; exact at an affine
     section with a Q-orthonormal frame.
@@ -699,7 +692,7 @@ def _split_preconditioner(s: SectionGrid, dh: np.ndarray):
     (2 + cos theta) / 3.  So H / V has the symbol (2/3) sum_d kappa_d
     prod_{e != d} m_e on the complement and (2/9) kappa_m prod_{e != m} m_e
     on the m-th frame coefficient, and the apply divides by it mode by mode.
-    dh holds the section's derivatives at the Gauss points (_gram).
+    frames are the corner frames X (_gram).
 
     The DST-I is applied as the dense symmetric matrix S_d = sin(pi j k /
     (n_d - 1)), j, k = 1..n_d - 2, along each axis by matmul.  S_d^2 = ((n_d
@@ -735,7 +728,7 @@ def _split_preconditioner(s: SectionGrid, dh: np.ndarray):
         symbol[..., m] = (2.0 / 9.0) * stiff[m]
     symbol[..., 3:] = ((2.0 / 3.0) * (stiff[0] + stiff[1] + stiff[2]))[..., None]
     symbol *= np.prod([(n - 1) / 2.0 for n in s.dims])
-    a, nbasis = _section_frame_basis(s, dh)
+    a, nbasis = _section_frame_basis(s, frames)
     t = np.concatenate([a, nbasis], axis=1)  # (22, 22)
     x, y = np.empty((2, m1, m2, m3, DIM))
 
@@ -842,7 +835,7 @@ def _newton_direction(it: _Iterate):
     Hessian-vector products.  Raises SolveError when MINRES breaks down or
     gives a non-finite or all-zero direction."""
     cache = _hessian_cache(it)
-    precond = _split_preconditioner(it.s, it.dh)
+    precond = _split_preconditioner(it.s, it.frames)
     # g, the products and the preconditioner all vanish on the boundary, and
     # so does every MINRES vector
     x, iters = _minres(lambda d: _hessian_apply(it.s, cache, d), precond, it.grad,

@@ -29,6 +29,14 @@ def graphical_section(dims=(7, 7, 7)):
     return s
 
 
+def general_pairing(rng, s):
+    """The section S^-1 h under the pairing S^T Q S, for a random
+    (non-orthogonal) S: it has the Gram matrices of h under Q."""
+    sm = np.eye(mx.DIM) + 0.3 * rng.normal(size=(mx.DIM, mx.DIM))
+    q = sm.T @ s.pairing @ sm
+    return mx.SectionGrid(s.values @ np.linalg.inv(sm).T, s.spacing, 0.5 * (q + q.T))
+
+
 def interior_direction(rng, s):
     d = rng.normal(size=s.values.shape)
     d[~s.interior_mask()] = 0.0
@@ -49,16 +57,26 @@ def hessian_apply(s, delta):
     return mx._hessian_apply(s, mx._hessian_cache(mx._Iterate(s)), delta)
 
 
+def gauss_derivatives(s, values):
+    """Derivatives (cells..., 8 gauss, 3, 22) of the interpolant of values at
+    the Gauss points, by the shape-gradient table contracted by einsum."""
+    table = mx._shape_gradient_table(s.spacing)
+    return np.einsum("gca,...cv->...gav", table, mx._corner_stack(values))
+
+
 def reference_hessian_apply(s, delta):
-    """-d(grad_area) along delta as first written: Q applied at every Gauss
-    point, the shape-gradient table contracted by einsum."""
-    dh, qd, g = mx._gram(s)
-    det = mx._det3(g)
-    ginv = mx._inv3(g, det)
+    """-d(grad_area) along delta as first written: Gauss-point derivatives
+    by einsum, Q applied at every Gauss point, det and inverse by
+    numpy.linalg."""
+    dh = gauss_derivatives(s, s.values)
+    qd = dh @ s.pairing
+    g = dh @ qd.swapaxes(-1, -2)
+    det = np.linalg.det(g)
+    ginv = np.linalg.inv(g)
     w13 = (np.prod(s.spacing) / 8.0) * (2.0 / 3.0) * det ** (1.0 / 3.0)
     gq = ginv @ qd
     table = mx._shape_gradient_table(s.spacing)
-    dd = np.einsum("gca,...cv->...gav", table, mx._corner_stack(delta))
+    dd = gauss_derivatives(s, delta)
     qdelta = dd @ s.pairing
     half = dd @ qd.swapaxes(-1, -2)
     dgram = half + half.swapaxes(-1, -2)
@@ -90,11 +108,29 @@ class TestDiscretization:
         frame = np.zeros((22, 3))
         frame[:3, :] = np.diag([2.0, -1.0, 0.5])
         s = mx.affine_section((6, 5, 7), spacing, frame=frame)
-        dh, _, _ = mx._gram(s)
-        # every Gauss point sees the exact constant derivative
+        frames, _, g = mx._gram(s)
+        # every Gauss point sees the exact constant derivative t2_g X and
+        # the exact Gram matrix frame^T Q frame
+        table = mx._shape_gradient_table(s.spacing)
+        dh = np.einsum("gca,...cv->...gav", table, frames)
         for ax in range(3):
             want = frame[:, ax]
             assert np.abs(dh[..., ax, :] - want).max() < 1e-12
+        assert np.abs(g - frame.T @ s.pairing @ frame).max() < 1e-12
+
+    @pytest.mark.parametrize("dims", [(3, 5, 4), (9, 7, 8)])
+    @pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
+    def test_gram_equals_gauss_point_derivatives(self, dims, general):
+        # _gram's cell products against dh Q dh^T from the Gauss-point
+        # derivatives of the interpolant
+        rng = np.random.default_rng(26)
+        s = perturbed_affine(rng, dims=dims, amp=2e-2)
+        if general:
+            s = general_pairing(rng, s)
+        dh = gauss_derivatives(s, s.values)
+        want = dh @ s.pairing @ dh.swapaxes(-1, -2)
+        got = mx._gram(s)[2]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_interior_perturbation_integrates_to_zero(self):
         # element-wise integration by parts: the mean Gauss derivative of an
@@ -263,11 +299,7 @@ class TestHessian:
         # of h under Q, for a random (non-orthogonal) S
         rng = np.random.default_rng(23)
         base = perturbed_affine(rng, dims=(5, 5, 5), amp=2e-2)
-        sm = np.eye(mx.DIM) + 0.3 * rng.normal(size=(mx.DIM, mx.DIM))
-        q = sm.T @ base.pairing @ sm
-        q = 0.5 * (q + q.T)
-        for s in (base, mx.SectionGrid(base.values @ np.linalg.inv(sm).T,
-                                       base.spacing, q)):
+        for s in (base, general_pairing(rng, base)):
             d = interior_direction(rng, s)
             want = reference_hessian_apply(s, d)
             got = hessian_apply(s, d)
@@ -295,10 +327,7 @@ class TestHessian:
         rng = np.random.default_rng(25)
         s = perturbed_affine(rng, dims=dims)
         if general:
-            # as in test_equals_reference_under_a_general_pairing
-            sm = np.eye(mx.DIM) + 0.3 * rng.normal(size=(mx.DIM, mx.DIM))
-            q = sm.T @ s.pairing @ sm
-            s = mx.SectionGrid(s.values @ np.linalg.inv(sm).T, s.spacing, 0.5 * (q + q.T))
+            s = general_pairing(rng, s)
         cache = mx._hessian_cache(mx._Iterate(s))
         u, v = interior_direction(rng, s), interior_direction(rng, s)
         hu, hv = mx._hessian_apply(s, cache, u), mx._hessian_apply(s, cache, v)
@@ -309,9 +338,9 @@ class TestHessian:
         assert abs(uhv - vhu) <= 1e-12 * abs(uhv)
 
     def test_cache_peak_memory(self):
-        # the per-cell data and a one-block workspace: 1.85 dh at 11^3, where
-        # the full-size Gauss-point workspace of the earlier product peaked at
-        # 3.81 dh
+        # the tangent maps and a one-block workspace at 11^3 (15.6
+        # values.nbytes); the bound is 2.5 times the Gauss-point derivatives'
+        # 528 numbers a cell, 45.1 values.nbytes
         s = perturbed_affine(np.random.default_rng(24), dims=(11, 11, 11))
         it = mx._Iterate(s)
         tracemalloc.start()
@@ -320,7 +349,20 @@ class TestHessian:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * it.dh.nbytes
+        assert peak <= 45 * s.values.nbytes
+
+    def test_iterate_peak_memory(self):
+        # an iterate built from its corner frames at 11^3 (28 values.nbytes);
+        # the Gauss-point derivatives dh and dh Q alone take 36
+        s = perturbed_affine(np.random.default_rng(24), dims=(11, 11, 11))
+        mx._Iterate(s)
+        tracemalloc.start()
+        try:
+            mx._Iterate(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * s.values.nbytes
 
     @staticmethod
     def workspace_case():
@@ -364,7 +406,7 @@ class TestPreconditioner:
         s = mx.affine_section(dims, tuple(1.0 / (n - 1) for n in dims))
         it = mx._Iterate(s)
         cache = mx._hessian_cache(it)
-        precond = mx._split_preconditioner(s, it.dh)
+        precond = mx._split_preconditioner(s, it.frames)
         vol = float(np.prod(s.spacing))
         top = tuple(n - 2 for n in dims)
         modes = [(1, 1, 1), (2, 3, 1), (1, top[1], 3), top]
@@ -387,7 +429,7 @@ def dense_pair(n, components):
     s = mx.affine_section((n,) * 3, (1.0 / (n - 1),) * 3)
     it = mx._Iterate(s)
     cache = mx._hessian_cache(it)
-    precond = mx._split_preconditioner(s, it.dh)
+    precond = mx._split_preconditioner(s, it.frames)
     mask = np.zeros(s.values.shape, dtype=bool)
     mask[1:-1, 1:-1, 1:-1, components] = True
     unknowns = np.flatnonzero(mask)
@@ -645,8 +687,8 @@ class TestSolver:
     def test_indefinite_preconditioner_raises(self, monkeypatch):
         split = mx._split_preconditioner
 
-        def negated(s, dh):
-            apply = split(s, dh)
+        def negated(s, frames):
+            apply = split(s, frames)
             return lambda r: -apply(r)
 
         monkeypatch.setattr(mx, "_split_preconditioner", negated)
@@ -661,8 +703,8 @@ class TestSolver:
         want = mx.solve_dirichlet(s, tol=1e-8)
         split = mx._split_preconditioner
 
-        def scaled(s, dh):
-            apply = split(s, dh)
+        def scaled(s, frames):
+            apply = split(s, frames)
             return lambda r: 1e3 * apply(r)
 
         monkeypatch.setattr(mx, "_split_preconditioner", scaled)
@@ -698,10 +740,11 @@ class TestSolver:
 
     def test_work_counted_once(self, monkeypatch):
         # one Gram evaluation per gradient (the start and every line-search
-        # trial), one Hessian-vector product per MINRES iteration, and two
-        # 3x3 inversions per gradient that keeps positivity, one for the
-        # gradient and one in residual_norm: the Hessian data of a Newton
-        # step reuses the iterate's G^-1
+        # trial, as SolveResult.gradients counts them), one Hessian-vector
+        # product per MINRES iteration, and two 3x3 inversions per gradient
+        # that keeps positivity, one for the gradient and one in
+        # residual_norm: the Hessian data of a Newton step reuses the
+        # iterate's G^-1
         calls = {"gram": 0, "hvp": 0, "inv3": 0}
         gram, hvp, inv3 = mx._gram, mx._hessian_apply, mx._inv3
 
@@ -725,7 +768,7 @@ class TestSolver:
         out = mx.solve_dirichlet(s, tol=1e-8, max_iter=500)
         assert out.converged and out.iterations > 0
         trials = out.iterations + out.line_search_rejections + out.positivity_failures
-        assert calls["gram"] == 1 + trials
+        assert calls["gram"] == out.gradients == 1 + trials
         assert calls["inv3"] == 2 * (1 + out.iterations + out.line_search_rejections)
         assert calls["hvp"] == out.hvps == out.krylov_iters > 0
         assert len(out.krylov_per_step) == out.iterations
