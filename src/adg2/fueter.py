@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import (I_VEC, W_SD, LatticeConnection, _base_document, _base_values,
-                    _flag, _numbers, _path_times, _path_trapezoid, diff, fibre_curvatures,
+from .gauge import (I_VEC, W_SD, LatticeConnection, _base_values, _path_times,
+                    _path_trapezoid, base_map_from_json, diff, fibre_curvatures,
                     fibre_defect, residual_scalars, trapezoid_weights)
+from .jsondoc import boolean, member, number
 
 TWO_PI = 2.0 * np.pi
 
@@ -185,13 +186,9 @@ def section_to_json(s: FueterSectionGrid) -> dict:
 
 
 def section_from_json(doc: dict) -> FueterSectionGrid:
-    """The section of a section_to_json document.  /dims must hold integers,
-    /spacing, /period and /values numbers and /base_periodic a boolean: a
-    float dim, a string number or a string flag is rejected, never
-    converted."""
-    values, spacing = _base_document(doc, "section", "values", 4)
-    period = doc.get("period", TWO_PI)
-    if _numbers(period, "/period").ndim:
-        raise ValueError(f"/period must be a number, got {period!r}")
-    base_periodic = _flag(doc.get("base_periodic", False), "/base_periodic")
-    return FueterSectionGrid(values, spacing, period, base_periodic)
+    """The section of a section_to_json document; /period and /base_periodic
+    may be left out for 2 pi and false."""
+    values, spacing = base_map_from_json(doc, "values", 4)
+    period = number(member(doc, "/period", TWO_PI), "/period")
+    flag = boolean(member(doc, "/base_periodic", False), "/base_periodic")
+    return FueterSectionGrid(values, spacing, period, flag)

@@ -29,6 +29,7 @@ stencil, _path_trapezoid the one path rule and _path_times the one path check.
 
 from __future__ import annotations
 
+import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hk
+from .jsondoc import at, boolean, integer, integers, member, numbers
 
 # the standard fibre triple and its complex structures, from hk, as float
 # matrices; I_i acts alike on vectors and on 1-form coefficients
@@ -142,67 +144,14 @@ def _base_values(values, spacing, width: int) -> tuple:
     return values, _spacings(spacing, 3, "base")
 
 
-def _ints(values, where: str):
-    """A document's integer or flat list of integers, never converted."""
-    for v in values if isinstance(values, (list, tuple)) else [values]:
-        if type(v) is not int:
-            raise ValueError(f"{where} must hold integers, got {v!r}")
-    return values
-
-
-def _numbers(values, where: str) -> np.ndarray:
-    """The float array of a document's (nested) list; an entry that is not an
-    int or a float, such as a string or a boolean, is rejected, never
-    converted, and so is a NaN or an infinite float."""
-    arr = np.asarray(values, dtype=object)
-    for v in arr.flat:
-        if type(v) not in (int, float):
-            raise ValueError(f"{where} must hold numbers, got {v!r}")
-    out = arr.astype(float)
-    if not np.isfinite(out).all():
-        bad = float(out[~np.isfinite(out)][0])
-        raise ValueError(f"{where} must hold finite numbers, got {bad!r}")
-    return out
-
-
-def _json(value, kind: type, where: str):
-    """A document's JSON object (kind dict) or array (kind list, a tuple too),
-    never a value of another shape."""
-    if not isinstance(value, (list, tuple) if kind is list else kind):
-        shape = "an object" if kind is dict else "an array"
-        raise ValueError(f"{where} must be {shape}, got {value!r}")
-    return value
-
-
-def _member(doc: dict, key: str, where: str):
-    """doc[key] of a field document, else a ValueError naming its path."""
-    if key not in doc:
-        raise ValueError(f"malformed field document: missing {where}")
-    return doc[key]
-
-
-def _flag(value, where: str) -> bool:
-    """A document's boolean, never converted from 0, 1 or "false"."""
-    if type(value) is not bool:
-        raise ValueError(f"{where} must be a boolean, got {value!r}")
-    return value
-
-
-def _base_document(doc: dict, what: str, rows: str, width: int, extra=()) -> tuple:
-    """The values, as a float array of shape /dims + (width,), and the
-    /spacing of a base map's document, an object with an array of integers
-    /dims, an array of numbers /spacing, one row of width numbers per node in
-    /rows and every key in extra."""
-    _json(doc, dict, f"{what} document /")
-    for key in ("dims", "spacing", rows) + extra:
-        if key not in doc:
-            raise ValueError(f"{what} document missing /{key}")
-    dims = _ints(_json(doc["dims"], list, "/dims"), "/dims")
-    _numbers(_json(doc["spacing"], list, "/spacing"), "/spacing")
-    values = _numbers(doc[rows], f"/{rows}")
-    if values.shape != (int(np.prod(dims)), width):
-        raise ValueError(f"/{rows} has the wrong shape for /dims")
-    return values.reshape(tuple(dims) + (width,)), doc["spacing"]
+def base_map_from_json(doc, rows: str, width: int) -> tuple:
+    """The /rows, as floats of shape /dims + (width,), and the /spacing of a
+    map on the base grid: the part that grid and section documents share."""
+    dims = at("/dims", _dims, integers(member(doc, "/dims"), "/dims"), 3, "base")
+    spacing = numbers(member(doc, "/spacing"), "/spacing", (None,))
+    spacing = at("/spacing", _spacings, spacing, 3, "base")
+    values = numbers(member(doc, f"/{rows}"), f"/{rows}", (math.prod(dims), width))
+    return np.reshape(np.array(values, dtype=float), dims + (width,)), spacing
 
 
 def trapezoid_weights(dims, spacing, periodic: bool) -> np.ndarray:
@@ -538,33 +487,27 @@ def field_to_json(a: LatticeConnection) -> dict:
 
 
 def field_from_json(doc: dict) -> LatticeConnection:
-    """The connection of a field_to_json document.  /rank must be a positive
-    integer, /dims hold integers, /spacing and /values numbers and the
-    /periodic flags booleans: a float rank or dim, a string spacing or value
-    or a string flag is rejected, never converted, and so is a container of
-    the wrong shape.  A missing key raises a ValueError naming its path."""
-    _json(doc, dict, "field document /")
-    rank = _member(doc, "rank", "/rank")
-    if type(rank) is not int or rank < 1:
+    """The connection of a field_to_json document, whose /rank must be
+    positive; /spacing and /periodic, or any of their members, may be left
+    out for the unit grid's."""
+    rank = integer(member(doc, "/rank"), "/rank")
+    if rank < 1:
         raise ValueError(f"/rank must be a positive integer, got {rank!r}")
-    dims_doc = _json(_member(doc, "dims", "/dims"), dict, "/dims")
-    spacing_doc = _json(doc.get("spacing", {}), dict, "/spacing")
-    periodic_doc = _json(doc.get("periodic", {}), dict, "/periodic")
     axes = []  # (dims, spacing, periodic) of the base, then of the fibre
     for name, n, default in (("base", 3, False), ("fibre", 4, True)):
         where = f"/dims/{name}"
-        dims = _ints(_json(_member(dims_doc, name, where), list, where), where)
-        dims = _dims(dims, n, name)  # before the unit spacings divide by them
-        flag = _flag(periodic_doc.get(name, default), f"/periodic/{name}")
+        dims = integers(member(member(doc, "/dims"), where), where)
+        dims = at(where, _dims, dims, n, name)  # before the unit spacings divide by them
+        where = f"/periodic/{name}"
+        flag = boolean(member(member(doc, "/periodic", {}), where, default), where)
+        where = f"/spacing/{name}"
         unit = [_unit_spacing(k, flag) for k in dims]
-        spacing = _json(spacing_doc.get(name, unit), list, f"/spacing/{name}")
-        _numbers(spacing, f"/spacing/{name}")
+        spacing = member(member(doc, "/spacing", {}), where, unit)
+        spacing = at(where, _spacings, numbers(spacing, where, (None,)), n, name)
         axes.append((dims, spacing, flag))
     (db, hb, pb), (df, hf, pf) = axes
     grid = LatticeGrid(db, df, hb, hf, pb, pf)
-    flat = _numbers(_member(doc, "values", "/values"), "/values")
-    want = 7 * int(np.prod(grid.shape)) * rank * rank * 2
-    if flat.size != want:
-        raise ValueError(f"/values has {flat.size} entries, expected {want}")
-    pairs = flat.reshape((7,) + grid.shape + (rank, rank, 2))
+    want = 7 * math.prod(grid.shape) * rank * rank * 2
+    flat = numbers(member(doc, "/values"), "/values", (want,))
+    pairs = np.reshape(np.array(flat, dtype=float), (7,) + grid.shape + (rank, rank, 2))
     return LatticeConnection(grid, pairs[..., 0] + 1j * pairs[..., 1])

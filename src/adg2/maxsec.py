@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gauge import _base_document, _base_values, _numbers, diff
+from .gauge import _base_values, base_map_from_json, diff
+from .jsondoc import at, member, numbers
 
 DIM = 22
 SIG_PLUS = 3
@@ -859,14 +860,10 @@ def grid_to_json(s: SectionGrid) -> dict:
 
 
 def grid_from_json(doc: dict) -> SectionGrid:
-    """The grid of a grid_to_json document.  /dims must hold integers and
-    /spacing, /nodes and /Q numbers: a float or boolean dim and a string or
-    boolean spacing, node or pairing entry are rejected, never converted."""
-    nodes, spacing = _base_document(doc, "grid", "nodes", DIM, ("Q",))
-    q = _numbers(doc["Q"], "/Q")
-    if q.shape != (DIM, DIM):
-        raise ValueError(f"/Q must be a {DIM}x{DIM} array, got shape {q.shape}")
-    return SectionGrid(nodes, spacing, q)
+    """The grid of a grid_to_json document."""
+    nodes, spacing = base_map_from_json(doc, "nodes", DIM)
+    q = np.array(numbers(member(doc, "/Q"), "/Q", (DIM, DIM)), dtype=float)
+    return at("/Q", SectionGrid, nodes, spacing, q)  # only the pairing is left to check
 
 
 def _write_atomic(path: str, write) -> None:

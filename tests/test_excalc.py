@@ -440,9 +440,12 @@ class TestEvalAndIO:
         for bad, path in named:
             with pytest.raises(ValueError, match=r"malformed term /terms/1: " + path):
                 form_from_json({"degree": 1, "terms": [term(), bad]})
-        for doc in ({"degree": 1, "terms": 5}, {"degree": 1.5, "terms": []},
-                    {"degree": -3, "terms": []}):
-            with pytest.raises(ValueError):
+        for doc, where in (({"degree": 1, "terms": 5}, "^/terms must be an array, got 5$"),
+                           ({"degree": 1.5, "terms": []}, "^/degree must be an integer"),
+                           ({"degree": -3, "terms": []}, "^/degree must not be negative"),
+                           ({"terms": []}, "^/degree is missing$"),
+                           (None, "^/ must be an object, got None$")):
+            with pytest.raises(ValueError, match=where):
                 form_from_json(doc)
 
 

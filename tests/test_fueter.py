@@ -338,7 +338,7 @@ class TestSectionIO:
                                     ("period", [1.0], "/period must be a number")):
             with pytest.raises(ValueError, match=where):
                 fu.section_from_json({**doc, field: value})
-        with pytest.raises(ValueError, match="section document / must be an object"):
+        with pytest.raises(ValueError, match="^/ must be an object, got None$"):
             fu.section_from_json(None)
 
     @pytest.mark.parametrize("field, value, where", [
@@ -349,11 +349,19 @@ class TestSectionIO:
         ("values", [[0.0] * 4] * 26 + [["1.5", 0.0, 0.0, 0.0]], "/values"),
         ("values", [[0.0] * 4] * 26 + [[0.0, "nan", 0.0, 0.0]], "/values"),
         ("values", [[0.0] * 4] * 26 + [[0.0, 0.0, True, 0.0]], "/values"),
-        ("period", float("nan"), "/period must hold finite numbers, got nan"),
-        ("period", float("-inf"), "/period must hold finite numbers, got -inf")],
+        ("period", float("nan"), "/period must be a finite number, got nan"),
+        ("period", float("-inf"), "/period must be a finite number, got -inf"),
+        ("values", [[0.0] * 4] * 26 + [[0.0] * 3], "/values/26 has 3 entries, expected 4"),
+        ("values", 5, "/values must be an array, got 5"),
+        ("spacing", [0.5, 0.0, 0.5], "/spacing: base spacings must be finite and positive"),
+        ("spacing", [-1, 0.5, 0.5], "/spacing: base spacings must be finite and positive"),
+        ("spacing", [], "/spacing: grid needs 3 base spacings, got 0"),
+        ("period", 10 ** 400, "/period must be a finite number")],
         ids=["float_dim", "bool_dim", "string_spacing", "string_period",
              "string_base_flag", "int_base_flag", "string_value",
-             "string_nan_value", "bool_value", "nan_period", "infinite_period"])
+             "string_nan_value", "bool_value", "nan_period", "infinite_period",
+             "ragged_values", "scalar_values", "zero_spacing", "negative_spacing",
+             "empty_spacing", "huge_int_period"])
     def test_guessed_fields_rejected(self, field, value, where):
         doc = fu.section_to_json(fu.FueterSectionGrid(np.zeros((3, 3, 3, 4)),
                                                       (0.5, 0.5, 0.5)))

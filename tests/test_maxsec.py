@@ -823,7 +823,7 @@ class TestIO:
         for field, value in (("dims", 27), ("spacing", 0.5)):
             with pytest.raises(ValueError, match=f"/{field} must be an array"):
                 mx.grid_from_json({**doc, field: value})
-        with pytest.raises(ValueError, match="grid document / must be an object"):
+        with pytest.raises(ValueError, match="^/ must be an object, got None$"):
             mx.grid_from_json(None)
 
     @pytest.mark.parametrize("spacing", [[0.25, 0.25], [0.25, 0.25, float("nan")]])
@@ -841,12 +841,24 @@ class TestIO:
         ("nodes", [[0.0] * 22] * 124 + [[0.0] * 21 + ["nan"]], "/nodes"),
         ("Q", [[True] + [0.0] * 21] + mx.standard_pairing()[1:].tolist(), "/Q"),
         ("nodes", [[0.0] * 22] * 124 + [[float("nan")] + [0.0] * 21],
-         "/nodes must hold finite numbers, got nan"),
-        ("Q", mx.standard_pairing()[:21].tolist(),
-         r"/Q must be a 22x22 array, got shape \(21, 22\)")],
+         "/nodes/124/0 must be a finite number, got nan"),
+        ("Q", mx.standard_pairing()[:21].tolist(), "/Q has 21 entries, expected 22"),
+        ("Q", mx.standard_pairing().tolist()[:21] + [[0.0] * 20 + [-1.0]],
+         "/Q/21 has 21 entries, expected 22"),
+        ("nodes", [[0.0] * 22] * 124 + [[0.0] * 21], "/nodes/124 has 21 entries, expected 22"),
+        ("nodes", {"a": 1}, "/nodes must be an array"),
+        ("spacing", [0.0, 0.25, 0.25], "/spacing: base spacings must be finite and positive"),
+        ("spacing", [0.25, -1, 0.25], "/spacing: base spacings must be finite and positive"),
+        ("spacing", [], "/spacing: grid needs 3 base spacings, got 0"),
+        # json.loads gives such an integer for 1 followed by 400 zeros
+        ("nodes", [[0.0] * 22] * 124 + [[0.0] * 21 + [-10 ** 400]],
+         "/nodes/124/21 must be a finite number"),
+        ("Q", (-np.eye(22)).tolist(), r"/Q: pairing must have signature \(3,19\)")],
         ids=["float_dims", "bool_dim", "string_spacing", "bool_spacing",
              "string_node", "string_nan_node", "bool_pairing", "nan_node",
-             "short_pairing"])
+             "short_pairing", "short_pairing_row", "ragged_nodes", "object_nodes",
+             "zero_spacing", "negative_spacing", "empty_spacing", "huge_int_node",
+             "negative_pairing"])
     def test_guessed_fields_rejected(self, field, value, where):
         doc = mx.grid_to_json(mx.affine_section((5, 5, 5), (0.25,) * 3))
         doc[field] = value

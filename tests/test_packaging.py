@@ -132,11 +132,15 @@ def test_one_star_and_one_sign_rule():
 
 def test_exact_half_imports_no_numpy():
     """The command line and the exact half run without numpy, whose import
-    costs about 0.1 s: a fresh interpreter imports them, runs an exact suite
-    and has still not loaded it."""
+    costs about 0.1 s: a fresh interpreter imports them, runs an exact suite,
+    reads a form document back through adg2.jsondoc and has still not loaded
+    it."""
     code = ("import sys\n"
             "import adg2.cli, adg2.verify, adg2.excalc, adg2.g2lin, adg2.hk, adg2.spin\n"
+            "from adg2.excalc import BigradedForm, Poly, form_from_json, form_to_json\n"
             "assert all(r.passed for r in adg2.verify.run_suite('excalc', 0))\n"
+            "a = BigradedForm.monomial([0], [3], Poly.var(4, 2))\n"
+            "assert form_from_json(form_to_json(a)) == a\n"
             "print('numpy' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
