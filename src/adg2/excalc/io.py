@@ -41,28 +41,25 @@ def form_from_json(doc: dict) -> BigradedForm:
     keys = set()
     for t, term in enumerate(array(member(doc, "/terms", []), "/terms")):
         where = f"/terms/{t}"
-        try:
-            I, J = (tuple(integers(member(term, f"{where}/{k}"), f"{where}/{k}"))
-                    for k in "IJ")
-            at(f"{where}/I, {where}/J", out._check_key, I, J)  # even if all zero
-            coeffs: dict[tuple, Fraction] = {}
-            for n, m in enumerate(array(member(term, f"{where}/poly"), f"{where}/poly")):
-                path = f"{where}/poly/{n}"
-                exp = tuple(integers(member(m, f"{path}/exp"), f"{path}/exp"))
-                if len(exp) != NVARS or min(exp) < 0:
-                    raise ValueError(f"{path}/exp must hold {NVARS} non-negative "
-                                     f"integers, got {list(exp)}")
-                if exp in coeffs:
-                    raise ValueError(f"{path}/exp repeats {list(exp)} in {where}/poly")
-                num, den = (integer(member(m, f"{path}/{k}"), f"{path}/{k}")
-                            for k in ("num", "den"))
-                if den == 0:
-                    raise ValueError(f"{path}/den must not be zero")
-                coeffs[exp] = Fraction(num, den)
-            if (I, J) in keys:
-                raise ValueError(f"{where} repeats the term I={list(I)}, J={list(J)}")
-            keys.add((I, J))
-            out._accumulate(I, J, Poly(coeffs))
-        except ValueError as exc:
-            raise ValueError(f"malformed term {where}: {exc}") from exc
+        I, J = (tuple(integers(member(term, f"{where}/{k}"), f"{where}/{k}"))
+                for k in "IJ")
+        at(f"{where}/I, {where}/J", out._check_key, I, J)  # even if all zero
+        coeffs: dict[tuple, Fraction] = {}
+        for n, m in enumerate(array(member(term, f"{where}/poly"), f"{where}/poly")):
+            path = f"{where}/poly/{n}"
+            exp = tuple(integers(member(m, f"{path}/exp"), f"{path}/exp"))
+            if len(exp) != NVARS or min(exp) < 0:
+                raise ValueError(f"{path}/exp must hold {NVARS} non-negative "
+                                 f"integers, got {list(exp)}")
+            if exp in coeffs:
+                raise ValueError(f"{path}/exp repeats {list(exp)} in {where}/poly")
+            num, den = (integer(member(m, f"{path}/{k}"), f"{path}/{k}")
+                        for k in ("num", "den"))
+            if den == 0:
+                raise ValueError(f"{path}/den must not be zero")
+            coeffs[exp] = Fraction(num, den)
+        if (I, J) in keys:
+            raise ValueError(f"{where} repeats the term I={list(I)}, J={list(J)}")
+        keys.add((I, J))
+        out._accumulate(I, J, Poly(coeffs))
     return out

@@ -146,13 +146,13 @@ def holonomy_section(a: LatticeConnection) -> FueterSectionGrid:
     if a.rank != 1:
         raise ValueError("holonomy sections need a rank-1 connection")
     f_vert = fibre_curvatures(a)
-    worst = float(np.abs(residual_scalars(fibre_defect(f_vert), 1)).max())
-    # the self-dual pairing sees only half the components; check them all
-    for f in f_vert:
-        worst = max(worst, float(np.abs(f).max()))
-    if worst > _CURVATURE_TOL:
+    # the self-dual pairing sees only half the components; check them all.
+    # np.max keeps a NaN, and a NaN defect fails the test
+    worst = float(np.max([np.abs(residual_scalars(fibre_defect(f_vert), 1)).max()]
+                         + [np.abs(f).max() for f in f_vert]))
+    if not worst <= _CURVATURE_TOL:
         raise ValueError(
-            f"connection is not fibrewise flat (defect {worst:.3e} exceeds "
+            f"connection is not fibrewise flat (defect {worst:.3e}, tolerance "
             f"{_CURVATURE_TOL:.1e}); the holonomy class is ill-defined")
 
     # components[3:] carries a leading component axis, then base, then fibre
@@ -165,10 +165,6 @@ def holonomy_section(a: LatticeConnection) -> FueterSectionGrid:
     period = TWO_PI / lengths[0]
     return FueterSectionGrid(vals, a.grid.spacing_base, period=period,
                              base_periodic=a.grid.base_periodic)
-
-
-def holonomy_path(path_fields, times) -> SectionPath:
-    return SectionPath(list(times), [holonomy_section(a) for a in path_fields])
 
 
 # ----------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -48,17 +49,12 @@ I_VEC = np.array(hk.complex_structure_matrices(hk.HKTriple.standard()), dtype=fl
 PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _wedge2(f, g):
-    """vol4 coefficient of f ^ g for two fibre 2-forms given by their six
-    components in PAIR_ORDER."""
-    (f01, f02, f03, f12, f13, f23) = f
-    (g01, g02, g03, g12, g13, g23) = g
-    return f01 * g23 + f23 * g01 - f02 * g13 - f13 * g02 + f03 * g12 + f12 * g03
-
-
 def wedge2_form(f_components, w: np.ndarray):
-    """Pair a 2-form given by its 6 ordered components against a triple form."""
-    return _wedge2(f_components, [w[p, q] for (p, q) in PAIR_ORDER])
+    """vol4 coefficient of f ^ w for a fibre 2-form f given by its six
+    components in PAIR_ORDER and a triple form w."""
+    (f01, f02, f03, f12, f13, f23) = f_components
+    (g01, g02, g03, g12, g13, g23) = [w[p, q] for (p, q) in PAIR_ORDER]
+    return f01 * g23 + f23 * g01 - f02 * g13 - f13 * g02 + f03 * g12 + f12 * g03
 
 
 # _SD_SLOTS[l, s]: the coefficient of PAIR_ORDER slot s in wedge2_form(., W_SD[l]);
@@ -128,10 +124,10 @@ def _dims(ns, n: int, axes: str) -> tuple:
     try:
         ns = tuple(map(operator.index, ns))
     except TypeError:
-        raise ValueError(f"{axes} dims must be integers, got {ns!r}") from None
+        raise ValueError(f"{axes} dims must be integers, got {reprlib.repr(ns)}") from None
     if len(ns) != n or min(ns) < 3:
         raise ValueError(f"grid needs {n} {axes} dims, three nodes per axis or more, "
-                         f"got {ns}")
+                         f"got {reprlib.repr(ns)}")
     return ns
 
 
@@ -251,10 +247,6 @@ class LatticeConnection:
     def rank(self) -> int:
         return self.components.shape[-1]
 
-    def check_anti_hermitian(self, tol=1e-12) -> bool:
-        ah = self.components + np.conj(self.components.swapaxes(-1, -2))
-        return float(np.abs(ah).max()) <= tol
-
     def deriv(self, comp: int, axis: int) -> np.ndarray:
         return self.grid.diff(self.components[comp], axis)
 
@@ -324,51 +316,6 @@ def residual_scalars(rho: np.ndarray, rank: int) -> np.ndarray:
     if rank == 1:
         return rho[..., 0, 0].imag
     return np.sqrt(np.sum(np.abs(rho) ** 2, axis=(-2, -1)))
-
-
-def higgs_covariant_vertical(a: LatticeConnection, phi: np.ndarray):
-    """(d_A phi) in the four fibre directions; phi has shape (grid, r, r)."""
-    out = np.zeros((4,) + phi.shape, dtype=complex)
-    for b in range(4):
-        out[b] = (a.grid.diff(phi, 3 + b)
-                  + _matmul(a.components[3 + b], phi, commutator=True))
-    return out
-
-
-def monopole_residual(a: LatticeConnection, phi: np.ndarray):
-    """Residual of the coupled equation: the fibre part is the instanton
-    rho_fibre; the horizontal part is rho_horiz minus the vertical covariant
-    derivative of the Higgs field."""
-    rho_fibre, rho_horiz = instanton_residual(a)
-    return rho_fibre, rho_horiz - higgs_covariant_vertical(a, phi)
-
-
-def twisted_hym_residual(a: LatticeConnection, b_form) -> np.ndarray:
-    """Residual of the fibrewise constant-central-curvature equation:
-    (i/2pi) F^{(0,2)} ^ w_i - <B ^ w_i> * Id, for a constant fibre 2-form B
-    given by its six components in PAIR_ORDER."""
-    b_form = np.asarray(b_form, dtype=float)
-    if b_form.shape != (6,):
-        raise ValueError("twist form needs six components in pair order")
-    out = (1j / (2 * np.pi)) * fibre_defect(fibre_curvatures(a))
-    for i in range(3):
-        out[i] -= wedge2_form(b_form, W_SD[i]) * np.eye(a.rank)
-    return out
-
-
-def central_trace_form(a: LatticeConnection) -> np.ndarray:
-    """(i / 2 pi r) Tr F^{(0,2)} as six real component fields."""
-    f_vert = fibre_curvatures(a)
-    tr = [np.trace(f, axis1=-2, axis2=-1) for f in f_vert]
-    return np.stack([((1j / (2 * np.pi * a.rank)) * t).real for t in tr])
-
-
-def slope_potential(b_form, h2_classes: np.ndarray, rank: int = 1) -> np.ndarray:
-    """(1/r) <B ^ h(t)> per base node, for base-sampled second-cohomology
-    classes h (shape (..., 6) in PAIR_ORDER)."""
-    b_form = np.asarray(b_form, dtype=float)
-    comp = np.moveaxis(np.asarray(h2_classes, dtype=float), -1, 0)
-    return _wedge2(b_form, comp) / rank
 
 
 def _path_times(times, samples, what: str, shared: str, kind) -> list:

@@ -6,16 +6,18 @@ that the exact half reads its documents without numpy.
 checks, unchanged, or raises a ValueError with one wording per failure:
 "/rank is missing", "/Q has 21 entries, expected 22" or "/dims must be an
 object, got [3]" (an array, an integer, a number, a finite number, a
-boolean).  A value of another kind is rejected, never converted, and NaN and
-+-Infinity are not finite.  A range check made after the readers, such as a
-constructor's, gets the path put in front of its message (at)."""
+boolean); reprlib.repr cuts a long rejected value short.  A value of another
+kind is rejected, never converted, and NaN and +-Infinity are not finite.  A
+range check made after the readers, such as a constructor's, gets the path
+put in front of its message (at)."""
 
+import reprlib
 import sys
 
 
 def _kind(ok: bool, value, path: str, kind: str):
     if not ok:
-        raise ValueError(f"{path} must be {kind}, got {value!r}")
+        raise ValueError(f"{path} must be {kind}, got {reprlib.repr(value)}")
     return value
 
 

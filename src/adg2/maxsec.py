@@ -27,11 +27,7 @@ its one path rule).
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
-import json
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -326,10 +322,6 @@ def grad_area(s: SectionGrid) -> np.ndarray:
     return _Iterate(s).grad
 
 
-def q_dual(s: SectionGrid, covector_field: np.ndarray) -> np.ndarray:
-    return covector_field @ np.linalg.inv(s.pairing).T
-
-
 def residual_norm(s: SectionGrid, grad: np.ndarray | None = None) -> float:
     """Isometry-invariant sup norm of the Q-dual gradient over interior nodes.
 
@@ -363,7 +355,7 @@ def _residual(s: SectionGrid, grad: np.ndarray):
     y = (v @ inner[..., None])[..., 0]
     ginv = _inv3(g, _det3(g))
     sq = 2.0 * ((ginv * y[..., _SYM_ROWS] * y[..., _SYM_COLS]) @ _SYM_WEIGHT)
-    sq -= np.sum(q_dual(s, inner) * inner, axis=-1)
+    sq -= np.sum((inner @ np.linalg.inv(s.pairing).T) * inner, axis=-1)
     negative = sq < 0
     sq[negative] = 0.0
     norm = float(np.sqrt(sq.max())) / float(np.prod(s.spacing)) if sq.size else 0.0
@@ -392,11 +384,9 @@ class MuMap:
         q = standard_pairing() if pairing is None else check_pairing(pairing)
         if self.matrix.shape != (DIM, DIM):
             raise ValueError("isometry must be a 22x22 matrix")
-        resid = self.matrix.T @ q @ self.matrix - q
-        scale = max(1.0, float(np.abs(q).max()))
-        if np.abs(resid).max() > _ISOMETRY_TOL * scale:
-            raise ValueError(
-                f"matrix is not a Q-isometry (defect {np.abs(resid).max():.3e})")
+        defect = float(np.abs(self.matrix.T @ q @ self.matrix - q).max())
+        if not defect <= _ISOMETRY_TOL * max(1.0, float(np.abs(q).max())):  # NaN fails
+            raise ValueError(f"matrix is not a Q-isometry (defect {defect:.3e})")
         self.pairing = q
 
     @staticmethod
@@ -454,7 +444,7 @@ class SolveResult:
     converged: bool
     iterations: int
     residual: float
-    history: list  # rows (iter, area, grad_inf_norm, min_eig_G)
+    history: list  # rows (iter, area, residual_norm, min_eig_G)
     message: str = ""
     # work counters of the whole solve
     krylov_per_step: list = field(default_factory=list)  # MINRES iterations, per step
@@ -511,8 +501,7 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     step is accepted.
 
     Each history row is (iteration, area, residual, smallest Gram
-    eigenvalue); the residual is residual_norm of the iterate, which
-    history_to_csv writes under the column name grad_inf_norm.
+    eigenvalue); the residual is residual_norm of the iterate.
     """
     phases = dict.fromkeys(("start", "krylov", "line_search", "history"), 0.0)
     with _timed(phases, "start"):
@@ -864,33 +853,3 @@ def grid_from_json(doc: dict) -> SectionGrid:
     nodes, spacing = base_map_from_json(doc, "nodes", DIM)
     q = np.array(numbers(member(doc, "/Q"), "/Q", (DIM, DIM)), dtype=float)
     return at("/Q", SectionGrid, nodes, spacing, q)  # only the pairing is left to check
-
-
-def _write_atomic(path: str, write) -> None:
-    """Call write(fh) on a temporary file beside path, then rename it over
-    path, so readers see the old file or the whole new one."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_json_atomic(path: str, doc: dict) -> None:
-    _write_atomic(path, lambda fh: json.dump(doc, fh))
-
-
-def history_to_csv(path: str, history) -> None:
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "area", "grad_inf_norm", "min_eig_G"])
-        for row in history:
-            writer.writerow([row[0], f"{row[1]:.17g}", f"{row[2]:.17g}",
-                             f"{row[3]:.17g}"])
-
-    _write_atomic(path, write)

@@ -422,7 +422,7 @@ class TestEvalAndIO:
                      term(exp=[1.5] + [0] * 6), term(exp=[0] * 6),
                      dict(term(num=0), I=[5, 9], J=[0])]
         for bad in bad_terms:
-            with pytest.raises(ValueError, match=r"malformed term /terms/1"):
+            with pytest.raises(ValueError, match=r"^/terms/1/"):
                 form_from_json({"degree": 1, "terms": [term(), bad]})
         # the error names the failing field by its path; a repeated exponent
         # in one term or a repeated (I, J) would load as a sum, so both raise
@@ -438,7 +438,7 @@ class TestEvalAndIO:
                   r"/terms/1/poly/1/exp repeats \[0, 0, 0, 0, 0, 0, 0\]"),
                  (term(num=-1), r"/terms/1 repeats the term I=\[0\], J=\[\]")]
         for bad, path in named:
-            with pytest.raises(ValueError, match=r"malformed term /terms/1: " + path):
+            with pytest.raises(ValueError, match="^" + path):
                 form_from_json({"degree": 1, "terms": [term(), bad]})
         for doc, where in (({"degree": 1, "terms": 5}, "^/terms must be an array, got 5$"),
                            ({"degree": 1.5, "terms": []}, "^/degree must be an integer"),

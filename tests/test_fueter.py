@@ -131,6 +131,17 @@ class TestHolonomySection:
         with pytest.raises(ValueError):
             fu.holonomy_section(a)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_component(self, bad):
+        # one such entry makes some curvatures NaN, and then the flatness
+        # test must fail, whatever the order it meets them in
+        grid = ga.LatticeGrid.unit(4, 4, fibre_periodic=True)
+        a = theta_connection(grid, lambda t1, t2, t3: [np.full_like(t1, 0.3)] * 4)
+        a.components[4, 1, 2, 0, 1, 2, 3, 0] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match=r"not fibrewise flat \(defect nan"):
+            fu.holonomy_section(a)
+
     def test_exact_fibre_gauge_invisible(self):
         # adding the sampled differential of a fibre-periodic phase moves the
         # average by a telescoping sum, i.e. not at all
@@ -225,7 +236,8 @@ class TestChernSimonsEquality:
         fields = [theta_connection(grid, lambda t1, t2, t3, tau=tau:
                                    theta(tau, t1, t2, t3)) for tau in times]
         ci = ga.cs_instanton(ga.ConnectionPath(list(times), fields))
-        ca = fu.cs_associative(fu.holonomy_path(fields, times))
+        ca = fu.cs_associative(fu.SectionPath(
+            list(times), [fu.holonomy_section(a) for a in fields]))
         # both functionals vanish on paths without this size, whatever the
         # moduli scale kappa; the side-2 fibre tells kappa's exponent apart
         assert abs(ci) >= 1e-4

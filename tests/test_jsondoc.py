@@ -90,9 +90,7 @@ def mutants(doc):
 
 
 def names(message: str, path: str) -> bool:
-    """Whether message names path or the array or object enclosing it.  A
-    form's term errors all begin with the term's path, so that is cut first."""
-    message = re.sub(r"^malformed term /terms/\d+: ", "", message)
+    """Whether message names path or the array or object enclosing it."""
     parent = path.rpartition("/")[0]
     return any(re.search(re.escape(p) + r"(?![\w])", message) for p in {path, parent} - {""})
 
@@ -130,3 +128,11 @@ def test_nonpositive_period_means_plane_values():
         s = fu.section_from_json(doc)
         assert s.period == period
         assert s.values.reshape(-1, 4).tolist() == doc["values"]
+
+
+def test_a_long_rejected_value_is_cut_short():
+    doc = field_doc()
+    doc["rank"] = doc["values"]  # 30,618 numbers
+    with pytest.raises(ValueError, match="^/rank must be an integer, got ") as info:
+        ga.field_from_json(doc)
+    assert len(str(info.value)) < 300

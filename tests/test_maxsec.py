@@ -608,6 +608,12 @@ class TestMuMap:
         with pytest.raises(ValueError):
             mx.MuMap(m)
 
+    def test_reject_nan_isometry(self):
+        m = np.eye(22)
+        m[3, 7] = np.nan
+        with pytest.raises(ValueError, match=r"not a Q-isometry \(defect nan\)"):
+            mx.MuMap(m)
+
     def test_negative_plane_reflection(self):
         m = np.eye(22)
         m[5, 5] = m[6, 6] = -1.0
@@ -802,14 +808,10 @@ class TestSolver:
 
 
 class TestIO:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self):
         rng = np.random.default_rng(13)
         s = perturbed_affine(rng, dims=(5, 5, 5))
-        doc = mx.grid_to_json(s)
-        path = tmp_path / "grid.json"
-        mx.write_json_atomic(str(path), doc)
-        with open(path) as fh:
-            s2 = mx.grid_from_json(json.load(fh))
+        s2 = mx.grid_from_json(json.loads(json.dumps(mx.grid_to_json(s))))
         assert np.allclose(s2.values, s.values)
         assert s2.spacing == s.spacing
 
@@ -864,10 +866,3 @@ class TestIO:
         doc[field] = value
         with pytest.raises(ValueError, match=where):
             mx.grid_from_json(doc)
-
-    def test_history_csv(self, tmp_path):
-        path = tmp_path / "r.csv"
-        mx.history_to_csv(str(path), [(0, 1.0, 0.5, 0.9), (1, 1.1, 0.1, 0.9)])
-        text = path.read_text().splitlines()
-        assert text[0] == "iter,area,grad_inf_norm,min_eig_G"
-        assert len(text) == 3
