@@ -5,6 +5,7 @@ from .forms import (
     BigradedForm,
     HorizontalDistribution,
     contract,
+    curvature_term,
     eval_on_vectors,
     exterior_d,
     from_coordinate_frame,
@@ -27,7 +28,7 @@ from .io import form_from_json, form_to_json
 __all__ = [
     "BigradedForm", "FibrationData", "HorizontalDistribution", "Poly",
     "HORIZONTAL", "NVARS", "VAR_NAMES", "VERTICAL",
-    "contract", "donaldson_residuals", "residuals_all_zero", "eval_on_vectors",
+    "contract", "curvature_term", "donaldson_residuals", "residuals_all_zero", "eval_on_vectors",
     "exterior_d", "from_coordinate_frame", "split_d", "to_coordinate_frame",
     "wedge", "wedge_all", "star3", "star4", "star7", "star7_limit",
     "standard_lambda", "standard_mu", "standard_triple",

@@ -10,8 +10,9 @@ that coframe (see split_d).
 
 One sign rule: the key (I, J) stands for the covectors of I + J wedged in
 order, and reordering covectors costs the sign of sorting their indices.
-_merge_sign gives it for two blocks (wedge, hodge._star); contract and
-split_d move the one index at position pos of I + J to the front, for (-1)^pos.
+_merge_sign gives it for two blocks (wedge, hodge._star); contract, split_d
+and curvature_term move the one index at position pos of I + J to the front,
+for (-1)^pos.
 """
 
 from __future__ import annotations
@@ -244,14 +245,11 @@ def split_d(a: BigradedForm, H: HorizontalDistribution):
     respectively, and their sum is the exterior derivative of a (checked by
     converting to the coordinate coframe).  Differentiating the coframe
     element at position pos of I + J carries the sign (-1)^pos, the sign
-    rule of _merge_sign for one index moved to the front.  F_H reads the
-    curvature of H, which is built once per distribution and shared by every
-    split_d call on it.
+    rule of _merge_sign for one index moved to the front.  F_H is
+    curvature_term(a, H).
     """
     df = BigradedForm(a.degree + 1)
     dh = BigradedForm(a.degree + 1)
-    fh = BigradedForm(a.degree + 1)
-    curv = H.curvature() if not H.is_flat() else {}
     for (I, J), p in a.terms.items():
         base = BigradedForm.monomial(I, J)
         # coefficient derivatives
@@ -264,7 +262,7 @@ def split_d(a: BigradedForm, H: HorizontalDistribution):
             if not dp.is_zero():
                 dh._add_form(wedge(BigradedForm.monomial((i,), (), dp), base))
         # derivatives of the coframe: d(e^a) has a (1,1) part (-> d_H) and a
-        # (2,0) curvature part (-> F_H); dt_i is closed.
+        # (2,0) curvature part (-> F_H, curvature_term); dt_i is closed.
         if H.is_flat():
             continue
         for pos, e_a in enumerate(J):
@@ -278,11 +276,26 @@ def split_d(a: BigradedForm, H: HorizontalDistribution):
                         continue
                     repl = BigradedForm.monomial((i,), (b,), h * sign * p)
                     dh._add_form(wedge(repl, rest))
-            # (2,0) curvature part: e^a -> -K^a
+    return df, dh, curvature_term(a, H)
+
+
+def curvature_term(a: BigradedForm, H: HorizontalDistribution) -> BigradedForm:
+    """F_H a, the part of d a (split_d) that the curvature of H gives: each
+    fibre covector e^a of a term, at position pos of I + J, is replaced by
+    -K^a with the sign (-1)^pos.  It reads the curvature of H, which is
+    built once per distribution and shared by every call on it."""
+    fh = BigradedForm(a.degree + 1)
+    if H.is_flat():
+        return fh
+    curv = H.curvature()
+    for (I, J), p in a.terms.items():
+        for pos, e_a in enumerate(J):
             k = curv.get(e_a)
             if k is not None and not k.is_zero():
+                sign = -1 if (len(I) + pos) % 2 else 1
+                rest = BigradedForm.monomial(I, J[:pos] + J[pos + 1:])
                 fh._add_form(wedge(k.scale(-sign * p), rest))
-    return df, dh, fh
+    return fh
 
 
 def to_coordinate_frame(a: BigradedForm, H: HorizontalDistribution) -> BigradedForm:

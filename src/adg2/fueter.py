@@ -141,10 +141,19 @@ def holonomy_section(a: LatticeConnection) -> FueterSectionGrid:
     """Fibre-averaged vertical connection components as a dual-torus section.
 
     Requires rank 1 and fibrewise-flat input: the vertical curvature defect
-    must stay below _CURVATURE_TOL (the class is ill-defined otherwise).
+    must stay below _CURVATURE_TOL (the class is ill-defined otherwise).  A
+    vertical component that is not finite is rejected first, by name and
+    node.
     """
     if a.rank != 1:
         raise ValueError("holonomy sections need a rank-1 connection")
+    vertical = a.components[3:, ..., 0, 0]
+    bad = np.argwhere(~np.isfinite(vertical))
+    if len(bad):
+        comp, *node = (int(i) for i in bad[0])
+        raise ValueError(
+            f"vertical component x{comp + 1} is not finite at node "
+            f"{tuple(node)}: {vertical[(comp, *node)]}")
     f_vert = fibre_curvatures(a)
     # the self-dual pairing sees only half the components; check them all.
     # np.max keeps a NaN, and a NaN defect fails the test
@@ -157,7 +166,7 @@ def holonomy_section(a: LatticeConnection) -> FueterSectionGrid:
 
     # components[3:] carries a leading component axis, then base, then fibre
     fibre_axes = (4, 5, 6, 7)
-    avg = a.components[3:, ..., 0, 0].mean(axis=fibre_axes)
+    avg = vertical.mean(axis=fibre_axes)
     vals = np.moveaxis(avg, 0, -1).imag  # divide by i
     lengths = [n * h for n, h in zip(a.grid.dims_fibre, a.grid.spacing_fibre)]
     if max(lengths) - min(lengths) > 1e-12:

@@ -186,16 +186,26 @@ def _det3(g: np.ndarray) -> np.ndarray:
             + g[..., 0, 2] * (g[..., 1, 0] * g[..., 2, 1] - g[..., 1, 1] * g[..., 2, 0]))
 
 
-def _inv3(g: np.ndarray, det: np.ndarray) -> np.ndarray:
+def _inv3(g: np.ndarray, det: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The symmetric entries (_SYM_ROWS, _SYM_COLS) of the inverse of each
-    symmetric 3x3 matrix of g, read from its upper entries; det is det g."""
+    symmetric 3x3 matrix of g, read from its upper entries, into out if
+    given; det is det g."""
     g00, g11, g22 = g[..., 0, 0], g[..., 1, 1], g[..., 2, 2]
     g01, g02, g12 = g[..., 0, 1], g[..., 0, 2], g[..., 1, 2]
     out = np.stack([g11 * g22 - g12 * g12, g00 * g22 - g02 * g02,
                     g00 * g11 - g01 * g01, g02 * g12 - g01 * g22,
-                    g01 * g12 - g02 * g11, g02 * g01 - g00 * g12], axis=-1)
+                    g01 * g12 - g02 * g11, g02 * g01 - g00 * g12], axis=-1, out=out)
     out /= det[..., None]
     return out
+
+
+def _carve(*shapes) -> list:
+    """Zeroed float arrays of the given shapes, views of one allocation."""
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    flat = np.zeros(sum(sizes))
+    ends = np.cumsum(sizes)
+    return [flat[end - size:end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, ends)]
 
 
 def _corner_view(values: np.ndarray, offset) -> np.ndarray:
@@ -204,37 +214,48 @@ def _corner_view(values: np.ndarray, offset) -> np.ndarray:
     return values[o1:n1 - 1 + o1, o2:n2 - 1 + o2, o3:n3 - 1 + o3]
 
 
-def _corner_stack(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(cells..., 8 corners, 22) copy of the nodal values, into out if given."""
-    return np.stack([_corner_view(values, o) for o in _CORNERS], axis=-2, out=out)
-
-
-def _corner_scatter(cells: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add per-corner cell terms (cells..., 8 corners, 22) onto the nodes of
-    out; returns out."""
+def _corner_scatter(terms: np.ndarray, out: np.ndarray):
+    """Add per-corner cell terms, corner-major (8 corners, cells..., 22), onto
+    the nodes of out, corner after corner."""
     for ci, o in enumerate(_CORNERS):
         view = _corner_view(out, o)
-        view += cells[..., ci, :]
-    return out
+        view += terms[ci]
 
 
-def _gram(s: SectionGrid):
+def _zero_boundary(a: np.ndarray):
+    """Set the boundary nodes of a node array to zero."""
+    a[[0, -1]] = 0.0
+    a[:, [0, -1]] = 0.0
+    a[:, :, [0, -1]] = 0.0
+
+
+def _gram(s: SectionGrid, out=None):
     """The corner frames X (cells..., 8 corners, 22), corner values less the
     first corner, the Q-dual frames Q^T X^T and the Gram matrices (cells...,
     8 gauss, 3, 3).  Each row t2_g of the shape-gradient table sums to zero,
     so the Gauss-point derivatives are dh_g = t2_g X and g_g = t2_g (X Q
     X^T) t2_g^T: half of to_gauss of an 8x8 product a cell, filled from its
-    symmetric entries."""
+    symmetric entries.
+
+    Returns (X, Q^T X^T, g), written into out = (X, Q^T X^T, g, a flat
+    scratch of 112 numbers a cell) if given."""
     to_gauss, _ = _cell_maps(s.spacing)
     cells = tuple(n - 1 for n in s.dims)
-    frames = np.empty(cells + (8, DIM))
+    size = int(np.prod(cells))
+    if out is None:
+        out = _carve(cells + (8, DIM), cells + (DIM, 8), cells + (8, 3, 3), (112 * size,))
+    frames, qframes, g, scratch = out
     first = _corner_view(s.values, _CORNERS[0])
     for ci, o in enumerate(_CORNERS):
         np.subtract(_corner_view(s.values, o), first, out=frames[..., ci, :])
-    qframes = np.matmul(s.pairing.T, frames.swapaxes(-1, -2))
-    gsym = np.matmul(frames, qframes).reshape(-1, 64) @ to_gauss
+    np.matmul(s.pairing.T, frames.swapaxes(-1, -2), out=qframes)
+    prod = scratch[:64 * size].reshape(size, 64)
+    gsym = scratch[64 * size:112 * size].reshape(size, 48)
+    np.matmul(frames, qframes, out=prod.reshape(cells + (8, 8)))
+    np.matmul(prod, to_gauss, out=gsym)
     gsym *= 0.5
-    return frames, qframes, gsym.reshape(cells + (8, 6))[..., _SYM_INDEX]
+    np.take(gsym.reshape(cells + (8, 6)), _SYM_INDEX, axis=-1, out=g)
+    return frames, qframes, g
 
 
 def _check_positive(g: np.ndarray):
@@ -277,8 +298,16 @@ def _min_eigenvalues(g: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _smallest_eigenvalue(g: np.ndarray) -> float:
+    """The smallest eigenvalue of the matrices of g, _BLOCK_CELLS cells at a
+    time, so that the temporaries of _min_eigenvalues stay small."""
+    flat, step = g.reshape(-1, 3, 3), 8 * _BLOCK_CELLS
+    return float(np.min([_min_eigenvalues(flat[k:k + step]).min()
+                         for k in range(0, len(flat), step)]))
+
+
 def min_gram_eigenvalue(s: SectionGrid) -> float:
-    return float(_min_eigenvalues(_gram(s)[2]).min())
+    return _smallest_eigenvalue(_gram(s)[2])
 
 
 class _Iterate:
@@ -288,24 +317,42 @@ class _Iterate:
     (w = (2/3) (Gauss weight) det^(1/3)), the 8x8 stiffness S = sum_g t2_g^T
     A_g t2_g, the area and its gradient grad.  The gradient's cell term
     sum_g t2_g^T A_g dh_g Q is S X Q: S X is summed onto the nodes, and Q
-    applied once per node."""
+    applied once per node.
+
+    The arrays are one allocation, made for the grid of s; load rebuilds
+    them for another section on that grid, so one iterate serves a solve.
+    A scratch of 288 numbers a cell holds g (its first 72), then _gram's
+    8x8 products and the cell terms S X, until _hessian_cache writes the
+    tangent maps over all of it: g is valid until then."""
 
     def __init__(self, s: SectionGrid):
+        cells = tuple(n - 1 for n in s.dims)
+        size = int(np.prod(cells))
+        (self.frames, self.qframes, self.ginv, self.a, self.stiff, self.scratch,
+         self.nodes, self.grad) = _carve(
+            cells + (8, DIM), cells + (DIM, 8), cells + (8, 6), cells + (8, 6),
+            cells + (8, 8), (288 * size,), s.values.shape, s.values.shape)
+        self.g = self.scratch[:72 * size].reshape(cells + (8, 3, 3))
+        self.load(s)
+
+    def load(self, s: SectionGrid):
+        """Rebuild the arrays for s; grad's boundary nodes stay zero."""
         self.s = s
-        self.frames, self.qframes, self.g = _gram(s)
+        rest = self.scratch[self.g.size:]
+        _gram(s, (self.frames, self.qframes, self.g, rest))
         det = _check_positive(self.g)
         weight = float(np.prod(s.spacing)) / 8.0
         cbrt = det ** (1.0 / 3.0)
         self.area = float(np.sum(cbrt) * weight)
-        self.ginv = _inv3(self.g, det)
-        self.a = (weight * cbrt * (2.0 / 3.0))[..., None] * self.ginv
+        _inv3(self.g, det, out=self.ginv)
+        np.multiply((weight * cbrt * (2.0 / 3.0))[..., None], self.ginv, out=self.a)
         _, to_cell = _cell_maps(s.spacing)
-        cells = self.frames.shape[:3]
-        self.stiff = (self.a.reshape(-1, 48) @ to_cell).reshape(cells + (8, 8))
-        nodes = _corner_scatter(np.matmul(self.stiff, self.frames),
-                                np.zeros(s.values.shape))
-        self.grad = np.zeros(s.values.shape)
-        np.matmul(nodes[_INTERIOR], s.pairing, out=self.grad[_INTERIOR])
+        np.matmul(self.a.reshape(-1, 48), to_cell, out=self.stiff.reshape(-1, 64))
+        terms = rest[:self.frames.size].reshape((8,) + self.frames.shape[:3] + (DIM,))
+        np.matmul(self.stiff, self.frames, out=np.moveaxis(terms, 0, -2))
+        self.nodes.fill(0.0)
+        _corner_scatter(terms, self.nodes)
+        np.matmul(self.nodes[_INTERIOR], s.pairing, out=self.grad[_INTERIOR])
 
 
 def area(s: SectionGrid) -> float:
@@ -506,32 +553,35 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     phases = dict.fromkeys(("start", "krylov", "line_search", "history"), 0.0)
     with _timed(phases, "start"):
         it = _Iterate(init.copy())
+        work = _Workspace(it.s)
+        spare = it.s.copy()  # the node values of the next trial
         res, clamped = _residual(it.s, it.grad)
     out = SolveResult(it.s, False, 0, res, [], gradients=1, phase_seconds=phases,
                       residual_clamped_nodes=clamped)
     for n_iter in range(max(max_iter, 0) + 1):
         out.grid, out.iterations, out.residual = it.s, n_iter, res
         with _timed(phases, "history"):
-            out.history.append((n_iter, it.area, res,
-                                float(_min_eigenvalues(it.g).min())))
+            out.history.append((n_iter, it.area, res, _smallest_eigenvalue(it.g)))
         if res <= tol or n_iter >= max_iter:
             break
         with _timed(phases, "krylov"):
             try:
-                delta, iters = _newton_direction(it)
+                delta, iters = _newton_direction(it, work)
             except SolveError as err:
                 raise SolveError(f"no Newton direction at iteration {n_iter + 1} "
                                  f"(residual {res:.3e}): {err}") from err
         shrink = 1.0
         bar = max(row[2] for row in out.history[-8:])
-        del it  # spent: free its cell data before the trials build theirs
+        trial, spare = spare, out.grid
         with _timed(phases, "line_search"):
+            # each trial is built into the spent iterate's arrays; trial and
+            # the accepted section share their boundary values
             for _ in range(60):
-                trial = out.grid.copy()
-                trial.values[_INTERIOR] += shrink * delta[_INTERIOR]
+                np.multiply(delta[_INTERIOR], shrink, out=trial.values[_INTERIOR])
+                trial.values[_INTERIOR] += out.grid.values[_INTERIOR]
                 out.gradients += 1
                 try:
-                    it = _Iterate(trial)
+                    it.load(trial)
                     res_trial, clamped = _residual(trial, it.grad)
                 except PositivityError:
                     out.positivity_failures += 1
@@ -559,16 +609,39 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
 
 # A Hessian-vector product runs over blocks of whole cell slabs (fixed first
 # cell index) of at most this many cells where a slab allows, so that the
-# block's workspace (4.6 KB a cell) and its share of the per-cell data (5.6
-# KB a cell) stay near a 2 MB L2 cache.  Of 64 to 1024 cells, 256 was about
-# the fastest at 11^3 to 25^3, and 10-35% faster than one block of all cells
-# (2-vCPU Xeon host, one BLAS thread).
+# block's buffers (4.6 KB a cell) and its share of the per-cell data (5.6
+# KB a cell) stay near a 2 MB L2 cache.  With the corner-major gather and
+# scatter (2-vCPU Xeon host, one BLAS thread, medians of 21 products), one
+# slab of 100 cells was 15% slower at 11^3 than 2 to 10 slabs, which were
+# within 3% of each other, and blocks of 256 to 2048 cells were within 4%
+# at 17^3 and 25^3.  256 keeps the block buffers, part of each solve's
+# workspace, small.
 _BLOCK_CELLS = 256
 
 
-def _hessian_cache(it: _Iterate):
+class _Workspace:
+    """The arrays that the Newton steps of one solve write besides the
+    iterate's, sized from its grid in one allocation: the block buffers of
+    _hessian_apply (the corner values of delta, corner-major, R, Js, E, M
+    and S D) for blocks of whole cell slabs within _BLOCK_CELLS cells, the
+    preconditioner's symbol, DST-I matrices (_sine_symbol) and transform
+    buffers, and the seven vectors of _minres."""
+
+    def __init__(self, s: SectionGrid):
+        cells = tuple(n - 1 for n in s.dims)
+        self.slabs = min(cells[0], max(1, _BLOCK_CELLS // (cells[1] * cells[2])))
+        size = self.slabs * cells[1] * cells[2]
+        inner = tuple(n - 2 for n in s.dims) + (DIM,)
+        (self.corners, self.r, self.js, self.e, self.m, self.sd, self.symbol,
+         self.x, self.y, self.vectors) = _carve(
+            (8, size, DIM), (size, 64), (size, 48), (size, 48), (size, 64),
+            (8, size, DIM), inner, inner, inner, (7,) + s.values.shape)
+        self.sines = _sine_symbol(s, self.symbol)
+
+
+def _hessian_cache(it: _Iterate, work: _Workspace):
     """Per-cell data of the Hessian at the iterate it, partially assembled
-    once per Newton step, and the workspace of _hessian_apply.
+    once per Newton step, and the buffers of _hessian_apply.
 
     The gradient's Gauss-point term A dh Q varies along delta by (A dd +
     E dh) Q, with dd = t2_g D the derivatives of delta at Gauss point g (D
@@ -585,31 +658,24 @@ def _hessian_cache(it: _Iterate):
       entries of Js come from R by _cell_maps' to_gauss, and E_g = C_g Js_g
       with a 6x6 C_g per Gauss point (_tangent_table).
     S, X and Q^T X^T are the iterate's; the cache adds C (cells..., 8 gauss,
-    6, 6), from its G^-1 and A, and -Q: 288 numbers a cell.
-
-    The workspace serves one block of whole cell slabs, as many as keep it
-    within _BLOCK_CELLS cells (one slab when a slab is larger): the corner
-    values (later the per-corner cell terms), R, Js, E, M and S D, plus the
-    node sums.  Every product at this step overwrites it.  It lives in the
-    cache, not in the module, so a cache is the only state a product
-    touches."""
-    s = it.s
-    cells = it.frames.shape[:3]
+    6, 6), from its G^-1 and A, written over the iterate's scratch a block
+    at a time, and -Q.  The products use the iterate's node sums and the
+    block buffers of work."""
     pair_rows, pair_cols, table = _tangent_table()
-    products = it.a.reshape(-1, 6)[:, pair_rows]
-    products *= it.ginv.reshape(-1, 6)[:, pair_cols]
-    tangent = (products @ table).reshape(cells + (8, 6, 6))
-    del products  # before the workspace is allocated, so the peaks do not add
-    slab = cells[1] * cells[2]
-    slabs = min(cells[0], max(1, _BLOCK_CELLS // slab))
-    size = slabs * slab
-    work = (np.empty((slabs,) + cells[1:] + (8, DIM)), np.empty((size, 64)),
-            np.empty((size, 48)), np.empty((size, 48)), np.empty((size, 64)),
-            np.empty((size, 8, DIM)), np.empty(s.values.shape))
-    return it.stiff, it.frames, it.qframes, tangent, -s.pairing, slabs, work
+    cells = it.frames.shape[:3]
+    a, ginv = it.a.reshape(-1, 6), it.ginv.reshape(-1, 6)
+    tangent = it.scratch.reshape(-1, 36)
+    rows = 8 * work.slabs * cells[1] * cells[2]
+    for k in range(0, len(a), rows):
+        products = a[k:k + rows, pair_rows]
+        products *= ginv[k:k + rows, pair_cols]
+        np.matmul(products, table, out=tangent[k:k + rows])
+    return (it.stiff, it.frames, it.qframes, tangent.reshape(cells + (8, 6, 6)),
+            -it.s.pairing, it.nodes, work)
 
 
-def _hessian_apply(s: SectionGrid, cache, delta: np.ndarray) -> np.ndarray:
+def _hessian_apply(s: SectionGrid, cache, delta: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
     """Exact directional derivative of -grad_area along delta (so the
     returned operator is positive definite near a discrete maximum), from
     the per-cell data of _hessian_cache: per cell, S D + M X with M from the
@@ -619,33 +685,35 @@ def _hessian_apply(s: SectionGrid, cache, delta: np.ndarray) -> np.ndarray:
 
     The cells are taken a block of whole slabs at a time, the last block
     holding what is left, and each block's terms are added onto the node
-    sums before the next block starts.  Every intermediate is written into
-    the workspace of the cache, so a product allocates only its result.
-    The result is a fresh array on every call: MINRES keeps the vectors it
-    is given."""
-    stiff, frames, qframes, tangent, neg_q, slabs, work = cache
-    corners, r, js, e, m, sd, nodes = work
+    sums before the next block starts.  A block's corner values and then its
+    per-corner terms are held corner-major, so the gather and the scatter
+    are eight copies and adds of contiguous arrays.  The product is written
+    into out, boundary included, and returned; delta is only read."""
+    stiff, frames, qframes, tangent, neg_q, nodes, work = cache
     to_gauss, to_cell = _cell_maps(s.spacing)
     n1, n2, n3 = frames.shape[:3]
     nodes.fill(0.0)
-    for i0 in range(0, n1, slabs):
-        i1 = min(i0 + slabs, n1)
+    for i0 in range(0, n1, work.slabs):
+        i1 = min(i0 + work.slabs, n1)
         size = (i1 - i0) * n2 * n3
-        block = _corner_stack(delta[i0:i1 + 1], out=corners[:i1 - i0])
-        d = block.reshape(size, 8, DIM)
-        np.matmul(d, qframes[i0:i1].reshape(size, DIM, 8),
-                  out=r[:size].reshape(size, 8, 8))
-        np.matmul(r[:size], to_gauss, out=js[:size])
+        terms, sd = work.corners[:, :size], work.sd[:, :size]
+        corners = terms.reshape(8, i1 - i0, n2, n3, DIM)
+        block = delta[i0:i1 + 1]
+        for ci, o in enumerate(_CORNERS):
+            corners[ci] = _corner_view(block, o)
+        d = terms.transpose(1, 0, 2)  # (cells, 8 corners, 22)
+        r, js, e, m = work.r[:size], work.js[:size], work.e[:size], work.m[:size]
+        np.matmul(d, qframes[i0:i1].reshape(size, DIM, 8), out=r.reshape(size, 8, 8))
+        np.matmul(r, to_gauss, out=js)
         np.einsum("bik,bk->bi", tangent[i0:i1].reshape(8 * size, 6, 6),
-                  js[:size].reshape(8 * size, 6), out=e[:size].reshape(8 * size, 6))
-        np.matmul(e[:size], to_cell, out=m[:size])
-        np.matmul(stiff[i0:i1].reshape(size, 8, 8), d, out=sd[:size])
+                  js.reshape(8 * size, 6), out=e.reshape(8 * size, 6))
+        np.matmul(e, to_cell, out=m)
+        np.matmul(stiff[i0:i1].reshape(size, 8, 8), d, out=sd.transpose(1, 0, 2))
         # D is spent: the block's per-corner terms M X + S D take its place
-        np.matmul(m[:size].reshape(size, 8, 8), frames[i0:i1].reshape(size, 8, DIM),
-                  out=d)
-        d += sd[:size]
-        _corner_scatter(block, nodes[i0:i1 + 1])
-    out = np.zeros_like(delta)
+        np.matmul(m.reshape(size, 8, 8), frames[i0:i1].reshape(size, 8, DIM), out=d)
+        terms += sd
+        _corner_scatter(corners, nodes[i0:i1 + 1])
+    _zero_boundary(out)
     np.matmul(nodes[_INTERIOR], neg_q, out=out[_INTERIOR])
     return out
 
@@ -667,7 +735,28 @@ def _section_frame_basis(s: SectionGrid, frames: np.ndarray):
     return a, n
 
 
-def _split_preconditioner(s: SectionGrid, frames: np.ndarray):
+def _sine_symbol(s: SectionGrid, symbol: np.ndarray) -> list:
+    """Write the symbol of _split_preconditioner, with prod_d (n_d - 1) / 2
+    folded in, into symbol (interior..., 22); return the S_d."""
+    kappa, mass, sines = [], [], []
+    for ax, (n, h) in enumerate(zip(s.dims, s.spacing)):
+        k = np.arange(1, n - 1)
+        theta = np.pi * k / (n - 1)
+        shape = [1, 1, 1]
+        shape[ax] = n - 2
+        kappa.append(((4.0 / h ** 2) * np.sin(theta / 2.0) ** 2).reshape(shape))
+        mass.append(((2.0 + np.cos(theta)) / 3.0).reshape(shape))
+        sines.append(np.sin(np.pi * np.outer(k, k) / (n - 1)))
+    # stiff[d] = kappa_d prod_{e != d} m_e on the interior sine modes
+    stiff = [kappa[d] * mass[d - 1] * mass[d - 2] for d in range(3)]
+    for m in range(3):
+        symbol[..., m] = (2.0 / 9.0) * stiff[m]
+    symbol[..., 3:] = ((2.0 / 3.0) * (stiff[0] + stiff[1] + stiff[2]))[..., None]
+    symbol *= np.prod([(n - 1) / 2.0 for n in s.dims])
+    return sines
+
+
+def _split_preconditioner(s: SectionGrid, frames: np.ndarray, work: _Workspace):
     """Positive definite approximation of |H / V|^-1, with H the Hessian
     (_hessian_apply) and V = h1 h2 h3 the cell volume; exact at an affine
     section with a Q-orthonormal frame.
@@ -692,35 +781,22 @@ def _split_preconditioner(s: SectionGrid, frames: np.ndarray):
     on a 2-vCPU Xeon host with one BLAS thread, one transform of the 31^3 x
     22 interior of a 33^3 grid took 9 ms against 31 ms for an FFT-based
     DST-I, and 0.07 / 0.45 / 2.6 ms against 0.6 / 2.7 / 11.6 ms at 11^3 /
-    17^3 / 25^3.  It agrees with the FFT to 2e-15 to 5e-15 relative.  Two
-    interior-sized buffers, allocated here, hold the transforms, so an apply
-    allocates only its result.
+    17^3 / 25^3.  It agrees with the FFT to 2e-15 to 5e-15 relative.
+
+    The symbol and the S_d depend only on the grid and come from the
+    workspace (_sine_symbol), so this sets up only the frame basis.  The
+    apply, apply(r, out), writes P r into out, boundary included, with the
+    transforms in the workspace's two interior-sized buffers.
 
     The scale is that of the area density, as in residual_norm.  It does not
     move where MINRES stops: _minres compares ||r||_P with ||g||_P, and a
     constant factor in P cancels from that ratio, so inverting H itself
     (P larger by 1/V) gives the same directions to rounding.
     """
-    kappa, mass, sines = [], [], []
-    for ax, (n, h) in enumerate(zip(s.dims, s.spacing)):
-        k = np.arange(1, n - 1)
-        theta = np.pi * k / (n - 1)
-        shape = [1, 1, 1]
-        shape[ax] = n - 2
-        kappa.append(((4.0 / h ** 2) * np.sin(theta / 2.0) ** 2).reshape(shape))
-        mass.append(((2.0 + np.cos(theta)) / 3.0).reshape(shape))
-        sines.append(np.sin(np.pi * np.outer(k, k) / (n - 1)))
-    # stiff[d] = kappa_d prod_{e != d} m_e on the interior sine modes
-    stiff = [kappa[d] * mass[d - 1] * mass[d - 2] for d in range(3)]
-    m1, m2, m3 = (n - 2 for n in s.dims)
-    symbol = np.empty((m1, m2, m3, DIM))
-    for m in range(3):
-        symbol[..., m] = (2.0 / 9.0) * stiff[m]
-    symbol[..., 3:] = ((2.0 / 3.0) * (stiff[0] + stiff[1] + stiff[2]))[..., None]
-    symbol *= np.prod([(n - 1) / 2.0 for n in s.dims])
     a, nbasis = _section_frame_basis(s, frames)
     t = np.concatenate([a, nbasis], axis=1)  # (22, 22)
-    x, y = np.empty((2, m1, m2, m3, DIM))
+    x, y, symbol, sines = work.x, work.y, work.symbol, work.sines
+    m1, m2, m3 = symbol.shape[:3]
 
     def sine(src, dst):
         """The DST-I of src along the three grid axes, into dst; src is
@@ -730,12 +806,12 @@ def _split_preconditioner(s: SectionGrid, frames: np.ndarray):
         np.matmul(sines[2], src.reshape(m1 * m2, m3, DIM),
                   out=dst.reshape(m1 * m2, m3, DIM))
 
-    def apply(r: np.ndarray) -> np.ndarray:
+    def apply(r: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.matmul(r[_INTERIOR], t, out=x)
         sine(x, y)
         np.divide(y, symbol, out=y)
         sine(y, x)
-        out = np.zeros_like(r)
+        _zero_boundary(out)
         np.matmul(x, t.T, out=out[_INTERIOR])
         return out
 
@@ -749,18 +825,21 @@ products, and much tighter costs Newton steps too: away from the solution
 the Hessian is indefinite and an accurate Newton direction there is a poor
 one.  Looser costs Newton steps, each with its Hessian set-up and line
 search.  On the first maxsec-rough draw of seed 0 (noisy affine, 11^3, one
-thread), eta = 0.01 took 19 Newton steps, one line-search rejection, 609
-MINRES iterations and 9.6 s; 0.03 took 7 steps, 91 iterations and 1.3 s;
-0.1 takes 8 steps, 77 iterations and 1.2 s; 0.3 took 12 steps, 73
-iterations and 1.5 s.  With 0.1, 9^3 to 17^3 solves take 7 to 10 Newton
-steps."""
+thread), eta = 0.01 takes 26 Newton steps, one line-search rejection, 968
+MINRES iterations and 4.0 s; 0.03 takes 7 steps, 91 iterations and 0.44 s;
+0.1 takes 8 steps, 77 iterations and 0.40 s; 0.3 takes 12 steps, 73
+iterations and 0.44 s (medians of 5, 2-vCPU Xeon host).  With 0.1, 9^3 to
+17^3 solves take 7 to 10 Newton steps."""
 
 
-def _minres(apply, precond, b: np.ndarray, eta: float, maxiter: int):
+def _minres(apply, precond, b: np.ndarray, eta: float, maxiter: int,
+            vectors: np.ndarray):
     """Preconditioned MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12,
     1975) for apply(x) = b from x = 0, with apply symmetric and precond
-    symmetric positive definite; both map arrays shaped like b to fresh
-    arrays.
+    symmetric positive definite.  Both are called as f(u, out): they write
+    their result, shaped like b, into out (apply also returns it) and do not
+    change u.  vectors (7,) + b.shape is the workspace: MINRES allocates no
+    vector of its own, and returns x in vectors[0].
 
     Stops when phibar <= eta beta1, that is ||b - apply(x)||_P <= eta
     ||b||_P with ||r||_P^2 = r . precond(r), or after maxiter iterations.
@@ -768,7 +847,13 @@ def _minres(apply, precond, b: np.ndarray, eta: float, maxiter: int):
     not change when precond is scaled by a constant.  One apply and one
     precond per iteration, and one precond before the first.  Returns
     (x, iterations); raises SolveError when some beta^2 = r . precond(r) is
-    negative or not finite, which a positive definite precond cannot give."""
+    negative or not finite, which a positive definite precond cannot give.
+
+    Each operation is the textbook one, in its order, into a vector free at
+    that point.  r1 and r2 (b at first) take two vectors, and a product
+    goes where r1 was once y holds the scaled r1.  y holds P r2 only from
+    the preconditioner to the next v, and v is scratch after its last use;
+    the new w replaces w2, which the recurrence no longer needs."""
 
     def beta_of(r, z, itn):
         beta2 = float(np.vdot(r, z))
@@ -777,25 +862,29 @@ def _minres(apply, precond, b: np.ndarray, eta: float, maxiter: int):
                              f"{beta2:.3e} is negative or not finite")
         return np.sqrt(beta2)
 
-    x = np.zeros_like(b)
+    x, v, y, w, w2, *lanczos = vectors
+    x.fill(0.0)
+    w.fill(0.0)
+    w2.fill(0.0)
     r1 = r2 = b
-    y = precond(b)
+    precond(b, y)
     beta1 = beta = phibar = beta_of(b, y, 0)
     oldb = dbar = epsln = 0.0
     cs, sn = -1.0, 0.0
-    w = w2 = np.zeros_like(b)
     itn = 0
     while phibar > eta * beta1 and itn < maxiter:
         itn += 1
         # Lanczos step: v is the next P-orthonormal vector, y = P r2
-        v = y / beta
-        y = apply(v)
+        np.divide(y, beta, out=v)
         if itn >= 2:
-            y -= (beta / oldb) * r1
-        alfa = float(np.vdot(v, y))
-        y -= (alfa / beta) * r2
-        r1, r2 = r2, y
-        y = precond(r2)
+            np.multiply(r1, beta / oldb, out=y)
+        p = apply(v, lanczos[itn - 1] if r1 is b else r1)
+        if itn >= 2:
+            p -= y
+        alfa = float(np.vdot(v, p))
+        p -= np.multiply(r2, alfa / beta, out=y)
+        r1, r2 = r2, p
+        precond(r2, y)
         oldb, beta = beta, beta_of(r2, y, itn)
         # the next Givens rotation of the tridiagonal QR factorization
         oldeps = epsln
@@ -806,13 +895,17 @@ def _minres(apply, precond, b: np.ndarray, eta: float, maxiter: int):
         gamma = np.hypot(gbar, beta)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
-        w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x += phi * w
+        # the new w = (v - oldeps w2 - delta w) / gamma, in the place of w2
+        np.multiply(w2, oldeps, out=w2)
+        np.subtract(v, w2, out=w2)
+        w2 -= np.multiply(w, delta, out=v)
+        w2 /= gamma
+        w, w2 = w2, w
+        x += np.multiply(w, phi, out=v)
     return x, itn
 
 
-def _newton_direction(it: _Iterate):
+def _newton_direction(it: _Iterate, work: _Workspace):
     """Approximately solve H delta = g with H = -Hessian (exact analytic
     Hessian-vector products) and g the gradient at the iterate it.  The
     Hessian is indefinite in general (the critical sections are saddles of
@@ -821,15 +914,15 @@ def _newton_direction(it: _Iterate):
     preconditioner P, stopped at ||g - H delta||_P <= _ETA ||g||_P: a
     relative residual in a norm that Q-isometries and the scale of P leave
     unchanged, so the same forcing term on every grid.  Returns the
-    direction and the MINRES iteration count, which is also the number of
-    Hessian-vector products.  Raises SolveError when MINRES breaks down or
-    gives a non-finite or all-zero direction."""
-    cache = _hessian_cache(it)
-    precond = _split_preconditioner(it.s, it.frames)
+    direction, which lives in work, and the MINRES iteration count, which
+    is also the number of Hessian-vector products.  Raises SolveError when
+    MINRES breaks down or gives a non-finite or all-zero direction."""
+    cache = _hessian_cache(it, work)
+    precond = _split_preconditioner(it.s, it.frames, work)
     # g, the products and the preconditioner all vanish on the boundary, and
     # so does every MINRES vector
-    x, iters = _minres(lambda d: _hessian_apply(it.s, cache, d), precond, it.grad,
-                       _ETA, 60)
+    x, iters = _minres(lambda d, out: _hessian_apply(it.s, cache, d, out), precond,
+                       it.grad, _ETA, 60, work.vectors)
     if not np.isfinite(x).all() or not x.any():
         raise SolveError("MINRES gave a non-finite or all-zero direction")
     return x, iters

@@ -8,7 +8,6 @@ from adg2.excalc import (
     FibrationData,
     Poly,
     exterior_d,
-    standard_mu,
     star4,
     wedge,
 )

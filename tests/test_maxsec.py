@@ -53,15 +53,32 @@ def sine_mode(s, ks, coord):
     return d
 
 
+def hessian_setup(s):
+    """The iterate at s, a workspace for its grid and its Hessian data."""
+    it = mx._Iterate(s)
+    work = mx._Workspace(s)
+    return it, work, mx._hessian_cache(it, work)
+
+
+def product(s, cache, delta):
+    """A Hessian-vector product into a new array."""
+    return mx._hessian_apply(s, cache, delta, np.empty_like(delta))
+
+
 def hessian_apply(s, delta):
-    return mx._hessian_apply(s, mx._hessian_cache(mx._Iterate(s)), delta)
+    return product(s, hessian_setup(s)[2], delta)
+
+
+def corner_stack(values):
+    """(cells..., 8 corners, 22) copy of the nodal values."""
+    return np.stack([mx._corner_view(values, o) for o in mx._CORNERS], axis=-2)
 
 
 def gauss_derivatives(s, values):
     """Derivatives (cells..., 8 gauss, 3, 22) of the interpolant of values at
     the Gauss points, by the shape-gradient table contracted by einsum."""
     table = mx._shape_gradient_table(s.spacing)
-    return np.einsum("gca,...cv->...gav", table, mx._corner_stack(values))
+    return np.einsum("gca,...cv->...gav", table, corner_stack(values))
 
 
 def reference_hessian_apply(s, delta):
@@ -141,7 +158,7 @@ class TestDiscretization:
         s = mx.SectionGrid(mx.affine_section((6, 6, 6), (0.2,) * 3).values,
                            (0.2,) * 3)
         table = mx._shape_gradient_table(s.spacing)
-        corners = mx._corner_stack(delta)
+        corners = corner_stack(delta)
         dd = np.einsum("gca,...cv->...gav", table, corners)
         total = dd.sum(axis=(0, 1, 2, 3))
         assert np.abs(total).max() < 1e-10
@@ -287,11 +304,11 @@ class TestHessian:
     def test_symmetric(self):
         s = graphical_section()
         rng = np.random.default_rng(22)
-        cache = mx._hessian_cache(mx._Iterate(s))
+        cache = hessian_setup(s)[2]
         for _ in range(3):
             u, v = interior_direction(rng, s), interior_direction(rng, s)
-            uhv = float(np.sum(u * mx._hessian_apply(s, cache, v)))
-            vhu = float(np.sum(v * mx._hessian_apply(s, cache, u)))
+            uhv = float(np.sum(u * product(s, cache, v)))
+            vhu = float(np.sum(v * product(s, cache, u)))
             assert abs(uhv - vhu) <= 1e-12 * abs(uhv)
 
     def test_equals_reference_under_a_general_pairing(self):
@@ -328,9 +345,9 @@ class TestHessian:
         s = perturbed_affine(rng, dims=dims)
         if general:
             s = general_pairing(rng, s)
-        cache = mx._hessian_cache(mx._Iterate(s))
+        cache = hessian_setup(s)[2]
         u, v = interior_direction(rng, s), interior_direction(rng, s)
-        hu, hv = mx._hessian_apply(s, cache, u), mx._hessian_apply(s, cache, v)
+        hu, hv = product(s, cache, u), product(s, cache, v)
         for d, got in ((u, hu), (v, hv)):
             want = reference_hessian_apply(s, d)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -338,18 +355,18 @@ class TestHessian:
         assert abs(uhv - vhu) <= 1e-12 * abs(uhv)
 
     def test_cache_peak_memory(self):
-        # the tangent maps and a one-block workspace at 11^3 (15.6
-        # values.nbytes); the bound is 2.5 times the Gauss-point derivatives'
-        # 528 numbers a cell, 45.1 values.nbytes
+        # the tangent maps go into the iterate's scratch a block at a time:
+        # the cache allocates only a block's two (rows, 21) products at 11^3
+        # (2.3 values.nbytes)
         s = perturbed_affine(np.random.default_rng(24), dims=(11, 11, 11))
-        it = mx._Iterate(s)
+        it, work, _ = hessian_setup(s)
         tracemalloc.start()
         try:
-            mx._hessian_cache(it)
+            mx._hessian_cache(it, work)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 45 * s.values.nbytes
+        assert peak <= 4 * s.values.nbytes
 
     def test_iterate_peak_memory(self):
         # an iterate built from its corner frames at 11^3 (28 values.nbytes);
@@ -364,37 +381,66 @@ class TestHessian:
             tracemalloc.stop()
         assert peak <= 36 * s.values.nbytes
 
+    def test_reload_allocates_no_cell_arrays(self):
+        # the line search builds each trial into the arrays of one iterate:
+        # a reload allocates only per-cell scalars (det, det^(1/3) and the
+        # entries of G^-1) at 11^3 (2.7 values.nbytes), and rebuilds the
+        # iterate exactly
+        rng = np.random.default_rng(24)
+        s = perturbed_affine(rng, dims=(11, 11, 11))
+        other = perturbed_affine(rng, dims=(11, 11, 11))
+        it = mx._Iterate(other)
+        tracemalloc.start()
+        try:
+            it.load(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * s.values.nbytes
+        fresh = mx._Iterate(s)
+        assert it.area == fresh.area
+        for name in ("frames", "qframes", "g", "ginv", "a", "stiff", "grad"):
+            assert np.array_equal(getattr(it, name), getattr(fresh, name)), name
+
     @staticmethod
     def workspace_case():
         rng = np.random.default_rng(24)
         s = perturbed_affine(rng, dims=(11, 11, 11))
-        cache = mx._hessian_cache(mx._Iterate(s))
+        cache = hessian_setup(s)[2]
         return s, cache, interior_direction(rng, s), interior_direction(rng, s)
 
     def test_product_allocates_only_its_result(self):
-        # the intermediates live in the per-step workspace of the cache
+        # the product goes into the buffer it is given and its intermediates
+        # into the workspace, so it allocates no array of the grid's size:
+        # only numpy's ufunc buffers for the scatter's strided adds (0.31
+        # d.nbytes at 11^3)
         s, cache, d, _ = self.workspace_case()
-        mx._hessian_apply(s, cache, d)
+        out = np.empty_like(d)
+        mx._hessian_apply(s, cache, d, out)
         tracemalloc.start()
         try:
-            mx._hessian_apply(s, cache, d)
+            mx._hessian_apply(s, cache, d, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * d.nbytes
+        assert peak <= d.nbytes / 2
 
     def test_results_are_fresh_and_repeatable(self):
-        # MINRES keeps the vectors it is given, so a product must not return
-        # or overwrite workspace memory
+        # the buffer contract of MINRES: a product overwrites all of the
+        # buffer it is given, boundary nodes included, and returns it; it
+        # only reads delta, and leaves every other buffer as it was
         s, cache, d1, d2 = self.workspace_case()
-        first = mx._hessian_apply(s, cache, d1)
+        kept_d1 = d1.copy()
+        first = np.full_like(d1, np.nan)
+        assert mx._hessian_apply(s, cache, d1, first) is first
+        assert np.array_equal(d1, kept_d1)
         kept = first.copy()
-        second = mx._hessian_apply(s, cache, d2)
-        assert not np.shares_memory(first, second)
+        second = np.full_like(d2, np.nan)
+        mx._hessian_apply(s, cache, d2, second)
         assert np.array_equal(first, kept)
-        assert np.array_equal(mx._hessian_apply(s, cache, d1), kept)
         want = reference_hessian_apply(s, d2)
         assert np.abs(second - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(mx._hessian_apply(s, cache, d1, second), kept)
 
 
 class TestPreconditioner:
@@ -404,20 +450,19 @@ class TestPreconditioner:
         # delta on the complement, and Rayleigh quotient V on each frame
         # coefficient's modes
         s = mx.affine_section(dims, tuple(1.0 / (n - 1) for n in dims))
-        it = mx._Iterate(s)
-        cache = mx._hessian_cache(it)
-        precond = mx._split_preconditioner(s, it.frames)
+        it, work, cache = hessian_setup(s)
+        precond = mx._split_preconditioner(s, it.frames, work)
         vol = float(np.prod(s.spacing))
         top = tuple(n - 2 for n in dims)
         modes = [(1, 1, 1), (2, 3, 1), (1, top[1], 3), top]
         for ks in modes:
             for coord in (mx.SIG_PLUS, 12, mx.DIM - 1):
                 d = sine_mode(s, ks, coord)
-                mhd = precond(mx._hessian_apply(s, cache, d)) / vol
+                mhd = precond(product(s, cache, d), np.empty_like(d)) / vol
                 assert np.abs(mhd - d).max() <= 1e-12
             for coord in range(mx.SIG_PLUS):
                 d = sine_mode(s, ks, coord)
-                mhd = precond(mx._hessian_apply(s, cache, d)) / vol
+                mhd = precond(product(s, cache, d), np.empty_like(d)) / vol
                 assert abs(np.sum(d * mhd) / np.sum(d * d) - 1.0) <= 1e-12
 
 
@@ -427,9 +472,8 @@ def dense_pair(n, components):
     interior unknowns of the given node components (node-major order), with
     the cell volume V and each unknown's component."""
     s = mx.affine_section((n,) * 3, (1.0 / (n - 1),) * 3)
-    it = mx._Iterate(s)
-    cache = mx._hessian_cache(it)
-    precond = mx._split_preconditioner(s, it.frames)
+    it, work, cache = hessian_setup(s)
+    precond = mx._split_preconditioner(s, it.frames, work)
     mask = np.zeros(s.values.shape, dtype=bool)
     mask[1:-1, 1:-1, 1:-1, components] = True
     unknowns = np.flatnonzero(mask)
@@ -437,8 +481,8 @@ def dense_pair(n, components):
     for col, flat in enumerate(unknowns):
         unit = np.zeros(s.values.shape)
         unit.flat[flat] = 1.0
-        h[:, col] = mx._hessian_apply(s, cache, unit).flat[unknowns]
-        p[:, col] = precond(unit).flat[unknowns]
+        h[:, col] = product(s, cache, unit).flat[unknowns]
+        p[:, col] = precond(unit, np.empty_like(unit)).flat[unknowns]
     return h, p, float(np.prod(s.spacing)), unknowns % mx.DIM
 
 
@@ -479,6 +523,11 @@ class TestPreconditionerSpectrum:
         assert np.allclose((w[0], w[-1]), (0.1, 2.8), rtol=0, atol=1e-9)
 
 
+def matrix_apply(m):
+    """The operator u -> m u in the form _minres calls: f(u, out)."""
+    return lambda u, out: np.matmul(m, u, out=out)
+
+
 class TestMinres:
     N = 30
 
@@ -496,7 +545,8 @@ class TestMinres:
         return h, p, rng.normal(size=cls.N)
 
     def solve(self, h, p, b, eta, maxiter=100):
-        return mx._minres(lambda x: h @ x, lambda r: p @ r, b, eta, maxiter)
+        return mx._minres(matrix_apply(h), matrix_apply(p), b, eta, maxiter,
+                          np.empty((7,) + b.shape))
 
     def test_accurate_solve(self):
         h, p, b = self.problem()
@@ -521,6 +571,24 @@ class TestMinres:
             assert itersc == iters1
             assert np.abs(xc - x1).max() <= 1e-12 * np.abs(x1).max()
 
+    def test_peak_memory_does_not_grow_with_iterations(self):
+        # MINRES works in the vectors it is given, so 5 iterations and the
+        # thirty-odd of a converged solve (its cap is 40) peak alike
+        h, p, b = self.problem()
+        vectors = np.empty((7,) + b.shape)
+        apply, precond = matrix_apply(h), matrix_apply(p)
+        mx._minres(apply, precond, b, 1e-12, 40, vectors)
+        peaks, iters = [], []
+        for maxiter in (5, 40):
+            tracemalloc.start()
+            try:
+                iters.append(mx._minres(apply, precond, b, 1e-12, maxiter, vectors)[1])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert iters[0] == 5 and iters[1] > 25
+        assert peaks[1] <= peaks[0]
+
     def test_zero_right_hand_side(self):
         h, p, b = self.problem()
         x, iters = self.solve(h, p, 0.0 * b, 0.1)
@@ -537,8 +605,9 @@ class TestMinres:
         b = np.zeros(self.N)
         b[0] = 1.0
         with pytest.raises(mx.SolveError, match="MINRES broke down at its iteration " + where):
-            mx._minres(lambda x: h @ x, lambda r: np.where(r != 0.0, d * r, 0.0), b,
-                       1e-12, 100)
+            mx._minres(matrix_apply(h),
+                       lambda r, out: np.copyto(out, np.where(r != 0.0, d * r, 0.0)),
+                       b, 1e-12, 100, np.empty((7, self.N)))
 
 
 class TestMinEigenvalues:
@@ -682,7 +751,7 @@ class TestSolver:
         assert out.message
 
     def test_no_newton_direction_raises(self, monkeypatch):
-        def nan_minres(apply, precond, b, eta, maxiter):
+        def nan_minres(apply, precond, b, eta, maxiter, vectors):
             return np.full_like(b, np.nan), 1
 
         monkeypatch.setattr(mx, "_minres", nan_minres)
@@ -693,9 +762,9 @@ class TestSolver:
     def test_indefinite_preconditioner_raises(self, monkeypatch):
         split = mx._split_preconditioner
 
-        def negated(s, frames):
-            apply = split(s, frames)
-            return lambda r: -apply(r)
+        def negated(s, frames, work):
+            apply = split(s, frames, work)
+            return lambda r, out: np.negative(apply(r, out), out=out)
 
         monkeypatch.setattr(mx, "_split_preconditioner", negated)
         s = perturbed_affine(np.random.default_rng(15))
@@ -709,9 +778,9 @@ class TestSolver:
         want = mx.solve_dirichlet(s, tol=1e-8)
         split = mx._split_preconditioner
 
-        def scaled(s, frames):
-            apply = split(s, frames)
-            return lambda r: 1e3 * apply(r)
+        def scaled(s, frames, work):
+            apply = split(s, frames, work)
+            return lambda r, out: np.multiply(apply(r, out), 1e3, out=out)
 
         monkeypatch.setattr(mx, "_split_preconditioner", scaled)
         got = mx.solve_dirichlet(s, tol=1e-8)
@@ -754,17 +823,17 @@ class TestSolver:
         calls = {"gram": 0, "hvp": 0, "inv3": 0}
         gram, hvp, inv3 = mx._gram, mx._hessian_apply, mx._inv3
 
-        def counted_gram(s):
+        def counted_gram(*args):
             calls["gram"] += 1
-            return gram(s)
+            return gram(*args)
 
-        def counted_hvp(s, cache, delta):
+        def counted_hvp(*args):
             calls["hvp"] += 1
-            return hvp(s, cache, delta)
+            return hvp(*args)
 
-        def counted_inv3(g, det):
+        def counted_inv3(*args, **kwargs):
             calls["inv3"] += 1
-            return inv3(g, det)
+            return inv3(*args, **kwargs)
 
         monkeypatch.setattr(mx, "_gram", counted_gram)
         monkeypatch.setattr(mx, "_hessian_apply", counted_hvp)
@@ -785,6 +854,21 @@ class TestSolver:
         assert last_area == mx.area(out.grid)
         assert last_eig == mx.min_gram_eigenvalue(out.grid)
         assert last_res == out.residual
+
+    def test_solves_share_no_state(self):
+        # each solve has its own workspace, sized from its grid: a 9^3 solve,
+        # an 11^3 solve and the same 9^3 solve again give bit-identical
+        # results
+        rng = np.random.default_rng(18)
+        small = perturbed_affine(rng, dims=(9, 9, 9))
+        large = perturbed_affine(rng, dims=(11, 11, 11))
+        first = mx.solve_dirichlet(small, tol=1e-8)
+        assert mx.solve_dirichlet(large, tol=1e-8).converged
+        again = mx.solve_dirichlet(small, tol=1e-8)
+        assert first.converged and first.iterations > 0
+        assert np.array_equal(first.grid.values, again.grid.values)
+        assert first.krylov_per_step == again.krylov_per_step
+        assert first.history == again.history
 
     def test_phase_seconds(self):
         rng = np.random.default_rng(16)

@@ -1,6 +1,7 @@
 """Declared dependencies are used, declared scripts resolve, every public
-function is referenced, the grid half has one derivative stencil, the exact
-half loads no numpy and the package loads no scipy."""
+function is referenced, no module imports a name it never uses, the grid
+half has one derivative stencil, the exact half loads no numpy and the
+package loads no scipy."""
 
 import ast
 import importlib.util
@@ -93,6 +94,33 @@ def test_every_public_function_is_referenced():
     unused = [f"{path.relative_to(ROOT)}:{line} {name}"
               for path, line, name in public_definitions() if name not in used]
     assert not unused, f"public functions referenced nowhere: {unused}"
+
+
+def unused_imports(path: Path) -> list:
+    """(line, name) of each name that the file's import statements bind and
+    its code never reads (as a name; words in strings and comments do not
+    count)."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_imports():
+    """Every name that a module under src/adg2 or tests imports is used
+    there.  A package's __init__.py imports to re-export, so it is exempt."""
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for top in ("src/adg2", "tests")
+              for path in sorted((ROOT / top).rglob("*.py")) if path.name != "__init__.py"
+              for line, name in unused_imports(path)]
+    assert not unused, f"imported but never used: {unused}"
 
 
 def test_one_derivative_stencil():
