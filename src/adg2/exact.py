@@ -112,9 +112,8 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
     return tuple(tuple(QQi.of(e) for e in row) for row in rows)
 
 
-def zeros(n: int, m: int | None = None, field=QQi) -> Matrix:
-    m = n if m is None else m
-    return tuple(tuple(field(0) for _ in range(m)) for _ in range(n))
+def zeros(n: int, field=QQi) -> Matrix:
+    return tuple(tuple(field(0) for _ in range(n)) for _ in range(n))
 
 
 def eye(n: int, field=QQi) -> Matrix:

@@ -45,21 +45,14 @@ from .jsondoc import at, boolean, integer, integers, member, numbers
 W_SD = np.array(hk.STANDARD_TRIPLE, dtype=float)
 I_VEC = np.array(hk.complex_structure_matrices(hk.HKTriple.standard()), dtype=float)
 
-# wedge pairing of fibre 2-forms in the (a<b) component order
+# the (a<b) component order of fibre 2-forms
 PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-
-def wedge2_form(f_components, w: np.ndarray):
-    """vol4 coefficient of f ^ w for a fibre 2-form f given by its six
-    components in PAIR_ORDER and a triple form w."""
-    (f01, f02, f03, f12, f13, f23) = f_components
-    (g01, g02, g03, g12, g13, g23) = [w[p, q] for (p, q) in PAIR_ORDER]
-    return f01 * g23 + f23 * g01 - f02 * g13 - f13 * g02 + f03 * g12 + f12 * g03
-
-
-# _SD_SLOTS[l, s]: the coefficient of PAIR_ORDER slot s in wedge2_form(., W_SD[l]);
-# each standard form sees two of the six slots, and cs_instanton pairs only those
-_SD_SLOTS = np.array([wedge2_form(np.eye(6), w) for w in W_SD])
+# _SD_SLOTS[l, s]: the vol4 pairing hk.wedge22 of the unit 2-form of PAIR_ORDER
+# slot s with the l-th standard form; each standard form sees two of the six
+# slots, and fibre_defect and cs_instanton pair only those
+_SD_SLOTS = np.array([[float(hk.wedge22(hk.form2({pq: 1}), w)) for pq in PAIR_ORDER]
+                      for w in hk.STANDARD_TRIPLE])
 
 
 def _entry_first(shape, dtype=complex) -> np.ndarray:
@@ -202,16 +195,10 @@ class LatticeGrid:
                              for ax, n in enumerate(self.shape)),
                            indexing="ij", sparse=True)
 
-    def base_weights(self) -> np.ndarray:
-        """Quadrature weights over base nodes (trapezoid on a box)."""
-        return trapezoid_weights(self.dims_base, self.spacing_base, self.base_periodic)
-
-    def fibre_weights(self) -> np.ndarray:
-        return trapezoid_weights(self.dims_fibre, self.spacing_fibre, self.fibre_periodic)
-
     def node_weights(self) -> np.ndarray:
-        return (self.base_weights().reshape(self.dims_base + (1, 1, 1, 1))
-                * self.fibre_weights())
+        base = trapezoid_weights(self.dims_base, self.spacing_base, self.base_periodic)
+        fibre = trapezoid_weights(self.dims_fibre, self.spacing_fibre, self.fibre_periodic)
+        return base.reshape(self.dims_base + (1, 1, 1, 1)) * fibre
 
 
 def diff(values: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
@@ -263,17 +250,13 @@ class LatticeConnection:
             grid, np.zeros((7,) + grid.shape + (rank, rank), dtype=complex))
 
 
-def from_functions(grid: LatticeGrid, funcs, rank: int = 1) -> LatticeConnection:
-    """Sample a dict {direction: f(t1,t2,t3,x1..x4) -> complex or matrix}."""
+def from_functions(grid: LatticeGrid, funcs) -> LatticeConnection:
+    """Sample a dict {direction: f(t1,t2,t3,x1..x4) -> complex} as a rank-1
+    connection."""
     coords = grid.coordinates()
-    comps = np.zeros((7,) + grid.shape + (rank, rank), dtype=complex)
+    comps = np.zeros((7,) + grid.shape + (1, 1), dtype=complex)
     for mu, f in funcs.items():
-        val = np.asarray(f(*coords), dtype=complex)
-        if val.ndim <= 7:  # scalar field times identity block
-            val = np.broadcast_to(val, grid.shape)
-            comps[mu] = val[..., None, None] * np.eye(rank)
-        else:
-            comps[mu] = np.broadcast_to(val, grid.shape + (rank, rank))
+        comps[mu, ..., 0, 0] = np.asarray(f(*coords), dtype=complex)
     return LatticeConnection(grid, comps)
 
 
@@ -287,7 +270,8 @@ def fibre_defect(f_vert) -> np.ndarray:
     vertical curvatures."""
     out = _entry_first((3,) + f_vert[0].shape)
     for i in range(3):
-        out[i] = wedge2_form(f_vert, W_SD[i])
+        s, t = np.flatnonzero(_SD_SLOTS[i])  # the two slots the i-th form pairs
+        out[i] = _SD_SLOTS[i, s] * f_vert[s] + _SD_SLOTS[i, t] * f_vert[t]
     return out
 
 

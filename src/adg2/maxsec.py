@@ -29,7 +29,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,11 +91,7 @@ class SectionGrid:
         return self.values.shape[:3]
 
     def copy(self) -> "SectionGrid":
-        out = SectionGrid.__new__(SectionGrid)
-        out.values = self.values.copy()
-        out.spacing = self.spacing
-        out.pairing = self.pairing
-        return out
+        return replace(self, values=self.values.copy())
 
     def interior_mask(self) -> np.ndarray:
         m = np.zeros(self.dims, dtype=bool)
@@ -323,7 +319,8 @@ class _Iterate:
     them for another section on that grid, so one iterate serves a solve.
     A scratch of 288 numbers a cell holds g (its first 72), then _gram's
     8x8 products and the cell terms S X, until _hessian_cache writes the
-    tangent maps over all of it: g is valid until then."""
+    tangent maps over all of it: g and tangent are two views of the
+    scratch, and g is valid until then."""
 
     def __init__(self, s: SectionGrid):
         cells = tuple(n - 1 for n in s.dims)
@@ -333,6 +330,7 @@ class _Iterate:
             cells + (8, DIM), cells + (DIM, 8), cells + (8, 6), cells + (8, 6),
             cells + (8, 8), (288 * size,), s.values.shape, s.values.shape)
         self.g = self.scratch[:72 * size].reshape(cells + (8, 3, 3))
+        self.tangent = self.scratch.reshape(cells + (8, 6, 6))
         self.load(s)
 
     def load(self, s: SectionGrid):
@@ -369,7 +367,7 @@ def grad_area(s: SectionGrid) -> np.ndarray:
     return _Iterate(s).grad
 
 
-def residual_norm(s: SectionGrid, grad: np.ndarray | None = None) -> float:
+def residual_norm(s: SectionGrid) -> float:
     """Isometry-invariant sup norm of the Q-dual gradient over interior nodes.
 
     The gradient is first converted to a density (divided by the lumped node
@@ -382,14 +380,12 @@ def residual_norm(s: SectionGrid, grad: np.ndarray | None = None) -> float:
     either, and a negative squared norm counts as 0 (_residual counts those
     nodes).
     """
-    if grad is None:
-        grad = grad_area(s)
-    return _residual(s, grad)[0]
+    return _residual(s, grad_area(s))[0]
 
 
 def _residual(s: SectionGrid, grad: np.ndarray):
-    """(residual_norm(s, grad), the number of interior nodes whose squared
-    norm was negative and counted as 0).
+    """(residual_norm(s), given grad = grad_area(s), and the number of
+    interior nodes whose squared norm was negative and counted as 0).
 
     With v the nodewise frame, G = v^T Q v and gd = Q^-1 grad / mass, the
     part of gd on the span of v is v G^-1 y, y = v^T grad / mass.  Its
@@ -437,10 +433,6 @@ class MuMap:
         self.pairing = q
 
     @staticmethod
-    def identity() -> "MuMap":
-        return MuMap(np.eye(DIM))
-
-    @staticmethod
     def random(rng: np.random.Generator) -> "MuMap":
         """Random isometry of the standard pairing: O(3) x O(19) followed by
         three boosts of rapidity at most 0.4."""
@@ -470,35 +462,32 @@ def dualize(s: SectionGrid, psi: MuMap) -> SectionGrid:
 
 
 def affine_section(dims, spacing, frame: np.ndarray | None = None,
-                   offset: np.ndarray | None = None,
                    pairing: np.ndarray | None = None) -> SectionGrid:
-    """h(t) = frame @ t + offset with Q-orthonormal positive frame columns."""
+    """h(t) = frame @ t with Q-orthonormal positive frame columns."""
     q = standard_pairing() if pairing is None else check_pairing(pairing)
     if frame is None:
         frame = np.zeros((DIM, 3))
         frame[:SIG_PLUS, :] = np.eye(3)
     frame = np.asarray(frame, dtype=float)
-    offset = np.zeros(DIM) if offset is None else np.asarray(offset, dtype=float)
     axes = [np.arange(n) * h for n, h in zip(dims, spacing)]
     tt = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    vals = tt @ frame.T + offset
-    return SectionGrid(vals, spacing, q)
+    return SectionGrid(tt @ frame.T, spacing, q)
 
 
 @dataclass
 class SolveResult:
+    """The outcome of solve_dirichlet and the work it did.  The counters are
+    those of the whole solve; gradients and hvps follow from them."""
+
     grid: SectionGrid
     converged: bool
     iterations: int
     residual: float
     history: list  # rows (iter, area, residual_norm, min_eig_G)
     message: str = ""
-    # work counters of the whole solve
     krylov_per_step: list = field(default_factory=list)  # MINRES iterations, per step
     line_search_rejections: int = 0  # trials rejected by the residual bar
     positivity_failures: int = 0  # trials that lost positivity
-    # iterates built (_Iterate): the start and every line-search trial
-    gradients: int = 0
     # interior nodes whose squared residual norm was negative and counted as
     # 0, over every residual the solve evaluated (residual_norm)
     residual_clamped_nodes: int = 0
@@ -509,14 +498,16 @@ class SolveResult:
     phase_seconds: dict = field(default_factory=dict)
 
     @property
-    def krylov_iters(self) -> int:
-        """MINRES iterations over all Newton steps."""
-        return sum(self.krylov_per_step)
+    def gradients(self) -> int:
+        """Iterates built (_Iterate): the start and every line-search trial,
+        each accepted, rejected by the residual bar or not positive."""
+        return (1 + self.iterations + self.line_search_rejections
+                + self.positivity_failures)
 
     @property
     def hvps(self) -> int:
         """Hessian-vector products: one per MINRES iteration."""
-        return self.krylov_iters
+        return sum(self.krylov_per_step)
 
 
 @contextlib.contextmanager
@@ -556,7 +547,7 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
         work = _Workspace(it.s)
         spare = it.s.copy()  # the node values of the next trial
         res, clamped = _residual(it.s, it.grad)
-    out = SolveResult(it.s, False, 0, res, [], gradients=1, phase_seconds=phases,
+    out = SolveResult(it.s, False, 0, res, [], phase_seconds=phases,
                       residual_clamped_nodes=clamped)
     for n_iter in range(max(max_iter, 0) + 1):
         out.grid, out.iterations, out.residual = it.s, n_iter, res
@@ -579,7 +570,6 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
             for _ in range(60):
                 np.multiply(delta[_INTERIOR], shrink, out=trial.values[_INTERIOR])
                 trial.values[_INTERIOR] += out.grid.values[_INTERIOR]
-                out.gradients += 1
                 try:
                     it.load(trial)
                     res_trial, clamped = _residual(trial, it.grad)
@@ -620,8 +610,9 @@ _BLOCK_CELLS = 256
 
 
 class _Workspace:
-    """The arrays that the Newton steps of one solve write besides the
-    iterate's, sized from its grid in one allocation: the block buffers of
+    """What the Newton steps of one solve use besides the iterate, made once
+    per solve for the grid and pairing of s: -Q, which _hessian_apply
+    applies to its node sums, and in one allocation the block buffers of
     _hessian_apply (the corner values of delta, corner-major, R, Js, E, M
     and S D) for blocks of whole cell slabs within _BLOCK_CELLS cells, the
     preconditioner's symbol, DST-I matrices (_sine_symbol) and transform
@@ -637,11 +628,12 @@ class _Workspace:
             (8, size, DIM), (size, 64), (size, 48), (size, 48), (size, 64),
             (8, size, DIM), inner, inner, inner, (7,) + s.values.shape)
         self.sines = _sine_symbol(s, self.symbol)
+        self.neg_q = -s.pairing
 
 
 def _hessian_cache(it: _Iterate, work: _Workspace):
-    """Per-cell data of the Hessian at the iterate it, partially assembled
-    once per Newton step, and the buffers of _hessian_apply.
+    """Write the per-cell data of the Hessian at the iterate it that the
+    iterate does not already hold, once per Newton step, into it.tangent.
 
     The gradient's Gauss-point term A dh Q varies along delta by (A dd +
     E dh) Q, with dd = t2_g D the derivatives of delta at Gauss point g (D
@@ -657,42 +649,39 @@ def _hessian_cache(it: _Iterate, work: _Workspace):
       ((1/3) <Js, G^-1> G^-1 - G^-1 Js G^-1) for Js = J + J^T.  So the six
       entries of Js come from R by _cell_maps' to_gauss, and E_g = C_g Js_g
       with a 6x6 C_g per Gauss point (_tangent_table).
-    S, X and Q^T X^T are the iterate's; the cache adds C (cells..., 8 gauss,
-    6, 6), from its G^-1 and A, written over the iterate's scratch a block
-    at a time, and -Q.  The products use the iterate's node sums and the
-    block buffers of work."""
+    S, X and Q^T X^T are the iterate's already.  C (cells..., 8 gauss, 6,
+    6) comes from its G^-1 and A, a block of _Workspace cells at a time, and
+    goes over the iterate's scratch (it.tangent)."""
     pair_rows, pair_cols, table = _tangent_table()
-    cells = it.frames.shape[:3]
     a, ginv = it.a.reshape(-1, 6), it.ginv.reshape(-1, 6)
-    tangent = it.scratch.reshape(-1, 36)
-    rows = 8 * work.slabs * cells[1] * cells[2]
+    tangent = it.tangent.reshape(-1, 36)
+    rows = 8 * work.corners.shape[1]  # the Gauss points of a product block
     for k in range(0, len(a), rows):
         products = a[k:k + rows, pair_rows]
         products *= ginv[k:k + rows, pair_cols]
         np.matmul(products, table, out=tangent[k:k + rows])
-    return (it.stiff, it.frames, it.qframes, tangent.reshape(cells + (8, 6, 6)),
-            -it.s.pairing, it.nodes, work)
 
 
-def _hessian_apply(s: SectionGrid, cache, delta: np.ndarray,
+def _hessian_apply(it: _Iterate, work: _Workspace, delta: np.ndarray,
                    out: np.ndarray) -> np.ndarray:
     """Exact directional derivative of -grad_area along delta (so the
-    returned operator is positive definite near a discrete maximum), from
-    the per-cell data of _hessian_cache: per cell, S D + M X with M from the
-    8x8 product R = D (Q^T X^T) through to_gauss, C and to_cell.  The
-    Gauss-point derivatives dd and A dd are never formed.  Q commutes with
-    the sum onto the nodes, so it is applied once per node.
+    returned operator is positive definite near a discrete maximum) at the
+    iterate it, after _hessian_cache: per cell, S D + M X with S, X and Q^T
+    X^T the iterate's and M from the 8x8 product R = D (Q^T X^T) through
+    to_gauss, C (it.tangent) and to_cell.  The Gauss-point derivatives dd
+    and A dd are never formed.  Q commutes with the sum onto the nodes, so
+    it is applied once per node, as the workspace's -Q.
 
     The cells are taken a block of whole slabs at a time, the last block
     holding what is left, and each block's terms are added onto the node
     sums before the next block starts.  A block's corner values and then its
     per-corner terms are held corner-major, so the gather and the scatter
-    are eight copies and adds of contiguous arrays.  The product is written
-    into out, boundary included, and returned; delta is only read."""
-    stiff, frames, qframes, tangent, neg_q, nodes, work = cache
-    to_gauss, to_cell = _cell_maps(s.spacing)
-    n1, n2, n3 = frames.shape[:3]
-    nodes.fill(0.0)
+    are eight copies and adds of contiguous arrays, the node sums go into
+    it.nodes and the block buffers are the workspace's.  The product is
+    written into out, boundary included, and returned; delta is only read."""
+    to_gauss, to_cell = _cell_maps(it.s.spacing)
+    n1, n2, n3 = it.frames.shape[:3]
+    it.nodes.fill(0.0)
     for i0 in range(0, n1, work.slabs):
         i1 = min(i0 + work.slabs, n1)
         size = (i1 - i0) * n2 * n3
@@ -703,18 +692,18 @@ def _hessian_apply(s: SectionGrid, cache, delta: np.ndarray,
             corners[ci] = _corner_view(block, o)
         d = terms.transpose(1, 0, 2)  # (cells, 8 corners, 22)
         r, js, e, m = work.r[:size], work.js[:size], work.e[:size], work.m[:size]
-        np.matmul(d, qframes[i0:i1].reshape(size, DIM, 8), out=r.reshape(size, 8, 8))
+        np.matmul(d, it.qframes[i0:i1].reshape(size, DIM, 8), out=r.reshape(size, 8, 8))
         np.matmul(r, to_gauss, out=js)
-        np.einsum("bik,bk->bi", tangent[i0:i1].reshape(8 * size, 6, 6),
+        np.einsum("bik,bk->bi", it.tangent[i0:i1].reshape(8 * size, 6, 6),
                   js.reshape(8 * size, 6), out=e.reshape(8 * size, 6))
         np.matmul(e, to_cell, out=m)
-        np.matmul(stiff[i0:i1].reshape(size, 8, 8), d, out=sd.transpose(1, 0, 2))
+        np.matmul(it.stiff[i0:i1].reshape(size, 8, 8), d, out=sd.transpose(1, 0, 2))
         # D is spent: the block's per-corner terms M X + S D take its place
-        np.matmul(m.reshape(size, 8, 8), frames[i0:i1].reshape(size, 8, DIM), out=d)
+        np.matmul(m.reshape(size, 8, 8), it.frames[i0:i1].reshape(size, 8, DIM), out=d)
         terms += sd
-        _corner_scatter(corners, nodes[i0:i1 + 1])
+        _corner_scatter(corners, it.nodes[i0:i1 + 1])
     _zero_boundary(out)
-    np.matmul(nodes[_INTERIOR], neg_q, out=out[_INTERIOR])
+    np.matmul(it.nodes[_INTERIOR], work.neg_q, out=out[_INTERIOR])
     return out
 
 
@@ -756,10 +745,10 @@ def _sine_symbol(s: SectionGrid, symbol: np.ndarray) -> list:
     return sines
 
 
-def _split_preconditioner(s: SectionGrid, frames: np.ndarray, work: _Workspace):
+def _split_preconditioner(it: _Iterate, work: _Workspace):
     """Positive definite approximation of |H / V|^-1, with H the Hessian
-    (_hessian_apply) and V = h1 h2 h3 the cell volume; exact at an affine
-    section with a Q-orthonormal frame.
+    (_hessian_apply) at the iterate it and V = h1 h2 h3 the cell volume;
+    exact at an affine section with a Q-orthonormal frame.
 
     There, in the frame/complement coordinates, the blocks of H are sums of
     trilinear-element products K (x) M (x) M, with 1-d stiffness K = (1/h)
@@ -771,7 +760,6 @@ def _split_preconditioner(s: SectionGrid, frames: np.ndarray, work: _Workspace):
     (2 + cos theta) / 3.  So H / V has the symbol (2/3) sum_d kappa_d
     prod_{e != d} m_e on the complement and (2/9) kappa_m prod_{e != m} m_e
     on the m-th frame coefficient, and the apply divides by it mode by mode.
-    frames are the corner frames X (_gram).
 
     The DST-I is applied as the dense symmetric matrix S_d = sin(pi j k /
     (n_d - 1)), j, k = 1..n_d - 2, along each axis by matmul.  S_d^2 = ((n_d
@@ -784,16 +772,17 @@ def _split_preconditioner(s: SectionGrid, frames: np.ndarray, work: _Workspace):
     17^3 / 25^3.  It agrees with the FFT to 2e-15 to 5e-15 relative.
 
     The symbol and the S_d depend only on the grid and come from the
-    workspace (_sine_symbol), so this sets up only the frame basis.  The
-    apply, apply(r, out), writes P r into out, boundary included, with the
-    transforms in the workspace's two interior-sized buffers.
+    workspace (_sine_symbol), so this sets up only the frame basis, from the
+    iterate's corner frames X.  The apply, apply(r, out), writes P r into
+    out, boundary included, with the transforms in the workspace's two
+    interior-sized buffers.
 
     The scale is that of the area density, as in residual_norm.  It does not
     move where MINRES stops: _minres compares ||r||_P with ||g||_P, and a
     constant factor in P cancels from that ratio, so inverting H itself
     (P larger by 1/V) gives the same directions to rounding.
     """
-    a, nbasis = _section_frame_basis(s, frames)
+    a, nbasis = _section_frame_basis(it.s, it.frames)
     t = np.concatenate([a, nbasis], axis=1)  # (22, 22)
     x, y, symbol, sines = work.x, work.y, work.symbol, work.sines
     m1, m2, m3 = symbol.shape[:3]
@@ -917,11 +906,11 @@ def _newton_direction(it: _Iterate, work: _Workspace):
     direction, which lives in work, and the MINRES iteration count, which
     is also the number of Hessian-vector products.  Raises SolveError when
     MINRES breaks down or gives a non-finite or all-zero direction."""
-    cache = _hessian_cache(it, work)
-    precond = _split_preconditioner(it.s, it.frames, work)
+    _hessian_cache(it, work)
+    precond = _split_preconditioner(it, work)
     # g, the products and the preconditioner all vanish on the boundary, and
     # so does every MINRES vector
-    x, iters = _minres(lambda d, out: _hessian_apply(it.s, cache, d, out), precond,
+    x, iters = _minres(lambda d, out: _hessian_apply(it, work, d, out), precond,
                        it.grad, _ETA, 60, work.vectors)
     if not np.isfinite(x).all() or not x.any():
         raise SolveError("MINRES gave a non-finite or all-zero direction")

@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from adg2 import fueter as fu
 from adg2 import gauge as ga
+from adg2 import hk
 from adg2.excalc import (
     BigradedForm,
     FibrationData,
@@ -56,7 +59,10 @@ def cs_reference(path):
                                    axis1=-2, axis2=-1)
                         + np.trace(batched_curvature(a, 3 + p, 3 + q) @ delta[l],
                                    axis1=-2, axis2=-1))
-                total += 0.5 * float(np.sum((w * ga.wedge2_form(t6, ga.W_SD[l])).real))
+                f = [[0] * 4 for _ in range(4)]
+                for (p, q), t in zip(ga.PAIR_ORDER, t6):
+                    f[p][q], f[q][p] = t, -t
+                total += 0.5 * float(np.sum((w * hk.wedge22(f, ga.W_SD[l])).real))
     return -total / (4 * np.pi ** 2)
 
 
@@ -315,11 +321,17 @@ class TestChernSimons:
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
     def test_slot_table_is_the_pairing_of_unit_slots(self):
-        unit = np.eye(6)
-        for l in range(3):
-            want = [ga.wedge2_form(list(unit[s]), ga.W_SD[l]) for s in range(6)]
-            assert np.array_equal(ga._SD_SLOTS[l], want)
-            assert np.count_nonzero(ga._SD_SLOTS[l]) == 2
+        # the slot table pairs a 2-form's PAIR_ORDER slots as hk.wedge22
+        # pairs it with the standard triple, exactly, on random rational forms
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            f = hk.form2({pq: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+                          for pq in ga.PAIR_ORDER})
+            for l in range(3):
+                got = sum(Fraction(c) * f[p][q]
+                          for c, (p, q) in zip(ga._SD_SLOTS[l], ga.PAIR_ORDER))
+                assert got == hk.wedge22(f, hk.STANDARD_TRIPLE[l])
+        assert all(np.count_nonzero(slots) == 2 for slots in ga._SD_SLOTS)
 
     def test_rank2_path_matches_batched_reference(self):
         path = random_rank2_path()

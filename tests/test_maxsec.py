@@ -54,19 +54,20 @@ def sine_mode(s, ks, coord):
 
 
 def hessian_setup(s):
-    """The iterate at s, a workspace for its grid and its Hessian data."""
+    """The iterate at s, with its Hessian data, and a workspace for its grid."""
     it = mx._Iterate(s)
     work = mx._Workspace(s)
-    return it, work, mx._hessian_cache(it, work)
+    mx._hessian_cache(it, work)
+    return it, work
 
 
-def product(s, cache, delta):
+def product(it, work, delta):
     """A Hessian-vector product into a new array."""
-    return mx._hessian_apply(s, cache, delta, np.empty_like(delta))
+    return mx._hessian_apply(it, work, delta, np.empty_like(delta))
 
 
 def hessian_apply(s, delta):
-    return product(s, hessian_setup(s)[2], delta)
+    return product(*hessian_setup(s), delta)
 
 
 def corner_stack(values):
@@ -304,11 +305,11 @@ class TestHessian:
     def test_symmetric(self):
         s = graphical_section()
         rng = np.random.default_rng(22)
-        cache = hessian_setup(s)[2]
+        it, work = hessian_setup(s)
         for _ in range(3):
             u, v = interior_direction(rng, s), interior_direction(rng, s)
-            uhv = float(np.sum(u * product(s, cache, v)))
-            vhu = float(np.sum(v * product(s, cache, u)))
+            uhv = float(np.sum(u * product(it, work, v)))
+            vhu = float(np.sum(v * product(it, work, u)))
             assert abs(uhv - vhu) <= 1e-12 * abs(uhv)
 
     def test_equals_reference_under_a_general_pairing(self):
@@ -345,9 +346,9 @@ class TestHessian:
         s = perturbed_affine(rng, dims=dims)
         if general:
             s = general_pairing(rng, s)
-        cache = hessian_setup(s)[2]
+        it, work = hessian_setup(s)
         u, v = interior_direction(rng, s), interior_direction(rng, s)
-        hu, hv = product(s, cache, u), product(s, cache, v)
+        hu, hv = product(it, work, u), product(it, work, v)
         for d, got in ((u, hu), (v, hv)):
             want = reference_hessian_apply(s, d)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -359,7 +360,7 @@ class TestHessian:
         # the cache allocates only a block's two (rows, 21) products at 11^3
         # (2.3 values.nbytes)
         s = perturbed_affine(np.random.default_rng(24), dims=(11, 11, 11))
-        it, work, _ = hessian_setup(s)
+        it, work = hessian_setup(s)
         tracemalloc.start()
         try:
             mx._hessian_cache(it, work)
@@ -406,20 +407,20 @@ class TestHessian:
     def workspace_case():
         rng = np.random.default_rng(24)
         s = perturbed_affine(rng, dims=(11, 11, 11))
-        cache = hessian_setup(s)[2]
-        return s, cache, interior_direction(rng, s), interior_direction(rng, s)
+        it, work = hessian_setup(s)
+        return s, it, work, interior_direction(rng, s), interior_direction(rng, s)
 
     def test_product_allocates_only_its_result(self):
         # the product goes into the buffer it is given and its intermediates
         # into the workspace, so it allocates no array of the grid's size:
         # only numpy's ufunc buffers for the scatter's strided adds (0.31
         # d.nbytes at 11^3)
-        s, cache, d, _ = self.workspace_case()
+        _, it, work, d, _ = self.workspace_case()
         out = np.empty_like(d)
-        mx._hessian_apply(s, cache, d, out)
+        mx._hessian_apply(it, work, d, out)
         tracemalloc.start()
         try:
-            mx._hessian_apply(s, cache, d, out)
+            mx._hessian_apply(it, work, d, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -429,18 +430,18 @@ class TestHessian:
         # the buffer contract of MINRES: a product overwrites all of the
         # buffer it is given, boundary nodes included, and returns it; it
         # only reads delta, and leaves every other buffer as it was
-        s, cache, d1, d2 = self.workspace_case()
+        s, it, work, d1, d2 = self.workspace_case()
         kept_d1 = d1.copy()
         first = np.full_like(d1, np.nan)
-        assert mx._hessian_apply(s, cache, d1, first) is first
+        assert mx._hessian_apply(it, work, d1, first) is first
         assert np.array_equal(d1, kept_d1)
         kept = first.copy()
         second = np.full_like(d2, np.nan)
-        mx._hessian_apply(s, cache, d2, second)
+        mx._hessian_apply(it, work, d2, second)
         assert np.array_equal(first, kept)
         want = reference_hessian_apply(s, d2)
         assert np.abs(second - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.array_equal(mx._hessian_apply(s, cache, d1, second), kept)
+        assert np.array_equal(mx._hessian_apply(it, work, d1, second), kept)
 
 
 class TestPreconditioner:
@@ -450,19 +451,19 @@ class TestPreconditioner:
         # delta on the complement, and Rayleigh quotient V on each frame
         # coefficient's modes
         s = mx.affine_section(dims, tuple(1.0 / (n - 1) for n in dims))
-        it, work, cache = hessian_setup(s)
-        precond = mx._split_preconditioner(s, it.frames, work)
+        it, work = hessian_setup(s)
+        precond = mx._split_preconditioner(it, work)
         vol = float(np.prod(s.spacing))
         top = tuple(n - 2 for n in dims)
         modes = [(1, 1, 1), (2, 3, 1), (1, top[1], 3), top]
         for ks in modes:
             for coord in (mx.SIG_PLUS, 12, mx.DIM - 1):
                 d = sine_mode(s, ks, coord)
-                mhd = precond(product(s, cache, d), np.empty_like(d)) / vol
+                mhd = precond(product(it, work, d), np.empty_like(d)) / vol
                 assert np.abs(mhd - d).max() <= 1e-12
             for coord in range(mx.SIG_PLUS):
                 d = sine_mode(s, ks, coord)
-                mhd = precond(product(s, cache, d), np.empty_like(d)) / vol
+                mhd = precond(product(it, work, d), np.empty_like(d)) / vol
                 assert abs(np.sum(d * mhd) / np.sum(d * d) - 1.0) <= 1e-12
 
 
@@ -472,8 +473,8 @@ def dense_pair(n, components):
     interior unknowns of the given node components (node-major order), with
     the cell volume V and each unknown's component."""
     s = mx.affine_section((n,) * 3, (1.0 / (n - 1),) * 3)
-    it, work, cache = hessian_setup(s)
-    precond = mx._split_preconditioner(s, it.frames, work)
+    it, work = hessian_setup(s)
+    precond = mx._split_preconditioner(it, work)
     mask = np.zeros(s.values.shape, dtype=bool)
     mask[1:-1, 1:-1, 1:-1, components] = True
     unknowns = np.flatnonzero(mask)
@@ -481,7 +482,7 @@ def dense_pair(n, components):
     for col, flat in enumerate(unknowns):
         unit = np.zeros(s.values.shape)
         unit.flat[flat] = 1.0
-        h[:, col] = product(s, cache, unit).flat[unknowns]
+        h[:, col] = product(it, work, unit).flat[unknowns]
         p[:, col] = precond(unit, np.empty_like(unit)).flat[unknowns]
     return h, p, float(np.prod(s.spacing)), unknowns % mx.DIM
 
@@ -669,7 +670,7 @@ class TestMuMap:
     def test_identity(self):
         rng = np.random.default_rng(8)
         s = perturbed_affine(rng)
-        assert np.allclose(mx.dualize(s, mx.MuMap.identity()).values, s.values)
+        assert np.allclose(mx.dualize(s, mx.MuMap(np.eye(22))).values, s.values)
 
     def test_reject_non_isometry(self):
         m = np.eye(22)
@@ -762,8 +763,8 @@ class TestSolver:
     def test_indefinite_preconditioner_raises(self, monkeypatch):
         split = mx._split_preconditioner
 
-        def negated(s, frames, work):
-            apply = split(s, frames, work)
+        def negated(it, work):
+            apply = split(it, work)
             return lambda r, out: np.negative(apply(r, out), out=out)
 
         monkeypatch.setattr(mx, "_split_preconditioner", negated)
@@ -778,8 +779,8 @@ class TestSolver:
         want = mx.solve_dirichlet(s, tol=1e-8)
         split = mx._split_preconditioner
 
-        def scaled(s, frames, work):
-            apply = split(s, frames, work)
+        def scaled(it, work):
+            apply = split(it, work)
             return lambda r, out: np.multiply(apply(r, out), 1e3, out=out)
 
         monkeypatch.setattr(mx, "_split_preconditioner", scaled)
@@ -816,12 +817,16 @@ class TestSolver:
     def test_work_counted_once(self, monkeypatch):
         # one Gram evaluation per gradient (the start and every line-search
         # trial, as SolveResult.gradients counts them), one Hessian-vector
-        # product per MINRES iteration, and two 3x3 inversions per gradient
-        # that keeps positivity, one for the gradient and one in
-        # residual_norm: the Hessian data of a Newton step reuses the
-        # iterate's G^-1
-        calls = {"gram": 0, "hvp": 0, "inv3": 0}
+        # product per MINRES iteration, one preconditioner per Newton step,
+        # applied once per MINRES iteration and once before the first, and
+        # two 3x3 inversions per gradient that keeps positivity, one for the
+        # gradient and one in residual_norm: the Hessian data of a Newton
+        # step reuses the iterate's G^-1.  The benchmark's tracer counts the
+        # products and applies by wrapping these module attributes, and
+        # treats _split_preconditioner as a factory of the apply
+        calls = {"gram": 0, "hvp": 0, "inv3": 0, "split": 0, "precond": 0}
         gram, hvp, inv3 = mx._gram, mx._hessian_apply, mx._inv3
+        split = mx._split_preconditioner
 
         def counted_gram(*args):
             calls["gram"] += 1
@@ -835,9 +840,20 @@ class TestSolver:
             calls["inv3"] += 1
             return inv3(*args, **kwargs)
 
+        def counted_split(*args):
+            calls["split"] += 1
+            apply = split(*args)
+
+            def counted_apply(*args):
+                calls["precond"] += 1
+                return apply(*args)
+
+            return counted_apply
+
         monkeypatch.setattr(mx, "_gram", counted_gram)
         monkeypatch.setattr(mx, "_hessian_apply", counted_hvp)
         monkeypatch.setattr(mx, "_inv3", counted_inv3)
+        monkeypatch.setattr(mx, "_split_preconditioner", counted_split)
         rng = np.random.default_rng(14)
         s = perturbed_affine(rng, dims=(9, 9, 9), amp=2e-3)
         out = mx.solve_dirichlet(s, tol=1e-8, max_iter=500)
@@ -845,9 +861,10 @@ class TestSolver:
         trials = out.iterations + out.line_search_rejections + out.positivity_failures
         assert calls["gram"] == out.gradients == 1 + trials
         assert calls["inv3"] == 2 * (1 + out.iterations + out.line_search_rejections)
-        assert calls["hvp"] == out.hvps == out.krylov_iters > 0
+        assert calls["hvp"] == out.hvps > 0
         assert len(out.krylov_per_step) == out.iterations
-        assert sum(out.krylov_per_step) == out.krylov_iters
+        assert calls["split"] == out.iterations
+        assert calls["precond"] == out.hvps + out.iterations
         monkeypatch.undo()
         # the history rows hold the values of the public functions
         _, last_area, last_res, last_eig = out.history[-1]

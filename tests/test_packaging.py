@@ -138,6 +138,28 @@ def test_one_derivative_stencil():
         f"np.gradient called outside gauge.diff: {calls}"
 
 
+def test_one_wedge_pairing():
+    """hk.wedge22 is the one vol4 pairing of fibre 2-forms: gauge's slot
+    table _SD_SLOTS is built by calling it, and no function outside hk.py
+    is named wedge2*."""
+    gauge = ast.parse((ROOT / "src" / "adg2" / "gauge.py").read_text())
+    slots = [top.value for top in gauge.body if isinstance(top, ast.Assign)
+             and [getattr(t, "id", None) for t in top.targets] == ["_SD_SLOTS"]]
+    assert len(slots) == 1, "gauge.py must assign _SD_SLOTS once at module level"
+    called = {getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+              for node in ast.walk(slots[0]) if isinstance(node, ast.Call)}
+    assert "wedge22" in called, f"_SD_SLOTS is not built by wedge22: {called}"
+    named = []
+    for path in sorted((ROOT / "src" / "adg2").rglob("*.py")):
+        if path.name == "hk.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name.startswith("wedge2"):
+                named.append((path.relative_to(ROOT).as_posix(), node.name))
+    assert not named, f"a wedge pairing of 2-forms outside hk.py: {named}"
+
+
 def test_one_star_and_one_sign_rule():
     """star3, star4 and star7_limit each call excalc.hodge._star, the one
     star routine, and _merge_sign, the one sign of reordering two blocks of
