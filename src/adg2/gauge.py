@@ -25,6 +25,13 @@ associative-side comparison in the fueter module would fail by a sign.
 
 The grid half's shared rules live here once: diff is the one derivative
 stencil, _path_trapezoid the one path rule and _path_times the one path check.
+diff equals the rolled central difference on a periodic axis and
+np.gradient(edge_order=2) on a box axis, bit for bit on finite input, without
+calling np.gradient: it builds each derivative field in place, and divides a
+complex field by 2 h as its real view times 1 / (2 h) (_scale), which is what
+numpy's complex division computes.  That needs the field's innermost axis in
+memory to be contiguous; other complex fields, and all real ones, are divided
+by np.divide.
 """
 
 from __future__ import annotations
@@ -61,27 +68,38 @@ def _entry_first(shape, dtype=complex) -> np.ndarray:
     return np.moveaxis(np.empty(shape[-2:] + shape[:-2], dtype), (0, 1), (-2, -1))
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, commutator: bool = False) -> np.ndarray:
+def _matmul(a: np.ndarray, b: np.ndarray, commutator: bool = False,
+            add_to: np.ndarray | None = None) -> np.ndarray:
     """a b, or the commutator a b - b a, of two (..., r, r) matrix fields,
-    returned entry-first.
+    returned entry-first; or, given add_to, added to add_to in place.
 
     Sums the r^3 entry products as elementwise multiplies of node fields: for
     the small r of a gauge group this is several times faster than a batched
     `@`, which pays a per-node matrix call.  Each product reads the entry
     fields a[..., i, k], which are contiguous when the operands are stored
     entry-first, as connection components are; strided node-major entry
-    fields make each product several times slower."""
+    fields make each product several times slower.  The products go through
+    one scratch node field, and an entry added to add_to is summed in full in
+    a second one first (first product, += the rest, -= the reversed ones), so
+    it is added exactly as a separately built product would be."""
     r = a.shape[-1]
-    out = _entry_first(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    dtype = np.result_type(a, b)
+    out = _entry_first(shape, dtype) if add_to is None else add_to
+    prod = np.empty(shape[:-2], dtype)
+    total = None if add_to is None else np.empty(shape[:-2], dtype)
     for i in range(r):
         for j in range(r):
-            acc = a[..., i, 0] * b[..., 0, j]
+            entry = out[..., i, j]
+            acc = entry if total is None else total
+            np.multiply(a[..., i, 0], b[..., 0, j], out=acc)
             for k in range(1, r):
-                acc += a[..., i, k] * b[..., k, j]
+                acc += np.multiply(a[..., i, k], b[..., k, j], out=prod)
             if commutator:
                 for k in range(r):
-                    acc -= b[..., i, k] * a[..., k, j]
-            out[..., i, j] = acc
+                    acc -= np.multiply(b[..., i, k], a[..., k, j], out=prod)
+            if acc is not entry:
+                entry += acc
     return out
 
 
@@ -201,12 +219,64 @@ class LatticeGrid:
         return base.reshape(self.dims_base + (1, 1, 1, 1)) * fibre
 
 
+def _scale(x: np.ndarray, d: float) -> np.ndarray:
+    """x /= d in place, bit for bit on finite input, and x.
+
+    numpy divides a complex field by a real d through its general complex
+    division, whose result on finite input is each real and imaginary part
+    times 1 / d; that multiply of the real view is several times faster.  The
+    view needs the innermost axis in memory to be contiguous, as it is in a
+    C-order or entry-first field or a slice of one along an outer axis; any
+    other x, and every real x, keeps np.divide."""
+    if x.dtype.kind == "c" and x.size:
+        t = x.transpose(sorted(range(x.ndim), key=lambda ax: -abs(x.strides[ax])))
+        if t.strides[-1] == x.itemsize:
+            parts = t.view(x.real.dtype)
+            np.multiply(parts, 1.0 / d, out=parts)
+            return x
+    return np.divide(x, d, out=x)
+
+
+def central(values: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    """(v[k+1] - v[k-1]) / (2 h) along the first axis of values, into out,
+    which has the shape of values less two nodes along it: the interior of
+    diff along a box axis.  Returns out."""
+    np.subtract(values[2:], values[:-2], out=out)
+    return _scale(out, 2.0 * h)
+
+
 def diff(values: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
     """2nd-order derivative along an axis of a node field (one-sided at the
-    ends of a box axis): the one derivative stencil of the grid half."""
+    ends of a box axis): the one derivative stencil of the grid half.
+
+    On a periodic axis it is (np.roll(v, -1) - np.roll(v, 1)) / (2 h), on a
+    box axis np.gradient(v, h, edge_order=2), bit for bit on finite input:
+    the same differences and edge constants in the same order, and the
+    division by 2 h done by _scale.  The result has the memory layout of
+    values (an entry-first field stays entry-first).  Along the axis of
+    smallest stride np.roll copies runs of one element, so there each node
+    slab is one strided subtract instead."""
+    values = np.asarray(values, dtype=np.result_type(values, 1.0))
+    v = values.swapaxes(0, axis)
+    n = len(v)
     if periodic:
-        return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2 * h)
-    return np.gradient(values, h, axis=axis, edge_order=2)
+        if abs(values.strides[axis]) == min(map(abs, values.strides)):
+            out = np.empty_like(values)
+            slabs = out.swapaxes(0, axis)
+            for k in range(n):
+                np.subtract(v[(k + 1) % n], v[k - 1], out=slabs[k])
+        else:
+            out = np.roll(values, -1, axis=axis)
+            out -= np.roll(values, 1, axis=axis)
+        return _scale(out, 2 * h)
+    if n < 3:
+        raise ValueError(f"a box axis needs three nodes or more, got {n}")
+    out = np.empty_like(values)
+    slabs = out.swapaxes(0, axis)
+    central(v, h, slabs[1:-1])
+    slabs[0] = -1.5 / h * v[0] + 2.0 / h * v[1] + -0.5 / h * v[2]
+    slabs[-1] = 0.5 / h * v[-3] + -2.0 / h * v[-2] + 1.5 / h * v[-1]
+    return out
 
 
 @dataclass
@@ -239,9 +309,10 @@ class LatticeConnection:
 
     def curvature(self, mu: int, nu: int) -> np.ndarray:
         """F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] at every node."""
-        f = self.deriv(nu, mu) - self.deriv(mu, nu)
+        f = self.deriv(nu, mu)
+        f -= self.deriv(mu, nu)
         if self.rank > 1:  # 1x1 blocks commute exactly
-            f += _matmul(self.components[mu], self.components[nu], commutator=True)
+            _matmul(self.components[mu], self.components[nu], commutator=True, add_to=f)
         return f
 
     @staticmethod
@@ -269,9 +340,11 @@ def fibre_defect(f_vert) -> np.ndarray:
     """rho_fibre, shape (3, grid, r, r) and stored entry-first, from the six
     vertical curvatures."""
     out = _entry_first((3,) + f_vert[0].shape)
+    term = np.empty_like(out[0])
     for i in range(3):
         s, t = np.flatnonzero(_SD_SLOTS[i])  # the two slots the i-th form pairs
-        out[i] = _SD_SLOTS[i, s] * f_vert[s] + _SD_SLOTS[i, t] * f_vert[t]
+        rho = np.multiply(_SD_SLOTS[i, s], f_vert[s], out=out[i])
+        rho += np.multiply(_SD_SLOTS[i, t], f_vert[t], out=term)
     return out
 
 
@@ -285,13 +358,13 @@ def instanton_residual(a: LatticeConnection):
 
     rho_horiz = _entry_first((4,) + a.grid.shape + (a.rank, a.rank))
     rho_horiz.fill(0)
+    term = np.empty_like(rho_horiz[0])
     for i in range(3):
         for b in range(4):
             fib = a.curvature(i, 3 + b)
-            for out_a in range(4):
-                coef = I_VEC[i][out_a, b]
-                if coef:
-                    rho_horiz[out_a] += coef * fib
+            for out_a in np.flatnonzero(I_VEC[i][:, b]):
+                rho = rho_horiz[out_a]
+                rho += np.multiply(I_VEC[i][out_a, b], fib, out=term)
     return rho_fibre, rho_horiz
 
 

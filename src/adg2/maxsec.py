@@ -19,9 +19,9 @@ interior node the Q-dual gradient vector is measured in the positive
 definite metric that agrees with Q on the tangent 3-plane of the section
 and with -Q on its Q-orthogonal complement.  Composing the section with any
 Q-isometry leaves this norm unchanged, which is the computable form of the
-duality statement for maximal sections.  Its nodewise derivatives use
-gauge.diff, the grid half's one derivative stencil (gauge._path_trapezoid is
-its one path rule).
+duality statement for maximal sections.  Its nodewise derivatives are the
+interior of gauge.diff, the grid half's one derivative stencil, written by
+gauge.central (gauge._path_trapezoid is its one path rule).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gauge import _base_values, base_map_from_json, diff
+from .gauge import _base_values, base_map_from_json, central
 from .jsondoc import at, member, numbers
 
 DIM = 22
@@ -391,11 +391,13 @@ def _residual(s: SectionGrid, grad: np.ndarray):
     part of gd on the span of v is v G^-1 y, y = v^T grad / mass.  Its
     square is y^T G^-1 y and that of the rest y^T G^-1 y - <gd, gd>_Q, so
     the squared norm is 2 y^T G^-1 y - <gd, gd>_Q."""
-    v = np.stack([diff(s.values, s.spacing[i], i, periodic=False)[_INTERIOR]
-                  for i in range(3)], axis=-2)  # (interior..., 3, 22)
-    g = (v @ s.pairing) @ v.swapaxes(-1, -2)
     inner = grad[_INTERIOR]
-    y = (v @ inner[..., None])[..., 0]
+    frame = np.empty((3,) + inner.shape)  # v, one contiguous derivative field at a time
+    for i in range(3):  # the interior nodes of diff(s.values, ..., i, periodic=False)
+        central(s.values.swapaxes(0, i)[:, 1:-1, 1:-1], s.spacing[i], frame[i].swapaxes(0, i))
+    g = np.stack([(w @ s.pairing) @ w.swapaxes(-1, -2) for w in np.moveaxis(frame, 0, -2)])
+    y = (np.moveaxis(frame, 0, -2) @ inner[..., None])[..., 0]
+    del frame  # so that the norms' temporaries reuse its memory
     ginv = _inv3(g, _det3(g))
     sq = 2.0 * ((ginv * y[..., _SYM_ROWS] * y[..., _SYM_COLS]) @ _SYM_WEIGHT)
     sq -= np.sum((inner @ np.linalg.inv(s.pairing).T) * inner, axis=-1)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -111,6 +112,70 @@ def curvature_calls(monkeypatch):
     return calls
 
 
+def numpy_stencil(v, h, axis, periodic):
+    """The stencils diff reproduces, as numpy writes them."""
+    if periodic:
+        return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2 * h)
+    return np.gradient(v, h, axis=axis, edge_order=2)
+
+
+def bits(x):
+    """The bit patterns of a float or complex array, in C order."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def stencil_inputs(rng, dtype):
+    """Finite (3, 4, 5, 3, 3) node fields of dtype, laid out C-order, entry-first
+    (the layout of connection components) and as a strided slice of a larger
+    field, which also has a strided innermost axis."""
+    def draw(shape):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if dtype is complex else x
+
+    shape = (3, 4, 5, 3, 3)
+    entry_first = np.moveaxis(draw(shape[-2:] + shape[:-2]), (0, 1), (-2, -1))
+    strided = draw((5, 4, 10, 3, 6))[1:-1, :, ::2, :, ::2]
+    return {"C-order": draw(shape), "entry-first": entry_first, "strided": strided}
+
+
+class TestDiff:
+    @pytest.mark.parametrize("h", [1 / 3, 1 / 4, 0.1])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bit_equal_to_numpy(self, h, dtype):
+        # on every axis of every layout: np.gradient's values on a box axis
+        # and the rolled central difference on a periodic one, bit for bit,
+        # stored in the layout numpy would have given them
+        rng = np.random.default_rng(29)
+        for layout, v in stencil_inputs(rng, dtype).items():
+            for axis in range(v.ndim):
+                for periodic in (False, True):
+                    got = ga.diff(v, h, axis, periodic)
+                    want = numpy_stencil(v, h, axis, periodic)
+                    assert got.dtype == want.dtype and got.strides == want.strides, \
+                        (layout, axis, periodic)
+                    assert np.array_equal(bits(got), bits(want)), (layout, axis, periodic)
+
+    def test_entry_first_fields_stay_entry_first(self):
+        v = stencil_inputs(np.random.default_rng(3), complex)["entry-first"]
+        for axis in range(3):
+            for periodic in (False, True):
+                assert entry_first(ga.diff(v, 0.25, axis, periodic))
+
+    @pytest.mark.parametrize("d", [2 / 3, 0.2, 0.7, 0.003])
+    def test_numpy_complex_division_is_a_real_view_multiply(self, d):
+        # _scale's contract rests on this: numpy divides a complex array by a
+        # real scalar as each part times 1 / d.  A numpy that stops doing so
+        # fails here, before diff drifts from np.gradient by a last bit
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=10 ** 5) + 1j * rng.normal(size=10 ** 5)
+        parts = z.view(float) * (1.0 / d)
+        assert np.array_equal((z / d).view(np.uint64), parts.view(np.uint64))
+
+    def test_short_box_axis_rejected(self):
+        with pytest.raises(ValueError, match="three nodes"):
+            ga.diff(np.zeros((2, 4)), 0.5, 0, periodic=False)
+
+
 class TestCurvature:
     def test_zero_connection(self):
         a = ga.LatticeConnection.zero(box_grid(), rank=1)
@@ -146,6 +211,38 @@ class TestCurvature:
             assert np.abs(ga._matmul(x, y, commutator=True) - (x @ y - y @ x)).max() < 1e-13
             assert np.abs(ga._trace_product(x, y)
                           - np.trace(x @ y, axis1=-2, axis2=-1)).max() < 1e-13
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_curvature_is_the_separately_built_sum(self, r):
+        # the in-place curvature adds the commutator entry by entry, each
+        # summed in full first: the same values as the three separate terms,
+        # on fields that are not anti-Hermitian.  Rank 1 adds none (numpy's
+        # a b - b a of complex scalars can be a last bit off zero)
+        rng = np.random.default_rng(30 + r)
+        grid = ga.LatticeGrid.unit(3, 3)  # box base, periodic fibre
+        shape = (7,) + grid.shape + (r, r)
+        a = ga.LatticeConnection(grid, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        for mu in range(7):
+            for nu in range(7):
+                want = a.deriv(nu, mu) - a.deriv(mu, nu)
+                if r > 1:
+                    want += ga._matmul(a.components[mu], a.components[nu], commutator=True)
+                got = a.curvature(mu, nu)
+                assert np.array_equal(got, want) and entry_first(got), (mu, nu)
+
+    def test_rank2_curvature_peak_memory(self):
+        # a curvature holds its result, one more derivative and np.roll's
+        # second shift: no more than 3.1 times the result
+        a = random_connection(np.random.default_rng(8), ga.LatticeGrid.unit(4, 4), 2)
+        for mu, nu in ((0, 3), (1, 6), (3, 4), (5, 6)):
+            a.curvature(mu, nu)
+            tracemalloc.start()
+            try:
+                f = a.curvature(mu, nu)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3.1 * f.nbytes, (mu, nu, peak / f.nbytes)
 
 
 class TestEntryFirstStorage:

@@ -276,6 +276,42 @@ class TestGradArea:
         assert out.residual_clamped_nodes == 1
         assert out.residual == mx.residual_norm(s) > 0
 
+    def test_residual_of_the_stacked_gradient_frame(self):
+        # _residual fills its frame one derivative at a time; the frame
+        # stacked from whole-grid np.gradient fields gives the same norm and
+        # clamped count, bit for bit
+        rng = np.random.default_rng(29)
+        s = perturbed_affine(rng, dims=(6, 7, 8), spacing=(0.2, 0.15, 0.1))
+        s.values[3, 3, 3, 0] -= 0.4  # an indefinite frame: one clamped node
+        grad = mx.grad_area(s)
+        inner = grad[mx._INTERIOR]
+        v = np.stack([np.gradient(s.values, s.spacing[i], axis=i, edge_order=2)[mx._INTERIOR]
+                      for i in range(3)], axis=-2)
+        g = (v @ s.pairing) @ v.swapaxes(-1, -2)
+        y = (v @ inner[..., None])[..., 0]
+        ginv = mx._inv3(g, mx._det3(g))
+        sq = 2.0 * ((ginv * y[..., mx._SYM_ROWS] * y[..., mx._SYM_COLS]) @ mx._SYM_WEIGHT)
+        sq -= np.sum((inner @ np.linalg.inv(s.pairing).T) * inner, axis=-1)
+        want = float(np.sqrt(np.maximum(sq, 0).max())) / float(np.prod(s.spacing))
+        assert mx._residual(s, grad) == (want, int(np.count_nonzero(sq < 0)))
+        assert np.count_nonzero(sq < 0) >= 1
+
+    def test_residual_peak_memory(self):
+        # the frame v is built one contiguous derivative field at a time and
+        # freed before the norms: at 11^3 the peak is v plus numpy's buffers
+        # for one strided difference (2.1 values.nbytes); three whole-grid
+        # derivative fields and a stacked frame would take 4.7
+        s = perturbed_affine(np.random.default_rng(29), dims=(11, 11, 11))
+        grad = mx.grad_area(s)
+        mx._residual(s, grad)
+        tracemalloc.start()
+        try:
+            mx._residual(s, grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * s.values.nbytes
+
     def test_invariant_residual_norm(self):
         rng = np.random.default_rng(6)
         s = perturbed_affine(rng)
