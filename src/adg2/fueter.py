@@ -119,18 +119,18 @@ def cs_associative(path: SectionPath) -> float:
     as a fibre of side L gives sections of period 2 pi / L, and by 1 for
     R^4-valued sections (period <= 0).
 
-    gauge._path_trapezoid in the path parameter, base quadrature in space;
-    each section's derivatives are built once.  Equals the connection-path
-    functional for paths of fibrewise-flat abelian connections, which the
-    test suite verifies.
+    gauge._path_trapezoid in the path parameter, base quadrature in space: each
+    section's derivatives are built once and paired with the increment of each
+    segment bordering it.  Equals the connection-path functional for paths of
+    fibrewise-flat abelian connections, which the test suite verifies.
     """
     period = path.sections[0].period if path.sections else 0.0
     kappa = (TWO_PI / period) ** 4 / (4 * np.pi ** 2) if period > 0 else 1.0
 
-    def density(s: FueterSectionGrid):
+    def density(s: FueterSectionGrid, increments: list) -> list:
         ds, w = section_derivatives(s), s.base_weights()
-        return lambda delta: sum(float(np.sum(w * np.einsum(
-            "...a,ab,...b->...", ds[i], W_SD[i], delta))) for i in range(3))
+        return [sum(float(np.sum(w * np.einsum("...a,ab,...b->...", ds[i], W_SD[i], delta)))
+                    for i in range(3)) for delta in increments]
 
     return kappa * _path_trapezoid(
         path.sections, density,

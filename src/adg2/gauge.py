@@ -21,7 +21,10 @@ The residual conventions:
 The path functional cs_instanton integrates Tr(F ^ dA/dtau) against the
 structure 4-form with the seven-manifold orientation -dt123 dx1234 (the
 orientation the pointwise model fixes); with the product orientation the
-associative-side comparison in the fueter module would fail by a sign.
+associative-side comparison in the fueter module would fail by a sign.  Its
+density folds each curvature into its one slot term (_CS_TERMS) as it is built.
+_matmul's commutators skip the products that cancel and are trace-free, and a
++-1 coefficient of _SD_SLOTS or I_VEC adds or subtracts (_ADD), never multiplies.
 
 The grid half's shared rules live here once: diff is the one derivative
 stencil, _path_trapezoid the one path rule and _path_times the one path check.
@@ -61,6 +64,15 @@ PAIR_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _SD_SLOTS = np.array([[float(hk.wedge22(hk.form2({pq: 1}), w)) for pq in PAIR_ORDER]
                       for w in hk.STANDARD_TRIPLE])
 
+_ADD = {1.0: np.add, -1.0: np.subtract}  # adds a +-1 coefficient times a field
+
+# (mu, nu, sign, c): the 18 curvatures with the one term sign Tr(F_mu_nu d_c) each enters
+# of T_l[ab] = Tr(F_la d_b - F_lb d_a + F_ab d_l), on the slots ab that w_l pairs
+_CS_TERMS = [(mu, nu, sign * _SD_SLOTS[l, s], c)
+             for l in range(3) for s in np.flatnonzero(_SD_SLOTS[l]) for a, b in [PAIR_ORDER[s]]
+             for mu, nu, sign, c in ((l, 3 + a, 1, 3 + b), (l, 3 + b, -1, 3 + a),
+                                     (3 + a, 3 + b, 1, l))]
+
 
 def _entry_first(shape, dtype=complex) -> np.ndarray:
     """An uninitialized (..., r, r) matrix field stored entry-first: the node
@@ -81,38 +93,48 @@ def _matmul(a: np.ndarray, b: np.ndarray, commutator: bool = False,
     fields make each product several times slower.  The products go through
     one scratch node field, and an entry added to add_to is summed in full in
     a second one first (first product, += the rest, -= the reversed ones), so
-    it is added exactly as a separately built product would be."""
+    it is added exactly as a separately built product would be.  A commutator
+    skips the k = i pair of a diagonal entry, 0 up to numpy's last bit, and its
+    last diagonal entry is minus the others, with no product: at r = 1, 0."""
     r = a.shape[-1]
     shape = np.broadcast_shapes(a.shape, b.shape)
     dtype = np.result_type(a, b)
     out = _entry_first(shape, dtype) if add_to is None else add_to
     prod = np.empty(shape[:-2], dtype)
     total = None if add_to is None else np.empty(shape[:-2], dtype)
-    for i in range(r):
-        for j in range(r):
-            entry = out[..., i, j]
+    last = out[..., -1, -1] if total is None else np.empty(shape[:-2], dtype)
+    last.fill(0)  # a commutator's last diagonal entry, summed here
+    for i, j in np.ndindex(r, r):
+        entry = out[..., i, j]
+        if commutator and i == j == r - 1:
+            acc = last
+        else:
             acc = entry if total is None else total
-            np.multiply(a[..., i, 0], b[..., 0, j], out=acc)
-            for k in range(1, r):
+            ks = [k for k in range(r) if not (commutator and k == i == j)]
+            np.multiply(a[..., i, ks[0]], b[..., ks[0], j], out=acc)
+            for k in ks[1:]:
                 acc += np.multiply(a[..., i, k], b[..., k, j], out=prod)
-            if commutator:
-                for k in range(r):
-                    acc -= np.multiply(b[..., i, k], a[..., k, j], out=prod)
-            if acc is not entry:
-                entry += acc
+            for k in ks if commutator else ():
+                acc -= np.multiply(b[..., i, k], a[..., k, j], out=prod)
+            if commutator and i == j:
+                last -= acc
+        if total is not None:
+            entry += acc
     return out
+
+
+def _fold_trace(acc: np.ndarray, x: np.ndarray, y: np.ndarray, sign, prod) -> np.ndarray:
+    """acc += sign Tr(x y), sign +-1, of two (..., r, r) matrix fields, as r^2 entry
+    products x[..., i, j] y[..., j, i] of node fields through the scratch prod."""
+    for i, j in np.ndindex(x.shape[-2:]):
+        _ADD[sign](acc, np.multiply(x[..., i, j], y[..., j, i], out=prod), out=acc)
+    return acc
 
 
 def _trace_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Tr(x y) at every node of two (..., r, r) matrix fields, as the r^2
-    entry products x[..., i, j] y[..., j, i] of node fields."""
-    r = x.shape[-1]
-    out = x[..., 0, 0] * y[..., 0, 0]
-    for i in range(r):
-        for j in range(r):
-            if i or j:
-                out += x[..., i, j] * y[..., j, i]
-    return out
+    """Tr(x y) at every node of two (..., r, r) matrix fields, folded into zeros."""
+    out = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-2], np.result_type(x, y))
+    return _fold_trace(out, x, y, 1.0, np.empty_like(out))
 
 
 def _unit_spacing(n: int, periodic: bool) -> float:
@@ -340,11 +362,10 @@ def fibre_defect(f_vert) -> np.ndarray:
     """rho_fibre, shape (3, grid, r, r) and stored entry-first, from the six
     vertical curvatures."""
     out = _entry_first((3,) + f_vert[0].shape)
-    term = np.empty_like(out[0])
+    out.fill(0)
     for i in range(3):
-        s, t = np.flatnonzero(_SD_SLOTS[i])  # the two slots the i-th form pairs
-        rho = np.multiply(_SD_SLOTS[i, s], f_vert[s], out=out[i])
-        rho += np.multiply(_SD_SLOTS[i, t], f_vert[t], out=term)
+        for s in np.flatnonzero(_SD_SLOTS[i]):  # the two slots the i-th form pairs
+            _ADD[_SD_SLOTS[i, s]](out[i], f_vert[s], out=out[i])
     return out
 
 
@@ -358,13 +379,11 @@ def instanton_residual(a: LatticeConnection):
 
     rho_horiz = _entry_first((4,) + a.grid.shape + (a.rank, a.rank))
     rho_horiz.fill(0)
-    term = np.empty_like(rho_horiz[0])
     for i in range(3):
         for b in range(4):
             fib = a.curvature(i, 3 + b)
             for out_a in np.flatnonzero(I_VEC[i][:, b]):
-                rho = rho_horiz[out_a]
-                rho += np.multiply(I_VEC[i][out_a, b], fib, out=term)
+                _ADD[I_VEC[i][out_a, b]](rho_horiz[out_a], fib, out=rho_horiz[out_a])
     return rho_fibre, rho_horiz
 
 
@@ -381,6 +400,9 @@ def _path_times(times, samples, what: str, shared: str, kind) -> list:
     times = [float(t) for t in times]
     if len(times) != len(samples):
         raise ValueError(f"one {what} per time sample")
+    for k, t in enumerate(times):
+        if not math.isfinite(t):
+            raise ValueError(f"time {k} is not finite: {t!r}")
     if sorted(times) != times:
         raise ValueError("times must be ascending")
     for k, x in enumerate(samples):
@@ -403,62 +425,55 @@ class ConnectionPath:
 
 
 def _path_trapezoid(samples, density, increment, workers: int = 1) -> float:
-    """Sum over segments j of (f_j(d_j) + f_j+1(d_j)) / 2, f_k = density(s_k),
-    d_j = increment(s_j, s_j+1): the trapezoid in the path parameter with the
-    increments folded in, exactly reparametrization invariant.  Each f_k is
-    built once and held by one of `workers` threads (a pool if workers > 1)."""
+    """Sum over segments j of (f_j(d_j) + f_j+1(d_j)) / 2, d_j = increment(s_j,
+    s_j+1) built once each: the trapezoid in the path parameter, exactly
+    reparametrization invariant.  density(s_k, [d_k-1, d_k]) returns f_k of each
+    increment of a segment bordering s_k; with one worker only those are alive."""
     n = len(samples)
 
-    def sample_value(k: int) -> float:
-        f = density(samples[k])
-        # half of each bordering segment's trapezoid, with that segment's increment
-        return 0.5 * sum(f(increment(samples[j], samples[j + 1]))
-                         for j in (k - 1, k) if 0 <= j < n - 1)
+    def value(k: int, increments: list) -> float:
+        return 0.5 * sum(density(samples[k], increments)) if increments else 0.0
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            values = list(ex.map(sample_value, range(n)))
+            d = list(ex.map(lambda j: increment(samples[j], samples[j + 1]), range(n - 1)))
+            values = list(ex.map(lambda k: value(k, d[max(k - 1, 0):k + 1]), range(n)))
     else:
-        values = [sample_value(k) for k in range(n)]
+        values, held = [], []
+        for k in range(n):
+            held = held[-1:]  # segment k - 1; segment k - 2 is dropped
+            if k < n - 1:
+                held.append(increment(samples[k], samples[k + 1]))
+            values.append(value(k, held))
     return float(np.sum(values))
 
 
-def _cs_density(f_vert, f_mix, delta: np.ndarray, w: np.ndarray) -> float:
-    """Node-integrated Sum_l <T_l, w_l> of one snapshot's curvatures (the
-    six vertical and the 3 x 4 mixed ones) for a segment increment delta,
-    with node weights w.
-
-    Only the two slots of T_l that w_l pairs with (_SD_SLOTS) are built; the
-    other four would be multiplied by zero."""
-    total = 0.0
-    for l in range(3):
-        pairing = 0.0
-        for s in np.flatnonzero(_SD_SLOTS[l]):
-            # T_l[ab] = Tr(F_{la} d_b - F_{lb} d_a + F_{ab} d_l), ab = PAIR_ORDER[s]
-            a, b = PAIR_ORDER[s]
-            t = (_trace_product(f_mix[l][a], delta[3 + b])
-                 - _trace_product(f_mix[l][b], delta[3 + a])
-                 + _trace_product(f_vert[s], delta[l]))
-            pairing = pairing + _SD_SLOTS[l, s] * t
-        total += float(np.sum((w * pairing).real))
-    return total
+def _cs_density(acc: np.ndarray, w: np.ndarray) -> float:
+    """Node integral with weights w of the real part of acc, one snapshot's
+    accumulator for one segment in cs_instanton (weighted in place)."""
+    np.multiply(acc.real, w, out=acc.real)
+    return float(np.sum(acc.real))
 
 
 def cs_instanton(path: ConnectionPath, workers: int = 1) -> float:
     """Path functional whose critical points are the limiting instantons.
 
-    _path_trapezoid in the path parameter (each snapshot's 18 curvatures
-    computed once), node quadrature in space, seven-manifold orientation
-    -dt123 dx1234.  The increments are differences of entry-first components,
-    so every trace product reads contiguous entry fields, and _cs_density
-    builds only the slots of T_l that w_l does not multiply by zero.
+    _path_trapezoid in the path parameter, node quadrature in space,
+    seven-manifold orientation -dt123 dx1234.  The density builds a snapshot's
+    18 curvatures once each and folds each, as it is built, into one accumulator
+    per bordering increment (differences of entry-first components) as its
+    slot term (_CS_TERMS).
     """
 
-    def density(a: LatticeConnection):
-        f_vert = fibre_curvatures(a)
-        f_mix = [[a.curvature(l, 3 + b) for b in range(4)] for l in range(3)]
+    def density(a: LatticeConnection, increments: list) -> list:
+        accs = [np.zeros(a.grid.shape, complex) for _ in increments]
+        prod = np.empty(a.grid.shape, complex)
+        for mu, nu, sign, c in _CS_TERMS:
+            f = a.curvature(mu, nu)
+            for acc, delta in zip(accs, increments):
+                _fold_trace(acc, f, delta[c], sign, prod)
         w = a.grid.node_weights()
-        return lambda delta: _cs_density(f_vert, f_mix, delta, w)
+        return [_cs_density(acc, w) for acc in accs]
 
     total = _path_trapezoid(path.fields, density,
                             lambda a0, a1: a1.components - a0.components, workers)

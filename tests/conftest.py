@@ -1,4 +1,5 @@
-"""One run of every `verify` suite per test session.
+"""One run of every `verify` suite per test session, and a counter of the
+grid half's path increments.
 
 The suites' rows are the one body of each exact-half law.  Tier-1 runs them
 once, here, and tests read the rows from the shared report.
@@ -6,7 +7,7 @@ once, here, and tests read the rows from the shared report.
 
 import pytest
 
-from adg2 import spin, verify
+from adg2 import fueter, gauge, spin, verify
 
 VERIFY_SEED = 5
 
@@ -41,3 +42,21 @@ def law(reports):
         assert row.status == "pass", f"{check_id}: {row.max_residual}"
 
     return holds
+
+
+@pytest.fixture
+def increment_calls(monkeypatch):
+    """The (s0, s1) of each increment call of gauge._path_trapezoid, as
+    gauge.cs_instanton and fueter.cs_associative call it."""
+    calls = []
+    original = gauge._path_trapezoid
+
+    def counted(samples, density, increment, workers=1):
+        def counted_increment(s0, s1):
+            calls.append((s0, s1))
+            return increment(s0, s1)
+        return original(samples, density, counted_increment, workers)
+
+    monkeypatch.setattr(gauge, "_path_trapezoid", counted)
+    monkeypatch.setattr(fueter, "_path_trapezoid", counted)
+    return calls

@@ -316,6 +316,29 @@ class TestChernSimonsEquality:
         assert abs(got - (fu.TWO_PI / s0.period) ** 4 / (4 * np.pi ** 2) * want) \
             <= 1e-14 * abs(got)
 
+    def test_each_increment_built_once(self, increment_calls):
+        rng = np.random.default_rng(22)
+        sections = [fu.FueterSectionGrid(rng.uniform(0, 6, size=(3, 4, 3, 4)),
+                                         (0.5, 0.3, 0.5)) for _ in range(4)]
+        fu.cs_associative(fu.SectionPath(np.linspace(0, 1, 4), sections))
+        index = {id(s): k for k, s in enumerate(sections)}
+        assert [(index[id(s0)], index[id(s1)]) for s0, s1 in increment_calls] == [
+            (0, 1), (1, 2), (2, 3)]
+
+    def test_one_section_path_is_zero(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fu, "section_derivatives", calls.append)
+        s = fu.FueterSectionGrid(np.zeros((3, 3, 3, 4)), (0.5,) * 3)
+        assert fu.cs_associative(fu.SectionPath([0.0], [s])) == 0.0
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [[0.0, np.nan], [np.nan, 0.0], [0.0, np.inf, 1.0]])
+    def test_path_rejects_non_finite_times(self, bad):
+        s = fu.FueterSectionGrid(np.zeros((3, 3, 3, 4)), (0.5,) * 3)
+        k = next(k for k, t in enumerate(bad) if not np.isfinite(t))
+        with pytest.raises(ValueError, match=f"time {k} is not finite: {bad[k]!r}"):
+            fu.SectionPath(bad, [s] * len(bad))
+
     def test_path_needs_ascending_times_and_one_period(self):
         s = fu.FueterSectionGrid(np.zeros((3, 3, 3, 4)), (0.5,) * 3)
         with pytest.raises(ValueError, match="ascending"):

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +212,25 @@ class TestCurvature:
             assert np.abs(ga._matmul(x, y, commutator=True) - (x @ y - y @ x)).max() < 1e-13
             assert np.abs(ga._trace_product(x, y)
                           - np.trace(x @ y, axis1=-2, axis2=-1)).max() < 1e-13
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_commutator_is_trace_free_exactly(self, r):
+        # the last diagonal entry is minus the others, on fields that are not
+        # anti-Hermitian, whose true commutators are trace-free too
+        rng = np.random.default_rng(40 + r)
+        x, y = (rng.normal(size=(3, 4, 5, r, r)) + 1j * rng.normal(size=(3, 4, 5, r, r))
+                for _ in range(2))
+        c = ga._matmul(x, y, commutator=True)
+        assert np.array_equal(c[..., -1, -1], -sum(c[..., i, i] for i in range(r - 1)))
+        assert np.abs(c - (x @ y - y @ x)).max() < 1e-13
+
+    def test_rank1_commutator_is_zero(self):
+        rng = np.random.default_rng(6)
+        x, y = (rng.normal(size=(3, 5, 1, 1)) + 1j * rng.normal(size=(3, 5, 1, 1))
+                for _ in range(2))
+        assert np.array_equal(ga._matmul(x, y, commutator=True), np.zeros_like(x))
+        f = rng.normal(size=x.shape) + 0j
+        assert np.array_equal(ga._matmul(x, y, commutator=True, add_to=f.copy()), f)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_curvature_is_the_separately_built_sum(self, r):
@@ -443,6 +463,73 @@ class TestChernSimons:
         path = random_rank2_path(n_times=4)
         ga.cs_instanton(path, workers=1)
         assert len(curvature_calls) == 18 * 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_increment_built_once(self, increment_calls, workers):
+        path = random_rank2_path(n_times=4)
+        ga.cs_instanton(path, workers=workers)
+        index = {id(a): k for k, a in enumerate(path.fields)}
+        assert sorted((index[id(a0)], index[id(a1)]) for a0, a1 in increment_calls) == [
+            (0, 1), (1, 2), (2, 3)]
+
+    def test_one_snapshot_path_builds_nothing(self, curvature_calls, increment_calls):
+        path = random_rank2_path(n_times=1)
+        for workers in (1, 2):
+            assert ga.cs_instanton(path, workers=workers) == 0.0
+        assert curvature_calls == [] and increment_calls == []
+
+    def test_each_curvature_enters_one_slot_term(self):
+        mixed = [(l, 3 + b) for l in range(3) for b in range(4)]
+        vertical = [(3 + p, 3 + q) for p, q in ga.PAIR_ORDER]
+        assert sorted((mu, nu) for mu, nu, _, _ in ga._CS_TERMS) == sorted(mixed + vertical)
+        assert {sign for _, _, sign, _ in ga._CS_TERMS} == {1.0, -1.0}
+
+    def test_path_rule_holds_only_the_bordering_increments(self):
+        class Increment:
+            def __init__(self, j):
+                self.j = j
+
+        alive, seen = weakref.WeakSet(), []
+
+        def increment(j, _):
+            d = Increment(j)
+            alive.add(d)
+            return d
+
+        def density(k, increments):
+            seen.append((k, [d.j for d in increments], len(alive)))
+            return [k + 1.0 for _ in increments]
+
+        assert ga._path_trapezoid(list(range(5)), density, increment) == 12.0
+        assert seen == [(0, [0], 1), (1, [0, 1], 2), (2, [1, 2], 2), (3, [2, 3], 2),
+                        (4, [3], 1)]
+        assert ga._path_trapezoid(list(range(5)), density, increment, workers=2) == 12.0
+
+    def test_rank2_path_functional_peak_memory(self):
+        # each curvature is folded in and dropped as it is built: the peak
+        # holds the two bordering increments (14 component fields), one
+        # curvature with its temporaries and the accumulators
+        rng = np.random.default_rng(12)
+        grid = ga.LatticeGrid.unit(4, 4)
+        fields = [random_connection(rng, grid, 2) for _ in range(3)]
+        path = ga.ConnectionPath([0.0, 0.5, 1.0], fields)
+        ga.cs_instanton(path)
+        tracemalloc.start()
+        try:
+            ga.cs_instanton(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 21 * fields[0].components[0].nbytes, \
+            peak / fields[0].components[0].nbytes
+
+    @pytest.mark.parametrize("bad", [[0.0, np.nan, 1.0], [np.nan, 0.0], [0.0, np.inf],
+                                     [-np.inf, 0.0]])
+    def test_path_rejects_non_finite_times(self, bad):
+        fields = [ga.LatticeConnection.zero(ga.LatticeGrid.unit(3, 3))] * len(bad)
+        k = next(k for k, t in enumerate(bad) if not np.isfinite(t))
+        with pytest.raises(ValueError, match=f"time {k} is not finite: {bad[k]!r}"):
+            ga.ConnectionPath(bad, fields)
 
     def test_path_rejects_snapshots_of_another_rank(self):
         grid = ga.LatticeGrid.unit(3, 3)

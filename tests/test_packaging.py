@@ -161,6 +161,29 @@ def test_one_wedge_pairing():
     assert not named, f"a wedge pairing of 2-forms outside hk.py: {named}"
 
 
+def test_one_path_rule():
+    """gauge._path_trapezoid is the one path rule: gauge.cs_instanton and
+    fueter.cs_associative call it, and only it uses ThreadPoolExecutor."""
+    def name(node):
+        return getattr(node, "attr", None) or getattr(node, "id", None)
+
+    calls, pools = set(), set()
+    for path in sorted((ROOT / "src" / "adg2").rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = (path.relative_to(ROOT).as_posix(), getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name(node.func) == "_path_trapezoid":
+                    calls.add(where)
+                if isinstance(node, (ast.Name, ast.Attribute)) \
+                        and name(node) == "ThreadPoolExecutor":
+                    pools.add(where)
+    gauge, fueter = "src/adg2/gauge.py", "src/adg2/fueter.py"
+    assert {(gauge, "cs_instanton"), (fueter, "cs_associative")} <= calls, \
+        f"a path functional that does not call _path_trapezoid: {calls}"
+    assert pools == {(gauge, "_path_trapezoid")}, \
+        f"ThreadPoolExecutor used outside _path_trapezoid: {pools}"
+
+
 def test_one_star_and_one_sign_rule():
     """star3, star4 and star7_limit each call excalc.hodge._star, the one
     star routine, and _merge_sign, the one sign of reordering two blocks of
