@@ -14,10 +14,10 @@ map is built once, lazily, from the images of the unit vectors
 (from_columns) or as a composite (compose), and applying it costs integer
 dot products and one Fraction per nonzero output instead of one Fraction
 per term.  The compiled maps are HKTriple._variation_map and _recovery_map,
-from the triple's tables; SpinorModel._curvature_sum_map, _curvature_tensor
-and _dirac_first_map, each a map from the model's 2x2 tables composed with
-the standard triple's _variation_map slot by slot; and verify._cyclic_map,
-the four cyclic families of hk from the complex structures' tables.
+from the triple's tables; SpinorModel._curvature_sum_map and _dirac_first_map,
+each a map from the model's 2x2 tables composed with the standard triple's
+_variation_map slot by slot; and verify._cyclic_map, the four cyclic families
+of hk from the complex structures' tables.
 """
 
 from __future__ import annotations

@@ -34,8 +34,8 @@ _CURVATURE_TOL = 1e-6
 class FueterSectionGrid:
     """Base-sampled section with values in the fibre R^4 or its torus.
 
-    period <= 0 means plain R^4 values; a positive period stores torus
-    values as fundamental-domain representatives in [0, period).
+    The period is finite: <= 0 means plain R^4 values, and a positive period
+    stores torus values as fundamental-domain representatives in [0, period).
     """
 
     values: np.ndarray  # (n1, n2, n3, 4)
@@ -46,6 +46,8 @@ class FueterSectionGrid:
     def __post_init__(self):
         self.values, self.spacing = _base_values(self.values, self.spacing, 4)
         self.period = float(self.period)
+        if not np.isfinite(self.period):
+            raise ValueError(f"period must be finite, got {self.period!r}")
         if self.period > 0:
             self.values = np.mod(self.values, self.period)
 
@@ -157,7 +159,7 @@ def holonomy_section(a: LatticeConnection) -> FueterSectionGrid:
     f_vert = fibre_curvatures(a)
     # the self-dual pairing sees only half the components; check them all.
     # np.max keeps a NaN, and a NaN defect fails the test
-    worst = float(np.max([np.abs(residual_scalars(fibre_defect(f_vert), 1)).max()]
+    worst = float(np.max([np.abs(residual_scalars(fibre_defect(f_vert))).max()]
                          + [np.abs(f).max() for f in f_vert]))
     if not worst <= _CURVATURE_TOL:
         raise ValueError(

@@ -7,7 +7,7 @@ coordinate direction; curvature comes from 2nd-order finite differences
 edges) plus the commutator term.  A connection stores its components
 entry-first, one contiguous node field per matrix entry, and exposes them as
 the (7, *grid, r, r) view `components`; the matrix products of the rank-r
-half (_matmul, _trace_product) are then products of contiguous node fields,
+half (_matmul, _fold_trace) are then products of contiguous node fields,
 and the (..., r, r) fields they and the residuals return are entry-first too.
 The residual conventions:
 
@@ -129,12 +129,6 @@ def _fold_trace(acc: np.ndarray, x: np.ndarray, y: np.ndarray, sign, prod) -> np
     for i, j in np.ndindex(x.shape[-2:]):
         _ADD[sign](acc, np.multiply(x[..., i, j], y[..., j, i], out=prod), out=acc)
     return acc
-
-
-def _trace_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Tr(x y) at every node of two (..., r, r) matrix fields, folded into zeros."""
-    out = np.zeros(np.broadcast_shapes(x.shape, y.shape)[:-2], np.result_type(x, y))
-    return _fold_trace(out, x, y, 1.0, np.empty_like(out))
 
 
 def _unit_spacing(n: int, periodic: bool) -> float:
@@ -387,9 +381,9 @@ def instanton_residual(a: LatticeConnection):
     return rho_fibre, rho_horiz
 
 
-def residual_scalars(rho: np.ndarray, rank: int) -> np.ndarray:
-    """Real scalar view: imaginary part for rank 1, Frobenius norm otherwise."""
-    if rank == 1:
+def residual_scalars(rho: np.ndarray) -> np.ndarray:
+    """Real scalar view: imaginary part at rank 1 (rho.shape[-1]), Frobenius norm otherwise."""
+    if rho.shape[-1] == 1:
         return rho[..., 0, 0].imag
     return np.sqrt(np.sum(np.abs(rho) ** 2, axis=(-2, -1)))
 

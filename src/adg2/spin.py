@@ -12,16 +12,14 @@ Conventions, frozen here and proved on the 2x2 tables by verify_conventions():
     quaternion relations, and c(vol4) = +1 on S-, -1 on S+.
 
 build_spinor_model() returns one verified model per process; the proof
-runs on its first call.  The curvature sum, the curvature operators and
-the first-order part of the Dirac-variation symbol are linear in a jet: each
-model holds them as exact.LinearMap, built on first use from its 2x2 tables
-and composed with the standard triple's metric variation slot by slot, so
-that a jet's entries reach each through one map:
-SpinorModel._curvature_sum_map (w to sum_k I_k^{S+} R~_k, from the ccc and
-i_sp tables; the zeroth part of the symbol too), SpinorModel._curvature_tensor
-(w to R~_1..3, from the ccc table; built only by curvature_operators) and
-SpinorModel._dirac_first_map (v to the four first-order coefficients, from
-the i_sp and mp tables).
+runs on its first call.  The curvature sum and the first-order part of the
+Dirac-variation symbol are linear in a jet: each model holds them as
+exact.LinearMap, built on first use from its 2x2 tables and composed with
+the standard triple's metric variation slot by slot, so that a jet's entries
+reach each through one map: SpinorModel._curvature_sum_map (w to
+sum_k I_k^{S+} R~_k, from the ccc and i_sp tables; the zeroth part of the
+symbol too) and SpinorModel._dirac_first_map (v to the four first-order
+coefficients, from the i_sp and mp tables).
 """
 
 from __future__ import annotations
@@ -100,26 +98,18 @@ class SpinorModel:
     def c_form2_plus(self, w: hk.Mat4):
         return _form2_action(w, self.cc_plus)
 
-    def _ccc_map(self) -> LinearMap:
-        """g1[k][i][l][j], 64 per k in (i, l, j) order, to the parts of
-        R~_1..3 (_parts order, 8 per k): (c_l c_j c_i - c_l c_i c_j) / 8."""
-        tensor = [[x / 8 for x in _parts(msub(self.ccc[l][j][i], self.ccc[l][i][j]))]
-                  for i, l, j in product(range(4), repeat=3)]
-        return LinearMap.from_columns(
-            [[0] * (8 * k) + t + [0] * (8 * (2 - k)) for k in range(3) for t in tensor])
-
-    @cached_property
-    def _curvature_tensor(self) -> LinearMap:
-        """curvature_operators on the 576 entries of w (_w_entries) to the
-        parts of R~_1..3: each slot's g1[k][i] (_metric_slots), then _ccc_map."""
-        return self._ccc_map().compose(_metric_slots(12))
-
     @cached_property
     def _curvature_sum_map(self) -> LinearMap:
         """curvature_sum on the 576 entries of w (_w_entries) to the parts of
-        sum_k I_k^{S+} R~_k: _curvature_tensor's maps, then the left
-        multiplication of R~_k by i_sp[k], whose column for part (k, c, b)
-        of R~_k is i_sp[k][a][c] (times i for an imaginary part) at (a, b)."""
+        sum_k I_k^{S+} R~_k: each slot's g1[k][i] (_metric_slots), then
+        g1[k][i][l][j] to the parts of R~_k (_parts order, 8 per k),
+        (c_l c_j c_i - c_l c_i c_j) / 8, then the left multiplication of R~_k
+        by i_sp[k], whose column for part (k, c, b) of R~_k is i_sp[k][a][c]
+        (times i for an imaginary part) at (a, b)."""
+        tensor = [[x / 8 for x in _parts(msub(self.ccc[l][j][i], self.ccc[l][i][j]))]
+                  for i, l, j in product(range(4), repeat=3)]
+        curvature = LinearMap.from_columns(
+            [[0] * (8 * k) + t + [0] * (8 * (2 - k)) for k in range(3) for t in tensor])
         cols = []
         for k, c, b, unit in product(range(3), range(2), range(2), (QQi(1), I_)):
             col = [Fraction(0)] * 8
@@ -127,8 +117,7 @@ class SpinorModel:
                 z = self.i_sp[k][a][c] * unit
                 col[4 * a + 2 * b:4 * a + 2 * b + 2] = z.re, z.im
             cols.append(col)
-        return LinearMap.from_columns(cols).compose(self._ccc_map()).compose(
-            _metric_slots(12))
+        return LinearMap.from_columns(cols).compose(curvature).compose(_metric_slots(12))
 
     @cached_property
     def _dirac_first_map(self) -> LinearMap:
@@ -403,28 +392,43 @@ def random_asd(rng) -> hk.Mat4:
     return hk.asd_form(*_asd_coeffs(rng))
 
 
+def _sym_tracefree(coeffs) -> tuple:
+    """The symmetric trace-free 3x3 grid of ASD forms with the ASD_BASIS
+    coefficients coeffs[k, m] on the slots (k, m), k <= m.  The (2, 2) slot is
+    set to -(c00 + c11) on the coefficients, so each slot's form is built once."""
+    forms = {km: hk.asd_form(*c) for km, c in coeffs.items() if km != (2, 2)}
+    forms[2, 2] = hk.asd_form(*(-(a + b) for a, b in zip(coeffs[0, 0], coeffs[1, 1])))
+    return tuple(tuple(forms[min(k, m), max(k, m)] for m in range(3)) for k in range(3))
+
+
+def _donaldson_jet(grids) -> AdiabaticJet:
+    """The jet whose v, then w[.][.][i] for i = 0..3, are the five grids."""
+    v, *w_per_i = grids
+    return AdiabaticJet(v, tuple(tuple(tuple(w_per_i[i][k][m] for i in range(4))
+                                       for m in range(3)) for k in range(3)))
+
+
 def random_donaldson_jet(rng) -> AdiabaticJet:
     """A random jet satisfying every constraint: symmetric, ASD, trace-free.
 
-    The draw order is fixed: each of the five symmetric 3x3 grids (v, then w
-    for i = 0..3) draws the coefficients of its slots (k, m), k <= m, in
-    row-major order, the (2, 2) slot included.  That draw is discarded and
-    the slot set to -(c00 + c11) on the coefficients, so every slot's form
-    is built once, by hk.asd_form.
-    """
+    The draw order is fixed: each of the five grids (v, then w for i = 0..3)
+    draws the coefficients of its slots (k, m), k <= m, in row-major order,
+    the (2, 2) slot included, whose draw _sym_tracefree discards."""
+    grids = [_sym_tracefree({(k, m): _asd_coeffs(rng) for k in range(3) for m in range(k, 3)})
+             for _ in range(5)]
+    return _donaldson_jet(grids)
 
-    def sym_tracefree():
-        coeffs = {(k, m): _asd_coeffs(rng) for k in range(3) for m in range(k, 3)}
-        coeffs[2, 2] = tuple(-(a + b) for a, b in zip(coeffs[0, 0], coeffs[1, 1]))
-        forms = {km: hk.asd_form(*c) for km, c in coeffs.items()}
-        return tuple(tuple(forms[min(k, m), max(k, m)] for m in range(3))
-                     for k in range(3))
 
-    v = sym_tracefree()
-    w_per_i = [sym_tracefree() for _ in range(4)]
-    w = tuple(tuple(tuple(w_per_i[i][k][m] for i in range(4)) for m in range(3))
-              for k in range(3))
-    return AdiabaticJet(v, w)
+def constraint_basis_jets():
+    """The 75 unit jets that span the constraint subspace, built one at a
+    time: ASD_BASIS form j in one free slot (k, m) of v (15 jets), then of
+    w[.][.][i] for i = 0..3 (60), with its mirror (m, k) and, on the
+    diagonal, minus it in (2, 2); every other slot is zero."""
+    zero = dict.fromkeys(((0, 0), (0, 1), (0, 2), (1, 1), (1, 2)), (0, 0, 0))
+    zero_grid = _sym_tracefree(zero)
+    for g, km, j in product(range(5), zero, range(3)):
+        unit = _sym_tracefree({**zero, km: tuple(int(n == j) for n in range(3))})
+        yield _donaldson_jet([unit if h == g else zero_grid for h in range(5)])
 
 
 def violate_jet(jet: AdiabaticJet, which: str, rng) -> AdiabaticJet:
@@ -468,14 +472,6 @@ def _w_entries(jet: AdiabaticJet) -> list:
     w[k][2][i]) after slot (k, i - 1), each form row-major."""
     return [x for wk in jet.w for i in range(4) for forms in wk
             for row in forms[i] for x in row]
-
-
-def curvature_operators(jet: AdiabaticJet, model: SpinorModel):
-    """The three maps S- -> S+ assembled from the mixed curvature of the
-    limiting connection on a flat fibre background, through the model's one
-    map SpinorModel._curvature_tensor."""
-    p = model._curvature_tensor(_w_entries(jet))
-    return tuple(_from_parts(p[8 * k:8 * k + 8]) for k in range(3))
 
 
 def curvature_sum(jet: AdiabaticJet, model: SpinorModel):

@@ -104,6 +104,11 @@ class TestSectionGrid:
         with pytest.raises(ValueError, match="three nodes per axis"):
             fu.FueterSectionGrid(np.zeros((2, 2, 2, 4)), (0.5, 0.5, 0.5), period=0.0)
 
+    @pytest.mark.parametrize("period", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_period_rejected(self, period):
+        with pytest.raises(ValueError, match=r"^period must be finite, got -?(inf|nan)$"):
+            fu.FueterSectionGrid(np.zeros((3, 3, 3, 4)), (0.25, 0.25, 0.25), period=period)
+
 
 class TestHolonomySection:
     def test_constant_theta(self):

@@ -1,7 +1,8 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 
 import pytest
@@ -37,7 +38,7 @@ def reference_metric_slots(jet):
 
 
 def reference_curvature_operators(jet, model):
-    """The (l, i, j) loop the contraction tensor replaces."""
+    """R~_1..3 by the (l, i, j) loop that the curvature-sum map composes."""
     _, g1 = reference_metric_slots(jet)
     out = []
     for k in range(3):
@@ -145,44 +146,37 @@ class TestModelCache:
         assert len(proofs) == 1 and all(m is proofs[0] for m in models)
 
     def test_corrupted_model_keeps_its_own_tensor(self, model, bad_model):
-        assert bad_model._curvature_tensor != model._curvature_tensor
-        assert spin.build_spinor_model()._curvature_tensor is model._curvature_tensor
+        for name in ("_curvature_sum_map", "_dirac_first_map"):
+            assert getattr(bad_model, name) != getattr(model, name)
+            assert getattr(spin.build_spinor_model(), name) is getattr(model, name)
         nonzero = sum(not is_zero_matrix(spin.curvature_sum(jet, bad_model))
                       for jet in sample_jets(8, 10))
         assert nonzero == 20
 
     def test_maps_are_built_lazily_once_per_model(self, model):
-        # the symbol builds the curvature-sum map and the first-order map;
-        # the larger operator tensor is left to curvature_operators
+        # the symbol builds the model's two maps, curvature sum and first order
         fresh = spin.build_spinor_model(corrupt="i2_sign")
         names = ("_curvature_sum_map", "_dirac_first_map")
-        assert not any(name in vars(fresh) for name in names + ("_curvature_tensor",))
+        assert tuple(name for name, attr in vars(spin.SpinorModel).items()
+                     if isinstance(attr, cached_property)) == names
+        assert not any(name in vars(fresh) for name in names)
         jet = next(sample_jets(10, 1))
         spin.dirac_variation_symbol(jet, fresh)
         built = [vars(fresh)[name] for name in names]
         spin.dirac_variation_symbol(jet, fresh)
         assert all(getattr(fresh, name) is m for name, m in zip(names, built))
         assert all(getattr(model, name) != m for name, m in zip(names, built))
-        assert "_curvature_tensor" not in vars(fresh)
 
     def test_corrupted_maps_fail_the_spin_suite(self, model):
-        clean = (model._curvature_tensor, model._dirac_first_map)
+        clean = (model._curvature_sum_map, model._dirac_first_map)
         (report,) = verify.run_suite("spin", 8, corrupt="i2_sign")
         status = {c.id: c.status for c in report.checks}
         # the cancellation row runs on the corrupted model's own maps
         assert status["spin.curvature.cancellation"] == "fail"
-        assert model._curvature_tensor is clean[0] and model._dirac_first_map is clean[1]
+        assert model._curvature_sum_map is clean[0] and model._dirac_first_map is clean[1]
 
 
 class TestCompiledCurvature:
-    def test_operators_equal_the_loop(self, model, bad_model):
-        for m in (model, bad_model):
-            for jet in sample_jets(7, 12):
-                got = spin.curvature_operators(jet, m)
-                assert got == reference_curvature_operators(jet, m)
-                assert all(type(x.re) is F and type(x.im) is F
-                           for r in got for row in r for x in row)
-
     def test_dirac_first_part_equals_the_loop(self, model, bad_model):
         for m in (model, bad_model):
             for jet in sample_jets(11, 6):
@@ -274,10 +268,6 @@ class TestCanonicalPhi:
 
 
 class TestCurvature:
-    def test_zero_jet(self, model):
-        rks = spin.curvature_operators(spin.zero_jet(), model)
-        assert all(is_zero_matrix(r) for r in rks)
-
     def test_cancellation_on_donaldson_jets(self, law):
         law("spin.curvature.cancellation")
 
@@ -296,33 +286,18 @@ class TestCurvature:
         c = spin.curvature_sum(js, model)
         assert c == tuple(tuple(a[i][j] + b[i][j] for j in range(2)) for i in range(2))
 
-    def test_constraint_subspace_in_kernel(self, model):
-        # basis of the constraint subspace: symmetric ASD slot grids with zero
-        # trace; 5 independent (k,m) patterns x 3 ASD generators x 4 slots
-        def basis_jets():
-            for i_slot in range(4):
-                for eta in hk.ASD_BASIS:
-                    for k in range(3):
-                        for m in range(k, 3):
-                            if k == m == 2:
-                                continue  # eliminated by the trace condition
-                            w = [[[hk.form2({}) for _ in range(4)] for _ in range(3)]
-                                 for _ in range(3)]
-                            w[k][m][i_slot] = eta
-                            w[m][k][i_slot] = eta
-                            if k == m:
-                                w[2][2][i_slot] = mscale(-1, eta)
-                            yield spin.AdiabaticJet(
-                                spin.zero_jet().v,
-                                tuple(tuple(tuple(w[a][b][c] for c in range(4))
-                                            for b in range(3)) for a in range(3)))
-
-        count = 0
-        for jet in basis_jets():
+    def test_unit_jets_are_75_independent_compatible_jets(self):
+        # the basis of the row spin.curvature.cancellation: each jet sets every
+        # flag and has an entry no other jet has, so the 75 are independent and
+        # span the constraint subspace (5 free slots x 3 ASD forms x 5 grids)
+        supports = []
+        for jet in spin.constraint_basis_jets():
             assert jet.all_flags()
-            assert is_zero_matrix(spin.curvature_sum(jet, model))
-            count += 1
-        assert count == 4 * 3 * 5
+            entries = [x for vk in jet.v for f in vk for row in f for x in row]
+            supports.append({n for n, x in enumerate(entries + spin._w_entries(jet)) if x})
+        count = Counter(n for support in supports for n in support)
+        assert len(supports) == 75
+        assert all(any(count[n] == 1 for n in support) for support in supports)
 
     def test_negative_controls(self):
         # the jet generators behind the rows spin.curvature.cancellation and

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,21 @@ def test_jet_draws_scale_and_subtract_no_matrix(monkeypatch):
     assert all(jet.all_flags() for jet in jets) and calls == []
 
 
+def test_linear_rows_prove_on_a_basis(monkeypatch):
+    # 16 + 20 double stars, 9 + 100 roundtrips and the worked example's
+    # inverse, 75 + 100 symbols: each row runs its basis and its draws
+    from adg2 import excalc, hk
+
+    calls = Counter()
+    for module, name in ((excalc, "star4"), (hk, "recover_form_variation"),
+                         (spin, "dirac_variation_symbol")):
+        monkeypatch.setattr(module, name, lambda *args, _f=getattr(module, name), _n=name:
+                            calls.update([_n]) or _f(*args))
+    assert all(verify.run_suite(s, SEED)[0].passed for s in ("excalc", "hk", "spin"))
+    assert calls == {"star4": 2 * (16 + 20), "recover_form_variation": 1 + 9 + 100,
+                     "dirac_variation_symbol": 75 + 100}
+
+
 def test_corrupted_spin_maps_build_in_50_ms():
     # build_spinor_model(corrupt=...) makes a fresh model, whose maps are
     # built again, on every call; the best of three builds is timed
@@ -189,7 +205,7 @@ def test_corrupted_spin_maps_build_in_50_ms():
     for _ in range(3):
         model = spin.build_spinor_model(corrupt="i2_sign")
         t0 = time.perf_counter()
-        model._curvature_sum_map, model._curvature_tensor, model._dirac_first_map
+        model._curvature_sum_map, model._dirac_first_map
         best = min(best, time.perf_counter() - t0)
     assert best <= 0.050
 
