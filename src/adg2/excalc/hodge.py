@@ -30,8 +30,9 @@ def _star(a: BigradedForm, axes: tuple, vol_sign: int) -> BigradedForm:
                              f"got a term ({I},{J})")
         C = tuple(i for i in axes if i not in K)
         sign = vol_sign * _merge_sign(K, C)
-        out._accumulate(tuple(i for i in C if i in HORIZONTAL),
-                        tuple(i for i in C if i in VERTICAL), -p if sign < 0 else p)
+        # from lists, sized once: a generator's tuple is resized into the free list
+        out._accumulate(tuple([i for i in C if i in HORIZONTAL]),
+                        tuple([i for i in C if i in VERTICAL]), -p if sign < 0 else p)
     return out
 
 

@@ -1,18 +1,18 @@
-"""Positive sections of a signature-(3,19) pairing over a 3-d box and the
+"""Positive sections of a signature-(3, b) pairing over a 3-d box and the
 discrete area functional whose critical points are the maximal sections.
 
-A section is sampled on a rectangular grid with values in R^22 and extended
-by trilinear interpolation.  The area integrand det^(1/3) of the derivative
-Gram matrix is integrated cell by cell with the full 2x2x2 Gauss rule on
-the interpolant.  Two properties of this discretization carry the test
-suite: affine sections are exactly critical (the integral of the gradient
-of an interior-supported perturbation vanishes element-wise), and the rule
-has no hourglass modes (checkerboard perturbations are visible at the
-off-center Gauss points), so the discrete critical point with affine
-boundary data is the affine section itself.  grad_area assembles the exact
-gradient of the discrete functional, so the solver converges to genuine
-discrete critical points and the finite-difference oracle matches it to
-rounding.
+A section is sampled on a rectangular grid with values in R^(3+b), the
+width of its pairing, and extended by trilinear interpolation.  The area
+integrand det^(1/3) of the derivative Gram matrix is integrated cell by
+cell with the full 2x2x2 Gauss rule on the interpolant.  Two properties of
+this discretization carry the test suite: affine sections are exactly
+critical (the integral of the gradient of an interior-supported
+perturbation vanishes element-wise), and the rule has no hourglass modes
+(checkerboard perturbations are visible at the off-center Gauss points), so
+the discrete critical point with affine boundary data is the affine section
+itself.  grad_area assembles the exact gradient of the discrete functional,
+so the solver converges to genuine discrete critical points and the
+finite-difference oracle matches it to rounding.
 
 The residual norm reported by the solver is isometry-invariant: at each
 interior node the Q-dual gradient vector is measured in the positive
@@ -34,9 +34,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .gauge import _base_values, base_map_from_json, central
-from .jsondoc import at, member, numbers
+from .jsondoc import array, at, member, numbers
 
-DIM = 22
 SIG_PLUS = 3
 
 
@@ -58,33 +57,35 @@ class SolveError(RuntimeError):
     pass
 
 
-def standard_pairing() -> np.ndarray:
-    q = -np.eye(DIM)
+def standard_pairing(b: int = 19) -> np.ndarray:
+    """diag(1, 1, 1, -1, ..., -1) of signature (3, b): K3's b = 19, T^4's 3."""
+    q = -np.eye(SIG_PLUS + b)
     q[:SIG_PLUS, :SIG_PLUS] = np.eye(SIG_PLUS)
     return q
 
 
 def check_pairing(q: np.ndarray) -> np.ndarray:
+    """q as floats, if symmetric and square of signature (3, b), b >= 1."""
     q = np.asarray(q, dtype=float)
-    if q.shape != (DIM, DIM) or not np.allclose(q, q.T, atol=1e-12):
-        raise ValueError("pairing must be a symmetric 22x22 matrix")
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or not np.allclose(q, q.T, atol=1e-12):
+        raise ValueError("pairing must be a symmetric square matrix")
     eig = np.linalg.eigvalsh(q)
-    if np.sum(eig > 0) != SIG_PLUS or np.sum(eig < 0) != DIM - SIG_PLUS:
-        raise ValueError("pairing must have signature (3,19)")
+    if np.sum(eig > 0) != SIG_PLUS or not 0 < np.sum(eig < 0) == len(q) - SIG_PLUS:
+        raise ValueError("pairing must have signature (3, b) with b >= 1")
     return q
 
 
 @dataclass
 class SectionGrid:
-    """Grid-sampled map from a box in R^3 to R^22, paired by Q."""
+    """Grid-sampled map from a box in R^3 to R^(3+b), paired by Q of signature (3, b)."""
 
-    values: np.ndarray  # (n1, n2, n3, 22)
+    values: np.ndarray  # (n1, n2, n3, 3 + b)
     spacing: tuple[float, float, float]
     pairing: np.ndarray = field(default_factory=standard_pairing)
 
     def __post_init__(self):
-        self.values, self.spacing = _base_values(self.values, self.spacing, DIM)
         self.pairing = check_pairing(self.pairing)
+        self.values, self.spacing = _base_values(self.values, self.spacing, len(self.pairing))
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -211,7 +212,7 @@ def _corner_view(values: np.ndarray, offset) -> np.ndarray:
 
 
 def _corner_scatter(terms: np.ndarray, out: np.ndarray):
-    """Add per-corner cell terms, corner-major (8 corners, cells..., 22), onto
+    """Add per-corner cell terms, corner-major (8 corners, cells..., 3 + b), onto
     the nodes of out, corner after corner."""
     for ci, o in enumerate(_CORNERS):
         view = _corner_view(out, o)
@@ -226,7 +227,7 @@ def _zero_boundary(a: np.ndarray):
 
 
 def _gram(s: SectionGrid, out=None):
-    """The corner frames X (cells..., 8 corners, 22), corner values less the
+    """The corner frames X (cells..., 8 corners, 3 + b), corner values less the
     first corner, the Q-dual frames Q^T X^T and the Gram matrices (cells...,
     8 gauss, 3, 3).  Each row t2_g of the shape-gradient table sums to zero,
     so the Gauss-point derivatives are dh_g = t2_g X and g_g = t2_g (X Q
@@ -237,9 +238,9 @@ def _gram(s: SectionGrid, out=None):
     scratch of 112 numbers a cell) if given."""
     to_gauss, _ = _cell_maps(s.spacing)
     cells = tuple(n - 1 for n in s.dims)
-    size = int(np.prod(cells))
+    size, width = int(np.prod(cells)), len(s.pairing)
     if out is None:
-        out = _carve(cells + (8, DIM), cells + (DIM, 8), cells + (8, 3, 3), (112 * size,))
+        out = _carve(cells + (8, width), cells + (width, 8), cells + (8, 3, 3), (112 * size,))
     frames, qframes, g, scratch = out
     first = _corner_view(s.values, _CORNERS[0])
     for ci, o in enumerate(_CORNERS):
@@ -324,10 +325,10 @@ class _Iterate:
 
     def __init__(self, s: SectionGrid):
         cells = tuple(n - 1 for n in s.dims)
-        size = int(np.prod(cells))
+        size, width = int(np.prod(cells)), len(s.pairing)
         (self.frames, self.qframes, self.ginv, self.a, self.stiff, self.scratch,
          self.nodes, self.grad) = _carve(
-            cells + (8, DIM), cells + (DIM, 8), cells + (8, 6), cells + (8, 6),
+            cells + (8, width), cells + (width, 8), cells + (8, 6), cells + (8, 6),
             cells + (8, 8), (288 * size,), s.values.shape, s.values.shape)
         self.g = self.scratch[:72 * size].reshape(cells + (8, 3, 3))
         self.tangent = self.scratch.reshape(cells + (8, 6, 6))
@@ -346,7 +347,7 @@ class _Iterate:
         np.multiply((weight * cbrt * (2.0 / 3.0))[..., None], self.ginv, out=self.a)
         _, to_cell = _cell_maps(s.spacing)
         np.matmul(self.a.reshape(-1, 48), to_cell, out=self.stiff.reshape(-1, 64))
-        terms = rest[:self.frames.size].reshape((8,) + self.frames.shape[:3] + (DIM,))
+        terms = rest[:self.frames.size].reshape((8,) + self.frames.shape[:3] + (-1,))
         np.matmul(self.stiff, self.frames, out=np.moveaxis(terms, 0, -2))
         self.nodes.fill(0.0)
         _corner_scatter(terms, self.nodes)
@@ -407,16 +408,6 @@ def _residual(s: SectionGrid, grad: np.ndarray):
     return norm, int(np.count_nonzero(negative))
 
 
-def base_metric(s: SectionGrid):
-    """Base metric (half the Gram matrix) and its volume density, at the
-    quadrature cells."""
-    _, _, g = _gram(s)
-    _check_positive(g)
-    gb = 0.5 * g
-    dens = np.sqrt(np.linalg.det(gb))
-    return gb, dens
-
-
 # largest entry of M^T Q M - Q that MuMap accepts, relative to max(1, |Q|)
 _ISOMETRY_TOL = 1e-10
 
@@ -427,37 +418,36 @@ class MuMap:
     def __init__(self, matrix: np.ndarray, pairing: np.ndarray | None = None):
         self.matrix = np.asarray(matrix, dtype=float)
         q = standard_pairing() if pairing is None else check_pairing(pairing)
-        if self.matrix.shape != (DIM, DIM):
-            raise ValueError("isometry must be a 22x22 matrix")
+        if self.matrix.shape != q.shape:
+            raise ValueError("isometry must be square, of its pairing's size")
         defect = float(np.abs(self.matrix.T @ q @ self.matrix - q).max())
         if not defect <= _ISOMETRY_TOL * max(1.0, float(np.abs(q).max())):  # NaN fails
             raise ValueError(f"matrix is not a Q-isometry (defect {defect:.3e})")
         self.pairing = q
 
     @staticmethod
-    def random(rng: np.random.Generator) -> "MuMap":
-        """Random isometry of the standard pairing: O(3) x O(19) followed by
+    def random(rng: np.random.Generator, b: int = 19) -> "MuMap":
+        """Random isometry of standard_pairing(b): O(3) x O(b) followed by
         three boosts of rapidity at most 0.4."""
-        m = np.eye(DIM)
-        o3, _ = np.linalg.qr(rng.normal(size=(SIG_PLUS, SIG_PLUS)))
-        o19, _ = np.linalg.qr(rng.normal(size=(DIM - SIG_PLUS, DIM - SIG_PLUS)))
-        m[:SIG_PLUS, :SIG_PLUS] = o3
-        m[SIG_PLUS:, SIG_PLUS:] = o19
+        m = np.eye(SIG_PLUS + b)
+        for k in (slice(SIG_PLUS), slice(SIG_PLUS, None)):  # the O(3) and O(b) blocks
+            m[k, k] = np.linalg.qr(rng.normal(size=m[k, k].shape))[0]
         for _ in range(3):
             p = rng.integers(0, SIG_PLUS)
-            n = rng.integers(SIG_PLUS, DIM)
+            n = rng.integers(SIG_PLUS, SIG_PLUS + b)
             t = rng.uniform(-0.4, 0.4)
-            b = np.eye(DIM)
-            b[p, p] = b[n, n] = np.cosh(t)
-            b[p, n] = b[n, p] = np.sinh(t)
-            m = b @ m
-        return MuMap(m)
+            boost = np.eye(SIG_PLUS + b)
+            boost[p, p] = boost[n, n] = np.cosh(t)
+            boost[p, n] = boost[n, p] = np.sinh(t)
+            m = boost @ m
+        return MuMap(m, standard_pairing(b))
 
 
 def dualize(s: SectionGrid, psi: MuMap) -> SectionGrid:
     """Nodewise composition with an isometry; positivity is preserved."""
-    if not np.allclose(psi.pairing, s.pairing, atol=1e-10):
-        raise ValueError("isometry and grid use different pairings")
+    p, q = psi.pairing, s.pairing
+    if p.shape != q.shape or not np.allclose(p, q, atol=1e-10):
+        raise ValueError(f"isometry and grid use different pairings (widths {len(p)} and {len(q)})")
     out = SectionGrid(s.values @ psi.matrix.T, s.spacing, s.pairing)
     _check_positive(_gram(out)[2])
     return out
@@ -468,7 +458,7 @@ def affine_section(dims, spacing, frame: np.ndarray | None = None,
     """h(t) = frame @ t with Q-orthonormal positive frame columns."""
     q = standard_pairing() if pairing is None else check_pairing(pairing)
     if frame is None:
-        frame = np.zeros((DIM, 3))
+        frame = np.zeros((len(q), 3))
         frame[:SIG_PLUS, :] = np.eye(3)
     frame = np.asarray(frame, dtype=float)
     axes = [np.arange(n) * h for n, h in zip(dims, spacing)]
@@ -624,11 +614,11 @@ class _Workspace:
         cells = tuple(n - 1 for n in s.dims)
         self.slabs = min(cells[0], max(1, _BLOCK_CELLS // (cells[1] * cells[2])))
         size = self.slabs * cells[1] * cells[2]
-        inner = tuple(n - 2 for n in s.dims) + (DIM,)
+        inner = s.values[_INTERIOR].shape
         (self.corners, self.r, self.js, self.e, self.m, self.sd, self.symbol,
          self.x, self.y, self.vectors) = _carve(
-            (8, size, DIM), (size, 64), (size, 48), (size, 48), (size, 64),
-            (8, size, DIM), inner, inner, inner, (7,) + s.values.shape)
+            (8, size, inner[3]), (size, 64), (size, 48), (size, 48), (size, 64),
+            (8, size, inner[3]), inner, inner, inner, (7,) + s.values.shape)
         self.sines = _sine_symbol(s, self.symbol)
         self.neg_q = -s.pairing
 
@@ -642,7 +632,7 @@ def _hessian_cache(it: _Iterate, work: _Workspace):
     the cell's 8 corner values of delta, t2_g the 3x8 shape rows of g) and E
     linear in dd.  Per cell this is S D + M X with:
     - S = sum_g t2_g^T A_g t2_g, an 8x8 stiffness: the A-block acts alike on
-      all 22 components, so one scalar matrix serves them all;
+      all 3 + b components, so one scalar matrix serves them all;
     - X the cell's corner frames (_gram), so dh = t2_g X and sum_g t2_g^T
       E_g dh = M X with M = sum_g t2_g^T E_g t2_g (_cell_maps' to_cell);
     - E = (2/3) tr(K) A - w (L + L^T), where K = dd Q dh^T G^-1 and L =
@@ -688,20 +678,20 @@ def _hessian_apply(it: _Iterate, work: _Workspace, delta: np.ndarray,
         i1 = min(i0 + work.slabs, n1)
         size = (i1 - i0) * n2 * n3
         terms, sd = work.corners[:, :size], work.sd[:, :size]
-        corners = terms.reshape(8, i1 - i0, n2, n3, DIM)
+        corners = terms.reshape(8, i1 - i0, n2, n3, -1)
         block = delta[i0:i1 + 1]
         for ci, o in enumerate(_CORNERS):
             corners[ci] = _corner_view(block, o)
-        d = terms.transpose(1, 0, 2)  # (cells, 8 corners, 22)
+        d = terms.transpose(1, 0, 2)  # (cells, 8 corners, 3 + b)
         r, js, e, m = work.r[:size], work.js[:size], work.e[:size], work.m[:size]
-        np.matmul(d, it.qframes[i0:i1].reshape(size, DIM, 8), out=r.reshape(size, 8, 8))
+        np.matmul(d, it.qframes[i0:i1].reshape(size, -1, 8), out=r.reshape(size, 8, 8))
         np.matmul(r, to_gauss, out=js)
         np.einsum("bik,bk->bi", it.tangent[i0:i1].reshape(8 * size, 6, 6),
                   js.reshape(8 * size, 6), out=e.reshape(8 * size, 6))
         np.matmul(e, to_cell, out=m)
         np.matmul(it.stiff[i0:i1].reshape(size, 8, 8), d, out=sd.transpose(1, 0, 2))
         # D is spent: the block's per-corner terms M X + S D take its place
-        np.matmul(m.reshape(size, 8, 8), it.frames[i0:i1].reshape(size, 8, DIM), out=d)
+        np.matmul(m.reshape(size, 8, 8), it.frames[i0:i1].reshape(size, 8, -1), out=d)
         terms += sd
         _corner_scatter(corners, it.nodes[i0:i1 + 1])
     _zero_boundary(out)
@@ -710,16 +700,16 @@ def _hessian_apply(it: _Iterate, work: _Workspace, delta: np.ndarray,
 
 
 def _section_frame_basis(s: SectionGrid, frames: np.ndarray):
-    """Columns [A | N]: the (Q-orthonormalized) mean of the section's
+    """Columns [A | N] of R^(3+b): the (Q-orthonormalized) mean of the
     derivative 3-frames dh_g = t2_g X, (mean_g t2_g) (mean_cells X), and a
-    Q-orthonormal basis of its Q-complement."""
+    Q-orthonormal basis of its Q-complement, b columns for signature (3, b)."""
     centre = _shape_gradient_table(s.spacing).mean(axis=0)  # (8 corners, 3)
-    a = frames.mean(axis=(0, 1, 2)).T @ centre  # (22, 3)
+    a = frames.mean(axis=(0, 1, 2)).T @ centre  # (3 + b, 3)
     ga = a.T @ s.pairing @ a
     a = a @ np.linalg.inv(np.linalg.cholesky(ga).T)
     w, u = np.linalg.eigh(s.pairing)
     neg = u[:, w < 0]
-    proj = np.eye(DIM) - a @ (a.T @ s.pairing)
+    proj = np.eye(len(a)) - a @ (a.T @ s.pairing)
     n = proj @ neg
     gn = -(n.T @ s.pairing @ n)
     n = n @ np.linalg.inv(np.linalg.cholesky(gn).T)
@@ -728,7 +718,7 @@ def _section_frame_basis(s: SectionGrid, frames: np.ndarray):
 
 def _sine_symbol(s: SectionGrid, symbol: np.ndarray) -> list:
     """Write the symbol of _split_preconditioner, with prod_d (n_d - 1) / 2
-    folded in, into symbol (interior..., 22); return the S_d."""
+    folded in, into symbol (interior..., 3 + b); return the S_d."""
     kappa, mass, sines = [], [], []
     for ax, (n, h) in enumerate(zip(s.dims, s.spacing)):
         k = np.arange(1, n - 1)
@@ -766,12 +756,12 @@ def _split_preconditioner(it: _Iterate, work: _Workspace):
     The DST-I is applied as the dense symmetric matrix S_d = sin(pi j k /
     (n_d - 1)), j, k = 1..n_d - 2, along each axis by matmul.  S_d^2 = ((n_d
     - 1) / 2) I, so the inverse transform is the same three products, with
-    prod_d (n_d - 1) / 2 folded into the symbol.  That costs O(n^4 22)
-    operations against an FFT's O(n^3 log n 22), but as matrix products:
-    on a 2-vCPU Xeon host with one BLAS thread, one transform of the 31^3 x
-    22 interior of a 33^3 grid took 9 ms against 31 ms for an FFT-based
-    DST-I, and 0.07 / 0.45 / 2.6 ms against 0.6 / 2.7 / 11.6 ms at 11^3 /
-    17^3 / 25^3.  It agrees with the FFT to 2e-15 to 5e-15 relative.
+    prod_d (n_d - 1) / 2 folded into the symbol.  That costs O(n^4 (3+b)) ops
+    against an FFT's O(n^3 log n (3+b)), but as matrix products: on a 2-vCPU
+    Xeon host with one BLAS thread, one 22-wide transform of the 31^3 interior
+    of a 33^3 grid took 9 ms against 31 ms for an FFT-based DST-I, and 0.07 /
+    0.45 / 2.6 ms against 0.6 / 2.7 / 11.6 ms at 11^3 / 17^3 / 25^3.  It
+    agrees with the FFT to 2e-15 to 5e-15 relative.
 
     The symbol and the S_d depend only on the grid and come from the
     workspace (_sine_symbol), so this sets up only the frame basis, from the
@@ -785,7 +775,7 @@ def _split_preconditioner(it: _Iterate, work: _Workspace):
     (P larger by 1/V) gives the same directions to rounding.
     """
     a, nbasis = _section_frame_basis(it.s, it.frames)
-    t = np.concatenate([a, nbasis], axis=1)  # (22, 22)
+    t = np.concatenate([a, nbasis], axis=1)  # (3 + b, 3 + b)
     x, y, symbol, sines = work.x, work.y, work.symbol, work.sines
     m1, m2, m3 = symbol.shape[:3]
 
@@ -794,8 +784,8 @@ def _split_preconditioner(it: _Iterate, work: _Workspace):
         overwritten on the way."""
         np.matmul(sines[0], src.reshape(m1, -1), out=dst.reshape(m1, -1))
         np.matmul(sines[1], dst.reshape(m1, m2, -1), out=src.reshape(m1, m2, -1))
-        np.matmul(sines[2], src.reshape(m1 * m2, m3, DIM),
-                  out=dst.reshape(m1 * m2, m3, DIM))
+        np.matmul(sines[2], src.reshape(m1 * m2, m3, -1),
+                  out=dst.reshape(m1 * m2, m3, -1))
 
     def apply(r: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.matmul(r[_INTERIOR], t, out=x)
@@ -809,18 +799,18 @@ def _split_preconditioner(it: _Iterate, work: _Workspace):
     return apply
 
 
+# Forcing term of the Newton-MINRES step: MINRES stops once ||g - H x||_P
+# <= _ETA ||g||_P, with P the split preconditioner.  Tighter costs more
+# products, and much tighter costs Newton steps too: away from the solution
+# the Hessian is indefinite and an accurate Newton direction there is a poor
+# one.  Looser costs Newton steps, each with its Hessian set-up and line
+# search.  On the first maxsec-rough draw of seed 0 (noisy affine, 11^3, one
+# thread), eta = 0.01 takes 26 Newton steps, one line-search rejection, 968
+# MINRES iterations and 4.0 s; 0.03 takes 7 steps, 91 iterations and 0.44 s;
+# 0.1 takes 8 steps, 77 iterations and 0.40 s; 0.3 takes 12 steps, 73
+# iterations and 0.44 s (medians of 5, 2-vCPU Xeon host).  With 0.1, 9^3 to
+# 17^3 solves take 7 to 10 Newton steps.
 _ETA = 0.1
-"""Forcing term of the Newton-MINRES step: MINRES stops once ||g - H x||_P
-<= _ETA ||g||_P, with P the split preconditioner.  Tighter costs more
-products, and much tighter costs Newton steps too: away from the solution
-the Hessian is indefinite and an accurate Newton direction there is a poor
-one.  Looser costs Newton steps, each with its Hessian set-up and line
-search.  On the first maxsec-rough draw of seed 0 (noisy affine, 11^3, one
-thread), eta = 0.01 takes 26 Newton steps, one line-search rejection, 968
-MINRES iterations and 4.0 s; 0.03 takes 7 steps, 91 iterations and 0.44 s;
-0.1 takes 8 steps, 77 iterations and 0.40 s; 0.3 takes 12 steps, 73
-iterations and 0.44 s (medians of 5, 2-vCPU Xeon host).  With 0.1, 9^3 to
-17^3 solves take 7 to 10 Newton steps."""
 
 
 def _minres(apply, precond, b: np.ndarray, eta: float, maxiter: int,
@@ -928,12 +918,13 @@ def grid_to_json(s: SectionGrid) -> dict:
         "dims": list(s.dims),
         "spacing": list(s.spacing),
         "Q": s.pairing.tolist(),
-        "nodes": s.values.reshape(-1, DIM).tolist(),
+        "nodes": s.values.reshape(-1, len(s.pairing)).tolist(),
     }
 
 
 def grid_from_json(doc: dict) -> SectionGrid:
-    """The grid of a grid_to_json document."""
-    nodes, spacing = base_map_from_json(doc, "nodes", DIM)
-    q = np.array(numbers(member(doc, "/Q"), "/Q", (DIM, DIM)), dtype=float)
-    return at("/Q", SectionGrid, nodes, spacing, q)  # only the pairing is left to check
+    """The grid of a grid_to_json document.  The length n of /Q is the width:
+    /Q is checked as an n x n pairing, then /nodes is read n wide."""
+    width = len(array(member(doc, "/Q"), "/Q"))
+    q = at("/Q", check_pairing, numbers(doc["Q"], "/Q", (width, width)))
+    return SectionGrid(*base_map_from_json(doc, "nodes", width), q)

@@ -1,4 +1,4 @@
-"""The four JSON loaders under a mutation sweep.
+"""The four JSON loaders under a mutation sweep, the grid's at two widths.
 
 From a valid document of each loader, every object key and the first and
 last element of every array, at every level, is deleted, and separately
@@ -33,8 +33,9 @@ def field_doc():
         grid, 1j * rng.normal(size=(7,) + grid.shape + (1, 1))))
 
 
-def grid_doc():
-    return mx.grid_to_json(mx.affine_section((3, 3, 3), (0.5,) * 3))
+def grid_doc(b=19):
+    return mx.grid_to_json(mx.affine_section((3, 3, 3), (0.5,) * 3,
+                                             pairing=mx.standard_pairing(b)))
 
 
 def section_doc():
@@ -53,6 +54,8 @@ LOADERS = {
               {"/spacing", "/spacing/base", "/spacing/fibre",
                "/periodic", "/periodic/base", "/periodic/fibre"}),
     "grid": (grid_doc, mx.grid_from_json, mx.grid_to_json, set()),
+    # 6 wide: the (3, 3) pairing of 2-forms on a flat T^4
+    "grid3": (lambda: grid_doc(3), mx.grid_from_json, mx.grid_to_json, set()),
     "section": (section_doc, fu.section_from_json, fu.section_to_json,
                 {"/period", "/base_periodic"}),
     "form": (form_doc, form_from_json, form_to_json,

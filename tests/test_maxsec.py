@@ -17,11 +17,11 @@ def perturbed_affine(rng, dims=(7, 7, 7), spacing=None, amp=2e-3):
     return s
 
 
-def graphical_section(dims=(7, 7, 7)):
+def graphical_section(dims=(7, 7, 7), b=19):
     """h(t) = (t, u(t)) with a small smooth graph u in the first negative
-    direction: the maxsec-smooth benchmark input."""
+    direction of R^(3+b): the maxsec-smooth benchmark input at b = 19."""
     spacing = tuple(1.0 / (n - 1) for n in dims)
-    s = mx.affine_section(dims, spacing)
+    s = mx.affine_section(dims, spacing, pairing=mx.standard_pairing(b))
     axes = [np.arange(n) * h for n, h in zip(dims, spacing)]
     tt = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     u = 0.05 * np.sin(np.pi * tt[..., 0]) * np.cos(np.pi * tt[..., 1]) * tt[..., 2]
@@ -32,7 +32,8 @@ def graphical_section(dims=(7, 7, 7)):
 def general_pairing(rng, s):
     """The section S^-1 h under the pairing S^T Q S, for a random
     (non-orthogonal) S: it has the Gram matrices of h under Q."""
-    sm = np.eye(mx.DIM) + 0.3 * rng.normal(size=(mx.DIM, mx.DIM))
+    width = len(s.pairing)
+    sm = np.eye(width) + 0.3 * rng.normal(size=(width, width))
     q = sm.T @ s.pairing @ sm
     return mx.SectionGrid(s.values @ np.linalg.inv(sm).T, s.spacing, 0.5 * (q + q.T))
 
@@ -493,7 +494,7 @@ class TestPreconditioner:
         top = tuple(n - 2 for n in dims)
         modes = [(1, 1, 1), (2, 3, 1), (1, top[1], 3), top]
         for ks in modes:
-            for coord in (mx.SIG_PLUS, 12, mx.DIM - 1):
+            for coord in (mx.SIG_PLUS, 12, len(s.pairing) - 1):
                 d = sine_mode(s, ks, coord)
                 mhd = precond(product(it, work, d), np.empty_like(d)) / vol
                 assert np.abs(mhd - d).max() <= 1e-12
@@ -503,12 +504,13 @@ class TestPreconditioner:
                 assert abs(np.sum(d * mhd) / np.sum(d * d) - 1.0) <= 1e-12
 
 
-def dense_pair(n, components):
+def dense_pair(n, components, b=19):
     """Dense H (_hessian_apply) and P (_split_preconditioner) at the affine
-    n^3 section with the standard frame and spacing 1 / (n - 1), on the
-    interior unknowns of the given node components (node-major order), with
-    the cell volume V and each unknown's component."""
-    s = mx.affine_section((n,) * 3, (1.0 / (n - 1),) * 3)
+    n^3 section with the standard frame and spacing 1 / (n - 1) under
+    standard_pairing(b), on the interior unknowns of the given node
+    components (node-major order), with the cell volume V and each
+    unknown's component."""
+    s = mx.affine_section((n,) * 3, (1.0 / (n - 1),) * 3, pairing=mx.standard_pairing(b))
     it, work = hessian_setup(s)
     precond = mx._split_preconditioner(it, work)
     mask = np.zeros(s.values.shape, dtype=bool)
@@ -520,7 +522,7 @@ def dense_pair(n, components):
         unit.flat[flat] = 1.0
         h[:, col] = product(it, work, unit).flat[unknowns]
         p[:, col] = precond(unit, np.empty_like(unit)).flat[unknowns]
-    return h, p, float(np.prod(s.spacing)), unknowns % mx.DIM
+    return h, p, float(np.prod(s.spacing)), unknowns % len(s.pairing)
 
 
 def spectrum(m):
@@ -532,13 +534,15 @@ def spectrum(m):
 
 class TestPreconditionerSpectrum:
     """The diagnosis of the MINRES growth with the grid: at the affine
-    section P H / V is the identity on the 19 normal components and does not
-    couple them to the frame; on the frame it lies in (0, 3), with an O(h^2)
-    floor from the divergence-free tangential modes.  Fails if either
+    section P H / V is the identity on the b = B normal components and does
+    not couple them to the frame; on the frame it lies in (0, 3), with an
+    O(h^2) floor from the divergence-free tangential modes.  Fails if either
     block's symbol changes."""
 
+    B = 19
+
     def test_blocks_at_5(self):
-        h, p, vol, comp = dense_pair(5, slice(None))
+        h, p, vol, comp = dense_pair(5, slice(None), self.B)
         m = p @ h / vol
         normal, tangential = comp >= mx.SIG_PLUS, comp < mx.SIG_PLUS
         assert np.abs(spectrum(m[np.ix_(normal, normal)]) - 1.0).max() <= 1e-10
@@ -552,12 +556,18 @@ class TestPreconditionerSpectrum:
         assert np.allclose((w[0], w[-1]), (0.25, 2.5), rtol=0, atol=1e-9)
 
     def test_tangential_block_at_7(self):
-        h, p, vol, _ = dense_pair(7, slice(0, mx.SIG_PLUS))
+        h, p, vol, _ = dense_pair(7, slice(0, mx.SIG_PLUS), self.B)
         assert h.shape == (375, 375)
         w = spectrum(p @ h / vol)
         assert 0.0 < w[0] and w[-1] < 3.0
         assert 3.0 <= w[0] * 6 ** 2 <= 4.5
         assert np.allclose((w[0], w[-1]), (0.1, 2.8), rtol=0, atol=1e-9)
+
+
+class TestPreconditionerSpectrumAtB3(TestPreconditionerSpectrum):
+    """The same spectra under the (3, 3) pairing of 2-forms on a flat T^4."""
+
+    B = 3
 
 
 def matrix_apply(m):
@@ -680,28 +690,6 @@ class TestMinEigenvalues:
         assert mx._min_eigenvalues(np.eye(3)[None]) == 1.0
 
 
-class TestBaseMetric:
-    def test_orthonormal_affine(self):
-        s = mx.affine_section((5, 5, 5), (0.25, 0.25, 0.25))
-        gb, dens = mx.base_metric(s)
-        assert np.allclose(gb, 0.5 * np.eye(3), atol=1e-12)
-        assert np.allclose(dens, np.sqrt(0.125), atol=1e-12)
-
-    def test_scaling(self):
-        s = mx.affine_section((5, 5, 5), (0.25, 0.25, 0.25))
-        s2 = mx.SectionGrid(2.0 * s.values, s.spacing, s.pairing)
-        gb1, _ = mx.base_metric(s)
-        gb2, _ = mx.base_metric(s2)
-        assert np.allclose(gb2, 4.0 * gb1, atol=1e-12)
-
-    def test_dualize_invariance(self):
-        rng = np.random.default_rng(7)
-        s = perturbed_affine(rng)
-        gb1, _ = mx.base_metric(s)
-        gb2, _ = mx.base_metric(mx.dualize(s, mx.MuMap.random(rng)))
-        assert np.abs(gb2 - gb1).max() < 1e-10
-
-
 class TestMuMap:
     def test_identity(self):
         rng = np.random.default_rng(8)
@@ -729,6 +717,47 @@ class TestMuMap:
         d = mx.dualize(s, psi)
         assert abs(mx.residual_norm(d) - mx.residual_norm(s)) < 1e-10
         assert not np.allclose(d.values, s.values)
+
+    def test_other_width_rejected(self):
+        # a grid at b = 3 and an isometry at b = 19: the widths are named,
+        # where comparing the pairings would fail to broadcast
+        rng = np.random.default_rng(8)
+        s = mx.affine_section((5, 5, 5), (0.25,) * 3, pairing=mx.standard_pairing(3))
+        with pytest.raises(ValueError, match=r"^isometry and grid use different "
+                           r"pairings \(widths 22 and 6\)$"):
+            mx.dualize(s, mx.MuMap.random(rng))
+
+
+class TestPairing:
+    SIGNATURE = r"^pairing must have signature \(3, b\) with b >= 1$"
+    SQUARE = "^pairing must be a symmetric square matrix$"
+
+    @pytest.mark.parametrize("b", [1, 3, 19])
+    def test_signature_3_b_accepted(self, b):
+        q = mx.standard_pairing(b)
+        assert q.shape == (3 + b, 3 + b)
+        assert np.array_equal(mx.check_pairing(q), q)
+
+    @pytest.mark.parametrize("diagonal", [
+        [1, 1, -1, -1, -1], [1, 1] + [-1] * 19, [1] * 4 + [-1] * 3, [1] * 4 + [-1] * 18,
+        [1, 1, 1], [1, 1, 1, -1, -1, 0]],
+        ids=["2_3", "2_19", "4_3", "4_18", "3_0", "degenerate"])
+    def test_other_signatures_rejected(self, diagonal):
+        with pytest.raises(ValueError, match=self.SIGNATURE):
+            mx.check_pairing(np.diag(np.array(diagonal, dtype=float)))
+
+    @pytest.mark.parametrize("q", [
+        mx.standard_pairing(3)[:5], mx.standard_pairing(3)[:, :5], np.ones(6),
+        np.ones((2, 2, 2))], ids=["short", "narrow", "vector", "cube"])
+    def test_non_square_rejected(self, q):
+        with pytest.raises(ValueError, match=self.SQUARE):
+            mx.check_pairing(q)
+
+    def test_asymmetric_rejected(self):
+        q = mx.standard_pairing(3)
+        q[0, 4] = 0.5
+        with pytest.raises(ValueError, match=self.SQUARE):
+            mx.check_pairing(q)
 
 
 class TestSolver:
@@ -825,17 +854,19 @@ class TestSolver:
         assert got.krylov_per_step == want.krylov_per_step
         assert np.abs(got.grid.values - want.grid.values).max() <= 1e-12
 
-    def test_equivariant_under_isometries(self):
-        # solve and a Q-isometry commute to rounding: the MINRES stop and
-        # every other step of the solver is isometry-invariant
-        init = graphical_section((9, 9, 9))
+    @staticmethod
+    def check_equivariance(b):
+        """Solve and a Q-isometry of standard_pairing(b) commute to rounding:
+        the MINRES stop and every other step of the solver is
+        isometry-invariant."""
+        init = graphical_section((9, 9, 9), b)
         tol = 1e-8
         base = mx.solve_dirichlet(init, tol=tol)
         assert base.converged
         want_area = mx.area(base.grid)
         rng = np.random.default_rng(40)
         for _ in range(3):
-            psi = mx.MuMap.random(rng)
+            psi = mx.MuMap.random(rng, b)
             moved = mx.dualize(base.grid, psi)
             out = mx.solve_dirichlet(mx.dualize(init, psi), tol=tol)
             assert out.converged
@@ -844,11 +875,32 @@ class TestSolver:
             assert mx.residual_norm(moved) <= tol
         # negative control: doubling the bent negative component is not a
         # Q-isometry, and the solve sees it
-        scale = np.ones(mx.DIM)
+        scale = np.ones(len(init.pairing))
         scale[mx.SIG_PLUS] = 2.0
-        out = mx.solve_dirichlet(mx.SectionGrid(init.values * scale, init.spacing), tol=tol)
+        out = mx.solve_dirichlet(mx.SectionGrid(init.values * scale, init.spacing, init.pairing),
+                                 tol=tol)
         assert out.converged
         assert np.abs(out.grid.values - base.grid.values * scale).max() > 1e-4
+
+    def test_equivariant_under_isometries(self):
+        self.check_equivariance(19)
+
+    def test_equivariant_under_isometries_at_b3(self):
+        self.check_equivariance(3)
+
+    def test_graphical_boundary_converges_at_b3(self):
+        # the (3, 3) pairing of 2-forms on a flat T^4: a 9^3 solve takes the
+        # steps and products of the b = 19 solve of the same data, whose
+        # other 16 components stay zero, and gives its solution to rounding
+        outs = {b: mx.solve_dirichlet(graphical_section((9, 9, 9), b), tol=1e-8)
+                for b in (3, 19)}
+        small, large = outs[3], outs[19]
+        assert small.converged and mx.residual_norm(small.grid) <= 1e-8
+        assert small.grid.values.shape == (9, 9, 9, 6)
+        assert small.iterations > 0
+        assert (small.iterations, small.hvps) == (large.iterations, large.hvps)
+        assert np.abs(large.grid.values[..., 6:]).max() <= 1e-12
+        assert np.abs(small.grid.values - large.grid.values[..., :6]).max() <= 1e-10
 
     def test_work_counted_once(self, monkeypatch):
         # one Gram evaluation per gradient (the start and every line-search
@@ -981,7 +1033,7 @@ class TestIO:
         ("Q", [[True] + [0.0] * 21] + mx.standard_pairing()[1:].tolist(), "/Q"),
         ("nodes", [[0.0] * 22] * 124 + [[float("nan")] + [0.0] * 21],
          "/nodes/124/0 must be a finite number, got nan"),
-        ("Q", mx.standard_pairing()[:21].tolist(), "/Q has 21 entries, expected 22"),
+        ("Q", mx.standard_pairing()[:21].tolist(), "/Q/0 has 22 entries, expected 21"),
         ("Q", mx.standard_pairing().tolist()[:21] + [[0.0] * 20 + [-1.0]],
          "/Q/21 has 21 entries, expected 22"),
         ("nodes", [[0.0] * 22] * 124 + [[0.0] * 21], "/nodes/124 has 21 entries, expected 22"),
@@ -992,12 +1044,14 @@ class TestIO:
         # json.loads gives such an integer for 1 followed by 400 zeros
         ("nodes", [[0.0] * 22] * 124 + [[0.0] * 21 + [-10 ** 400]],
          "/nodes/124/21 must be a finite number"),
-        ("Q", (-np.eye(22)).tolist(), r"/Q: pairing must have signature \(3,19\)")],
+        ("Q", (-np.eye(22)).tolist(),
+         r"^/Q: pairing must have signature \(3, b\) with b >= 1$"),
+        ("Q", mx.standard_pairing(3).tolist(), "^/nodes/0 has 22 entries, expected 6$")],
         ids=["float_dims", "bool_dim", "string_spacing", "bool_spacing",
              "string_node", "string_nan_node", "bool_pairing", "nan_node",
              "short_pairing", "short_pairing_row", "ragged_nodes", "object_nodes",
              "zero_spacing", "negative_spacing", "empty_spacing", "huge_int_node",
-             "negative_pairing"])
+             "negative_pairing", "narrow_pairing"])
     def test_guessed_fields_rejected(self, field, value, where):
         doc = mx.grid_to_json(mx.affine_section((5, 5, 5), (0.25,) * 3))
         doc[field] = value

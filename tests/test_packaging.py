@@ -1,7 +1,7 @@
 """Declared dependencies are used, declared scripts resolve, every public
 function is referenced, no module imports a name it never uses, the grid
-half has one derivative stencil, the exact half loads no numpy and the
-package loads no scipy."""
+half has one derivative stencil, a section's width comes from its pairing,
+the exact half loads no numpy and the package loads no scipy."""
 
 import ast
 import importlib.util
@@ -159,6 +159,19 @@ def test_one_wedge_pairing():
                     and node.name.startswith("wedge2"):
                 named.append((path.relative_to(ROOT).as_posix(), node.name))
     assert not named, f"a wedge pairing of 2-forms outside hk.py: {named}"
+
+
+def test_width_comes_from_the_pairing():
+    """A section's width is read from its pairing: adg2.maxsec has no width
+    constant DIM, and maxsec.py writes no integer 22 (docstrings and
+    comments, which state measured 22-wide timings, do not count)."""
+    from adg2 import maxsec
+
+    assert not hasattr(maxsec, "DIM"), "maxsec.DIM is back"
+    tree = ast.parse((ROOT / "src" / "adg2" / "maxsec.py").read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and type(node.value) is int and node.value == 22]
+    assert not lines, f"integer 22 in maxsec.py at lines {lines}"
 
 
 def test_one_path_rule():
