@@ -12,7 +12,6 @@ from .forms import (
     split_d,
     to_coordinate_frame,
     wedge,
-    wedge_all,
 )
 from .hodge import star3, star4, star7, star7_limit
 from .fibration import (
@@ -30,7 +29,7 @@ __all__ = [
     "HORIZONTAL", "NVARS", "VAR_NAMES", "VERTICAL",
     "contract", "curvature_term", "donaldson_residuals", "residuals_all_zero", "eval_on_vectors",
     "exterior_d", "from_coordinate_frame", "split_d", "to_coordinate_frame",
-    "wedge", "wedge_all", "star3", "star4", "star7", "star7_limit",
+    "wedge", "star3", "star4", "star7", "star7_limit",
     "standard_lambda", "standard_mu", "standard_triple",
     "form_from_json", "form_to_json",
 ]

@@ -156,13 +156,6 @@ def wedge(a: BigradedForm, b: BigradedForm) -> BigradedForm:
     return out
 
 
-def wedge_all(forms: Sequence[BigradedForm]) -> BigradedForm:
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
-
-
 class HorizontalDistribution:
     """Lift coefficients H_i^a; the lift of d/dt_i is d/dt_i + sum_a H_i^a d/dx_a.
 

@@ -33,22 +33,13 @@ from .exact import LinearMap, QQi, eye, inverse, madd, mscale, msub, zeros
 Mat4 = tuple  # 4x4 tuple of tuples of Fraction
 
 
-def form2(entries) -> Mat4:
-    """Antisymmetric matrix from {(a,b): coeff} with a < b, or a full matrix."""
+def form2(entries: dict) -> Mat4:
+    """Antisymmetric matrix from {(a,b): coeff} with a < b."""
     m = [[Fraction(0)] * 4 for _ in range(4)]
-    if isinstance(entries, dict):
-        for (a, b), c in entries.items():
-            c = Fraction(c)
-            m[a][b] += c
-            m[b][a] -= c
-    else:
-        for a in range(4):
-            for b in range(4):
-                m[a][b] = Fraction(entries[a][b])
-        for a in range(4):
-            for b in range(4):
-                if m[a][b] != -m[b][a]:
-                    raise ValueError("2-form matrix must be antisymmetric")
+    for (a, b), c in entries.items():
+        c = Fraction(c)
+        m[a][b] += c
+        m[b][a] -= c
     return tuple(tuple(row) for row in m)
 
 

@@ -59,6 +59,8 @@ class SolveError(RuntimeError):
 
 def standard_pairing(b: int = 19) -> np.ndarray:
     """diag(1, 1, 1, -1, ..., -1) of signature (3, b): K3's b = 19, T^4's 3."""
+    if not isinstance(b, (int, np.integer)) or b < 1:
+        raise ValueError(f"b must be an integer >= 1, got {b!r}")
     q = -np.eye(SIG_PLUS + b)
     q[:SIG_PLUS, :SIG_PLUS] = np.eye(SIG_PLUS)
     return q
@@ -429,6 +431,7 @@ class MuMap:
     def random(rng: np.random.Generator, b: int = 19) -> "MuMap":
         """Random isometry of standard_pairing(b): O(3) x O(b) followed by
         three boosts of rapidity at most 0.4."""
+        q = standard_pairing(b)
         m = np.eye(SIG_PLUS + b)
         for k in (slice(SIG_PLUS), slice(SIG_PLUS, None)):  # the O(3) and O(b) blocks
             m[k, k] = np.linalg.qr(rng.normal(size=m[k, k].shape))[0]
@@ -440,7 +443,7 @@ class MuMap:
             boost[p, p] = boost[n, n] = np.cosh(t)
             boost[p, n] = boost[n, p] = np.sinh(t)
             m = boost @ m
-        return MuMap(m, standard_pairing(b))
+        return MuMap(m, q)
 
 
 def dualize(s: SectionGrid, psi: MuMap) -> SectionGrid:

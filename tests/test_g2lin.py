@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from adg2.excalc import eval_on_vectors
+from adg2 import g2lin, verify
+from adg2.excalc import FibrationData, eval_on_vectors
 from adg2.g2lin import (
     G2Model,
     basis_vector,
@@ -49,12 +50,6 @@ class TestCross:
     def test_eps_zero_rejected(self):
         with pytest.raises(ValueError):
             cross(E(X1), E(X2), G2Model(0))
-
-    def test_star_phi_needs_positive_eps(self):
-        # star phi_eps is star7(phi_eps), which needs eps > 0; the formal
-        # limit lives in chi
-        with pytest.raises(ValueError):
-            G2Model(0).star_phi()
 
     def test_limit_contributions_need_horizontal(self):
         # vertical x vertical products scale like eps: they die in the limit
@@ -104,3 +99,32 @@ class TestChi:
 
 def test_chi_limit_reference_value(law):
     law("g2lin.chi.formal_limit")
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 7), Fraction(1)])
+def test_chi_is_one_contraction(monkeypatch, eps):
+    calls = []
+    original = g2lin.contract
+    monkeypatch.setattr(g2lin, "contract",
+                        lambda a, vectors: calls.append(a) or original(a, vectors))
+    rng = random.Random(8)
+    m = G2Model(eps)
+    chi(*(rand_vec(rng) for _ in range(3)), m)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("theta_sign, mu_sign, failing", [
+    (1, -1, ["g2lin.chi.defining_identity"]),
+    (-1, 1, ["g2lin.chi.defining_identity", "g2lin.chi.formal_limit"])],
+    ids=["theta_minus_eps_mu", "minus_theta_plus_eps_mu"])
+def test_wrong_psi_fails_the_suite(monkeypatch, theta_sign, mu_sign, failing):
+    # chi contracts psi = Theta + eps mu; a sign slip in either term must
+    # fail the rows that pin chi to star7(phi_eps) and to -I_1 x
+    data = FibrationData.product()
+
+    def psi(self):
+        return data.theta().scale(theta_sign) + data.mu.scale(mu_sign * self.eps)
+
+    monkeypatch.setattr(G2Model, "_psi", property(psi))
+    (report,) = verify.run_suite("g2lin", 5)
+    assert [c.id for c in report.checks if c.status == "fail"] == failing

@@ -173,9 +173,9 @@ def random_form(rng):
 
 def pulled_back(omega, frame):
     """The triple A^T w_i A for the rational frame A."""
-    return tuple(hk.form2([[sum(frame[c][a] * w[c][d] * frame[d][b]
-                                for c in range(4) for d in range(4))
-                            for b in range(4)] for a in range(4)])
+    return tuple(hk.form2({(a, b): sum(frame[c][a] * w[c][d] * frame[d][b]
+                                       for c in range(4) for d in range(4))
+                           for a, b in combinations(range(4), 2)})
                  for w in omega)
 
 

@@ -738,6 +738,14 @@ class TestPairing:
         assert q.shape == (3 + b, 3 + b)
         assert np.array_equal(mx.check_pairing(q), q)
 
+    @pytest.mark.parametrize("b", [0, -1, 2.5])
+    def test_b_must_be_a_positive_integer(self, b):
+        want = rf"^b must be an integer >= 1, got {b}$"
+        with pytest.raises(ValueError, match=want):
+            mx.standard_pairing(b)
+        with pytest.raises(ValueError, match=want):
+            mx.MuMap.random(np.random.default_rng(0), b)
+
     @pytest.mark.parametrize("diagonal", [
         [1, 1, -1, -1, -1], [1, 1] + [-1] * 19, [1] * 4 + [-1] * 3, [1] * 4 + [-1] * 18,
         [1, 1, 1], [1, 1, 1, -1, -1, 0]],

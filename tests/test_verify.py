@@ -106,10 +106,13 @@ def test_misspelt_corruption_is_rejected():
 
 
 def test_g2lin_suite_contraction_count(monkeypatch):
-    # one contraction per chi and one per defining-identity triple for its
-    # right-hand side: 2 x 3 eps x 102 triples = 612 in that row, 152 chi
-    # calls in the other rows (the right-hand side once took 7 per triple,
-    # 2,600 in all)
+    # one contraction per chi, at every eps, and one per defining-identity
+    # triple for its right-hand side: 2 x 3 eps x 102 triples = 612 in that
+    # row; the case table's 35 basis chi at eps 1, then per eps 35 basis and
+    # 2 x 2 x 10 random chi, 35 + 2 x 75 = 185; 2 cross products; the limit
+    # row's 10 + 1 chi at eps 0, 35 basis chi at eps 0 and the 12 of one
+    # vertical slot at eps 1, 58.  612 + 185 + 2 + 58 = 857 (the right-hand
+    # side once took 7 per triple, 2,600 in all, and a chi at eps 0 three)
     from adg2 import excalc, g2lin
     from adg2.excalc import forms
 
@@ -124,7 +127,7 @@ def test_g2lin_suite_contraction_count(monkeypatch):
         monkeypatch.setattr(module, "contract", counted)
     (report,) = verify.run_suite("g2lin", SEED)
     assert report.passed
-    assert len(calls) == 764
+    assert len(calls) == 857
 
 
 def test_excalc_suite_builds_one_curvature_per_distribution(monkeypatch):
