@@ -39,8 +39,8 @@ class QQi:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @classmethod
     def _mk(cls, re: Fraction, im: Fraction) -> "QQi":
@@ -204,13 +204,20 @@ class LinearMap:
             for s in range(len(columns[0]))), den)
 
     def __call__(self, x: Sequence[Rat]) -> tuple[Fraction, ...]:
-        """The image of x, n_in ints or Fractions, as Fractions: x is put
-        over its common denominator, so each output is one integer dot
-        product and, unless it is zero, one Fraction."""
+        """The image of x, n_in ints or Fractions (bools and other
+        subclasses included), as Fractions: x is put over its common
+        denominator, so each output is one integer dot product and, unless
+        it is zero, one Fraction.  Each input is read once, by
+        as_integer_ratio.  Any other input, a float, a Decimal or a QQi
+        among them, raises TypeError naming its position: a float would
+        otherwise be read as its exact binary value."""
         if len(x) != self.n_in:
             raise ValueError(f"map takes {self.n_in} inputs, got {len(x)}")
-        d = math.lcm(*[v.denominator for v in x])
-        get = [v.numerator * (d // v.denominator) for v in x].__getitem__
+        if not _RATIONAL_TYPES.issuperset(map(type, x)):
+            _check_rationals(x)
+        ratios = [v.as_integer_ratio() for v in x]
+        d = math.lcm(*[q for _, q in ratios])
+        get = [p * (d // q) for p, q in ratios].__getitem__
         den = self.den * d
         return tuple(Fraction(s, den) if (s := sum(map(mul, cs, map(get, ns)))) else _ZERO
                      for ns, cs in self.rows)
@@ -232,6 +239,17 @@ class LinearMap:
         g = math.gcd(den, *(c for row in rows for _, c in row))
         return LinearMap(inner.n_in, tuple(_split_row((n, c // g) for n, c in row)
                                            for row in rows), den // g)
+
+
+_RATIONAL_TYPES = frozenset((int, Fraction))
+
+
+def _check_rationals(x: Sequence) -> None:
+    """TypeError at the first entry of x that is not an int or a Fraction."""
+    for n, v in enumerate(x):
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"map inputs are ints or Fractions; input {n} is "
+                            f"{type(v).__name__} {v!r}")
 
 
 def _split_row(entries) -> tuple:

@@ -42,7 +42,7 @@ class BigradedForm:
         self.terms: dict[Key, Poly] = {}
         if terms:
             for (I, J), p in terms.items():
-                self._accumulate(tuple(I), tuple(J), Poly.of(p))
+                self.add_term(tuple(I), tuple(J), p)
 
     def _check_key(self, I: tuple, J: tuple):
         if list(I) != sorted(set(I)) or list(J) != sorted(set(J)):
@@ -52,10 +52,20 @@ class BigradedForm:
         if len(I) + len(J) != self.degree:
             raise ValueError(f"term ({I},{J}) does not have degree {self.degree}")
 
+    def add_term(self, I: tuple, J: tuple, p) -> None:
+        """Add p times the basis covector (I, J) to this form, in place; a
+        nonzero term's key is checked first, and a key whose sum is zero is
+        dropped."""
+        p = Poly.of(p)
+        if not p.is_zero():
+            self._check_key(I, J)
+            self._accumulate(I, J, p)
+
     def _accumulate(self, I: tuple, J: tuple, p: Poly):
+        """add_term for a key that is valid by construction: one read off a
+        form of this degree, or joined and sorted by wedge."""
         if p.is_zero():
             return
-        self._check_key(I, J)
         key = (I, J)
         s = self.terms.get(key)
         total = p if s is None else s + p
@@ -180,7 +190,8 @@ class HorizontalDistribution:
         return HorizontalDistribution()
 
     def lift_coeff(self, i: int, a: int) -> Poly:
-        return self.coeffs.get((i, a), Poly.const(0))
+        p = self.coeffs.get((i, a))
+        return Poly() if p is None else p
 
     def is_flat(self) -> bool:
         return not self.coeffs
@@ -337,17 +348,18 @@ def contract(a: BigradedForm, vectors: Sequence[Sequence[Scalar]]) -> dict[tuple
     """
     if len(vectors) > a.degree:
         raise ValueError("more vectors than the form degree")
-    vs = [tuple(map(Fraction, v)) for v in vectors]
+    vs = [tuple(x if type(x) is Fraction else Fraction(x) for x in v) for v in vectors]
     if any(len(v) != NVARS for v in vs):
         raise ValueError(f"vectors have {NVARS} components (t1..t3,x1..x4)")
-    coeffs = {I + J: p.terms[ZERO_EXP] for (I, J), p in a.terms.items()
-              if ZERO_EXP in p.terms}
-    den = math.lcm(*[c.denominator for c in coeffs.values()])
-    nums = {idx: c.numerator * (den // c.denominator) for idx, c in coeffs.items()}
+    coeffs = [(I + J, p.terms[ZERO_EXP].as_integer_ratio())
+              for (I, J), p in a.terms.items() if ZERO_EXP in p.terms]
+    den = math.lcm(*[q for _, (_, q) in coeffs])
+    nums = {idx: n * (den // q) for idx, (n, q) in coeffs}
     for v in vs:
-        d = math.lcm(*[x.denominator for x in v])
+        ratios = [x.as_integer_ratio() for x in v]
+        d = math.lcm(*[q for _, q in ratios])
         den *= d
-        m = [x.numerator * (d // x.denominator) for x in v]
+        m = [n * (d // q) for n, q in ratios]
         out: dict[tuple, int] = {}
         for idx, c in nums.items():
             for pos, i in enumerate(idx):

@@ -27,17 +27,20 @@ class Poly:
         clean: dict[tuple, Fraction] = {}
         if terms:
             for exp, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c != 0:
                     exp = tuple(exp)
                     if len(exp) != NVARS or any(e < 0 for e in exp):
                         raise ValueError(f"bad exponent tuple {exp}")
-                    clean[exp] = clean.get(exp, Fraction(0)) + c
+                    prev = clean.get(exp)
+                    clean[exp] = c if prev is None else prev + c
         self.terms = {e: c for e, c in clean.items() if c != 0}
 
     @staticmethod
     def const(c: Scalar) -> "Poly":
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         return Poly({ZERO_EXP: c} if c else {})
 
     @staticmethod
@@ -69,7 +72,8 @@ class Poly:
         o = Poly.of(other)
         out = dict(self.terms)
         for e, c in o.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            prev = out.get(e)
+            s = c if prev is None else prev + c
             if s:
                 out[e] = s
             else:
@@ -97,7 +101,8 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                prev = out.get(e)
+                s = c1 * c2 if prev is None else prev + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -117,7 +122,8 @@ class Poly:
             ne = list(e)
             ne[index] = k - 1
             ne = tuple(ne)
-            out[ne] = out.get(ne, Fraction(0)) + c * k
+            prev = out.get(ne)
+            out[ne] = c * k if prev is None else prev + c * k
         p = Poly.__new__(Poly)
         p.terms = {e: c for e, c in out.items() if c}
         return p

@@ -27,9 +27,12 @@ from .excalc.poly import HORIZONTAL, VERTICAL
 
 Vector7 = tuple  # length-7 tuple of Fractions, ordering t1,t2,t3,x1..x4
 
+_ZERO = Fraction(0)  # the entry of a slot that is zero by construction
+
 
 def vec(entries: Sequence) -> Vector7:
-    v = tuple(Fraction(e) for e in entries)
+    """The entries as a Vector7: Fractions are kept, other rationals converted."""
+    v = tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
     if len(v) != 7:
         raise ValueError("vectors have seven components (t1,t2,t3,x1..x4)")
     return v
@@ -40,7 +43,7 @@ def basis_vector(index: int) -> Vector7:
 
 
 def vertical_part(v: Vector7) -> Vector7:
-    return tuple(c if i in VERTICAL else Fraction(0) for i, c in enumerate(v))
+    return tuple(c if i in VERTICAL else _ZERO for i, c in enumerate(v))
 
 
 @dataclass
@@ -93,12 +96,12 @@ def chi(x: Vector7, y: Vector7, z: Vector7, m: G2Model) -> Vector7:
     eps >= 0.  At eps = 0 chi is the vertical part of i_z i_y i_x Theta,
     which reads one vertical and two horizontal argument slots only.
     """
-    co = contract(m._psi, [x, y, z])
-    return tuple(co.get((k,), Fraction(0)) * (m.eps if k in HORIZONTAL else 1)
-                 for k in range(7))
+    get = contract(m._psi, [x, y, z]).get
+    return (tuple(get((k,), _ZERO) * m.eps for k in HORIZONTAL)
+            + tuple(get((k,), _ZERO) for k in VERTICAL))
 
 
 def _metric_solve(covector: dict, eps: Fraction) -> Vector7:
     """The vector v with g_eps(v, .) the 1-form covector, keyed by (k,)."""
-    co = [covector.get((k,), Fraction(0)) for k in range(7)]
+    co = [covector.get((k,), _ZERO) for k in range(7)]
     return tuple(c if k in HORIZONTAL else c / eps for k, c in enumerate(co))

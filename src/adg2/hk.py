@@ -14,10 +14,12 @@ HKTriple._recovery_map from the frame-free inverse formula on the 16 unit
 metric variations.
 
 This module is the one home of the standard triple (STANDARD_TRIPLE), its
-anti-self-dual basis (ASD_BASIS) and the complex structures of a triple
-(complex_structure_matrices).  It has no matrix arithmetic of its own: sums,
-differences, multiples and zero tests of 2-forms are exact.madd, msub,
-mscale and is_zero_matrix, and the zero 2-form is form2({}).
+anti-self-dual basis (ASD_BASIS), the entry layout of their span
+(asd_from_pairs, which asd_form and spin's random jets call) and the
+complex structures of a triple (complex_structure_matrices).  It has no
+matrix arithmetic of its own: sums, differences, multiples and zero tests
+of 2-forms are exact.madd, msub, mscale and is_zero_matrix, and the zero
+2-form is form2({}).
 """
 
 from __future__ import annotations
@@ -32,11 +34,17 @@ from .exact import LinearMap, QQi, eye, inverse, madd, mscale, msub, zeros
 
 Mat4 = tuple  # 4x4 tuple of tuples of Fraction
 
+_ZERO = Fraction(0)  # the zero entry shared by the forms built here
+
 
 def form2(entries: dict) -> Mat4:
-    """Antisymmetric matrix from {(a,b): coeff} with a < b."""
-    m = [[Fraction(0)] * 4 for _ in range(4)]
+    """Antisymmetric matrix from {(a,b): coeff} with 0 <= a < b <= 3;
+    ValueError naming the first other key (a diagonal, reversed or
+    out-of-range slot)."""
+    m = [[_ZERO] * 4 for _ in range(4)]
     for (a, b), c in entries.items():
+        if not 0 <= a < b <= 3:
+            raise ValueError(f"form2 key {(a, b)} must have 0 <= a < b <= 3")
         c = Fraction(c)
         m[a][b] += c
         m[b][a] -= c
@@ -68,12 +76,22 @@ STANDARD_TRIPLE: tuple[Mat4, Mat4, Mat4] = (
 
 
 def asd_form(c1, c2, c3) -> Mat4:
-    """The anti-self-dual 2-form c1 eta1 + c2 eta2 + c3 eta3, written out
-    entrywise, where (eta1, eta2, eta3) = ASD_BASIS is dx1 dx2 - dx3 dx4,
-    dx1 dx3 + dx2 dx4, dx1 dx4 - dx2 dx3."""
+    """The anti-self-dual 2-form c1 eta1 + c2 eta2 + c3 eta3, where
+    (eta1, eta2, eta3) = ASD_BASIS is dx1 dx2 - dx3 dx4, dx1 dx3 + dx2 dx4,
+    dx1 dx4 - dx2 dx3.  The coefficients, ints or Fractions, are converted
+    and negated here; asd_from_pairs writes the entries."""
     c1, c2, c3 = (c if type(c) is Fraction else Fraction(c) for c in (c1, c2, c3))
-    n1, n2, n3 = -c1, -c2, -c3
-    z = Fraction(0)
+    return asd_from_pairs((c1, -c1), (c2, -c2), (c3, -c3))
+
+
+def asd_from_pairs(p1, p2, p3) -> Mat4:
+    """The anti-self-dual 2-form of asd_form from its coefficients given as
+    (c, -c) Fraction pairs, one per ASD_BASIS form: the one writer of the
+    entry layout, which builds no Fraction (its diagonal is a shared zero).
+    A caller that holds the negatives already, such as a table of drawn
+    coefficients, hands them in."""
+    (c1, n1), (c2, n2), (c3, n3) = p1, p2, p3
+    z = _ZERO
     return ((z, c1, c2, c3), (n1, z, n3, c2), (n2, c3, z, n1), (n3, n2, c1, z))
 
 

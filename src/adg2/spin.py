@@ -383,21 +383,36 @@ def zero_jet() -> AdiabaticJet:
     )
 
 
-def _asd_coeffs(rng) -> tuple[Fraction, Fraction, Fraction]:
-    """The three ASD_BASIS coefficients of one random_asd draw."""
-    return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3))
+# the drawn ASD_BASIS coefficients, Fraction(n, d) for -6 <= n <= 6 and
+# 1 <= d <= 3, keyed by (n, d), each with its negative; built once at import
+_ASD_DRAWS = {(n, d): (Fraction(n, d), Fraction(-n, d))
+              for n in range(-6, 7) for d in range(1, 4)}
+
+
+def _asd_coeffs(rng) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The three ASD_BASIS coefficients of one random_asd draw, as the
+    (c, -c) pairs of hk.asd_from_pairs: each is the Fraction of
+    rng.randint(-6, 6) over rng.randint(1, 3), numerator drawn first, looked
+    up in the _ASD_DRAWS table.  So the draws and their order are those of
+    Fraction(rng.randint(-6, 6), rng.randint(1, 3)), and no Fraction is built."""
+    r = rng.randint
+    return (_ASD_DRAWS[r(-6, 6), r(1, 3)], _ASD_DRAWS[r(-6, 6), r(1, 3)],
+            _ASD_DRAWS[r(-6, 6), r(1, 3)])
 
 
 def random_asd(rng) -> hk.Mat4:
-    return hk.asd_form(*_asd_coeffs(rng))
+    return hk.asd_from_pairs(*_asd_coeffs(rng))
 
 
-def _sym_tracefree(coeffs) -> tuple:
-    """The symmetric trace-free 3x3 grid of ASD forms with the ASD_BASIS
-    coefficients coeffs[k, m] on the slots (k, m), k <= m.  The (2, 2) slot is
-    set to -(c00 + c11) on the coefficients, so each slot's form is built once."""
-    forms = {km: hk.asd_form(*c) for km, c in coeffs.items() if km != (2, 2)}
-    forms[2, 2] = hk.asd_form(*(-(a + b) for a, b in zip(coeffs[0, 0], coeffs[1, 1])))
+def _sym_tracefree(pairs) -> tuple:
+    """The symmetric trace-free 3x3 grid of ASD forms whose ASD_BASIS
+    coefficients, as the (c, -c) pairs of hk.asd_from_pairs, are pairs[k, m]
+    on the slots (k, m), k <= m.  The (2, 2) slot's pairs are
+    (-(c00 + c11), c00 + c11), summed on the coefficients, so each slot's
+    form is built once and no coefficient is negated."""
+    forms = {km: hk.asd_from_pairs(*p) for km, p in pairs.items() if km != (2, 2)}
+    forms[2, 2] = hk.asd_from_pairs(*((na + nb, ca + cb) for (ca, na), (cb, nb)
+                                      in zip(pairs[0, 0], pairs[1, 1])))
     return tuple(tuple(forms[min(k, m), max(k, m)] for m in range(3)) for k in range(3))
 
 
@@ -408,14 +423,18 @@ def _donaldson_jet(grids) -> AdiabaticJet:
                                        for m in range(3)) for k in range(3)))
 
 
+_SLOTS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # k <= m, row-major
+
+
 def random_donaldson_jet(rng) -> AdiabaticJet:
     """A random jet satisfying every constraint: symmetric, ASD, trace-free.
 
     The draw order is fixed: each of the five grids (v, then w for i = 0..3)
     draws the coefficients of its slots (k, m), k <= m, in row-major order,
-    the (2, 2) slot included, whose draw _sym_tracefree discards."""
-    grids = [_sym_tracefree({(k, m): _asd_coeffs(rng) for k in range(3) for m in range(k, 3)})
-             for _ in range(5)]
+    the (2, 2) slot included, whose draw _sym_tracefree discards.  Each
+    coefficient is the Fraction(rng.randint(-6, 6), rng.randint(1, 3)) of
+    _asd_coeffs, read from its table with its negative."""
+    grids = [_sym_tracefree({km: _asd_coeffs(rng) for km in _SLOTS}) for _ in range(5)]
     return _donaldson_jet(grids)
 
 
@@ -423,11 +442,14 @@ def constraint_basis_jets():
     """The 75 unit jets that span the constraint subspace, built one at a
     time: ASD_BASIS form j in one free slot (k, m) of v (15 jets), then of
     w[.][.][i] for i = 0..3 (60), with its mirror (m, k) and, on the
-    diagonal, minus it in (2, 2); every other slot is zero."""
-    zero = dict.fromkeys(((0, 0), (0, 1), (0, 2), (1, 1), (1, 2)), (0, 0, 0))
+    diagonal, minus it in (2, 2); every other slot is zero.  The unit
+    coefficients 0 and 1 are the _ASD_DRAWS entries of the random jets."""
+    nought, one = _ASD_DRAWS[0, 1], _ASD_DRAWS[1, 1]
+    zero = dict.fromkeys(_SLOTS[:5], (nought,) * 3)
     zero_grid = _sym_tracefree(zero)
     for g, km, j in product(range(5), zero, range(3)):
-        unit = _sym_tracefree({**zero, km: tuple(int(n == j) for n in range(3))})
+        unit = _sym_tracefree({**zero, km: tuple(one if n == j else nought
+                                                 for n in range(3))})
         yield _donaldson_jet([unit if h == g else zero_grid for h in range(5)])
 
 

@@ -28,6 +28,11 @@ _WORKED_G_DOT = tuple(tuple(Fraction(x) for x in row) for row in
                       ((0, 0, -1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, 1, 0, 0)))
 # the largest degree of a random polynomial coefficient
 _MAX_POLY_DEG = 2
+# the drawn rationals Fraction(n, d), -4 <= n <= 4 and 1 <= d <= 3, keyed by
+# (n, d): a draw reads Fraction(rng.randint(lo, hi), rng.randint(1, q)) as
+# _RATIONALS[rng.randint(lo, hi), rng.randint(1, q)], the same randint calls
+# in the same order, and builds no Fraction
+_RATIONALS = {(n, d): Fraction(n, d) for n in range(-4, 5) for d in range(1, 4)}
 
 
 @dataclass
@@ -106,8 +111,8 @@ def _random_form(rng, degree, max_poly_deg=_MAX_POLY_DEG, nterms=3):
         exp = [0] * 7
         for _ in range(rng.randint(0, max_poly_deg)):
             exp[rng.randrange(7)] += 1
-        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        out = out + BigradedForm.monomial(big_i, big_j, Poly({tuple(exp): coeff}))
+        coeff = _RATIONALS[rng.randint(-4, 4), rng.randint(1, 3)]
+        out.add_term(big_i, big_j, Poly({tuple(exp): coeff}))
     return out
 
 
@@ -121,8 +126,17 @@ def _random_distribution(rng):
         exp = [0] * 7
         for _ in range(rng.randint(0, _MAX_POLY_DEG)):
             exp[rng.randrange(7)] += 1
-        coeffs[(i, a)] = Poly({tuple(exp): Fraction(rng.randint(-3, 3))})
+        coeffs[(i, a)] = Poly({tuple(exp): _RATIONALS[rng.randint(-3, 3), 1]})
     return HorizontalDistribution(coeffs)
+
+
+def _random_vec(rng):
+    """A random Vector7 of g2lin, each entry the Fraction of rng.randint(-3, 3)
+    over rng.randint(1, 3), read from _RATIONALS."""
+    from .g2lin import vec
+
+    r = rng.randint
+    return vec([_RATIONALS[r(-3, 3), r(1, 3)] for _ in range(7)])
 
 
 def run_excalc(seed: int, corrupt: str | None = None) -> list:
@@ -227,7 +241,7 @@ def run_excalc(seed: int, corrupt: str | None = None) -> list:
 def run_g2lin(seed: int, corrupt: str | None = None) -> list:
     from . import hk
     from .excalc import contract, star7
-    from .g2lin import G2Model, basis_vector, chi, cross, vec, vertical_part
+    from .g2lin import G2Model, basis_vector, chi, cross, vertical_part
 
     rng = random.Random(seed)
     checks: list = []
@@ -238,10 +252,6 @@ def run_g2lin(seed: int, corrupt: str | None = None) -> list:
 
     def n_vertical(triple):
         return sum(i >= x1 for i in triple)
-
-    def rand_vec():
-        return vec([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                    for _ in range(7)])
 
     def check_identity():
         # both sides are multilinear and alternating in (x, y, z) and linear
@@ -265,7 +275,7 @@ def run_g2lin(seed: int, corrupt: str | None = None) -> list:
                 _expect(holds(e[i], e[j], e[k]),
                         f"defining identity failed on e{i}, e{j}, e{k} at eps={eps}")
             for _ in range(67):
-                _expect(holds(rand_vec(), rand_vec(), rand_vec()),
+                _expect(holds(_random_vec(rng), _random_vec(rng), _random_vec(rng)),
                         f"defining identity failed at eps={eps}")
         return "0"
 
@@ -286,12 +296,12 @@ def run_g2lin(seed: int, corrupt: str | None = None) -> list:
                         == tuple(factor * v for v in chi1[triple]),
                         f"case table fails on {triple} at eps={eps}")
             for _ in range(10):
-                xs = [vertical_part(rand_vec()) for _ in range(3)]
+                xs = [vertical_part(_random_vec(rng)) for _ in range(3)]
                 ce = chi(*xs, meps)
                 c1 = chi(*xs, m1)
                 _expect(ce == tuple(eps * v for v in c1), "three-vertical scaling")
             for _ in range(10):
-                x = vertical_part(rand_vec())
+                x = vertical_part(_random_vec(rng))
                 _expect(chi(x, e[t2], e[t3], meps) == chi(x, e[t2], e[t3], m1),
                         "one-vertical case must be scale-free")
         return "0"
@@ -315,7 +325,7 @@ def run_g2lin(seed: int, corrupt: str | None = None) -> list:
         m0 = G2Model(0)
         ivec = hk.complex_structure_matrices(hk.HKTriple.standard())
         for _ in range(10):
-            x = vertical_part(rand_vec())
+            x = vertical_part(_random_vec(rng))
             got = chi(x, e[t2], e[t3], m0)
             want = tuple(-sum(ivec[0][a][b] * x[3 + b] for b in range(4))
                          for a in range(4))
@@ -394,7 +404,7 @@ def run_hk(seed: int, corrupt: str | None = None) -> list:
     ivec = tuple(tuple(tuple(row) for row in m) for m in ivec)
 
     def rand_asd():
-        return hk.asd_form(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return hk.asd_form(*(_RATIONALS[rng.randint(-4, 4), rng.randint(1, 3)]
                              for _ in range(3)))
 
     # the 9 unit anti-self-dual variations (w_m = eta_j, the other two zero)

@@ -1,9 +1,12 @@
-"""One run of every `verify` suite per test session, and a counter of the
-grid half's path increments.
+"""One run of every `verify` suite per test session, a counter of the grid
+half's path increments and a counter of Fraction constructions.
 
 The suites' rows are the one body of each exact-half law.  Tier-1 runs them
 once, here, and tests read the rows from the shared report.
 """
+
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -59,4 +62,21 @@ def increment_calls(monkeypatch):
 
     monkeypatch.setattr(gauge, "_path_trapezoid", counted)
     monkeypatch.setattr(fueter, "_path_trapezoid", counted)
+    return calls
+
+
+@pytest.fixture
+def fraction_calls(monkeypatch):
+    """Counts, from here to the end of the test, of the Fractions built:
+    "new" from other values (arithmetic included), "wrapped" from a
+    Fraction, and "neg" by negation (each of those also builds one "new")."""
+    calls = Counter()
+    new, neg = Fraction.__new__, Fraction.__neg__
+
+    def counted_new(cls, numerator=0, denominator=None, **kwargs):
+        calls["wrapped" if type(numerator) is Fraction else "new"] += 1
+        return new(cls, numerator, denominator, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(Fraction, "__neg__", lambda a: calls.update(["neg"]) or neg(a))
     return calls

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -82,6 +84,37 @@ class TestLinearMap:
         m = LinearMap.from_columns([[F(1)], [F(2)]])
         with pytest.raises(ValueError, match="takes 2 inputs"):
             m([F(1)])
+
+    @pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), QQi(1, 1)],
+                             ids=["float", "decimal", "qqi"])
+    def test_other_inputs_are_rejected(self, bad):
+        # a float once passed silently (as_integer_ratio reads it exactly)
+        # and a Decimal or QQi failed with an AttributeError from inside
+        m = LinearMap.from_columns([[F(1)], [F(2)], [F(3)]])
+        with pytest.raises(TypeError, match=f"input 1 is {type(bad).__name__}"):
+            m([F(1), bad, bad])
+
+    def test_bool_inputs_are_ints(self):
+        m = LinearMap.from_columns([[F(1, 2)], [F(2)]])
+        assert m([True, False]) == (F(1, 2),)
+
+    def test_inputs_are_read_once(self, monkeypatch):
+        # one as_integer_ratio per input and no numerator or denominator
+        # read: 48 + 0 = 48 (the map once read .denominator twice and
+        # .numerator once per input, 144 reads)
+        calls = Counter()
+        ratio = F.as_integer_ratio
+        monkeypatch.setattr(F, "as_integer_ratio",
+                            lambda x: calls.update(["ratio"]) or ratio(x))
+        for name in ("numerator", "denominator"):
+            prop = getattr(F, name)
+            monkeypatch.setattr(F, name, property(
+                lambda x, _get=prop.fget, _n=name: calls.update([_n]) or _get(x)))
+        m = hk.HKTriple.standard()._variation_map
+        x = [F(n - 24, 1 + n % 5) for n in range(48)]
+        calls.clear()
+        m(x)
+        assert calls == {"ratio": 48}
 
     def test_equality_follows_the_columns(self):
         rng = random.Random(5)

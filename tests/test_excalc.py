@@ -64,6 +64,26 @@ def swap_sign(seq):
     return -1 if swaps % 2 else 1
 
 
+class TestAddTerm:
+    def test_equals_the_sum_and_cancels(self):
+        a = BigradedForm(2)
+        a.add_term((T1,), (X2,), Poly.var(X1))
+        a.add_term((), (X1, X2), 3)
+        second = BigradedForm.monomial((), (X1, X2), 3)
+        assert a == BigradedForm.monomial((T1,), (X2,), Poly.var(X1)) + second
+        a.add_term((T1,), (X2,), -Poly.var(X1))
+        assert a == second
+        a.add_term((), (X1, X2), Fraction(-3))
+        assert a.is_zero() and a.terms == {}
+
+    @pytest.mark.parametrize("I, J", [((T2, T1), ()), ((), (X1, X1)), ((X1,), (T1,)),
+                                      ((T1,), ())],
+                             ids=["unsorted", "repeated", "swapped_split", "degree"])
+    def test_bad_keys_are_rejected(self, I, J):
+        with pytest.raises(ValueError):
+            BigradedForm(2).add_term(I, J, 1)
+
+
 class TestWedge:
     def test_basis_case(self):
         assert wedge(dx(X1), dx(X2)) == BigradedForm.monomial((), (X1, X2))

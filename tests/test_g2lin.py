@@ -19,7 +19,7 @@ E = basis_vector
 
 
 def rand_vec(rng):
-    return vec([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(7)])
+    return verify._random_vec(rng)
 
 
 class TestCross:
@@ -128,3 +128,21 @@ def test_wrong_psi_fails_the_suite(monkeypatch, theta_sign, mu_sign, failing):
     monkeypatch.setattr(G2Model, "_psi", property(psi))
     (report,) = verify.run_suite("g2lin", 5)
     assert [c.id for c in report.checks if c.status == "fail"] == failing
+
+
+def test_vec_and_contract_keep_fractions(fraction_calls):
+    # Fraction entries pass through; an int is still converted.  A chi at
+    # eps 1/2 builds only its contraction's outputs and the horizontal
+    # scalings: at most 7 + 3 = 10 (vec and contract once wrapped each of
+    # the 21 entries again, one more Fraction per entry)
+    rng = random.Random(3)
+    xs = [rand_vec(rng) for _ in range(3)]
+    m = G2Model(Fraction(1, 2))
+    m._psi  # built on first use, before the count
+    fraction_calls.clear()
+    assert vec(xs[0]) == xs[0] and all(a is b for a, b in zip(vec(xs[0]), xs[0]))
+    assert not fraction_calls
+    chi(*xs, m)
+    assert "wrapped" not in fraction_calls and fraction_calls["new"] <= 10
+    mixed = vec([1, Fraction(1, 2), 0, 0, 0, 0, -3])
+    assert all(type(c) is Fraction for c in mixed) and mixed[1] == Fraction(1, 2)

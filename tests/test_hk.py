@@ -52,6 +52,27 @@ class TestAsdForm:
                 got = hk.asd_form(*cs)
                 assert got == want and all(type(x) is F for row in got for x in row)
 
+    def test_pairs_build_no_fraction(self, fraction_calls):
+        # asd_form negates its three coefficients and hands the pairs on;
+        # asd_from_pairs writes them and the shared zero: 3 negations, then
+        # none (asd_form once also built a new zero for its diagonal)
+        cs = (F(1, 2), F(-3), F(0))
+        pairs = tuple((c, -c) for c in cs)
+        fraction_calls.clear()
+        got = hk.asd_from_pairs(*pairs)
+        assert not fraction_calls
+        assert got == hk.asd_form(*cs) and fraction_calls == {"neg": 3, "new": 3}
+
+
+class TestForm2:
+    @pytest.mark.parametrize("key", [(2, 2), (0, -1), (1, 0), (3, 4)],
+                             ids=["diagonal", "negative", "reversed", "out_of_range"])
+    def test_other_keys_are_rejected(self, key):
+        # a diagonal key was once dropped, a negative index wrapped to slot
+        # 3 and a reversed key flipped the sign
+        with pytest.raises(ValueError, match=rf"form2 key \({key[0]}, {key[1]}\)"):
+            hk.form2({(0, 1): 1, key: 1})
+
 
 class TestMetricFromTriple:
     def test_standard(self, law):

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -184,6 +187,81 @@ def test_jet_draws_scale_and_subtract_no_matrix(monkeypatch):
     rng = random.Random(SEED)
     jets = [spin.random_donaldson_jet(rng) for _ in range(20)]
     assert all(jet.all_flags() for jet in jets) and calls == []
+
+
+def stream_digest(draws):
+    """SHA-256 over the (label, value) pairs of each draw, every value a
+    Fraction, as label:numerator/denominator."""
+    h = hashlib.sha256()
+    for draw in draws:
+        h.update(b"|")
+        for label, x in draw:
+            assert type(x) is Fraction
+            h.update(f"{label}:{x.numerator}/{x.denominator};".encode())
+    return h.hexdigest()
+
+
+def poly_values(degree, polys):
+    """The coefficients of a {key: Poly} mapping, each labelled by degree,
+    key and exponent, in sorted order."""
+    return [((degree, key, exp), polys[key].terms[exp])
+            for key in sorted(polys) for exp in sorted(polys[key].terms)]
+
+
+def test_random_streams_are_pinned():
+    # recorded before the draws read their rationals from verify._RATIONALS
+    # and _random_form added its terms in place: every form (degrees 0-7,
+    # where repeated keys merge and cancel), distribution and g2lin vector,
+    # and so every later draw of a generator, stays the same
+    rng = random.Random(0)
+    forms = [verify._random_form(rng, degree) for degree in list(range(8)) * 25]
+    rng = random.Random(0)
+    distributions = [verify._random_distribution(rng) for _ in range(200)]
+    rng = random.Random(0)
+    vectors = [verify._random_vec(rng) for _ in range(300)]
+    assert {
+        "forms": stream_digest(poly_values(a.degree, a.terms) for a in forms),
+        "distributions": stream_digest(poly_values(1, h.coeffs) for h in distributions),
+        "vectors": stream_digest(enumerate(v) for v in vectors),
+    } == {
+        "forms": "c8d12ac983c021ac15246e9e7b5715bc0e3e2303a434b77159aac94004e3b6d3",
+        "distributions": "fc168410dd6b4ccb43106d13c79150c442d2f9f35289b25bae253fffe7295173",
+        "vectors": "ef06b92effbcaae488114f1b7ebc372a6226a77d72c28b2c5b86a03bc2a3a151",
+    }
+
+
+def test_table_draws_build_no_fraction(fraction_calls):
+    # a jet's coefficients are read from spin._ASD_DRAWS with their
+    # negatives, so 20 jets negate nothing and build only the trace-free
+    # slots' sums: 20 jets x 5 grids x 3 coefficients x 2 sums (c and -c) =
+    # 600 (the draws once built 4,800 Fractions and negated 2,100: per jet,
+    # 30 forms x 3 coefficients, and 5 trace-free slots x 3)
+    rng = random.Random(SEED)
+    jets = [spin.random_donaldson_jet(rng) for _ in range(20)]
+    assert fraction_calls == {"new": 600}
+    # the g2lin vectors and the random forms' coefficients come from
+    # verify._RATIONALS and are kept as they are (a vector once built 14
+    # Fractions, 7 of them from Fractions)
+    fraction_calls.clear()
+    vectors = [verify._random_vec(rng) for _ in range(20)]
+    forms = [verify._random_form(rng, 2) for _ in range(20)]
+    assert not fraction_calls
+    assert all(jet.all_flags() for jet in jets)
+    assert all(len(v) == 7 for v in vectors) and all(a.degree == 2 for a in forms)
+
+
+def test_random_forms_add_in_place(monkeypatch):
+    # each drawn term is added into one form: no form is added to another
+    # (50 draws of 3 terms once made 150 BigradedForm.__add__ calls)
+    from adg2.excalc import BigradedForm
+
+    calls = []
+    add = BigradedForm.__add__
+    monkeypatch.setattr(BigradedForm, "__add__",
+                        lambda a, b: calls.append(1) or add(a, b))
+    rng = random.Random(SEED)
+    forms = [verify._random_form(rng, degree) for degree in list(range(5)) * 10]
+    assert calls == [] and any(not a.is_zero() for a in forms)
 
 
 def test_linear_rows_prove_on_a_basis(monkeypatch):
