@@ -141,7 +141,7 @@ _SYM_INDEX[_SYM_ROWS, _SYM_COLS] = _SYM_INDEX[_SYM_COLS, _SYM_ROWS] = np.arange(
 @functools.cache
 def _tangent_table():
     """(rows, cols, table): the 21 products p_n = m_rows[n] m_cols[n] of
-    two symmetric entries m of G^-1, and the (21, 36) table that takes them
+    two symmetric entries m of G^-1, and the (36, 21) table that takes them
     to the 6x6 matrix C (row-major) with E = C Js for E = (1/3) <Js, G^-1>
     G^-1 - G^-1 Js G^-1, where Js and E stand for their symmetric entries;
     the Frobenius weights of Js are folded in.  C is quadratic in G^-1, so
@@ -151,13 +151,13 @@ def _tangent_table():
     sym = _SYM_INDEX
     pair = np.empty((6, 6), dtype=int)
     pair[rows, cols] = pair[cols, rows] = np.arange(21)
-    table = np.zeros((21, 6, 6))
+    table = np.zeros((6, 6, 21))
     for r, (a, b) in enumerate(zip(_SYM_ROWS, _SYM_COLS)):
         for k, (i, j) in enumerate(zip(_SYM_ROWS, _SYM_COLS)):
-            table[pair[r, k], r, k] += _SYM_WEIGHT[k] / 3.0
-            table[pair[sym[a, i], sym[b, j]], r, k] -= 0.5 * _SYM_WEIGHT[k]
-            table[pair[sym[a, j], sym[b, i]], r, k] -= 0.5 * _SYM_WEIGHT[k]
-    return rows, cols, table.reshape(21, 36)
+            table[r, k, pair[r, k]] += _SYM_WEIGHT[k] / 3.0
+            table[r, k, pair[sym[a, i], sym[b, j]]] -= 0.5 * _SYM_WEIGHT[k]
+            table[r, k, pair[sym[a, j], sym[b, i]]] -= 0.5 * _SYM_WEIGHT[k]
+    return rows, cols, table.reshape(36, 21)
 
 
 @functools.cache
@@ -179,18 +179,21 @@ def _cell_maps(spacing: tuple):
     return to_gauss.reshape(64, 48), to_cell.reshape(48, 64)
 
 
-def _det3(g: np.ndarray) -> np.ndarray:
-    return (g[..., 0, 0] * (g[..., 1, 1] * g[..., 2, 2] - g[..., 1, 2] * g[..., 2, 1])
-            - g[..., 0, 1] * (g[..., 1, 0] * g[..., 2, 2] - g[..., 1, 2] * g[..., 2, 0])
-            + g[..., 0, 2] * (g[..., 1, 0] * g[..., 2, 1] - g[..., 1, 1] * g[..., 2, 0]))
+def _sym(g: np.ndarray) -> list:
+    """Views of the entries (_SYM_ROWS, _SYM_COLS) of the 3x3 matrices of g."""
+    return [g[..., i, j] for i, j in zip(_SYM_ROWS, _SYM_COLS)]
+
+
+def _det3(g00, g11, g22, g01, g02, g12):  # of symmetric matrices, from _sym
+    return g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02) + g02 * (
+        g01 * g12 - g11 * g02)
 
 
 def _inv3(g: np.ndarray, det: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The symmetric entries (_SYM_ROWS, _SYM_COLS) of the inverse of each
     symmetric 3x3 matrix of g, read from its upper entries, into out if
     given; det is det g."""
-    g00, g11, g22 = g[..., 0, 0], g[..., 1, 1], g[..., 2, 2]
-    g01, g02, g12 = g[..., 0, 1], g[..., 0, 2], g[..., 1, 2]
+    g00, g11, g22, g01, g02, g12 = _sym(g)
     out = np.stack([g11 * g22 - g12 * g12, g00 * g22 - g02 * g02,
                     g00 * g11 - g01 * g01, g02 * g12 - g01 * g22,
                     g01 * g12 - g02 * g11, g02 * g01 - g00 * g12], axis=-1, out=out)
@@ -207,25 +210,28 @@ def _carve(*shapes) -> list:
             for shape, size, end in zip(shapes, sizes, ends)]
 
 
-def _corner_view(values: np.ndarray, offset) -> np.ndarray:
-    n1, n2, n3 = values.shape[:3]
-    o1, o2, o3 = offset
-    return values[o1:n1 - 1 + o1, o2:n2 - 1 + o2, o3:n3 - 1 + o3]
+def _corner_runs(nodes: np.ndarray, start: int, cells: int) -> list:
+    """Cell (i, j, k) of nodes (n1, n2, n3, w) is padded cell p = (i n2 + j)
+    n3 + k, its first node's flat index; a pad if j = n2 - 1 or k = n3 - 1,
+    with boundary nodes at all its corners.  Corner o of padded cells start,
+    ..., start + cells - 1 is a run of flat nodes, cut at the last real cell."""
+    n1, n2, n3, width = nodes.shape
+    offsets = [n2 * n3 * o1 + n3 * o2 + o3 for o1, o2, o3 in _CORNERS]
+    flat = nodes.reshape(-1, width)
+    stop = min(start + cells, len(flat) - offsets[-1])
+    return [flat[start + o:stop + o] for o in offsets]
 
 
-def _corner_scatter(terms: np.ndarray, out: np.ndarray):
-    """Add per-corner cell terms, corner-major (8 corners, cells..., 3 + b), onto
-    the nodes of out, corner after corner."""
-    for ci, o in enumerate(_CORNERS):
-        view = _corner_view(out, o)
-        view += terms[ci]
+def _scatter(terms: np.ndarray, nodes: np.ndarray, start: int):
+    """Add padded terms (8, cells, w) onto nodes from cell start on, corner
+    after corner."""
+    for run, term in zip(_corner_runs(nodes, start, terms.shape[1]), terms):
+        run += term[:len(run)]
 
 
-def _zero_boundary(a: np.ndarray):
-    """Set the boundary nodes of a node array to zero."""
-    a[[0, -1]] = 0.0
-    a[:, [0, -1]] = 0.0
-    a[:, :, [0, -1]] = 0.0
+def _real_cells(terms: np.ndarray, dims) -> np.ndarray:
+    """The real cells (slabs, n2 - 1, n3 - 1, 8, w) of padded (8, cells, w)."""
+    return terms.reshape(8, -1, *dims[1:], terms.shape[-1])[:, :, :-1, :-1].transpose(1, 2, 3, 0, 4)
 
 
 def _gram(s: SectionGrid, out=None):
@@ -244,9 +250,11 @@ def _gram(s: SectionGrid, out=None):
     if out is None:
         out = _carve(cells + (8, width), cells + (width, 8), cells + (8, 3, 3), (112 * size,))
     frames, qframes, g, scratch = out
-    first = _corner_view(s.values, _CORNERS[0])
-    for ci, o in enumerate(_CORNERS):
-        np.subtract(_corner_view(s.values, o), first, out=frames[..., ci, :])
+    n1, n2, n3 = s.dims
+    first = s.values[:-1, :-1, :-1]
+    for ci, (o1, o2, o3) in enumerate(_CORNERS):
+        corner = s.values[o1:n1 - 1 + o1, o2:n2 - 1 + o2, o3:n3 - 1 + o3]
+        np.subtract(corner, first, out=frames[..., ci, :])
     np.matmul(s.pairing.T, frames.swapaxes(-1, -2), out=qframes)
     prod = scratch[:64 * size].reshape(size, 64)
     gsym = scratch[64 * size:112 * size].reshape(size, 48)
@@ -259,10 +267,9 @@ def _gram(s: SectionGrid, out=None):
 
 def _check_positive(g: np.ndarray):
     """Sylvester criterion at every quadrature point; cheap and vectorized."""
-    m1 = g[..., 0, 0]
-    m2 = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-    m3 = _det3(g)
-    positive = (m1 > 0) & (m2 > 0) & (m3 > 0)  # False for a NaN minor
+    e = _sym(g)
+    m3 = _det3(*e)
+    positive = (e[0] > 0) & (e[0] * e[1] - e[3] * e[3] > 0) & (m3 > 0)  # False for a NaN minor
     if not positive.all():
         bad = ~positive
         # name the failing point with the smallest eigenvalue; a point whose
@@ -280,15 +287,16 @@ def _check_positive(g: np.ndarray):
 def _min_eigenvalues(g: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each symmetric 3x3 matrix of g, from the
     trigonometric roots of its characteristic cubic (Smith, CACM 4(4),
-    1961): with q = tr g / 3, p^2 = |g - q I|^2 / 6 and r = det((g - q I) /
-    p) / 2, it is q + 2 p cos(arccos(r) / 3 + 2 pi / 3), and q where p = 0.
+    1961): with q = tr g / 3, p^2 = |g - q I|^2 / 6 and r = det(g - q I) /
+    (2 p^3), it is q + 2 p cos(arccos(r) / 3 + 2 pi / 3), and q where p = 0.
     Near r = 1 the smallest root is nearly double and the formula keeps only
     half the digits, so those few matrices go to eigvalsh."""
-    q = (g[..., 0, 0] + g[..., 1, 1] + g[..., 2, 2]) / 3.0
-    b = g - q[..., None, None] * np.eye(3)
-    p = np.sqrt(np.sum(b * b, axis=(-1, -2)) / 6.0)
+    e = _sym(g)
+    q = (e[0] + e[1] + e[2]) / 3.0
+    b = [e[0] - q, e[1] - q, e[2] - q] + e[3:]
+    p = np.sqrt(sum(w * x * x for w, x in zip(_SYM_WEIGHT, b)) / 6.0)
     scalar = p == 0.0
-    r = np.clip(_det3(b / np.where(scalar, 1.0, p)[..., None, None]) / 2.0, -1.0, 1.0)
+    r = np.clip(_det3(*b) / (2.0 * np.where(scalar, 1.0, p) ** 3), -1.0, 1.0)
     lam = np.where(scalar, q,
                    q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0))
     near = r > 1.0 - 1e-3
@@ -297,16 +305,8 @@ def _min_eigenvalues(g: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _smallest_eigenvalue(g: np.ndarray) -> float:
-    """The smallest eigenvalue of the matrices of g, _BLOCK_CELLS cells at a
-    time, so that the temporaries of _min_eigenvalues stay small."""
-    flat, step = g.reshape(-1, 3, 3), 8 * _BLOCK_CELLS
-    return float(np.min([_min_eigenvalues(flat[k:k + step]).min()
-                         for k in range(0, len(flat), step)]))
-
-
 def min_gram_eigenvalue(s: SectionGrid) -> float:
-    return _smallest_eigenvalue(_gram(s)[2])
+    return float(_min_eigenvalues(_gram(s)[2]).min())
 
 
 class _Iterate:
@@ -320,20 +320,23 @@ class _Iterate:
 
     The arrays are one allocation, made for the grid of s; load rebuilds
     them for another section on that grid, so one iterate serves a solve.
-    A scratch of 288 numbers a cell holds g (its first 72), then _gram's
-    8x8 products and the cell terms S X, until _hessian_cache writes the
-    tangent maps over all of it: g and tangent are two views of the
-    scratch, and g is valid until then."""
+    X is held corner-major.  A scratch holds g (its first 72 numbers a
+    cell), then _gram's 8x8 products and the padded S X, until
+    _hessian_cache writes the tangent maps over it: g and tangent are two
+    views of the scratch, and g is valid until then."""
 
     def __init__(self, s: SectionGrid):
         cells = tuple(n - 1 for n in s.dims)
         size, width = int(np.prod(cells)), len(s.pairing)
-        (self.frames, self.qframes, self.ginv, self.a, self.stiff, self.scratch,
+        padded = cells[0] * s.dims[1] * s.dims[2]
+        (frames, self.qframes, self.ginv, self.a, self.stiff, self.scratch,
          self.nodes, self.grad) = _carve(
-            cells + (8, width), cells + (width, 8), cells + (8, 6), cells + (8, 6),
-            cells + (8, 8), (288 * size,), s.values.shape, s.values.shape)
+            (8, *cells, width), cells + (width, 8), cells + (8, 6), cells + (8, 6),
+            cells + (8, 8), (max(288 * size, 72 * size + 8 * width * padded),),
+            s.values.shape, s.values.shape)
+        self.frames = np.moveaxis(frames, 0, -2)
         self.g = self.scratch[:72 * size].reshape(cells + (8, 3, 3))
-        self.tangent = self.scratch.reshape(cells + (8, 6, 6))
+        self.tangent = self.scratch[:288 * size].reshape(8, 36, size)
         self.load(s)
 
     def load(self, s: SectionGrid):
@@ -349,10 +352,11 @@ class _Iterate:
         np.multiply((weight * cbrt * (2.0 / 3.0))[..., None], self.ginv, out=self.a)
         _, to_cell = _cell_maps(s.spacing)
         np.matmul(self.a.reshape(-1, 48), to_cell, out=self.stiff.reshape(-1, 64))
-        terms = rest[:self.frames.size].reshape((8,) + self.frames.shape[:3] + (-1,))
-        np.matmul(self.stiff, self.frames, out=np.moveaxis(terms, 0, -2))
+        cells = len(self.frames) * s.dims[1] * s.dims[2]
+        terms = rest[:8 * cells * len(s.pairing)].reshape(8, cells, -1)
+        np.matmul(self.stiff, self.frames, out=_real_cells(terms, s.dims))
         self.nodes.fill(0.0)
-        _corner_scatter(terms, self.nodes)
+        _scatter(terms, self.nodes, 0)
         np.matmul(self.nodes[_INTERIOR], s.pairing, out=self.grad[_INTERIOR])
 
 
@@ -401,7 +405,7 @@ def _residual(s: SectionGrid, grad: np.ndarray):
     g = np.stack([(w @ s.pairing) @ w.swapaxes(-1, -2) for w in np.moveaxis(frame, 0, -2)])
     y = (np.moveaxis(frame, 0, -2) @ inner[..., None])[..., 0]
     del frame  # so that the norms' temporaries reuse its memory
-    ginv = _inv3(g, _det3(g))
+    ginv = _inv3(g, _det3(*_sym(g)))
     sq = 2.0 * ((ginv * y[..., _SYM_ROWS] * y[..., _SYM_COLS]) @ _SYM_WEIGHT)
     sq -= np.sum((inner @ np.linalg.inv(s.pairing).T) * inner, axis=-1)
     negative = sq < 0
@@ -547,7 +551,7 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     for n_iter in range(max(max_iter, 0) + 1):
         out.grid, out.iterations, out.residual = it.s, n_iter, res
         with _timed(phases, "history"):
-            out.history.append((n_iter, it.area, res, _smallest_eigenvalue(it.g)))
+            out.history.append((n_iter, it.area, res, float(_min_eigenvalues(it.g).min())))
         if res <= tol or n_iter >= max_iter:
             break
         with _timed(phases, "krylov"):
@@ -563,7 +567,7 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
             # each trial is built into the spent iterate's arrays; trial and
             # the accepted section share their boundary values
             for _ in range(60):
-                np.multiply(delta[_INTERIOR], shrink, out=trial.values[_INTERIOR])
+                np.multiply(delta, shrink, out=trial.values[_INTERIOR])
                 trial.values[_INTERIOR] += out.grid.values[_INTERIOR]
                 try:
                     it.load(trial)
@@ -595,33 +599,30 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
 # A Hessian-vector product runs over blocks of whole cell slabs (fixed first
 # cell index) of at most this many cells where a slab allows, so that the
 # block's buffers (4.6 KB a cell) and its share of the per-cell data (5.6
-# KB a cell) stay near a 2 MB L2 cache.  With the corner-major gather and
-# scatter (2-vCPU Xeon host, one BLAS thread, medians of 21 products), one
-# slab of 100 cells was 15% slower at 11^3 than 2 to 10 slabs, which were
-# within 3% of each other, and blocks of 256 to 2048 cells were within 4%
-# at 17^3 and 25^3.  256 keeps the block buffers, part of each solve's
-# workspace, small.
+# KB a cell) stay near a 2 MB L2 cache.  On the padded layout (2-vCPU Xeon
+# host, one BLAS thread, medians of 300 products), 256 and 384 were within
+# 2% at 11^3, 128 was 11% and 512 to 1400 7-14% slower; 256 was best at 9^3
+# and within 2% of the best at 17^3, where 2048 was 28% slower.
 _BLOCK_CELLS = 256
 
 
 class _Workspace:
     """What the Newton steps of one solve use besides the iterate, made once
     per solve for the grid and pairing of s: -Q, which _hessian_apply
-    applies to its node sums, and in one allocation the block buffers of
-    _hessian_apply (the corner values of delta, corner-major, R, Js, E, M
-    and S D) for blocks of whole cell slabs within _BLOCK_CELLS cells, the
-    preconditioner's symbol, DST-I matrices (_sine_symbol) and transform
-    buffers, and the seven vectors of _minres."""
+    applies to its node sums, and in one allocation the zero-bordered nodes
+    of delta, the block buffers of _hessian_apply, the preconditioner's
+    symbol, DST-I matrices (_sine_symbol) and transform buffers, and the
+    seven vectors of _minres, of the symbol's shape (n - 2)^3 x (3 + b)."""
 
     def __init__(self, s: SectionGrid):
-        cells = tuple(n - 1 for n in s.dims)
-        self.slabs = min(cells[0], max(1, _BLOCK_CELLS // (cells[1] * cells[2])))
-        size = self.slabs * cells[1] * cells[2]
-        inner = s.values[_INTERIOR].shape
-        (self.corners, self.r, self.js, self.e, self.m, self.sd, self.symbol,
+        c1, c2, c3 = (n - 1 for n in s.dims)
+        self.slabs = min(c1, max(1, _BLOCK_CELLS // (c2 * c3)))
+        size, inner = self.slabs * c2 * c3, s.values[_INTERIOR].shape
+        padded = (8, self.slabs * s.dims[1] * s.dims[2], inner[3])
+        (self.delta, self.corners, self.r, self.js, self.e, self.m, self.sd, self.symbol,
          self.x, self.y, self.vectors) = _carve(
-            (8, size, inner[3]), (size, 64), (size, 48), (size, 48), (size, 64),
-            (8, size, inner[3]), inner, inner, inner, (7,) + s.values.shape)
+            s.values.shape, padded, (size, 64), (48, size), (48, size), (size, 64),
+            padded, inner, inner, inner, (7,) + inner)
         self.sines = _sine_symbol(s, self.symbol)
         self.neg_q = -s.pairing
 
@@ -644,17 +645,16 @@ def _hessian_cache(it: _Iterate, work: _Workspace):
       ((1/3) <Js, G^-1> G^-1 - G^-1 Js G^-1) for Js = J + J^T.  So the six
       entries of Js come from R by _cell_maps' to_gauss, and E_g = C_g Js_g
       with a 6x6 C_g per Gauss point (_tangent_table).
-    S, X and Q^T X^T are the iterate's already.  C (cells..., 8 gauss, 6,
-    6) comes from its G^-1 and A, a block of _Workspace cells at a time, and
-    goes over the iterate's scratch (it.tangent)."""
+    S, X and Q^T X^T are the iterate's already.  C comes from its G^-1 and
+    A, a product block at a time, and goes component-major (8 gauss, 36,
+    cells) over the iterate's scratch (it.tangent): E = C Js runs along the
+    cells."""
     pair_rows, pair_cols, table = _tangent_table()
-    a, ginv = it.a.reshape(-1, 6), it.ginv.reshape(-1, 6)
-    tangent = it.tangent.reshape(-1, 36)
-    rows = 8 * work.corners.shape[1]  # the Gauss points of a product block
-    for k in range(0, len(a), rows):
-        products = a[k:k + rows, pair_rows]
-        products *= ginv[k:k + rows, pair_cols]
-        np.matmul(products, table, out=tangent[k:k + rows])
+    a, ginv, block = it.a.reshape(-1, 8, 6), it.ginv.reshape(-1, 8, 6), len(work.r)
+    for k in range(0, len(a), block):
+        products = a[k:k + block][..., pair_rows]
+        products *= ginv[k:k + block][..., pair_cols]
+        np.matmul(table, products.transpose(1, 2, 0), out=it.tangent[..., k:k + block])
 
 
 def _hessian_apply(it: _Iterate, work: _Workspace, delta: np.ndarray,
@@ -667,47 +667,46 @@ def _hessian_apply(it: _Iterate, work: _Workspace, delta: np.ndarray,
     and A dd are never formed.  Q commutes with the sum onto the nodes, so
     it is applied once per node, as the workspace's -Q.
 
-    The cells are taken a block of whole slabs at a time, the last block
-    holding what is left, and each block's terms are added onto the node
-    sums before the next block starts.  A block's corner values and then its
-    per-corner terms are held corner-major, so the gather and the scatter
-    are eight copies and adds of contiguous arrays, the node sums go into
-    it.nodes and the block buffers are the workspace's.  The product is
-    written into out, boundary included, and returned; delta is only read."""
+    The cells go a block of whole slabs at a time, each block's terms
+    added onto the node sums (it.nodes) before the next starts.  A block's
+    corner values, from the zero-bordered nodes of delta, and its terms are
+    held padded (_corner_runs): the gather and the scatter are eight
+    contiguous copies and adds, and a pad's terms reach only boundary
+    sums, which no product reads.  delta and out are interior node arrays;
+    delta is only read."""
     to_gauss, to_cell = _cell_maps(it.s.spacing)
-    n1, n2, n3 = it.frames.shape[:3]
+    c1, c2, c3 = it.frames.shape[:3]
+    slab = it.s.dims[1] * it.s.dims[2]
+    work.delta[_INTERIOR] = delta
     it.nodes.fill(0.0)
-    for i0 in range(0, n1, work.slabs):
-        i1 = min(i0 + work.slabs, n1)
-        size = (i1 - i0) * n2 * n3
-        terms, sd = work.corners[:, :size], work.sd[:, :size]
-        corners = terms.reshape(8, i1 - i0, n2, n3, -1)
-        block = delta[i0:i1 + 1]
-        for ci, o in enumerate(_CORNERS):
-            corners[ci] = _corner_view(block, o)
-        d = terms.transpose(1, 0, 2)  # (cells, 8 corners, 3 + b)
-        r, js, e, m = work.r[:size], work.js[:size], work.e[:size], work.m[:size]
-        np.matmul(d, it.qframes[i0:i1].reshape(size, -1, 8), out=r.reshape(size, 8, 8))
-        np.matmul(r, to_gauss, out=js)
-        np.einsum("bik,bk->bi", it.tangent[i0:i1].reshape(8 * size, 6, 6),
-                  js.reshape(8 * size, 6), out=e.reshape(8 * size, 6))
-        np.matmul(e, to_cell, out=m)
-        np.matmul(it.stiff[i0:i1].reshape(size, 8, 8), d, out=sd.transpose(1, 0, 2))
+    for i0 in range(0, c1, work.slabs):
+        i1 = min(i0 + work.slabs, c1)
+        terms, sd = work.corners[:, :(i1 - i0) * slab], work.sd[:, :(i1 - i0) * slab]
+        for run, corner in zip(_corner_runs(work.delta, i0 * slab, terms.shape[1]), terms):
+            corner[:len(run)] = run
+        d = _real_cells(terms, it.s.dims)  # (slabs, c2, c3, 8, 3 + b)
+        size = (i1 - i0) * c2 * c3
+        r, js, e, m = work.r[:size], work.js[:, :size], work.e[:, :size], work.m[:size]
+        np.matmul(d, it.qframes[i0:i1], out=r.reshape(d.shape[:3] + (8, 8)))
+        np.matmul(to_gauss.T, r.T, out=js)
+        np.einsum("gikc,gkc->gic", it.tangent[..., i0 * c2 * c3:i1 * c2 * c3].reshape(8, 6, 6, -1),
+                  js.reshape(8, 6, -1), out=e.reshape(8, 6, -1))
+        np.matmul(e.T, to_cell, out=m)
+        np.matmul(it.stiff[i0:i1], d, out=_real_cells(sd, it.s.dims))
         # D is spent: the block's per-corner terms M X + S D take its place
-        np.matmul(m.reshape(size, 8, 8), it.frames[i0:i1].reshape(size, 8, -1), out=d)
+        np.matmul(m.reshape(d.shape[:3] + (8, 8)), it.frames[i0:i1], out=d)
         terms += sd
-        _corner_scatter(corners, it.nodes[i0:i1 + 1])
-    _zero_boundary(out)
-    np.matmul(it.nodes[_INTERIOR], work.neg_q, out=out[_INTERIOR])
+        _scatter(terms, it.nodes, i0 * slab)
+    np.matmul(it.nodes[_INTERIOR], work.neg_q, out=out)
     return out
 
 
 def _section_frame_basis(s: SectionGrid, frames: np.ndarray):
     """Columns [A | N] of R^(3+b): the (Q-orthonormalized) mean of the
-    derivative 3-frames dh_g = t2_g X, (mean_g t2_g) (mean_cells X), and a
+    derivative 3-frames dh_g = t2_g X, (mean_g t2_g) (sum_cells X), and a
     Q-orthonormal basis of its Q-complement, b columns for signature (3, b)."""
     centre = _shape_gradient_table(s.spacing).mean(axis=0)  # (8 corners, 3)
-    a = frames.mean(axis=(0, 1, 2)).T @ centre  # (3 + b, 3)
+    a = np.einsum("ijkcv->vc", frames) @ centre  # (3 + b, 3)
     ga = a.T @ s.pairing @ a
     a = a @ np.linalg.inv(np.linalg.cholesky(ga).T)
     w, u = np.linalg.eigh(s.pairing)
@@ -769,8 +768,8 @@ def _split_preconditioner(it: _Iterate, work: _Workspace):
     The symbol and the S_d depend only on the grid and come from the
     workspace (_sine_symbol), so this sets up only the frame basis, from the
     iterate's corner frames X.  The apply, apply(r, out), writes P r into
-    out, boundary included, with the transforms in the workspace's two
-    interior-sized buffers.
+    out, interior node arrays, with the transforms in the workspace's two
+    interior buffers.
 
     The scale is that of the area density, as in residual_norm.  It does not
     move where MINRES stops: _minres compares ||r||_P with ||g||_P, and a
@@ -791,12 +790,11 @@ def _split_preconditioner(it: _Iterate, work: _Workspace):
                   out=dst.reshape(m1 * m2, m3, -1))
 
     def apply(r: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.matmul(r[_INTERIOR], t, out=x)
+        np.matmul(r, t, out=x)
         sine(x, y)
         np.divide(y, symbol, out=y)
         sine(y, x)
-        _zero_boundary(out)
-        np.matmul(x, t.T, out=out[_INTERIOR])
+        np.matmul(x, t.T, out=out)
         return out
 
     return apply
@@ -898,15 +896,13 @@ def _newton_direction(it: _Iterate, work: _Workspace):
     preconditioner P, stopped at ||g - H delta||_P <= _ETA ||g||_P: a
     relative residual in a norm that Q-isometries and the scale of P leave
     unchanged, so the same forcing term on every grid.  Returns the
-    direction, which lives in work, and the MINRES iteration count, which
-    is also the number of Hessian-vector products.  Raises SolveError when
-    MINRES breaks down or gives a non-finite or all-zero direction."""
+    interior direction, which lives in work, and the MINRES iteration count,
+    the number of Hessian-vector products.  Raises SolveError when MINRES
+    breaks down or gives a non-finite or all-zero direction."""
     _hessian_cache(it, work)
     precond = _split_preconditioner(it, work)
-    # g, the products and the preconditioner all vanish on the boundary, and
-    # so does every MINRES vector
     x, iters = _minres(lambda d, out: _hessian_apply(it, work, d, out), precond,
-                       it.grad, _ETA, 60, work.vectors)
+                       it.grad[_INTERIOR], _ETA, 60, work.vectors)
     if not np.isfinite(x).all() or not x.any():
         raise SolveError("MINRES gave a non-finite or all-zero direction")
     return x, iters

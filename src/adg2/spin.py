@@ -453,6 +453,11 @@ def constraint_basis_jets():
         yield _donaldson_jet([unit if h == g else zero_grid for h in range(5)])
 
 
+def _add_support(a: hk.Mat4, delta: hk.Mat4) -> hk.Mat4:
+    """a + delta, adding only delta's nonzero entries."""
+    return tuple(tuple(x + y if y else x for x, y in zip(ra, rd)) for ra, rd in zip(a, delta))
+
+
 def violate_jet(jet: AdiabaticJet, which: str, rng) -> AdiabaticJet:
     """Break exactly the named constraint in the derivative slots (and mirror
     the break in the zeroth-order slots so both identity families see it)."""
@@ -467,12 +472,12 @@ def violate_jet(jet: AdiabaticJet, which: str, rng) -> AdiabaticJet:
         delta = random_asd(rng)
         while is_zero_matrix(delta):
             delta = random_asd(rng)
-        v[0][m] = madd(v[0][m], delta)
+        v[0][m] = _add_support(v[0][m], delta)
         for i in range(4):
             d = random_asd(rng)
             if is_zero_matrix(d):
                 d = fallback
-            w[0][m][i] = madd(w[0][m][i], d)
+            w[0][m][i] = _add_support(w[0][m][i], d)
     elif which == "d_H_mu":
         # conformal injection on the k-diagonal: b^k becomes nonzero while the
         # symmetry flag survives (a standalone volume violation necessarily
@@ -480,9 +485,9 @@ def violate_jet(jet: AdiabaticJet, which: str, rng) -> AdiabaticJet:
         c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
         k = rng.randrange(3)
         dv = mscale(3 * c, hk.STANDARD_TRIPLE[k])
-        v[k][k] = madd(v[k][k], dv)
+        v[k][k] = _add_support(v[k][k], dv)
         for i in range(4):
-            w[k][k][i] = madd(w[k][k][i], dv)
+            w[k][k][i] = _add_support(w[k][k][i], dv)
     else:
         raise ValueError(f"unknown constraint {which}")
     return AdiabaticJet(tuple(tuple(r) for r in v),

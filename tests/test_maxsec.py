@@ -62,9 +62,19 @@ def hessian_setup(s):
     return it, work
 
 
+def on_interior(f, u):
+    """f, an operator on interior node arrays called as _minres calls it,
+    f(u, out), applied to the interior of the node array u: a new node
+    array, zero on the boundary."""
+    inner = np.ascontiguousarray(u[mx._INTERIOR])
+    out = np.zeros_like(u)
+    out[mx._INTERIOR] = f(inner, np.empty_like(inner))
+    return out
+
+
 def product(it, work, delta):
-    """A Hessian-vector product into a new array."""
-    return mx._hessian_apply(it, work, delta, np.empty_like(delta))
+    """A Hessian-vector product of delta's interior, as a new node array."""
+    return on_interior(lambda d, out: mx._hessian_apply(it, work, d, out), delta)
 
 
 def hessian_apply(s, delta):
@@ -72,8 +82,11 @@ def hessian_apply(s, delta):
 
 
 def corner_stack(values):
-    """(cells..., 8 corners, 22) copy of the nodal values."""
-    return np.stack([mx._corner_view(values, o) for o in mx._CORNERS], axis=-2)
+    """(cells..., 8 corners, 3 + b) copy of the nodal values, corner (o1,
+    o2, o3) of cell (i, j, k) at node (i + o1, j + o2, k + o3)."""
+    n1, n2, n3 = values.shape[:3]
+    return np.stack([values[o1:n1 - 1 + o1, o2:n2 - 1 + o2, o3:n3 - 1 + o3]
+                     for o1 in (0, 1) for o2 in (0, 1) for o3 in (0, 1)], axis=-2)
 
 
 def gauss_derivatives(s, values):
@@ -290,7 +303,7 @@ class TestGradArea:
                       for i in range(3)], axis=-2)
         g = (v @ s.pairing) @ v.swapaxes(-1, -2)
         y = (v @ inner[..., None])[..., 0]
-        ginv = mx._inv3(g, mx._det3(g))
+        ginv = mx._inv3(g, mx._det3(*mx._sym(g)))
         sq = 2.0 * ((ginv * y[..., mx._SYM_ROWS] * y[..., mx._SYM_COLS]) @ mx._SYM_WEIGHT)
         sq -= np.sum((inner @ np.linalg.inv(s.pairing).T) * inner, axis=-1)
         want = float(np.sqrt(np.maximum(sq, 0).max())) / float(np.prod(s.spacing))
@@ -360,11 +373,12 @@ class TestHessian:
             got = hessian_apply(s, d)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    # (3, 5, 4) and (5, 3, 40) have a 3-node axis; the cells of (9, 7, 8) and
-    # (5, 3, 40) do not split into equal blocks of whole slabs, and a slab of
-    # (4, 19, 17) holds more than _BLOCK_CELLS cells, so its blocks are single
-    # slabs
-    BLOCK_GRIDS = [(3, 5, 4), (9, 7, 8), (5, 3, 40), (4, 19, 17)]
+    # (3, 5, 4) and (5, 3, 40) have a 3-node axis, and (6, 5, 3) a 3-node
+    # last axis, so that every other padded cell is a pad; the cells of (9,
+    # 7, 8) and (5, 3, 40) do not split into equal blocks of whole slabs, and
+    # a slab of (4, 19, 17) holds more than _BLOCK_CELLS cells, so its
+    # blocks are single slabs
+    BLOCK_GRIDS = [(3, 5, 4), (9, 7, 8), (5, 3, 40), (4, 19, 17), (6, 5, 3)]
 
     def test_block_grids_cover_the_block_rule(self):
         slabs = []
@@ -375,6 +389,62 @@ class TestHessian:
         assert any(n % k and k < n for n, k in slabs)  # a short last block
         assert any(k == 1 for _, k in slabs)  # one slab per block
         assert any(k >= n for n, k in slabs)  # one block
+
+    @pytest.mark.parametrize("dims", BLOCK_GRIDS)
+    def test_padded_gather_and_scatter_match_strided_slices(self, dims):
+        # the product's blocks, gathered and scattered on the padded layout:
+        # a gather from zero-bordered nodes reads each real cell's corners
+        # and zeros at the pads, and _scatter adds the same terms onto the
+        # same nodes in the same corner order as strided adds, block after
+        # block, so the node sums agree bit for bit
+        rng = np.random.default_rng(27)
+        n1, n2, n3 = dims
+        work = mx._Workspace(perturbed_affine(rng, dims=dims))
+        nodes = np.zeros(dims + (5,))
+        nodes[mx._INTERIOR] = rng.normal(size=nodes[mx._INTERIOR].shape)
+        terms = rng.normal(size=(8, n1 - 1, n2 - 1, n3 - 1, 5))
+        got, want = np.zeros_like(nodes), np.zeros_like(nodes)
+        slab = n2 * n3
+        for i0 in range(0, n1 - 1, work.slabs):
+            i1 = min(i0 + work.slabs, n1 - 1)
+            gathered = np.full((8, (i1 - i0) * slab, 5), np.nan)
+            runs = mx._corner_runs(nodes, i0 * slab, gathered.shape[1])
+            for run, corner in zip(runs, gathered):
+                corner[:len(run)] = run
+            real = mx._real_cells(gathered, dims)
+            assert np.array_equal(real, corner_stack(nodes)[i0:i1])
+            pads = np.ones(gathered.shape[1], dtype=bool)
+            pads.reshape(i1 - i0, n2, n3)[:, :-1, :-1] = False
+            cut = len(runs[0])  # the runs stop at the grid's last real cell
+            assert not gathered[:, :cut][:, pads[:cut]].any()
+            padded = np.zeros_like(gathered)
+            real = mx._real_cells(padded, dims)
+            real[...] = np.moveaxis(terms[:, i0:i1], 0, -2)
+            mx._scatter(padded, got, i0 * slab)
+            # a pad cell's corners are all boundary nodes
+            at_pads = np.zeros(dims + (5,))
+            mx._scatter(np.ones_like(padded) * pads[:, None], at_pads, i0 * slab)
+            assert at_pads.any() and not at_pads[mx._INTERIOR].any()
+            for ci, (o1, o2, o3) in enumerate(mx._CORNERS):
+                want[i0 + o1:i1 + o1, o2:n2 - 1 + o2, o3:n3 - 1 + o3] += terms[ci, i0:i1]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dims", BLOCK_GRIDS)
+    def test_gradient_is_the_strided_sum(self, dims):
+        # the gradient's cell terms S X, added onto the nodes by strided
+        # adds corner after corner and mapped by Q, give the iterate's
+        # gradient bit for bit
+        s = general_pairing(np.random.default_rng(28), perturbed_affine(
+            np.random.default_rng(28), dims=dims))
+        it = mx._Iterate(s)
+        terms = it.stiff @ it.frames
+        n1, n2, n3 = dims
+        nodes = np.zeros(s.values.shape)
+        for ci, (o1, o2, o3) in enumerate(mx._CORNERS):
+            nodes[o1:n1 - 1 + o1, o2:n2 - 1 + o2, o3:n3 - 1 + o3] += terms[..., ci, :]
+        want = np.zeros_like(nodes)
+        want[mx._INTERIOR] = nodes[mx._INTERIOR] @ s.pairing
+        assert np.array_equal(it.grad, want)
 
     @pytest.mark.parametrize("dims", BLOCK_GRIDS)
     @pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
@@ -442,16 +512,21 @@ class TestHessian:
 
     @staticmethod
     def workspace_case():
+        """An 11^3 iterate, its workspace and two directions, as the interior
+        node arrays that MINRES hands the product."""
         rng = np.random.default_rng(24)
         s = perturbed_affine(rng, dims=(11, 11, 11))
         it, work = hessian_setup(s)
-        return s, it, work, interior_direction(rng, s), interior_direction(rng, s)
+        d1, d2 = (np.ascontiguousarray(interior_direction(rng, s)[mx._INTERIOR])
+                  for _ in range(2))
+        return s, it, work, d1, d2
 
     def test_product_allocates_only_its_result(self):
         # the product goes into the buffer it is given and its intermediates
-        # into the workspace, so it allocates no array of the grid's size:
-        # only numpy's ufunc buffers for the scatter's strided adds (0.31
-        # d.nbytes at 11^3)
+        # into the workspace, and the gathers and scatters are contiguous
+        # copies and adds, so it allocates no array and needs no ufunc
+        # buffer: only views (3.1 KB at 11^3, against 1/16 of d.nbytes = 7.8
+        # KB; the strided adds of the corner slices took 72 KB)
         _, it, work, d, _ = self.workspace_case()
         out = np.empty_like(d)
         mx._hessian_apply(it, work, d, out)
@@ -461,12 +536,27 @@ class TestHessian:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= d.nbytes / 2
+        assert peak <= d.nbytes / 16
+
+    def test_krylov_vectors_are_interior(self):
+        # MINRES's seven vectors, the preconditioner's symbol and transform
+        # buffers, and a product's delta and result are interior node arrays;
+        # the product reads delta through the workspace's zero-bordered nodes
+        s, it, work, d, _ = self.workspace_case()
+        inner = s.values[mx._INTERIOR].shape
+        assert d.shape == inner == (9, 9, 9, 22)
+        assert work.vectors.shape == (7,) + inner
+        assert work.symbol.shape == work.x.shape == work.y.shape == inner
+        assert work.delta.shape == s.values.shape
+        mx._hessian_apply(it, work, d, np.empty_like(d))
+        assert np.array_equal(work.delta[mx._INTERIOR], d)
+        work.delta[mx._INTERIOR] = 0.0
+        assert not work.delta.any()
 
     def test_results_are_fresh_and_repeatable(self):
-        # the buffer contract of MINRES: a product overwrites all of the
-        # buffer it is given, boundary nodes included, and returns it; it
-        # only reads delta, and leaves every other buffer as it was
+        # the buffer contract of MINRES on interior node arrays: a product
+        # overwrites all of the buffer it is given and returns it; it only
+        # reads delta, and leaves every other buffer as it was
         s, it, work, d1, d2 = self.workspace_case()
         kept_d1 = d1.copy()
         first = np.full_like(d1, np.nan)
@@ -476,7 +566,7 @@ class TestHessian:
         second = np.full_like(d2, np.nan)
         mx._hessian_apply(it, work, d2, second)
         assert np.array_equal(first, kept)
-        want = reference_hessian_apply(s, d2)
+        want = reference_hessian_apply(s, np.pad(d2, [(1, 1)] * 3 + [(0, 0)]))[mx._INTERIOR]
         assert np.abs(second - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(mx._hessian_apply(it, work, d1, second), kept)
 
@@ -496,11 +586,11 @@ class TestPreconditioner:
         for ks in modes:
             for coord in (mx.SIG_PLUS, 12, len(s.pairing) - 1):
                 d = sine_mode(s, ks, coord)
-                mhd = precond(product(it, work, d), np.empty_like(d)) / vol
+                mhd = on_interior(precond, product(it, work, d)) / vol
                 assert np.abs(mhd - d).max() <= 1e-12
             for coord in range(mx.SIG_PLUS):
                 d = sine_mode(s, ks, coord)
-                mhd = precond(product(it, work, d), np.empty_like(d)) / vol
+                mhd = on_interior(precond, product(it, work, d)) / vol
                 assert abs(np.sum(d * mhd) / np.sum(d * d) - 1.0) <= 1e-12
 
 
@@ -509,19 +599,20 @@ def dense_pair(n, components, b=19):
     n^3 section with the standard frame and spacing 1 / (n - 1) under
     standard_pairing(b), on the interior unknowns of the given node
     components (node-major order), with the cell volume V and each
-    unknown's component."""
+    unknown's component.  Both operators act on interior node arrays."""
     s = mx.affine_section((n,) * 3, (1.0 / (n - 1),) * 3, pairing=mx.standard_pairing(b))
     it, work = hessian_setup(s)
     precond = mx._split_preconditioner(it, work)
-    mask = np.zeros(s.values.shape, dtype=bool)
-    mask[1:-1, 1:-1, 1:-1, components] = True
+    inner = s.values[mx._INTERIOR].shape
+    mask = np.zeros(inner, dtype=bool)
+    mask[..., components] = True
     unknowns = np.flatnonzero(mask)
     h, p = np.empty((2, unknowns.size, unknowns.size))
     for col, flat in enumerate(unknowns):
-        unit = np.zeros(s.values.shape)
+        unit = np.zeros(inner)
         unit.flat[flat] = 1.0
-        h[:, col] = product(it, work, unit).flat[unknowns]
-        p[:, col] = precond(unit, np.empty_like(unit)).flat[unknowns]
+        h[:, col] = mx._hessian_apply(it, work, unit, np.empty(inner)).flat[unknowns]
+        p[:, col] = precond(unit, np.empty(inner)).flat[unknowns]
     return h, p, float(np.prod(s.spacing)), unknowns % len(s.pairing)
 
 
@@ -909,6 +1000,38 @@ class TestSolver:
         assert (small.iterations, small.hvps) == (large.iterations, large.hvps)
         assert np.abs(large.grid.values[..., 6:]).max() <= 1e-12
         assert np.abs(small.grid.values - large.grid.values[..., :6]).max() <= 1e-10
+
+    def test_wide_pairing_fits_the_scratch(self):
+        # the iterate's scratch holds g and the padded cell terms S X, 72 + 8
+        # (3 + b) n2 n3 / ((n2 - 1)(n3 - 1)) numbers a cell, as well as the
+        # 288 of the tangent maps: at b = 25 and 7^3 that is 72 + 8 x 28 x
+        # 49 / 36 = 377, and a 288-number scratch failed in grad_area.  The
+        # solve takes the steps and products of the b = 19 solve of the same
+        # data and gives its solution to rounding
+        outs = {b: mx.solve_dirichlet(graphical_section((7, 7, 7), b), tol=1e-8)
+                for b in (19, 25)}
+        wide, narrow = outs[25], outs[19]
+        assert wide.converged and wide.iterations > 0
+        assert (wide.iterations, wide.hvps) == (narrow.iterations, narrow.hvps)
+        assert np.abs(wide.grid.values[..., :22] - narrow.grid.values).max() <= 1e-10
+
+    def test_solve_peak_memory(self):
+        # an 11^3 solve (values.nbytes = 234 KB) peaks at 45.1 values.nbytes
+        # under tracemalloc, against 46.7 with full-grid Krylov vectors: the
+        # seven MINRES vectors on the 9^3 interior take 7 (11^3 - 9^3) / 11^3
+        # = 3.17 values.nbytes less, the zero-bordered nodes of delta take 1
+        # and the pad cells of the two padded block buffers 0.5 (2 x 8 x 42
+        # cells x 22 x 8 bytes), so 1.67 less in all
+        s = perturbed_affine(np.random.default_rng(3), dims=(11, 11, 11))
+        mx.solve_dirichlet(s, tol=1e-8)
+        tracemalloc.start()
+        try:
+            out = mx.solve_dirichlet(s, tol=1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.converged
+        assert peak <= 46.7 * s.values.nbytes
 
     def test_work_counted_once(self, monkeypatch):
         # one Gram evaluation per gradient (the start and every line-search

@@ -80,6 +80,11 @@ def sample_jets(seed, n):
         yield spin.violate_jet(jet, ("d_H_omega", "d_H_mu", "d_H_Theta")[t % 3], rng)
 
 
+def jet_forms(jet):
+    """The 45 fibre forms of a jet: v's nine, then w's 36."""
+    return [f for vk in jet.v for f in vk] + [f for wk in jet.w for fs in wk for f in fs]
+
+
 class TestBuild:
     # the Clifford and quaternion relations are proved by
     # spin.verify_conventions, the body of the row spin.build.clifford_relations
@@ -341,6 +346,31 @@ class TestCurvature:
             "d_H_mu": "bc992bdb1016b4729b7b112db7f543284b8ce562030cdb57d31b0d55be4b8121",
             "d_H_Theta": "bdb159200b4fba28a5eb46e352b47c6cb5c99d475a0c097d9e7498533b8ea2d5",
         }
+
+
+    def test_violations_add_only_the_delta_support(self, fraction_calls):
+        # violate_jet adds a delta to five forms of one slot (v and the four
+        # w) and builds one Fraction per nonzero delta entry, which changes
+        # that entry.  An ASD delta has 12 nonzero entries when none of its
+        # three coefficients is drawn zero, and the table draws build no
+        # Fraction, so d_H_omega and d_H_Theta build 5 x 12 = 60; d_H_mu adds
+        # 3c times a self-dual form with 4 nonzero entries, 5 x 4 = 20 sums,
+        # and builds c, 3c and the form's 16 scaled entries: 38.  Adding all
+        # 16 entries of each form built 80 and 98
+        rng = random.Random(4)
+        for which, extra, full in (("d_H_omega", 0, 60), ("d_H_Theta", 0, 60),
+                                   ("d_H_mu", 18, 20)):
+            counts = []
+            for _ in range(30):
+                jet = spin.random_donaldson_jet(rng)
+                fraction_calls.clear()
+                out = spin.violate_jet(jet, which, rng)
+                built = fraction_calls["new"]
+                changed = sum(x != y for a, b in zip(jet_forms(jet), jet_forms(out))
+                              for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+                assert built == changed + extra, which
+                counts.append(changed)
+            assert max(counts) == full and min(counts) > 0, which
 
 
 class TestDiracVariation:
