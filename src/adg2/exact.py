@@ -11,13 +11,14 @@ routine, _row_echelon, serves inverse and kernel_basis on either entry type.
 
 LinearMap is the one way an exact linear law is applied on a hot path: a
 map is built once, lazily, from the images of the unit vectors
-(from_columns) or as a composite (compose), and applying it costs integer
-dot products and one Fraction per nonzero output instead of one Fraction
-per term.  The compiled maps are HKTriple._variation_map and _recovery_map,
-from the triple's tables; SpinorModel._curvature_sum_map and _dirac_first_map,
-each a map from the model's 2x2 tables composed with the standard triple's
-_variation_map slot by slot; and verify._cyclic_map, the four cyclic families
-of hk from the complex structures' tables.
+(from_columns) or as a composite (compose), and applying it reads each
+input that it uses once, and no other, for integer dot products and one
+Fraction per nonzero output instead of one Fraction per term.  The compiled
+maps are HKTriple._variation_map and _recovery_map, from the triple's
+tables; SpinorModel._curvature_sum_map and _dirac_first_map, each a map from
+the model's 2x2 tables composed with the standard triple's _variation_map
+slot by slot; and verify._cyclic_map, the four cyclic families of hk from
+the complex structures' tables.
 """
 
 from __future__ import annotations
@@ -179,48 +180,61 @@ def mat_apply(a: Matrix, v: Sequence) -> tuple:
 
 @dataclass(frozen=True)
 class LinearMap:
-    """An exact linear map from n_in rationals to len(rows) rationals:
-    output s is sum(c * x[n] for n, c in zip(*rows[s])) / den, with integer c.
+    """An exact linear map from n_in rationals to len(rows) rationals: output
+    s is sum(c * x[used[p]] for p, c in zip(*rows[s])) / den, with integer c.
 
-    Built by from_columns or compose in lowest terms (den is the least common
-    denominator of all entries, zero entries are dropped, n increases along
-    a row), so maps from equal columns compare equal and maps from different
-    columns compare unequal.  A row is two tuples, its n and its c, not one
+    Built by from_columns, from_rows or compose in one canonical form (used
+    holds the inputs that some row reads, each row the positions p in used of
+    its nonzero entries, both increasing, and den is the least common
+    denominator), so maps from equal columns, n_in included, compare equal
+    and all others unequal.  A row is two tuples, its p and its c, not one
     pair per entry: the composed spinor maps hold about a thousand entries.
     """
 
     n_in: int
-    rows: tuple  # per output, (the n of its nonzero entries, their int c)
+    used: tuple  # the inputs that some row reads
+    rows: tuple  # per output, (its nonzero entries' positions in used, their int c)
     den: int
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[Rat]]) -> "LinearMap":
         """The map whose n-th column, the image of the n-th unit vector, is
         columns[n]; every column has one entry per output."""
-        den = math.lcm(*(x.denominator for col in columns for x in col))
-        return LinearMap(len(columns), tuple(
-            _split_row((n, x.numerator * (den // x.denominator))
-                       for n, col in enumerate(columns) if (x := col[s]))
-            for s in range(len(columns[0]))), den)
+        den = math.lcm(*{x.denominator for col in columns for x in col})
+        return LinearMap.from_rows(len(columns), [
+            [(n, x.numerator * (den // x.denominator))
+             for n, col in enumerate(columns) if (x := col[s])]
+            for s in range(len(columns[0]))], den)
+
+    @staticmethod
+    def from_rows(n_in: int, rows: Sequence[Sequence[tuple]], den: int) -> "LinearMap":
+        """The map x -> (sum(c * x[n] for n, c in row) / den for row in rows),
+        each row's int c by increasing n, in lowest terms."""
+        g = math.gcd(den, *(c for row in rows for _, c in row))
+        used = tuple(sorted({n for row in rows for n, c in row if c}))
+        position = {n: p for p, n in enumerate(used)}
+        return LinearMap(n_in, used, tuple(
+            (tuple(position[n] for n, c in row if c), tuple(c // g for _, c in row if c))
+            for row in rows), den // g)
 
     def __call__(self, x: Sequence[Rat]) -> tuple[Fraction, ...]:
         """The image of x, n_in ints or Fractions (bools and other
-        subclasses included), as Fractions: x is put over its common
-        denominator, so each output is one integer dot product and, unless
-        it is zero, one Fraction.  Each input is read once, by
-        as_integer_ratio.  Any other input, a float, a Decimal or a QQi
+        subclasses included), as Fractions: the used inputs, each read once
+        by as_integer_ratio, are put over their common denominator, so each
+        output is one integer dot product and, unless it is zero, one
+        Fraction.  Any other input, used or not, a float, a Decimal or a QQi
         among them, raises TypeError naming its position: a float would
         otherwise be read as its exact binary value."""
         if len(x) != self.n_in:
             raise ValueError(f"map takes {self.n_in} inputs, got {len(x)}")
         if not _RATIONAL_TYPES.issuperset(map(type, x)):
             _check_rationals(x)
-        ratios = [v.as_integer_ratio() for v in x]
-        d = math.lcm(*[q for _, q in ratios])
+        ratios = [x[n].as_integer_ratio() for n in self.used]
+        d = math.lcm(*{q for _, q in ratios})
         get = [p * (d // q) for p, q in ratios].__getitem__
         den = self.den * d
-        return tuple(Fraction(s, den) if (s := sum(map(mul, cs, map(get, ns)))) else _ZERO
-                     for ns, cs in self.rows)
+        return tuple(Fraction(s, den) if (s := sum(map(mul, cs, map(get, ps)))) else _ZERO
+                     for ps, cs in self.rows)
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
         """self after inner, x -> self(inner(x)), in lowest terms: it equals
@@ -229,16 +243,14 @@ class LinearMap:
             raise ValueError(
                 f"map takes {self.n_in} inputs, inner map gives {len(inner.rows)}")
         rows = []
-        for row in self.rows:
+        for ps, cs in self.rows:
             acc: dict[int, int] = {}
-            for j, c in zip(*row):
-                for n, d in zip(*inner.rows[j]):
+            for p, c in zip(ps, cs):
+                for q, d in zip(*inner.rows[self.used[p]]):
+                    n = inner.used[q]
                     acc[n] = acc.get(n, 0) + c * d
-            rows.append(sorted((n, c) for n, c in acc.items() if c))
-        den = self.den * inner.den
-        g = math.gcd(den, *(c for row in rows for _, c in row))
-        return LinearMap(inner.n_in, tuple(_split_row((n, c // g) for n, c in row)
-                                           for row in rows), den // g)
+            rows.append(sorted(acc.items()))
+        return LinearMap.from_rows(inner.n_in, rows, self.den * inner.den)
 
 
 _RATIONAL_TYPES = frozenset((int, Fraction))
@@ -250,12 +262,6 @@ def _check_rationals(x: Sequence) -> None:
         if not isinstance(v, (int, Fraction)):
             raise TypeError(f"map inputs are ints or Fractions; input {n} is "
                             f"{type(v).__name__} {v!r}")
-
-
-def _split_row(entries) -> tuple:
-    """The (n, c) entries of a row as the two tuples a LinearMap row holds."""
-    entries = list(entries)
-    return tuple(n for n, _ in entries), tuple(c for _, c in entries)
 
 
 def _row_echelon(rows: list[list], n_cols: int) -> list[int]:

@@ -17,6 +17,7 @@ for (-1)^pos.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -353,22 +354,28 @@ def contract(a: BigradedForm, vectors: Sequence[Sequence[Scalar]]) -> dict[tuple
         raise ValueError(f"vectors have {NVARS} components (t1..t3,x1..x4)")
     coeffs = [(I + J, p.terms[ZERO_EXP].as_integer_ratio())
               for (I, J), p in a.terms.items() if ZERO_EXP in p.terms]
-    den = math.lcm(*[q for _, (_, q) in coeffs])
+    den = math.lcm(*{q for _, (_, q) in coeffs})
     nums = {idx: n * (den // q) for idx, (n, q) in coeffs}
     for v in vs:
         ratios = [x.as_integer_ratio() for x in v]
-        d = math.lcm(*[q for _, q in ratios])
+        d = math.lcm(*{q for _, q in ratios})
         den *= d
         m = [n * (d // q) for n, q in ratios]
         out: dict[tuple, int] = {}
         for idx, c in nums.items():
-            for pos, i in enumerate(idx):
-                if m[i]:
-                    key = idx[:pos] + idx[pos + 1:]
-                    term = c * m[i]
-                    out[key] = out.get(key, 0) + (-term if pos % 2 else term)
+            for i, key, odd in _removals(idx):
+                if mi := m[i]:
+                    term = c * mi
+                    out[key] = out.get(key, 0) + (-term if odd else term)
         nums = {key: c for key, c in out.items() if c}
     return {key: Fraction(c, den) for key, c in nums.items()}
+
+
+@functools.cache
+def _removals(idx: tuple) -> tuple:
+    """(i, idx without it, whether its position is odd) for each i in idx:
+    contract's removals and their signs, memoized per index tuple (<= 2^7)."""
+    return tuple((i, idx[:pos] + idx[pos + 1:], pos % 2) for pos, i in enumerate(idx))
 
 
 def eval_on_vectors(a: BigradedForm, vectors: Sequence[Sequence[Scalar]]) -> Fraction:

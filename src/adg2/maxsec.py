@@ -108,12 +108,11 @@ _GAUSS_PTS = [(a, b, c) for a in _GAUSS_1D for b in _GAUSS_1D for c in _GAUSS_1D
 _INTERIOR = (slice(1, -1),) * 3  # index of the interior nodes
 
 
-def _shape_gradient_table(spacing) -> np.ndarray:
-    """d(N_corner)/d(t_axis) at each Gauss point of the unit cell.
-
-    Shape (8 gauss, 8 corners, 3 axes); trilinear shape functions
-    N_o(xi) = prod_d (xi_d if o_d else 1 - xi_d).
-    """
+@functools.cache
+def _shape_gradient_table(spacing: tuple) -> np.ndarray:
+    """d(N_corner)/d(t_axis) at each Gauss point of the unit cell, shape (8
+    gauss, 8 corners, 3 axes), for the trilinear shape functions N_o(xi) =
+    prod_d (xi_d if o_d else 1 - xi_d); built once per spacing, read-only."""
     table = np.empty((8, 8, 3))
     for gi, xi in enumerate(_GAUSS_PTS):
         for ci, o in enumerate(_CORNERS):
@@ -125,6 +124,7 @@ def _shape_gradient_table(spacing) -> np.ndarray:
                     else:
                         val *= xi[d] if o[d] else 1.0 - xi[d]
                 table[gi, ci, ax] = val
+    table.setflags(write=False)
     return table
 
 

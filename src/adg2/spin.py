@@ -138,8 +138,8 @@ def _metric_slots(n: int) -> LinearMap:
     slots side by side, slot s from inputs 48 s.. to outputs 16 s..; compose
     reduces it to lowest terms."""
     var = hk.HKTriple.standard()._variation_map
-    return LinearMap(48 * n, tuple((tuple(48 * s + j for j in ns), cs)
-                                   for s in range(n) for ns, cs in var.rows[:16]), var.den)
+    return LinearMap.from_rows(48 * n, [[(48 * s + var.used[p], c) for p, c in zip(*row)]
+                                        for s in range(n) for row in var.rows[:16]], var.den)
 
 
 def _parts(m) -> list:
@@ -510,12 +510,12 @@ def curvature_sum(jet: AdiabaticJet, model: SpinorModel):
 def dirac_variation_symbol(jet: AdiabaticJet, model: SpinorModel):
     """Operator symbol of sum_k I_k^{S+} [nabla_{t_k}, D^-].
 
-    Returns (zeroth, first) with zeroth a 2x2 matrix (equal to minus the
-    curvature sum, through SpinorModel._curvature_sum_map) and first a list
-    of four 2x2 coefficient matrices, one per fibre derivative direction,
-    through SpinorModel._dirac_first_map.  All vanish exactly on compatible
-    jets.
+    Returns (zeroth, first) with zeroth a 2x2 matrix, minus the curvature
+    sum, whose parts are those of SpinorModel._curvature_sum_map negated
+    (a zero part stays the map's shared zero), and first a list of four 2x2
+    coefficient matrices, one per fibre derivative direction, through
+    SpinorModel._dirac_first_map.  All vanish exactly on compatible jets.
     """
-    zeroth = mscale(QQi(-1), curvature_sum(jet, model))
+    zeroth = _from_parts([x and -x for x in model._curvature_sum_map(_w_entries(jet))])
     p = model._dirac_first_map([x for vk in jet.v for w in vk for row in w for x in row])
     return zeroth, tuple(_from_parts(p[8 * i:8 * i + 8]) for i in range(4))

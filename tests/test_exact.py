@@ -94,14 +94,24 @@ class TestLinearMap:
         with pytest.raises(TypeError, match=f"input 1 is {type(bad).__name__}"):
             m([F(1), bad, bad])
 
+    def test_unused_inputs_are_type_checked(self):
+        # input 1 has a zero column, so the map never reads it, but a float
+        # there is still rejected by position (this holds at a map that
+        # reads every input too; it keeps the check off the used inputs)
+        m = LinearMap.from_columns([[F(1)], [F(0)], [F(3)]])
+        assert m.used == (0, 2)
+        with pytest.raises(TypeError, match="input 1 is float"):
+            m([F(1), 0.5, F(2)])
+
     def test_bool_inputs_are_ints(self):
         m = LinearMap.from_columns([[F(1, 2)], [F(2)]])
         assert m([True, False]) == (F(1, 2),)
 
     def test_inputs_are_read_once(self, monkeypatch):
-        # one as_integer_ratio per input and no numerator or denominator
-        # read: 48 + 0 = 48 (the map once read .denominator twice and
-        # .numerator once per input, 144 reads)
+        # one as_integer_ratio per used input, the 38 of the 48 that some
+        # row reads, and no numerator or denominator read: 38 + 0 = 38 (the
+        # map once read all 48 inputs, and before that .denominator twice
+        # and .numerator once per input, 144 reads)
         calls = Counter()
         ratio = F.as_integer_ratio
         monkeypatch.setattr(F, "as_integer_ratio",
@@ -114,7 +124,7 @@ class TestLinearMap:
         x = [F(n - 24, 1 + n % 5) for n in range(48)]
         calls.clear()
         m(x)
-        assert calls == {"ratio": 48}
+        assert len(m.used) == 38 and calls == {"ratio": 38}
 
     def test_equality_follows_the_columns(self):
         rng = random.Random(5)
@@ -125,9 +135,12 @@ class TestLinearMap:
         other = [list(col) for col in cols]
         other[4][2] += F(1, 5)
         assert LinearMap.from_columns(cols) != LinearMap.from_columns(other)
-        # a trailing zero column is part of the map
+        # a trailing zero column is part of the map, and so is one inside it,
+        # though neither input is read
         zero_col = [F(0)] * 6
         assert LinearMap.from_columns(cols) != LinearMap.from_columns(cols + [zero_col])
+        inside = LinearMap.from_columns(cols[:4] + [zero_col] + cols[4:])
+        assert LinearMap.from_columns(cols) != inside and 4 not in inside.used
 
     def test_compose_is_inner_then_outer(self):
         rng = random.Random(6)
@@ -146,14 +159,14 @@ class TestLinearMap:
 
     def test_compose_reduces_to_lowest_terms(self):
         # an inner map over a common factor of its coefficients and den
-        inner = LinearMap(2, (((0, 1), (2, 4)),), 6)
+        inner = LinearMap(2, (0, 1), (((0, 1), (2, 4)),), 6)
         assert LinearMap.from_columns([[1]]).compose(inner) == \
             LinearMap.from_columns([[F(1, 3)], [F(2, 3)]])
         # a composite that cancels to zero is the zero map over 1
         zero = LinearMap.from_columns([[F(1, 2)], [F(-1, 2)]]).compose(
             LinearMap.from_columns([[F(1, 3), F(1, 3)]]))
         assert zero == LinearMap.from_columns([[0]])
-        assert zero.den == 1 and zero.rows == (((), ()),)
+        assert zero.den == 1 and zero.used == () and zero.rows == (((), ()),)
 
     def test_compose_rejects_mismatched_sizes(self):
         outer = LinearMap.from_columns([[F(1)], [F(2)], [F(3)]])

@@ -150,6 +150,13 @@ class TestDiscretization:
             assert np.abs(dh[..., ax, :] - want).max() < 1e-12
         assert np.abs(g - frame.T @ s.pairing @ frame).max() < 1e-12
 
+    def test_shape_gradient_table_is_built_once_per_spacing(self):
+        # _cell_maps and every Newton step's _section_frame_basis share one
+        # read-only table per spacing
+        table = mx._shape_gradient_table((0.3, 0.11, 0.7))
+        assert mx._shape_gradient_table((0.3, 0.11, 0.7)) is table
+        assert not table.flags.writeable
+
     @pytest.mark.parametrize("dims", [(3, 5, 4), (9, 7, 8)])
     @pytest.mark.parametrize("general", [False, True], ids=["standard", "general"])
     def test_gram_equals_gauss_point_derivatives(self, dims, general):
@@ -477,8 +484,8 @@ class TestHessian:
         assert peak <= 4 * s.values.nbytes
 
     def test_iterate_peak_memory(self):
-        # an iterate built from its corner frames at 11^3 (28 values.nbytes);
-        # the Gauss-point derivatives dh and dh Q alone take 36
+        # an iterate built from its corner frames at 11^3 (32.07
+        # values.nbytes); the Gauss-point derivatives dh and dh Q alone take 36
         s = perturbed_affine(np.random.default_rng(24), dims=(11, 11, 11))
         mx._Iterate(s)
         tracemalloc.start()

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from adg2 import hk, spin, verify
+from adg2 import exact, hk, spin, verify
 from adg2.exact import (QQi, dagger, eye, is_zero_matrix, madd, mat_apply,
                         mchain, mmul, mscale)
 
@@ -319,7 +319,8 @@ class TestCurvature:
     def test_jet_stream_is_pinned(self):
         # SHA-256 over each entry's (numerator, denominator), recorded before
         # random_donaldson_jet drew its trace-free slot on the coefficients:
-        # every jet, and so every later draw of a generator, stays the same
+        # every jet, and so every later draw of a generator, stays the same,
+        # drawn through random.Random or the suites' verify.SuiteRandom
         def digest(jets):
             h = hashlib.sha256()
             for jet in jets:
@@ -335,17 +336,18 @@ class TestCurvature:
                 for s in t:
                     yield from entries(s)
 
-        rng = random.Random(0)
-        got = {"jets": digest(spin.random_donaldson_jet(rng) for _ in range(300))}
-        for which in ("d_H_omega", "d_H_mu", "d_H_Theta"):
-            got[which] = digest(spin.violate_jet(spin.random_donaldson_jet(rng), which, rng)
-                                for _ in range(33))
-        assert got == {
-            "jets": "b67c9067b383b00ed7268d8165a26c5f3aee626dc136f47d30815873b951db5f",
-            "d_H_omega": "ddb985ba1be82e5674b98a71c07dfd8c2a960d4244a815c0f587907682c067cc",
-            "d_H_mu": "bc992bdb1016b4729b7b112db7f543284b8ce562030cdb57d31b0d55be4b8121",
-            "d_H_Theta": "bdb159200b4fba28a5eb46e352b47c6cb5c99d475a0c097d9e7498533b8ea2d5",
-        }
+        for draws in (random.Random, verify.SuiteRandom):
+            rng = draws(0)
+            got = {"jets": digest(spin.random_donaldson_jet(rng) for _ in range(300))}
+            for which in ("d_H_omega", "d_H_mu", "d_H_Theta"):
+                got[which] = digest(spin.violate_jet(spin.random_donaldson_jet(rng),
+                                                     which, rng) for _ in range(33))
+            assert got == {
+                "jets": "b67c9067b383b00ed7268d8165a26c5f3aee626dc136f47d30815873b951db5f",
+                "d_H_omega": "ddb985ba1be82e5674b98a71c07dfd8c2a960d4244a815c0f587907682c067cc",
+                "d_H_mu": "bc992bdb1016b4729b7b112db7f543284b8ce562030cdb57d31b0d55be4b8121",
+                "d_H_Theta": "bdb159200b4fba28a5eb46e352b47c6cb5c99d475a0c097d9e7498533b8ea2d5",
+            }, draws.__name__
 
 
     def test_violations_add_only_the_delta_support(self, fraction_calls):
@@ -378,6 +380,32 @@ class TestDiracVariation:
         z, first = spin.dirac_variation_symbol(spin.zero_jet(), model)
         assert is_zero_matrix(z)
         assert all(is_zero_matrix(c) for c in first)
+
+    def test_zeroth_part_negates_the_curvature_sum(self, model):
+        # entry for entry -curvature_sum, on the 75 unit jets and on violated
+        # jets where it is nonzero, and every zero part is the curvature-sum
+        # map's shared zero (scaling by QQi(-1) built a new zero per part)
+        rng = random.Random(7)
+        violated = [spin.violate_jet(spin.random_donaldson_jet(rng), which, rng)
+                    for which in ("d_H_omega", "d_H_mu", "d_H_Theta") for _ in range(10)]
+        nonzero = 0
+        for jet in [*spin.constraint_basis_jets(), *violated]:
+            zeroth, _ = spin.dirac_variation_symbol(jet, model)
+            curv = spin.curvature_sum(jet, model)
+            nonzero += not is_zero_matrix(curv)
+            assert all(z == -c for rz, rc in zip(zeroth, curv) for z, c in zip(rz, rc))
+            assert all(x is exact._ZERO for x in spin._parts(zeroth) if not x)
+        assert nonzero == 30
+
+    def test_compatible_jet_builds_no_fraction(self, model, fraction_calls):
+        # both maps give the shared zero on every part of a compatible jet,
+        # and the negation keeps it (scaling by QQi(-1) built 24 Fractions)
+        spin.dirac_variation_symbol(spin.zero_jet(), model)  # builds the maps
+        jet = spin.random_donaldson_jet(random.Random(8))
+        fraction_calls.clear()
+        zeroth, first = spin.dirac_variation_symbol(jet, model)
+        assert not fraction_calls
+        assert is_zero_matrix(zeroth) and all(is_zero_matrix(c) for c in first)
 
     def test_vanishing_on_donaldson_jets(self, law):
         law("spin.curvature.cancellation")

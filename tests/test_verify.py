@@ -212,22 +212,63 @@ def test_random_streams_are_pinned():
     # recorded before the draws read their rationals from verify._RATIONALS
     # and _random_form added its terms in place: every form (degrees 0-7,
     # where repeated keys merge and cancel), distribution and g2lin vector,
-    # and so every later draw of a generator, stays the same
-    rng = random.Random(0)
-    forms = [verify._random_form(rng, degree) for degree in list(range(8)) * 25]
-    rng = random.Random(0)
-    distributions = [verify._random_distribution(rng) for _ in range(200)]
-    rng = random.Random(0)
-    vectors = [verify._random_vec(rng) for _ in range(300)]
-    assert {
-        "forms": stream_digest(poly_values(a.degree, a.terms) for a in forms),
-        "distributions": stream_digest(poly_values(1, h.coeffs) for h in distributions),
-        "vectors": stream_digest(enumerate(v) for v in vectors),
-    } == {
-        "forms": "c8d12ac983c021ac15246e9e7b5715bc0e3e2303a434b77159aac94004e3b6d3",
-        "distributions": "fc168410dd6b4ccb43106d13c79150c442d2f9f35289b25bae253fffe7295173",
-        "vectors": "ef06b92effbcaae488114f1b7ebc372a6226a77d72c28b2c5b86a03bc2a3a151",
-    }
+    # and so every later draw of a generator, stays the same, drawn through
+    # random.Random or the suites' SuiteRandom
+    for draws in (random.Random, verify.SuiteRandom):
+        rng = draws(0)
+        forms = [verify._random_form(rng, degree) for degree in list(range(8)) * 25]
+        rng = draws(0)
+        distributions = [verify._random_distribution(rng) for _ in range(200)]
+        rng = draws(0)
+        vectors = [verify._random_vec(rng) for _ in range(300)]
+        assert {
+            "forms": stream_digest(poly_values(a.degree, a.terms) for a in forms),
+            "distributions": stream_digest(poly_values(1, h.coeffs) for h in distributions),
+            "vectors": stream_digest(enumerate(v) for v in vectors),
+        } == {
+            "forms": "c8d12ac983c021ac15246e9e7b5715bc0e3e2303a434b77159aac94004e3b6d3",
+            "distributions": "fc168410dd6b4ccb43106d13c79150c442d2f9f35289b25bae253fffe7295173",
+            "vectors": "ef06b92effbcaae488114f1b7ebc372a6226a77d72c28b2c5b86a03bc2a3a151",
+        }, draws.__name__
+
+
+# every (lo, hi) the suites pass to randint, plus a one-value range and one
+# wider than 2^32, which takes more than one 32-bit word per draw
+SUITE_RANDINT_BOUNDS = ((-6, 6), (1, 3), (-4, 4), (-3, 3), (0, 3), (0, 2), (1, 4),
+                        (1, 5), (0, 0), (-2 ** 40, 2 ** 40 + 7))
+
+
+@pytest.mark.parametrize("lo, hi", SUITE_RANDINT_BOUNDS)
+def test_suite_randint_is_random_randint(lo, hi):
+    # SuiteRandom replays random.Random's rejection loop on getrandbits, so
+    # its values, and the generator state after them, are random.Random's
+    for seed in range(50):
+        ours, theirs = verify.SuiteRandom(seed), random.Random(seed)
+        assert [ours.randint(lo, hi) for _ in range(40)] == \
+            [theirs.randint(lo, hi) for _ in range(40)], seed
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_suite_randrange_is_random_randrange():
+    # the randrange forms of the suites, randrange(n) (n = 3, 7 and the 1 to
+    # 35 keys of _random_form) and randrange(3, 7), interleaved with
+    # random() and randint, as check_fh_curvature draws
+    def stream(rng):
+        return [(rng.randrange(3), rng.randrange(7), rng.randrange(3, 7),
+                 rng.randrange(1), rng.randrange(35), rng.random(), rng.randint(-3, 3))
+                for _ in range(40)]
+
+    for seed in range(50):
+        assert stream(verify.SuiteRandom(seed)) == stream(random.Random(seed)), seed
+
+
+def test_suite_random_rejects_empty_ranges():
+    rng = verify.SuiteRandom(0)
+    for args in ((0,), (3, 3), (-1,)):
+        with pytest.raises(ValueError):
+            rng.randrange(*args)
+    with pytest.raises(ValueError):
+        rng.randint(2, 1)
 
 
 def test_table_draws_build_no_fraction(fraction_calls):
