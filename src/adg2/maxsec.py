@@ -485,7 +485,7 @@ class SolveResult:
     history: list  # rows (iter, area, residual_norm, min_eig_G)
     message: str = ""
     krylov_per_step: list = field(default_factory=list)  # MINRES iterations, per step
-    line_search_rejections: int = 0  # trials rejected by the residual bar
+    line_search_rejections: int = 0  # positive trials without P-norm decrease
     positivity_failures: int = 0  # trials that lost positivity
     # interior nodes whose squared residual norm was negative and counted as
     # 0, over every residual the solve evaluated (residual_norm)
@@ -499,7 +499,7 @@ class SolveResult:
     @property
     def gradients(self) -> int:
         """Iterates built (_Iterate): the start and every line-search trial,
-        each accepted, rejected by the residual bar or not positive."""
+        each accepted, rejected or not positive."""
         return (1 + self.iterations + self.line_search_rejections
                 + self.positivity_failures)
 
@@ -527,15 +527,15 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
     Each step solves the Newton system by MINRES with exact Hessian-vector
     products and the split preconditioner P, to the fixed forcing term
     ||g - H delta||_P <= _ETA ||g||_P (_newton_direction), then halves the
-    step until the trial keeps positivity and its residual falls below the
-    worst of the last eight accepted residuals.  That forcing term means the
-    same on every grid and is isometry-invariant, so the Newton step count
-    barely grows with the grid (7 to 10 steps from 9^3 to 17^3 on noisy
-    affine and smooth graphical data) and solve commutes with dualize to
-    rounding.  SolveError names the iteration and the residual when MINRES
-    breaks down (then also its own iteration and beta^2) or gives no usable
-    direction, when positivity is lost at the minimum step, or when no
-    step is accepted.
+    step s until the trial keeps positivity and ||g(x + s delta)||_P < (1 -
+    1e-4 s (1 - _ETA)) ||g(x)||_P, with the step's P: the sufficient
+    decrease an inexact Newton step meets for small s (Eisenstat and Walker,
+    SIAM J. Optim. 4, 1994).  P's scale cancels from both tests, and a step
+    too small to move x fails the strict one.  SolveError names the
+    iteration and the residual when MINRES breaks down (then also its own
+    iteration and beta^2) or gives no usable direction, when positivity is
+    lost at the minimum step, or when no step is accepted (then also the
+    step's ||g||_P and its last trial's).
 
     Each history row is (iteration, area, residual, smallest Gram
     eigenvalue); the residual is residual_norm of the iterate.
@@ -556,16 +556,16 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
             break
         with _timed(phases, "krylov"):
             try:
-                delta, iters = _newton_direction(it, work)
+                delta, iters, precond, gnorm = _newton_direction(it, work)
             except SolveError as err:
                 raise SolveError(f"no Newton direction at iteration {n_iter + 1} "
                                  f"(residual {res:.3e}): {err}") from err
         shrink = 1.0
-        bar = max(row[2] for row in out.history[-8:])
         trial, spare = spare, out.grid
         with _timed(phases, "line_search"):
-            # each trial is built into the spent iterate's arrays; trial and
-            # the accepted section share their boundary values
+            # each trial is built into the spent iterate's arrays, and its
+            # P-norm into MINRES's spent v; trial and the accepted section
+            # share their boundary values
             for _ in range(60):
                 np.multiply(delta, shrink, out=trial.values[_INTERIOR])
                 trial.values[_INTERIOR] += out.grid.values[_INTERIOR]
@@ -581,13 +581,16 @@ def solve_dirichlet(init: SectionGrid, tol: float = 1e-8,
                             f"residual {res:.3e})")
                     continue
                 out.residual_clamped_nodes += clamped
-                if res_trial < bar or shrink < 1e-6:
+                g = it.grad[_INTERIOR]
+                trial_gnorm = np.sqrt(np.vdot(g, precond(g, work.vectors[1])))
+                if trial_gnorm < (1.0 - 1e-4 * shrink * (1.0 - _ETA)) * gnorm:
                     break
                 out.line_search_rejections += 1
                 shrink *= 0.5
             else:
                 raise SolveError(f"no acceptable step at iteration {n_iter + 1} "
-                                 f"(residual {res:.3e})")
+                                 f"(residual {res:.3e}; ||g||_P {gnorm:.3e} at the step, "
+                                 f"{trial_gnorm:.3e} at its last trial)")
         res = res_trial
         out.krylov_per_step.append(iters)
     out.converged = res <= tol
@@ -771,10 +774,9 @@ def _split_preconditioner(it: _Iterate, work: _Workspace):
     out, interior node arrays, with the transforms in the workspace's two
     interior buffers.
 
-    The scale is that of the area density, as in residual_norm.  It does not
-    move where MINRES stops: _minres compares ||r||_P with ||g||_P, and a
-    constant factor in P cancels from that ratio, so inverting H itself
-    (P larger by 1/V) gives the same directions to rounding.
+    The scale is that of the area density, as in residual_norm.  A constant
+    factor cancels from every P-norm ratio the solve compares, so inverting
+    H itself (P larger by 1/V) gives the same solve to rounding.
     """
     a, nbasis = _section_frame_basis(it.s, it.frames)
     t = np.concatenate([a, nbasis], axis=1)  # (3 + b, 3 + b)
@@ -802,15 +804,13 @@ def _split_preconditioner(it: _Iterate, work: _Workspace):
 
 # Forcing term of the Newton-MINRES step: MINRES stops once ||g - H x||_P
 # <= _ETA ||g||_P, with P the split preconditioner.  Tighter costs more
-# products, and much tighter costs Newton steps too: away from the solution
-# the Hessian is indefinite and an accurate Newton direction there is a poor
-# one.  Looser costs Newton steps, each with its Hessian set-up and line
-# search.  On the first maxsec-rough draw of seed 0 (noisy affine, 11^3, one
-# thread), eta = 0.01 takes 26 Newton steps, one line-search rejection, 968
-# MINRES iterations and 4.0 s; 0.03 takes 7 steps, 91 iterations and 0.44 s;
-# 0.1 takes 8 steps, 77 iterations and 0.40 s; 0.3 takes 12 steps, 73
-# iterations and 0.44 s (medians of 5, 2-vCPU Xeon host).  With 0.1, 9^3 to
-# 17^3 solves take 7 to 10 Newton steps.
+# products: away from the solution the Hessian is indefinite and an
+# accurate Newton direction there is a poor one.  Looser costs Newton steps,
+# each with its Hessian set-up and line search.  On the first maxsec-rough
+# draw of seed 0 (noisy affine, 11^3), eta = 0.01 takes 9 Newton steps, 4
+# line-search rejections and 206 MINRES iterations; 0.03 takes 7 steps and
+# 91 iterations, 0.1 8 and 77, and 0.3 12 and 73.  With 0.1, 9^3 to 17^3
+# solves take 7 to 10 Newton steps.
 _ETA = 0.1
 
 
@@ -827,9 +827,10 @@ def _minres(apply, precond, b: np.ndarray, eta: float, maxiter: int,
     ||b||_P with ||r||_P^2 = r . precond(r), or after maxiter iterations.
     The recurrences carry phibar, so the test costs no product, and it does
     not change when precond is scaled by a constant.  One apply and one
-    precond per iteration, and one precond before the first.  Returns
-    (x, iterations); raises SolveError when some beta^2 = r . precond(r) is
-    negative or not finite, which a positive definite precond cannot give.
+    precond per iteration, and one precond before the first.  Returns (x,
+    iterations, beta1 = ||b||_P); raises SolveError when some beta^2 = r .
+    precond(r) is negative or not finite, which a positive definite precond
+    cannot give.
 
     Each operation is the textbook one, in its order, into a vector free at
     that point.  r1 and r2 (b at first) take two vectors, and a product
@@ -884,7 +885,7 @@ def _minres(apply, precond, b: np.ndarray, eta: float, maxiter: int,
         w2 /= gamma
         w, w2 = w2, w
         x += np.multiply(w, phi, out=v)
-    return x, itn
+    return x, itn, beta1
 
 
 def _newton_direction(it: _Iterate, work: _Workspace):
@@ -893,19 +894,18 @@ def _newton_direction(it: _Iterate, work: _Workspace):
     Hessian is indefinite in general (the critical sections are saddles of
     the discrete area in the tangential compression modes), so the Krylov
     solver is MINRES (_minres) with the positive definite split
-    preconditioner P, stopped at ||g - H delta||_P <= _ETA ||g||_P: a
-    relative residual in a norm that Q-isometries and the scale of P leave
-    unchanged, so the same forcing term on every grid.  Returns the
-    interior direction, which lives in work, and the MINRES iteration count,
-    the number of Hessian-vector products.  Raises SolveError when MINRES
-    breaks down or gives a non-finite or all-zero direction."""
+    preconditioner P, stopped at ||g - H delta||_P <= _ETA ||g||_P, the
+    same relative residual on every grid and under Q-isometries.  Returns
+    the interior direction (in work), the MINRES iteration count (the
+    Hessian-vector products), P's apply and ||g||_P.  Raises SolveError
+    when MINRES breaks down or gives a non-finite or all-zero direction."""
     _hessian_cache(it, work)
     precond = _split_preconditioner(it, work)
-    x, iters = _minres(lambda d, out: _hessian_apply(it, work, d, out), precond,
-                       it.grad[_INTERIOR], _ETA, 60, work.vectors)
+    x, iters, gnorm = _minres(lambda d, out: _hessian_apply(it, work, d, out), precond,
+                              it.grad[_INTERIOR], _ETA, 60, work.vectors)
     if not np.isfinite(x).all() or not x.any():
         raise SolveError("MINRES gave a non-finite or all-zero direction")
-    return x, iters
+    return x, iters, precond, gnorm
 
 
 # ----------------------------------------------------------------------------

@@ -112,17 +112,19 @@ def _expect(cond: bool, residual):
 # suite: excalc
 
 
+@cache
+def _form_keys(degree):
+    """The (I, J) keys of a degree-form, I of base axes and J of fibre axes,
+    in the order _random_form draws from."""
+    return tuple((big_i, big_j) for p in range(min(degree, 3) + 1) if degree - p <= 4
+                 for big_i in combinations(range(3), p)
+                 for big_j in combinations(range(3, 7), degree - p))
+
+
 def _random_form(rng, degree, max_poly_deg=_MAX_POLY_DEG, nterms=3):
     from .excalc import BigradedForm, Poly
 
-    keys = []
-    for p in range(min(degree, 3) + 1):
-        q = degree - p
-        if q < 0 or q > 4:
-            continue
-        for big_i in combinations(range(3), p):
-            for big_j in combinations(range(3, 7), q):
-                keys.append((big_i, big_j))
+    keys = _form_keys(degree)
     out = BigradedForm(degree)
     for _ in range(nterms):
         big_i, big_j = keys[rng.randrange(len(keys))]

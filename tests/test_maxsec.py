@@ -29,6 +29,23 @@ def graphical_section(dims=(7, 7, 7), b=19):
     return s
 
 
+def catenoid_section(dims=(13, 13, 13), a=0.5, b=1):
+    """The spacelike catenoid t = f(|x - c|) over the unit box, c = -0.35
+    (1, 1, 1), with f'(r) = a / sqrt(r^4 + a^2) and f(0.5) = 0: a maximal
+    hypersurface of R^(3,1), as the first negative component of R^(3+b)
+    and zero in the others, with the interior nodes on the graph.  f is
+    40-point Gauss-Legendre quadrature of f' over [0.5, r]."""
+    spacing = tuple(1.0 / (n - 1) for n in dims)
+    s = mx.affine_section(dims, spacing, pairing=mx.standard_pairing(b))
+    axes = [np.arange(n) * h for n, h in zip(dims, spacing)]
+    r = np.linalg.norm(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1) + 0.35, axis=-1)
+    x, w = np.polynomial.legendre.leggauss(40)
+    half = 0.5 * (r - 0.5)[..., None]
+    rho = 0.5 + half * (1.0 + x)
+    s.values[..., mx.SIG_PLUS] = np.sum(w * half * a / np.sqrt(rho ** 4 + a ** 2), axis=-1)
+    return s
+
+
 def general_pairing(rng, s):
     """The section S^-1 h under the pairing S^T Q S, for a random
     (non-orthogonal) S: it has the Gram matrices of h under Q."""
@@ -695,7 +712,7 @@ class TestMinres:
 
     def test_accurate_solve(self):
         h, p, b = self.problem()
-        x, iters = self.solve(h, p, b, 1e-12)
+        x, iters, _ = self.solve(h, p, b, 1e-12)
         assert iters <= self.N + 1
         want = np.linalg.solve(h, b)
         assert np.abs(x - want).max() <= 1e-9 * np.abs(want).max()
@@ -703,16 +720,17 @@ class TestMinres:
     def test_stops_on_the_preconditioned_residual(self):
         h, p, b = self.problem()
         maxiter = 100
-        x, iters = self.solve(h, p, b, 0.1, maxiter)
+        x, iters, beta1 = self.solve(h, p, b, 0.1, maxiter)
         assert 0 < iters < maxiter
         r = b - h @ x
         assert np.sqrt(r @ p @ r) <= 0.1 * np.sqrt(b @ p @ b)
+        assert beta1 == pytest.approx(np.sqrt(b @ p @ b), rel=1e-14)
 
     def test_preconditioner_scale_does_not_move_the_stop(self):
         h, p, b = self.problem()
-        x1, iters1 = self.solve(h, p, b, 0.1)
+        x1, iters1, _ = self.solve(h, p, b, 0.1)
         for c in (1e-3, 1e3):
-            xc, itersc = self.solve(h, c * p, b, 0.1)
+            xc, itersc, _ = self.solve(h, c * p, b, 0.1)
             assert itersc == iters1
             assert np.abs(xc - x1).max() <= 1e-12 * np.abs(x1).max()
 
@@ -736,8 +754,8 @@ class TestMinres:
 
     def test_zero_right_hand_side(self):
         h, p, b = self.problem()
-        x, iters = self.solve(h, p, 0.0 * b, 0.1)
-        assert iters == 0 and not x.any()
+        x, iters, beta1 = self.solve(h, p, 0.0 * b, 0.1)
+        assert iters == 0 and not x.any() and beta1 == 0.0
 
     @pytest.mark.parametrize("bad, where", [(-1.0, r"1: beta\^2 = -"),
                                             (np.nan, r"1: beta\^2 = nan")])
@@ -924,7 +942,7 @@ class TestSolver:
 
     def test_no_newton_direction_raises(self, monkeypatch):
         def nan_minres(apply, precond, b, eta, maxiter, vectors):
-            return np.full_like(b, np.nan), 1
+            return np.full_like(b, np.nan), 1, 1.0
 
         monkeypatch.setattr(mx, "_minres", nan_minres)
         s = perturbed_affine(np.random.default_rng(15))
@@ -944,21 +962,53 @@ class TestSolver:
                            r"at its iteration 0: beta\^2 = -\d"):
             mx.solve_dirichlet(s, tol=1e-8, max_iter=10)
 
+    def test_non_descent_direction_raises(self, monkeypatch):
+        # a negated Newton direction raises ||g||_P at every step length down
+        # to steps that no longer move x, and those leave it equal, which the
+        # strict decrease rejects: the 60 trials run out at the first step
+        newton = mx._newton_direction
+
+        def negated(it, work):
+            delta, iters, precond, gnorm = newton(it, work)
+            return np.negative(delta, out=delta), iters, precond, gnorm
+
+        monkeypatch.setattr(mx, "_newton_direction", negated)
+        s = perturbed_affine(np.random.default_rng(15))
+        with pytest.raises(mx.SolveError, match=r"no acceptable step at iteration 1 \(residual "
+                           r"\S+; \|\|g\|\|_P (\S+) at the step, \1 at its last trial\)"):
+            mx.solve_dirichlet(s, tol=1e-8, max_iter=10)
+
+    @pytest.mark.parametrize("b", [1, 19])
+    def test_strongly_curved_data_converges(self, b):
+        # the a = 0.5 catenoid, started on its graph: the first full Newton
+        # step cuts ||g||_P eightfold while the nodal residual_norm rises
+        out = mx.solve_dirichlet(catenoid_section((13, 13, 13), 0.5, b), tol=1e-8, max_iter=60)
+        assert out.converged, out.message
+        assert mx.residual_norm(out.grid) <= 1e-8
+
     def test_preconditioner_scale_does_not_move_the_solve(self, monkeypatch):
-        # the MINRES stop compares P-norms, so a constant factor in P cancels
+        # the MINRES stop and the line search compare P-norms, so a constant
+        # factor in P cancels from both: the same steps and trials, with
+        # solutions equal to rounding at 1e3 and bit for bit at 2^10, which
+        # scales every P-norm exactly
         s = perturbed_affine(np.random.default_rng(17))
         want = mx.solve_dirichlet(s, tol=1e-8)
         split = mx._split_preconditioner
+        for scale in (1e3, 2.0 ** 10):
+            def scaled(it, work):
+                apply = split(it, work)
+                return lambda r, out: np.multiply(apply(r, out), scale, out=out)
 
-        def scaled(it, work):
-            apply = split(it, work)
-            return lambda r, out: np.multiply(apply(r, out), 1e3, out=out)
-
-        monkeypatch.setattr(mx, "_split_preconditioner", scaled)
-        got = mx.solve_dirichlet(s, tol=1e-8)
-        assert got.converged and want.converged
-        assert got.krylov_per_step == want.krylov_per_step
-        assert np.abs(got.grid.values - want.grid.values).max() <= 1e-12
+            monkeypatch.setattr(mx, "_split_preconditioner", scaled)
+            got = mx.solve_dirichlet(s, tol=1e-8)
+            assert got.converged and want.converged
+            assert got.krylov_per_step == want.krylov_per_step
+            assert got.line_search_rejections == want.line_search_rejections
+            assert got.iterations == want.iterations
+            assert [row[0] for row in got.history] == [row[0] for row in want.history]
+            assert np.abs(got.grid.values - want.grid.values).max() <= 1e-12
+        assert got.history == want.history
+        assert np.array_equal(got.grid.values, want.grid.values)
 
     @staticmethod
     def check_equivariance(b):
@@ -1044,7 +1094,8 @@ class TestSolver:
         # one Gram evaluation per gradient (the start and every line-search
         # trial, as SolveResult.gradients counts them), one Hessian-vector
         # product per MINRES iteration, one preconditioner per Newton step,
-        # applied once per MINRES iteration and once before the first, and
+        # applied once per MINRES iteration, once before the first and once
+        # per positive line-search trial (its ||g||_P), and
         # two 3x3 inversions per gradient that keeps positivity, one for the
         # gradient and one in residual_norm: the Hessian data of a Newton
         # step reuses the iterate's G^-1.  The benchmark's tracer counts the
@@ -1090,7 +1141,8 @@ class TestSolver:
         assert calls["hvp"] == out.hvps > 0
         assert len(out.krylov_per_step) == out.iterations
         assert calls["split"] == out.iterations
-        assert calls["precond"] == out.hvps + out.iterations
+        assert calls["precond"] == (out.hvps + out.iterations
+                                    + out.iterations + out.line_search_rejections)
         monkeypatch.undo()
         # the history rows hold the values of the public functions
         _, last_area, last_res, last_eig = out.history[-1]

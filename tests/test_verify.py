@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -303,6 +304,16 @@ def test_random_forms_add_in_place(monkeypatch):
     rng = random.Random(SEED)
     forms = [verify._random_form(rng, degree) for degree in list(range(5)) * 10]
     assert calls == [] and any(not a.is_zero() for a in forms)
+
+
+def test_form_keys_are_built_once_in_draw_order():
+    # the (I, J) keys of the bigraded degree-k forms, C(7, k) of them, in the
+    # (|I|, I, J) order that the pinned streams draw from, one tuple a degree
+    for degree in range(5):
+        keys = verify._form_keys(degree)
+        assert keys is verify._form_keys(degree)
+        assert len(set(keys)) == len(keys) == math.comb(7, degree)
+        assert list(keys) == sorted(keys, key=lambda key: (len(key[0]), key))
 
 
 def test_linear_rows_prove_on_a_basis(monkeypatch):
